@@ -30,7 +30,7 @@ def main():
     chk = normalized_weak_product_walk_check(path(3), complete(4), 3 * math.pi)
     print("P3 x K4 at t = 3pi:")
     print(f"  operator identity deviation {chk.operator_deviation:.2e}")
-    print(f"  projector walk formula deviation {chk.walk_deviation:.2e}")
+    print(f"  spectral walk formula deviation {chk.walk_deviation:.2e}")
 
     # Closure: P3 transfers at pi; multiplying by a graph H keeps transfer
     # at time t whenever t * mu * (lambda - 1) is a multiple of 2pi for all

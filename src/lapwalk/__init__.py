@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 from .control import (
     UnicyclicReport,
     WalkMatrix,
-    controllable_vertex,
     eigenvector_chase_check,
     exact_rank,
     is_controllable,

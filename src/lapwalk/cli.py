@@ -255,11 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, tol=False, t_max=None, samples=False):
+    def add_common(p, t_max=None, samples=False):
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        if tol:
-            p.add_argument("--tol", type=float, default=1e-9)
         if t_max is not None:
             p.add_argument("--t-max", dest="t_max", default=t_max)
         if samples:
@@ -292,6 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_walk.add_argument("--time", required=True)
     p_walk.add_argument("--from", dest="src", type=int, required=True)
     p_walk.add_argument("--to", dest="dst", type=int, required=True)
+    p_walk.add_argument("--format", choices=("json", "text"), default="text")
     add_common(p_walk)
     p_walk.set_defaults(func=_cmd_walk)
 
@@ -309,13 +307,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--kind", required=True)
     p_verify.add_argument("--pair", nargs=2, type=int, required=True)
     p_verify.add_argument("--time", required=True)
-    add_common(p_verify, tol=True)
+    p_verify.add_argument("--tol", type=float, default=1e-9)
+    add_common(p_verify)
     p_verify.set_defaults(func=_cmd_pst)
     p_search = pst_sub.add_parser("search")
     p_search.add_argument("--graph", required=True)
     p_search.add_argument("--kind", required=True)
     p_search.add_argument("--pair", nargs=2, type=int, required=True)
-    add_common(p_search, tol=True, t_max="50")
+    add_common(p_search, t_max="50")
     p_search.set_defaults(func=_cmd_pst)
 
     p_quot = sub.add_parser("quotient", help="quotient matrix of a partition")
@@ -340,7 +339,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("name", choices=available_suites() + ["all"])
     p_suite.add_argument("--n-max", dest="n_max", type=int, default=None)
     p_suite.add_argument("--t-max", dest="t_max", default=None)
-    p_suite.add_argument("--out", default=None)
     p_suite.set_defaults(func=_cmd_verify_suite)
 
     return parser

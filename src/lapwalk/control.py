@@ -24,7 +24,6 @@ __all__ = [
     "walk_matrix",
     "exact_rank",
     "is_controllable",
-    "controllable_vertex",
     "spectral_controllability_count",
     "eigenvector_chase_check",
     "unicyclic_no_pst_pipeline",
@@ -98,16 +97,12 @@ def is_controllable(g: Graph, subset: Iterable[int]) -> bool:
     return exact_rank(walk_matrix(g, subset)) == g.n
 
 
-def controllable_vertex(g: Graph, u: int) -> bool:
-    return is_controllable(g, (u,))
-
-
 def spectral_controllability_count(g: Graph, u: int, tol: float = 1e-8) -> int:
     """Number of eigenvalue clusters whose eigenspace is not orthogonal to
     e_u; equals the exact walk-matrix rank (the projection of e_u onto a
     cluster has squared norm E[u, u])."""
     dec = eigendecompose(adjacency(g))
-    return sum(1 for p in dec.projectors if np.sqrt(max(p[u, u], 0.0)) > tol)
+    return sum(1 for w in dec.pair_weights(u, u) if np.sqrt(max(w, 0.0)) > tol)
 
 
 def eigenvector_chase_check(m: int, tol: float = 1e-8) -> bool:
@@ -121,10 +116,10 @@ def eigenvector_chase_check(m: int, tol: float = 1e-8) -> bool:
     """
     g, probe, _ = cone_p4_with_pendant(m)
     dec = eigendecompose(adjacency(g))
-    for mult, proj in zip(dec.multiplicities, dec.projectors):
+    for mult, weight in zip(dec.multiplicities, dec.pair_weights(probe, probe)):
         if mult >= 2:
             return True
-        if np.sqrt(max(proj[probe, probe], 0.0)) < tol:
+        if np.sqrt(max(weight, 0.0)) < tol:
             return True
     return False
 

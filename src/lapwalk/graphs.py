@@ -136,8 +136,10 @@ class Graph:
                     stack.append(v)
         return len(seen) == self.n
 
-    def bipartition(self) -> np.ndarray | None:
-        """Two-coloring by breadth-first traversal, or None on an odd cycle."""
+    def two_coloring(self) -> tuple[np.ndarray, tuple[int, int] | None]:
+        """Breadth-first two-coloring that never fails, plus the first edge
+        (in ``edges`` order) whose ends got the same color, or None when
+        there is none. Such an edge closes an odd cycle."""
         color = np.full(self.n, -1, dtype=int)
         for start in range(self.n):
             if color[start] >= 0:
@@ -150,9 +152,13 @@ class Graph:
                     if color[v] < 0:
                         color[v] = 1 - color[u]
                         queue.append(v)
-                    elif color[v] == color[u]:
-                        return None
-        return color
+        clash = next(((u, v) for u, v, _ in self.edges if color[u] == color[v]), None)
+        return color, clash
+
+    def bipartition(self) -> np.ndarray | None:
+        """Two-coloring by breadth-first traversal, or None on an odd cycle."""
+        color, clash = self.two_coloring()
+        return None if clash is not None else color
 
     def relabel(self, perm: Iterable[int]) -> "Graph":
         """New graph with vertex u renamed to perm[u]."""

@@ -166,27 +166,7 @@ def bipartite_signing(g: Graph) -> np.ndarray:
     two-coloring. Requires a connected graph."""
     if not g.is_connected():
         raise ValueError("bipartite signing requires a connected graph")
-    colors = g.bipartition()
-    if colors is None:
-        forced = _greedy_two_color(g)
-        witness = next((u, v) for u, v, _ in g.edges if forced[u] == forced[v])
-        raise NotBipartiteError(witness)
+    colors, clash = g.two_coloring()
+    if clash is not None:
+        raise NotBipartiteError(clash)
     return np.where(colors == 0, 1.0, -1.0)
-
-
-def _greedy_two_color(g: Graph) -> np.ndarray:
-    """BFS coloring that never fails; on a nonbipartite graph some edge ends
-    up monochromatic and serves as the odd-cycle witness."""
-    color = np.full(g.n, -1, dtype=int)
-    for start in range(g.n):
-        if color[start] >= 0:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
-            for v in g.neighbors[u]:
-                if color[v] < 0:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-    return color

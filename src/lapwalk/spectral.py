@@ -1,12 +1,14 @@
-"""Eigendecomposition with clustered spectral projectors, walk operator
-evaluation, and closed-form walk entries for joins and the weighted
-three-vertex path.
+"""Eigendecomposition with eigenvalue clustering, walk operator evaluation,
+and closed-form walk entries for joins and the weighted three-vertex path.
 
 The walk is always evaluated through the spectral decomposition
-U(t) = sum_k exp(-i t lambda_k) E_k, never by series summation: unitarity is
-then exact up to projector error no matter how large t gets, and degenerate
-spectra (hypercubes, products) stay stable because projectors are built from
-whole eigenvalue clusters.
+U(t) = V diag(exp(-i t theta)) V^T, never by series summation: unitarity is
+then exact up to the orthogonality error of V no matter how large t gets.
+Eigenvalues are grouped into clusters and every eigenvector of a cluster
+shares the cluster's mean eigenvalue theta_k, so degenerate spectra
+(hypercubes, products) stay stable. The spectral projector of cluster k is
+E_k = V_k V_k^T over the cluster's block of columns V_k; it is never stored,
+and entries E_k[v, u] come out as per-cluster sums of V[v, j] V[u, j].
 """
 
 from __future__ import annotations
@@ -35,13 +37,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Ascending eigenvalues plus orthogonal projectors onto the clustered
-    eigenspaces. ``values[k]`` is the representative of cluster k and
-    ``projectors[k]`` the corresponding projector."""
+    """Ascending eigenvalues, the orthonormal eigenvectors ``vectors`` (one
+    per column, as returned by ``eigh``) and the eigenvalue clusters: cluster
+    k is the next ``multiplicities[k]`` columns and ``values[k]`` its mean
+    eigenvalue."""
 
     eigenvalues: np.ndarray
     values: np.ndarray
-    projectors: tuple[np.ndarray, ...]
+    vectors: np.ndarray
     multiplicities: tuple[int, ...]
     kind: OperatorKind = OperatorKind.CUSTOM
 
@@ -55,10 +58,25 @@ class EigenDecomposition:
             return 0.0
         return float(self.eigenvalues[-1] - self.eigenvalues[0])
 
+    @property
+    def _starts(self) -> np.ndarray:
+        """Index of the first column of every cluster."""
+        return np.cumsum((0,) + self.multiplicities[:-1])
+
+    @property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        """Dense n x n projector of every cluster, built on each access; the
+        engine works from the eigenvector blocks instead."""
+        return tuple(
+            self.vectors[:, a : a + m] @ self.vectors[:, a : a + m].T
+            for a, m in zip(self._starts, self.multiplicities)
+        )
+
     def pair_weights(self, source: int, target: int) -> np.ndarray:
-        """Entry (target, source) of every projector; the walk entry is then
-        sum_k weights[k] * exp(-i t values[k])."""
-        return np.array([p[target, source] for p in self.projectors])
+        """Entry (target, source) of every cluster projector; the walk entry
+        is then sum_k weights[k] * exp(-i t values[k])."""
+        v = self.vectors
+        return np.add.reduceat(v[target] * v[source], self._starts)
 
     def amplitude(self, source: int, target: int, times) -> np.ndarray:
         ts = np.atleast_1d(np.asarray(times, dtype=float))
@@ -68,9 +86,8 @@ class EigenDecomposition:
     def matrix_at(self, t: float) -> np.ndarray:
         if t == 0.0:
             return np.eye(self.n, dtype=complex)
-        phases = np.exp(-1j * t * self.values)
-        stack = np.stack(self.projectors)
-        return np.tensordot(phases, stack, axes=1)
+        phases = np.exp(-1j * t * np.repeat(self.values, self.multiplicities))
+        return (self.vectors * phases) @ self.vectors.T
 
 
 def eigendecompose(
@@ -78,9 +95,10 @@ def eigendecompose(
 ) -> EigenDecomposition:
     """Symmetric eigensolve with eigenvalue clustering.
 
-    Eigenvalues closer than ``cluster_tol`` (default 1e-8 times the spectral
-    range) are merged into one cluster and their eigenvectors into a single
-    projector; this keeps projectors well defined on degenerate spectra.
+    Consecutive eigenvalues closer than ``cluster_tol`` (default 1e-8 times
+    the spectral range) fall into one cluster, whose eigenvectors then share
+    the cluster mean; this keeps the cluster projectors well defined on
+    degenerate spectra.
     """
     if isinstance(source, Hamiltonian):
         m = source.matrix
@@ -95,28 +113,16 @@ def eigendecompose(
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
         raise RuntimeError(f"eigensolver failed: {exc}") from exc
 
-    n = len(evals)
-    if n == 0:
-        return EigenDecomposition(evals, evals, (), (), kind)
-    spread = float(evals[-1] - evals[0])
+    if len(evals) == 0:
+        return EigenDecomposition(evals, evals, evecs, (), kind)
     if cluster_tol is None:
-        cluster_tol = 1e-8 * spread
-    breaks = [i for i in range(1, n) if evals[i] - evals[i - 1] > cluster_tol]
-    starts = [0] + breaks
-    stops = breaks + [n]
-    values = []
-    projectors = []
-    mults = []
-    for a, b in zip(starts, stops):
-        block = evecs[:, a:b]
-        values.append(float(np.mean(evals[a:b])))
-        projectors.append(block @ block.T)
-        mults.append(b - a)
+        cluster_tol = 1e-8 * float(evals[-1] - evals[0])
+    clusters = np.split(evals, np.flatnonzero(np.diff(evals) > cluster_tol) + 1)
     return EigenDecomposition(
         eigenvalues=evals,
-        values=np.array(values),
-        projectors=tuple(projectors),
-        multiplicities=tuple(mults),
+        values=np.array([c.mean() for c in clusters]),
+        vectors=evecs,
+        multiplicities=tuple(len(c) for c in clusters),
         kind=kind,
     )
 
@@ -129,20 +135,14 @@ class WalkOperator:
     matrix: np.ndarray
 
 
-def _as_decomposition(source) -> EigenDecomposition:
-    if isinstance(source, EigenDecomposition):
-        return source
-    return eigendecompose(source)
-
-
-def walk(source: Hamiltonian | EigenDecomposition | np.ndarray, t: float) -> WalkOperator:
-    dec = _as_decomposition(source)
+def walk(source: Hamiltonian | np.ndarray, t: float) -> WalkOperator:
+    dec = eigendecompose(source)
     return WalkOperator(time=float(t), matrix=dec.matrix_at(float(t)))
 
 
 def fidelity(source, pair: tuple[int, int], t: float) -> tuple[float, float]:
     """Magnitude and phase of the walk entry from pair[0] to pair[1] at t."""
-    dec = _as_decomposition(source)
+    dec = eigendecompose(source)
     u, v = pair
     amp = complex(dec.amplitude(u, v, [t])[0])
     return abs(amp), cmath.phase(amp)

@@ -1,16 +1,12 @@
 """Named verification suites behind `lapwalk verify-suite`.
 
 Each suite re-checks one block of claims at fixed tolerances and returns a
-SuiteReport with one line per check. Suites are deterministic; the optional
-worker pool (capped by LAPWALK_THREADS) only parallelizes independent checks
-and never changes output ordering.
+SuiteReport with one line per check. Suites are deterministic.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -51,25 +47,6 @@ class SuiteReport:
     lines: tuple[str, ...]
 
 
-def _pool_size(n_tasks: int) -> int:
-    env = os.environ.get("LAPWALK_THREADS", "")
-    try:
-        cap = int(env) if env else (os.cpu_count() or 1)
-    except ValueError:
-        cap = 1
-    return max(1, min(cap, n_tasks))
-
-
-def _map_ordered(fn: Callable, items: Sequence) -> list:
-    if not items:
-        return []
-    workers = _pool_size(len(items))
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _report(name: str, rows: Iterable[tuple[bool, str]]) -> SuiteReport:
     rows = list(rows)
     passed = all(ok for ok, _ in rows)
@@ -84,8 +61,7 @@ def suite_complement_closure(**_) -> SuiteReport:
     """exp(-itL(complement)) equals exp(+itL(g)) whenever |V| t is a multiple
     of 2 pi, across the named gallery."""
 
-    def check(item):
-        label, g = item
+    def check(label, g):
         rows = []
         for k in (1, 2):
             t = 2.0 * math.pi * k / g.n
@@ -94,8 +70,8 @@ def suite_complement_closure(**_) -> SuiteReport:
             rows.append((ok, f"complement-closure {label} t=2pi*{k}/{g.n} dev={deviation:.2e}"))
         return rows
 
-    nested = _map_ordered(check, named_small_graphs())
-    return _report("complement-closure", [row for rows in nested for row in rows])
+    rows = [row for label, g in named_small_graphs() for row in check(label, g)]
+    return _report("complement-closure", rows)
 
 
 def suite_double_cone(n_max: int = 10, t_max: float = 50.0, **_) -> SuiteReport:
@@ -159,7 +135,7 @@ def suite_weak_product(**_) -> SuiteReport:
         spec_h = eigendecompose(normalized_laplacian(h)).values
         cond = pst.weak_product_closure_1(spec_g, spec_h, t)
         rows.append((cond, f"weak-product {label} closure condition holds"))
-    pairs = [("P3", path(3), "K4", complete(4)), ("C5", path(4), "K3", complete(3))]
+    pairs = [("P3", path(3), "K4", complete(4)), ("P4", path(4), "K3", complete(3))]
     for gl, g, hl, h in pairs:
         for t in TIMES:
             chk = pst.normalized_weak_product_walk_check(g, h, t)
@@ -178,14 +154,13 @@ def suite_line_intertwine(**_) -> SuiteReport:
     graphs = [(label, g) for label, g in named_small_graphs() if g.edge_count >= 2]
     graphs += [(f"rand{i}", g) for i, g in enumerate(random_connected_graphs(6, seed=7))]
 
-    def check(item):
-        label, g = item
+    def check(label, g):
         worst = 0.0
         for t in TIMES:
             worst = max(worst, max(linegraph.intertwine_check(g, t)))
         return (worst < IDENTITY_TOL, f"line-intertwine {label} max-dev={worst:.2e}")
 
-    return _report("line-intertwine", _map_ordered(check, graphs))
+    return _report("line-intertwine", [check(label, g) for label, g in graphs])
 
 
 def suite_path_cycle(n_max: int = 8, **_) -> SuiteReport:
@@ -224,7 +199,7 @@ def suite_unicyclic(ms: Sequence[int] = (1, 2, 3, 4, 5), t_max: float = 200.0, *
             f"{rep.line_order} scan-max={rep.scan_magnitude:.9f}",
         )
 
-    return _report("unicyclic", _map_ordered(check, list(ms)))
+    return _report("unicyclic", [check(m) for m in ms])
 
 
 def suite_path_refutation(
@@ -232,8 +207,7 @@ def suite_path_refutation(
 ) -> SuiteReport:
     kinds = (OperatorKind.STANDARD, OperatorKind.SIGNLESS, OperatorKind.NORMALIZED)
 
-    def check(item):
-        n, kind = item
+    def check(n, kind):
         cert = search_pst(operator(path(n), kind), (0, n - 1), t_max)
         ok = cert.magnitude < pst.REFUTE_THRESHOLD
         return (
@@ -242,8 +216,7 @@ def suite_path_refutation(
             f"at t={cert.time:.6f}",
         )
 
-    items = [(n, kind) for kind in kinds for n in ns]
-    return _report("path-refutation", _map_ordered(check, items))
+    return _report("path-refutation", [check(n, kind) for kind in kinds for n in ns])
 
 
 SUITES: dict[str, Callable[..., SuiteReport]] = {

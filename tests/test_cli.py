@@ -206,6 +206,20 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2
 
 
+def test_ignored_flags_are_rejected(tmp_path):
+    gfile = tmp_path / "p3.json"
+    gfile.write_text(lio.graph_to_json(path(3)))
+    graph = ["--graph", str(gfile), "--kind", "normalized"]
+    search = ["pst", "search", *graph, "--pair", "0", "2", "--t-max", "5"]
+    assert main(search + ["--tol", "1e-3"]) == 2
+    assert main(["matrix", *graph, "--format", "json"]) == 2
+    walk = ["walk", *graph, "--time", "1", "--from", "0", "--to", "2"]
+    assert main(walk + ["--format", "csv"]) == 2
+    out = tmp_path / "f"
+    assert main(["verify-suite", "path-cycle", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_round_trip_canonical(tmp_path):
     gfile = tmp_path / "g.json"
     assert main(["graph", "build", "--type", "circulant", "--n", "6", "--gens", "1,5", "--out", str(gfile)]) == 0

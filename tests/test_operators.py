@@ -107,6 +107,10 @@ def test_bipartite_signing_path():
 def test_bipartite_signing_rejects_odd_cycle():
     with pytest.raises(NotBipartiteError):
         bipartite_signing(cycle(3))
+    # the witness is the first monochromatic edge of the BFS coloring
+    with pytest.raises(NotBipartiteError) as info:
+        bipartite_signing(cycle(5))
+    assert info.value.edge == (2, 3)
 
 
 def test_bipartite_signing_q3_conjugates_laplacians():

@@ -68,6 +68,26 @@ def test_decomposition_invariants():
         assert np.abs(rebuilt - standard_laplacian(g).matrix).max() / scale < 1e-9, label
 
 
+def test_eigenvector_blocks_match_projectors():
+    # degenerate spectra, where a cluster holds several eigenvectors
+    cases = [
+        normalized_laplacian(hypercube(3)),
+        adjacency(cycle(6)),
+        standard_laplacian(join(empty(2), cycle(4))),
+    ]
+    for h in cases:
+        dec = eigendecompose(h)
+        assert max(dec.multiplicities) >= 2
+        projectors = dec.projectors
+        for t in (0.0, 0.7, math.pi, 12.5):
+            expected = sum(np.exp(-1j * t * val) * p for val, p in zip(dec.values, projectors))
+            assert np.abs(dec.matrix_at(t) - expected).max() < 1e-12
+        for u in range(h.n):
+            for v in range(h.n):
+                expected = [p[v, u] for p in projectors]
+                assert np.abs(dec.pair_weights(u, v) - expected).max() < 1e-12
+
+
 def test_walk_identity_at_zero():
     for h in (standard_laplacian(path(4)), adjacency(cycle(5))):
         assert np.array_equal(walk(h, 0.0).matrix, np.eye(h.n, dtype=complex))

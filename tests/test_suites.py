@@ -39,10 +39,3 @@ def test_double_cone_suite_small():
     assert report.passed
     assert len(report.lines) == 6
 
-
-def test_threads_env_does_not_change_output(monkeypatch):
-    monkeypatch.setenv("LAPWALK_THREADS", "1")
-    seq = run_suite("path-cycle")
-    monkeypatch.setenv("LAPWALK_THREADS", "4")
-    par = run_suite("path-cycle")
-    assert seq.lines == par.lines
