@@ -10,8 +10,8 @@ import numpy as np
 from lapwalk import (
     complete,
     disjoint_union,
+    eigendecompose,
     empty,
-    fidelity,
     join,
     normalized_laplacian,
     path,
@@ -28,9 +28,9 @@ def main():
     k2 = complete(2)
     h = standard_laplacian(k2)
     print("|U(t)_{10}| for L(K2):")
-    for t in np.linspace(0, math.pi, 5):
-        mag, _ = fidelity(h, (0, 1), float(t))
-        print(f"  t = {t:5.3f}   magnitude = {mag:.6f}   (sin t = {math.sin(t):.6f})")
+    ts = np.linspace(0, math.pi, 5)
+    for t, amp in zip(ts, eigendecompose(h).amplitude(0, 1, ts)):
+        print(f"  t = {t:5.3f}   magnitude = {abs(amp):.6f}   (sin t = {math.sin(t):.6f})")
 
     # The walk operator itself is unitary and is the identity at t = 0.
     u = walk(h, 0.8).matrix

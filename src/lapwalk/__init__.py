@@ -85,7 +85,6 @@ from .spectral import (
     WalkOperator,
     cartesian_walk_check,
     eigendecompose,
-    fidelity,
     join_cross_entry,
     join_walk_entry,
     p3_alpha_fidelity,

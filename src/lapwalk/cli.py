@@ -40,17 +40,13 @@ from .operators import OperatorKind, operator
 from .partitions import check_almost_equitable, check_equitable, quotient
 from .pst import PstCertificate, search_pst, verify_pst
 from .spectral import eigendecompose, walk
-from .suites import available_suites, run_suite
+from .suites import available_suites, suite_for
 
 __all__ = ["main", "parse_time"]
 
 
 def parse_time(text: str) -> float:
-    """Parse a time given as a decimal or a pi/sqrt expression."""
-    try:
-        return float(text)
-    except ValueError:
-        pass
+    """Parse a finite time given as a decimal or a pi/sqrt expression."""
     # allow "3pi" and "2sqrt(2)" shorthand
     src = re.sub(r"(?<=[\d.)])\s*(?=pi|sqrt|\()", "*", text.strip())
     try:
@@ -83,7 +79,13 @@ def parse_time(text: str) -> float:
             return -val if isinstance(node.op, ast.USub) else val
         raise ValueError(f"cannot parse time {text!r}")
 
-    return ev(tree)
+    try:
+        value = ev(tree)
+    except ArithmeticError:  # division by zero, or an integer too large for a float
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"time {text!r} is not a finite number")
+    return value
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -93,8 +95,11 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_graph(path_arg: str) -> Graph:
-    return lio.load_graph(path_arg)
+def _vertices(g: Graph, *vertices: int) -> tuple[int, ...]:
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} out of range")
+    return vertices
 
 
 _BUILDERS = {
@@ -118,7 +123,7 @@ def _cmd_graph(args) -> int:
         g = _BUILDERS[args.type](args)
         _emit(lio.graph_to_json(g), args.out)
         return 0
-    g = _load_graph(args.graph)
+    g = lio.load_graph(args.graph)
     lines = [f"n {g.n}", f"edges {g.edge_count}", f"loops {len(g.loops)}"]
     degs = g.degrees()
     lines.append("degrees " + " ".join(f"{d:g}" for d in degs))
@@ -131,17 +136,18 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    g = _load_graph(args.graph)
+    g = lio.load_graph(args.graph)
     h = operator(g, args.kind)
     _emit(lio.matrix_to_csv(h.matrix), args.out)
     return 0
 
 
 def _cmd_walk(args) -> int:
-    g = _load_graph(args.graph)
+    g = lio.load_graph(args.graph)
     h = operator(g, args.kind)
+    src, dst = _vertices(g, args.src, args.dst)
     t = parse_time(args.time)
-    amp = complex(walk(h, t).matrix[args.dst, args.src])
+    amp = complex(walk(h, t).matrix[dst, src])
     payload = {
         "from": args.src,
         "to": args.dst,
@@ -166,20 +172,20 @@ def _cmd_fidelity_curve(args) -> int:
     if args.samples < 2:
         print("--samples must be at least 2", file=sys.stderr)
         return 2
-    g = _load_graph(args.graph)
+    g = lio.load_graph(args.graph)
     h = operator(g, args.kind)
+    u, v = _vertices(g, *args.pair)
     t_max = parse_time(args.t_max)
-    dec = eigendecompose(h)
     ts = np.linspace(0.0, t_max, args.samples)
-    amps = dec.amplitude(args.pair[0], args.pair[1], ts)
+    amps = eigendecompose(h).amplitude(u, v, ts)
     _emit(lio.curve_to_csv(zip(ts, amps)), args.out)
     return 0
 
 
 def _cmd_pst(args) -> int:
-    g = _load_graph(args.graph)
+    g = lio.load_graph(args.graph)
     h = operator(g, args.kind)
-    pair = (args.pair[0], args.pair[1])
+    pair = _vertices(g, *args.pair)
     if args.action == "verify":
         t = parse_time(args.time)
         res = verify_pst(h, pair, t, pst_tol=args.tol)
@@ -192,7 +198,7 @@ def _cmd_pst(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    g = _load_graph(args.graph)
+    g = lio.load_graph(args.graph)
     cells = lio.cells_from_json(Path(args.partition).read_text())
     kind = OperatorKind.from_name(args.kind)
     if kind == OperatorKind.STANDARD:
@@ -208,7 +214,7 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_controllable(args) -> int:
-    g = _load_graph(args.graph)
+    g = lio.load_graph(args.graph)
     rank = exact_rank(walk_matrix(g, (args.vertex,)))
     verdict = "controllable" if rank == g.n else "not-controllable"
     _emit(f"vertex {args.vertex}: rank {rank}/{g.n} {verdict}\n", args.out)
@@ -233,14 +239,15 @@ def _cmd_unicyclic(args) -> int:
 
 def _cmd_verify_suite(args) -> int:
     names = available_suites() if args.name == "all" else [args.name]
+    options = {}
+    if args.n_max is not None:
+        options["n_max"] = args.n_max
+    if args.t_max is not None:
+        options["t_max"] = parse_time(args.t_max)
+    suites = [suite_for(name, options) for name in names]  # all checked before any prints
     all_ok = True
-    for name in names:
-        options = {}
-        if args.n_max is not None:
-            options["n_max"] = args.n_max
-        if args.t_max is not None:
-            options["t_max"] = parse_time(args.t_max)
-        report = run_suite(name, **options)
+    for suite in suites:
+        report = suite(**options)
         for line in report.lines:
             print(line)
         print(f"suite {report.name}: {'PASS' if report.passed else 'FAIL'}")

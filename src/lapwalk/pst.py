@@ -24,14 +24,13 @@ from .operators import (
     normalized_laplacian,
     standard_laplacian,
 )
-from .spectral import eigendecompose, walk
+from .spectral import eigendecompose, walk, walk_sum
 
 __all__ = [
     "PST_TOL",
     "REFUTE_THRESHOLD",
     "METHOD_VERIFIED",
     "METHOD_GRID",
-    "METHOD_CLOSED_FORM",
     "PstCertificate",
     "Refuted",
     "verify_pst",
@@ -54,7 +53,6 @@ REFUTE_THRESHOLD = 1.0 - 1e-6
 
 METHOD_VERIFIED = "VerifiedAtGivenTime"
 METHOD_GRID = "GridSearchRefined"
-METHOD_CLOSED_FORM = "ClosedForm"
 
 
 @dataclass(frozen=True)
@@ -82,81 +80,62 @@ class PstCertificate:
 
 @dataclass(frozen=True)
 class Refuted:
-    """Outcome of a failed verification; keeps the achieved magnitude."""
+    """Outcome of a failed verification; keeps the achieved walk entry."""
 
     pair: tuple[int, int]
     kind: OperatorKind
     time: float
     magnitude: float
-
-    def payload(self) -> dict:
-        return {
-            "pair": list(self.pair),
-            "kind": self.kind.value,
-            "time": self.time,
-            "magnitude": self.magnitude,
-            "phase": 0.0,
-            "method": "Refuted",
-        }
+    phase: float
+    method = "Refuted"
+    payload = PstCertificate.payload
 
 
 def verify_pst(
     h: Hamiltonian, pair: tuple[int, int], t: float, pst_tol: float = PST_TOL
 ) -> PstCertificate | Refuted:
     """Certificate when |walk entry| >= 1 - pst_tol at the given time,
-    otherwise a Refuted record with the achieved magnitude."""
+    otherwise a Refuted record with the achieved magnitude and phase."""
     dec = eigendecompose(h)
     amp = complex(dec.amplitude(pair[0], pair[1], [t])[0])
-    magnitude = abs(amp)
+    magnitude, phase = abs(amp), cmath.phase(amp)
     if magnitude >= 1.0 - pst_tol:
-        return PstCertificate(
-            pair=tuple(pair),
-            kind=h.kind,
-            time=float(t),
-            magnitude=magnitude,
-            phase=cmath.phase(amp),
-            method=METHOD_VERIFIED,
-        )
-    return Refuted(tuple(pair), h.kind, float(t), magnitude)
+        return PstCertificate(tuple(pair), h.kind, float(t), magnitude, phase, METHOD_VERIFIED)
+    return Refuted(tuple(pair), h.kind, float(t), magnitude, phase)
+
+
+SCAN_BLOCK = 2048  # grid points search_pst evaluates at once
+PEAK_CAP = 400  # most grid maxima refined per search
+PEAK_CUTOFF = 0.05  # grid maxima further than this below the best are not refined
 
 
 def _refine_peak(values, weights, lo, hi, refine_tol):
-    """Locate the magnitude maximum inside [lo, hi] by bisecting the sign of
-    d|a|^2/dt = 2 Re(conj(a) a'). Falls back to golden-section when the
-    derivative does not change sign across the bracket."""
+    """Time of the magnitude maximum inside every bracket [lo[j], hi[j]].
 
-    def amp(t: float) -> complex:
-        return complex(np.exp(-1j * t * values) @ weights)
+    Where d|a|^2/dt = 2 Re(conj(a) a') falls from >= 0 at lo to <= 0 at hi,
+    its sign is bisected, over all such brackets at once, until the bracket
+    is at most ``refine_tol`` wide or holds no float strictly inside, and
+    the midpoint is returned. Any other bracket resolves to its end of
+    larger magnitude (lo on a tie)."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    a_and_da = np.column_stack([weights, -1j * values * weights])  # a and da/dt
 
-    def slope(t: float) -> float:
-        a = np.exp(-1j * t * values)
-        return float(((a @ weights).conjugate() * (a @ (-1j * values * weights))).real)
+    def amp_and_slope(ts):
+        a, da = walk_sum(values, a_and_da, ts).T
+        return np.abs(a), (a.conjugate() * da).real
 
-    s_lo, s_hi = slope(lo), slope(hi)
-    if s_lo >= 0.0 >= s_hi:
-        while hi - lo > refine_tol:
-            mid = 0.5 * (lo + hi)
-            if slope(mid) >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-    # golden-section fallback for brackets without a derivative sign change
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = abs(amp(c)), abs(amp(d))
-    while b - a > refine_tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = abs(amp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = abs(amp(d))
-    return 0.5 * (a + b)
+    mag_lo, slope_lo = amp_and_slope(lo)
+    mag_hi, slope_hi = amp_and_slope(hi)
+    rising = (slope_lo >= 0.0) & (slope_hi <= 0.0)
+    active = np.flatnonzero(rising & (hi - lo > refine_tol))
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        up = amp_and_slope(mid)[1] >= 0.0
+        lo[active[up]] = mid[up]
+        hi[active[~up]] = mid[~up]
+        # beyond t = 8192 adjacent floats lie more than 1e-12 apart
+        active = active[hi[active] - lo[active] > np.maximum(refine_tol, np.spacing(lo[active]))]
+    return np.where(rising, 0.5 * (lo + hi), np.where(mag_hi > mag_lo, hi, lo))
 
 
 def search_pst(
@@ -169,50 +148,58 @@ def search_pst(
     """Best walk-entry magnitude over [0, t_max]; a candidate certificate.
 
     The magnitude is sampled on a uniform grid with ``grid_density`` points
-    per pi/spectral-range period, every competitive local maximum is refined
-    to ``refine_tol`` time resolution, and the global best is returned. The
-    result asserts transfer only through ``certifies``.
+    per pi/spectral-range period, ``SCAN_BLOCK`` (2048) points at a time, so
+    memory does not grow with t_max. Of the grid maxima (points no neighbour
+    exceeds), the ``PEAK_CAP`` (400) largest, ties going to interior points
+    before t = 0 and t_max, are kept unless more than ``PEAK_CUTOFF`` (0.05)
+    below the largest. One bisection refines them all inside their
+    neighbour brackets to ``refine_tol``; a bracket where the magnitude does
+    not rise and then fall resolves to its better end. Starting from t = 0
+    and in order of grid magnitude, a refined peak becomes the result when
+    it is more than 1e-15 larger, or within 1e-15 and earlier. The result
+    asserts transfer only through ``certifies``.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     dec = eigendecompose(h)
-    u, v = pair
-    weights = dec.pair_weights(u, v)
-    values = dec.values
-    spread = dec.spectral_range
-    if spread == 0.0:
-        amp = complex(np.sum(weights))
-        return PstCertificate(
-            tuple(pair), h.kind, 0.0, abs(amp), cmath.phase(amp), METHOD_GRID
-        )
-    step = (math.pi / spread) / grid_density
-    ts = np.arange(0.0, t_max + step, step)
-    ts[-1] = min(ts[-1], t_max)
-    mags = np.abs(np.exp(-1j * np.outer(ts, values)) @ weights)
+    values, weights = dec.values, dec.pair_weights(*pair)
 
-    interior = (mags[1:-1] >= mags[:-2]) & (mags[1:-1] >= mags[2:])
-    candidates = list(np.nonzero(interior)[0] + 1)
-    if len(mags) >= 2 and mags[0] >= mags[1]:
-        candidates.append(0)
-    if len(mags) >= 2 and mags[-1] >= mags[-2]:
-        candidates.append(len(mags) - 1)
-    candidates.sort(key=lambda i: -mags[i])
-    cutoff = mags[candidates[0]] - 0.05 if candidates else 0.0
-    best_t, best_mag = 0.0, float(mags[0]) if len(mags) else 0.0
-    for i in candidates[:400]:
-        if mags[i] < cutoff:
-            break
-        lo = ts[max(i - 1, 0)]
-        hi = ts[min(i + 1, len(ts) - 1)]
-        t_star = _refine_peak(values, weights, float(lo), float(hi), refine_tol)
-        t_star = min(max(t_star, 0.0), t_max)
-        mag = abs(complex(np.exp(-1j * t_star * values) @ weights))
-        if mag > best_mag + 1e-15 or (abs(mag - best_mag) <= 1e-15 and t_star < best_t):
-            best_t, best_mag = t_star, mag
-    amp = complex(np.exp(-1j * best_t * values) @ weights)
-    return PstCertificate(
-        tuple(pair), h.kind, float(best_t), abs(amp), cmath.phase(amp), METHOD_GRID
-    )
+    def certificate(t: float) -> PstCertificate:
+        amp = complex(walk_sum(values, weights, [t])[0])
+        return PstCertificate(tuple(pair), h.kind, float(t), abs(amp), cmath.phase(amp), METHOD_GRID)
+
+    if dec.spectral_range == 0.0:  # the magnitude never changes
+        return certificate(0.0)
+    step = (math.pi / dec.spectral_range) / grid_density
+    count = math.ceil((t_max + step) / step)  # grid t = i * step, as in arange(0, t_max + step, step)
+
+    def times(index):
+        return np.minimum(index * step, t_max)
+
+    peaks = np.empty(0, dtype=int)
+    peak_mags = np.empty(0)
+    for start in range(0, count, SCAN_BLOCK):
+        index = np.arange(start - 1, min(start + SCAN_BLOCK, count) + 1)
+        # einsum keeps this contraction out of BLAS: a threaded product per
+        # block leaves the BLAS workers spinning through the next block's exp
+        phases = np.exp(-1j * np.outer(times(index), values))
+        mags = np.abs(np.einsum("tk,k->t", phases, weights))
+        mags[(index < 0) | (index == count)] = -np.inf  # outside the grid
+        is_peak = (mags[1:-1] >= mags[:-2]) & (mags[1:-1] >= mags[2:])
+        peaks = np.concatenate([peaks, index[1:-1][is_peak]])
+        peak_mags = np.concatenate([peak_mags, mags[1:-1][is_peak]])
+        top = np.lexsort((peaks, (peaks == 0) | (peaks == count - 1), -peak_mags))[:PEAK_CAP]
+        top = top[peak_mags[top] >= peak_mags.max(initial=-np.inf) - PEAK_CUTOFF]
+        peaks, peak_mags = peaks[top], peak_mags[top]
+
+    lo = times(np.maximum(peaks - 1, 0))
+    hi = times(np.minimum(peaks + 1, count - 1))
+    refined = _refine_peak(values, weights, lo, hi, refine_tol)
+    best_t, best_mag = 0.0, abs(walk_sum(values, weights, [0.0])[0])
+    for t, mag in zip(refined, np.abs(walk_sum(values, weights, refined))):
+        if mag > best_mag + 1e-15 or (abs(mag - best_mag) <= 1e-15 and t < best_t):
+            best_t, best_mag = t, mag
+    return certificate(best_t)
 
 
 # -- standard Laplacian closures ---------------------------------------------

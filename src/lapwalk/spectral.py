@@ -26,13 +26,18 @@ __all__ = [
     "WalkOperator",
     "eigendecompose",
     "walk",
-    "fidelity",
     "p3_alpha_fidelity",
     "p3_alpha_pst_condition",
     "join_walk_entry",
     "join_cross_entry",
     "cartesian_walk_check",
 ]
+
+
+def walk_sum(values: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
+    """sum_k weights[k] exp(-i t values[k]) at every time t (one row per
+    time). ``weights`` may carry several columns, each summed on its own."""
+    return np.exp(-1j * np.outer(times, values)) @ weights
 
 
 @dataclass(frozen=True)
@@ -79,9 +84,8 @@ class EigenDecomposition:
         return np.add.reduceat(v[target] * v[source], self._starts)
 
     def amplitude(self, source: int, target: int, times) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(times, dtype=float))
-        w = self.pair_weights(source, target)
-        return np.exp(-1j * np.outer(ts, self.values)) @ w
+        """Walk entry from ``source`` to ``target`` at every time."""
+        return walk_sum(self.values, self.pair_weights(source, target), times)
 
     def matrix_at(self, t: float) -> np.ndarray:
         if t == 0.0:
@@ -138,14 +142,6 @@ class WalkOperator:
 def walk(source: Hamiltonian | np.ndarray, t: float) -> WalkOperator:
     dec = eigendecompose(source)
     return WalkOperator(time=float(t), matrix=dec.matrix_at(float(t)))
-
-
-def fidelity(source, pair: tuple[int, int], t: float) -> tuple[float, float]:
-    """Magnitude and phase of the walk entry from pair[0] to pair[1] at t."""
-    dec = eigendecompose(source)
-    u, v = pair
-    amp = complex(dec.amplitude(u, v, [t])[0])
-    return abs(amp), cmath.phase(amp)
 
 
 # -- closed forms -----------------------------------------------------------

@@ -6,6 +6,7 @@ SuiteReport with one line per check. Suites are deterministic.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -34,7 +35,7 @@ from .partitions import check_equitable, path_cycle_correspondence, quotient
 from .pst import search_pst, verify_pst
 from .spectral import eigendecompose
 
-__all__ = ["SuiteReport", "SUITES", "run_suite", "available_suites"]
+__all__ = ["SuiteReport", "SUITES", "run_suite", "suite_for", "available_suites"]
 
 IDENTITY_TOL = 1e-9
 TIMES = (0.1, 1.0, math.pi, 10.0)
@@ -57,7 +58,7 @@ def _report(name: str, rows: Iterable[tuple[bool, str]]) -> SuiteReport:
 # -- suites -------------------------------------------------------------------
 
 
-def suite_complement_closure(**_) -> SuiteReport:
+def suite_complement_closure() -> SuiteReport:
     """exp(-itL(complement)) equals exp(+itL(g)) whenever |V| t is a multiple
     of 2 pi, across the named gallery."""
 
@@ -74,7 +75,7 @@ def suite_complement_closure(**_) -> SuiteReport:
     return _report("complement-closure", rows)
 
 
-def suite_double_cone(n_max: int = 10, t_max: float = 50.0, **_) -> SuiteReport:
+def suite_double_cone(n_max: int = 10, t_max: float = 50.0) -> SuiteReport:
     results = pst.double_cone_characterization(range(1, n_max + 1), t_max=t_max)
     rows = []
     for res in results:
@@ -92,7 +93,7 @@ def suite_double_cone(n_max: int = 10, t_max: float = 50.0, **_) -> SuiteReport:
     return _report("double-cone", rows)
 
 
-def suite_signless_double_cone(ms: Sequence[int] = (2, 3, 4), **_) -> SuiteReport:
+def suite_signless_double_cone(ms: Sequence[int] = (2, 3, 4)) -> SuiteReport:
     rows = []
     for m in ms:
         base = circulant_family(m)
@@ -118,7 +119,7 @@ def suite_signless_double_cone(ms: Sequence[int] = (2, 3, 4), **_) -> SuiteRepor
     return _report("signless-double-cone", rows)
 
 
-def suite_weak_product(**_) -> SuiteReport:
+def suite_weak_product() -> SuiteReport:
     rows = []
     positives = [
         ("P3xK4", path(3), complete(4), 3.0 * math.pi),
@@ -150,7 +151,7 @@ def suite_weak_product(**_) -> SuiteReport:
     return _report("weak-product", rows)
 
 
-def suite_line_intertwine(**_) -> SuiteReport:
+def suite_line_intertwine() -> SuiteReport:
     graphs = [(label, g) for label, g in named_small_graphs() if g.edge_count >= 2]
     graphs += [(f"rand{i}", g) for i, g in enumerate(random_connected_graphs(6, seed=7))]
 
@@ -163,7 +164,7 @@ def suite_line_intertwine(**_) -> SuiteReport:
     return _report("line-intertwine", [check(label, g) for label, g in graphs])
 
 
-def suite_path_cycle(n_max: int = 8, **_) -> SuiteReport:
+def suite_path_cycle(n_max: int = 8) -> SuiteReport:
     rows = []
     for n in range(2, n_max + 1):
         rep = path_cycle_correspondence(n)
@@ -182,7 +183,7 @@ def suite_path_cycle(n_max: int = 8, **_) -> SuiteReport:
     return _report("path-cycle", rows)
 
 
-def suite_unicyclic(ms: Sequence[int] = (1, 2, 3, 4, 5), t_max: float = 200.0, **_) -> SuiteReport:
+def suite_unicyclic(ms: Sequence[int] = (1, 2, 3, 4, 5), t_max: float = 200.0) -> SuiteReport:
     def check(m):
         rep = unicyclic_no_pst_pipeline(m, t_max=t_max)
         if m % 3 == 0:
@@ -203,7 +204,7 @@ def suite_unicyclic(ms: Sequence[int] = (1, 2, 3, 4, 5), t_max: float = 200.0, *
 
 
 def suite_path_refutation(
-    ns: Sequence[int] = (4, 5, 6, 7, 8), t_max: float = 200.0, **_
+    ns: Sequence[int] = (4, 5, 6, 7, 8), t_max: float = 200.0
 ) -> SuiteReport:
     kinds = (OperatorKind.STANDARD, OperatorKind.SIGNLESS, OperatorKind.NORMALIZED)
 
@@ -235,7 +236,16 @@ def available_suites() -> list[str]:
     return sorted(SUITES)
 
 
-def run_suite(name: str, **options) -> SuiteReport:
+def suite_for(name: str, options: dict) -> Callable[..., SuiteReport]:
+    """The suite called ``name``; ValueError when there is none or when it
+    does not take every one of ``options``."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(available_suites())}")
-    return SUITES[name](**options)
+    unknown = sorted(set(options) - set(inspect.signature(SUITES[name]).parameters))
+    if unknown:
+        raise ValueError(f"suite {name!r} does not take {', '.join(unknown)}")
+    return SUITES[name]
+
+
+def run_suite(name: str, **options) -> SuiteReport:
+    return suite_for(name, options)(**options)

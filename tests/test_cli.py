@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -6,6 +7,8 @@ import pytest
 from lapwalk.cli import main, parse_time
 from lapwalk import io as lio
 from lapwalk.graphs import path
+from lapwalk.operators import standard_laplacian
+from oracle import walk_oracle
 
 
 def test_parse_time_forms():
@@ -226,3 +229,38 @@ def test_round_trip_canonical(tmp_path):
     text = gfile.read_text()
     g = lio.graph_from_json(text)
     assert lio.graph_to_json(g) == text
+
+
+def test_refuted_reports_the_walk_phase(tmp_path, capsys):
+    gfile = tmp_path / "p3.json"
+    lio.save_graph(path(3), gfile)
+    argv = ["pst", "verify", "--graph", str(gfile), "--kind", "standard", "--pair", "0", "1", "--time", "1"]
+    assert main(argv) == 1
+    payload = json.loads(capsys.readouterr().out)
+    entry = walk_oracle(standard_laplacian(path(3)).matrix, 1.0)[1, 0]
+    assert payload["method"] == "Refuted"
+    assert abs(payload["phase"] - cmath.phase(entry)) < 1e-12
+    assert abs(payload["magnitude"] - abs(entry)) < 1e-12
+
+
+def test_suite_options_are_checked_before_any_suite_runs(capsys):
+    assert main(["verify-suite", "complement-closure", "--t-max", "5"]) == 2
+    assert main(["verify-suite", "weak-product", "--n-max", "2"]) == 2
+    assert main(["verify-suite", "all", "--n-max", "3"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_bad_vertices_and_times_are_rejected(tmp_path, capsys):
+    gfile = tmp_path / "p3.json"
+    lio.save_graph(path(3), gfile)
+    graph = ["--graph", str(gfile), "--kind", "standard"]
+    assert main(["pst", "verify", *graph, "--pair", "0", "-1", "--time", "1"]) == 2
+    assert main(["pst", "search", *graph, "--pair", "0", "7"]) == 2
+    assert main(["walk", *graph, "--time", "1", "--from", "3", "--to", "0"]) == 2
+    assert main(["walk", *graph, "--time", "1", "--from", "0", "--to", "-1"]) == 2
+    assert main(["fidelity-curve", *graph, "--pair", "-1", "2"]) == 2
+    for bad in ("nan", "inf", "-inf", "1e400", "1" * 400, "pi/0"):
+        assert main(["walk", *graph, "--time", bad, "--from", "0", "--to", "1"]) == 2
+        with pytest.raises(ValueError):
+            parse_time(bad)
+    assert capsys.readouterr().out == ""

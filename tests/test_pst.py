@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import pytest
 
+from lapwalk import pst
 from lapwalk.graphs import (
     circulant_family,
     complete,
@@ -206,3 +208,45 @@ def test_verify_pst_tolerance_boundary():
     res = verify_pst(h, (0, 1), math.pi / 2 + 1e-3)
     assert isinstance(res, Refuted)
     assert 0.9 < res.magnitude < 1 - 1e-9
+
+
+def test_search_k2_ends_on_rising_edge():
+    # |U(t)[1, 0]| = sin t still rises at t_max = 1, so the last bracket
+    # resolves to its better end, t_max itself
+    cert = search_pst(standard_laplacian(complete(2)), (0, 1), 1.0)
+    assert cert.time == 1.0
+    assert abs(cert.magnitude - math.sin(1.0)) < 1e-15
+
+
+def test_search_k2_earliest_peak_across_blocks():
+    cert = search_pst(standard_laplacian(complete(2)), (0, 1), 1000.0)
+    assert abs(cert.time - math.pi / 2) < 1e-9
+    assert cert.certifies()
+
+
+def test_search_block_size_does_not_change_certificate(monkeypatch):
+    h = normalized_laplacian(path(7))
+    default = search_pst(h, (0, 6), 200.0)
+    monkeypatch.setattr(pst, "SCAN_BLOCK", 7)
+    assert search_pst(h, (0, 6), 200.0) == default
+
+
+def test_search_memory_is_bounded():
+    h = standard_laplacian(path(200))
+    tracemalloc.start()
+    try:
+        search_pst(h, (0, 199), 2000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+def test_refinement_stops_at_float_resolution():
+    # beyond t = 8192 adjacent floats lie further apart than refine_tol
+    dec = eigendecompose(standard_laplacian(complete(2)))
+    peak = math.pi / 2 + 3000 * math.pi
+    t = pst._refine_peak(dec.values, dec.pair_weights(0, 1), [peak - 0.01], [peak + 0.01], 1e-12)
+    assert abs(t[0] - peak) < 1e-9
+    h = standard_laplacian(path(4))
+    assert search_pst(h, (0, 3), 1e4).magnitude >= search_pst(h, (0, 3), 200.0).magnitude

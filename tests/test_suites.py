@@ -39,3 +39,9 @@ def test_double_cone_suite_small():
     assert report.passed
     assert len(report.lines) == 6
 
+
+def test_options_a_suite_does_not_take_are_rejected():
+    with pytest.raises(ValueError, match="t_max"):
+        run_suite("complement-closure", t_max=5.0)
+    with pytest.raises(ValueError, match="n_max"):
+        run_suite("weak-product", n_max=2)
