@@ -5,7 +5,10 @@ constructors); loops are kept separately as (vertex, weight) entries that land
 on the adjacency diagonal. All combinators are pure and relabel vertices
 deterministically: in unions/joins the first argument keeps its labels and the
 second is shifted by ``|V(g)|``; in products the pair (a, b) becomes
-``a * |V(h)| + b``.
+``a * |V(h)| + b``. Each combinator (and ``complete`` and ``circulant``) is
+built from its adjacency identity, such as A(g) (x) A(h) for the weak product,
+and read back into a graph by one constructor, never by looping over vertex
+pairs.
 """
 
 from __future__ import annotations
@@ -210,6 +213,21 @@ def _require_unweighted(g: Graph, what: str) -> None:
         raise ValueError(f"{what} requires an unweighted, loop-free graph")
 
 
+def _from_adjacency(a: np.ndarray) -> Graph:
+    """Unweighted graph whose edges are the nonzero entries of the symmetric
+    matrix ``a`` above the diagonal."""
+    rows, cols = np.nonzero(np.triu(a, 1))
+    return Graph(len(a), tuple((u, v, 1.0) for u, v in zip(rows.tolist(), cols.tolist())))
+
+
+def _blocks(g: Graph, h: Graph, cross: float) -> Graph:
+    """A(g) and A(h) on the diagonal blocks, ``cross`` everywhere off them."""
+    a = np.full((g.n + h.n, g.n + h.n), cross)
+    a[: g.n, : g.n] = g.adjacency()
+    a[g.n :, g.n :] = h.adjacency()
+    return _from_adjacency(a)
+
+
 # -- elementary constructors ----------------------------------------------
 
 
@@ -230,7 +248,7 @@ def cycle(n: int) -> Graph:
 def complete(n: int) -> Graph:
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return _from_adjacency(1.0 - np.eye(n))
 
 
 def empty(n: int) -> Graph:
@@ -266,13 +284,8 @@ def circulant(n: int, gens: Iterable[int]) -> Graph:
     for s in gset:
         if (n - s) % n not in gset:
             raise ValueError(f"generators not closed under negation: missing {(n - s) % n}")
-    edges = set()
-    for i in range(n):
-        for s in gset:
-            j = (i + s) % n
-            if i != j:
-                edges.add((min(i, j), max(i, j)))
-    return make_graph(n, sorted(edges))
+    i = np.arange(n)
+    return _from_adjacency(np.isin((i[:, None] - i) % n, sorted(gset)))
 
 
 def circulant_family(m: int) -> Graph:
@@ -296,23 +309,16 @@ def circulant_family(m: int) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
+    """Adjacency 1 - I - A(g)."""
     _require_unweighted(g, "complement")
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v)
-    ]
-    return make_graph(g.n, edges)
+    return _from_adjacency(1.0 - np.eye(g.n) - g.adjacency())
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Union with h's vertices shifted by |V(g)|."""
     _require_unweighted(g, "disjoint_union")
     _require_unweighted(h, "disjoint_union")
-    edges = [(u, v) for u, v, _ in g.edges]
-    edges += [(u + g.n, v + g.n) for u, v, _ in h.edges]
-    return make_graph(g.n + h.n, edges)
+    return _blocks(g, h, 0.0)
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -320,40 +326,22 @@ def join(g: Graph, h: Graph) -> Graph:
     complement(union(complement(g), complement(h)))."""
     _require_unweighted(g, "join")
     _require_unweighted(h, "join")
-    edges = [(u, v) for u, v, _ in g.edges]
-    edges += [(u + g.n, v + g.n) for u, v, _ in h.edges]
-    edges += [(u, v + g.n) for u in range(g.n) for v in range(h.n)]
-    return make_graph(g.n + h.n, edges)
+    return _blocks(g, h, 1.0)
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Box product: adjacency A(g) (x) I + I (x) A(h) under (a,b) -> a*|V(h)|+b."""
     _require_unweighted(g, "cartesian_product")
     _require_unweighted(h, "cartesian_product")
-    nh = h.n
-    edges = []
-    for a1, a2, _ in g.edges:
-        for b in range(nh):
-            edges.append((a1 * nh + b, a2 * nh + b))
-    for a in range(g.n):
-        for b1, b2, _ in h.edges:
-            edges.append((a * nh + b1, a * nh + b2))
-    return make_graph(g.n * nh, edges)
+    a = np.kron(g.adjacency(), np.eye(h.n)) + np.kron(np.eye(g.n), h.adjacency())
+    return _from_adjacency(a)
 
 
 def weak_product(g: Graph, h: Graph) -> Graph:
     """Tensor product: adjacency A(g) (x) A(h) under (a,b) -> a*|V(h)|+b."""
     _require_unweighted(g, "weak_product")
     _require_unweighted(h, "weak_product")
-    nh = h.n
-    edges = set()
-    for a1, a2, _ in g.edges:
-        for b1, b2, _ in h.edges:
-            for (x1, y1), (x2, y2) in (((a1, b1), (a2, b2)), ((a1, b2), (a2, b1))):
-                i, j = x1 * nh + y1, x2 * nh + y2
-                if i != j:
-                    edges.add((min(i, j), max(i, j)))
-    return make_graph(g.n * nh, sorted(edges))
+    return _from_adjacency(np.kron(g.adjacency(), h.adjacency()))
 
 
 class LineGraph(NamedTuple):
@@ -369,14 +357,11 @@ def line_graph(g: Graph) -> LineGraph:
     """
     _require_unweighted(g, "line_graph")
     pairs = tuple((u, v) for u, v, _ in g.edges)
-    m = len(pairs)
-    edges = []
-    for i in range(m):
-        si = set(pairs[i])
-        for j in range(i + 1, m):
-            if len(si & set(pairs[j])) == 1:
-                edges.append((i, j))
-    return LineGraph(make_graph(m, edges), pairs)
+    # vertex-edge incidence N; (N^T N)[i, j] counts the endpoints edges i and j share
+    ends = np.array(pairs, dtype=int).reshape(-1, 2)
+    incidence = np.zeros((g.n, len(pairs)))
+    incidence[ends, np.arange(len(pairs))[:, None]] = 1.0
+    return LineGraph(_from_adjacency(incidence.T @ incidence), pairs)
 
 
 class OddUnicyclic(NamedTuple):

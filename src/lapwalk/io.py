@@ -1,6 +1,9 @@
 """File formats: graph JSON, edge-list text, partition JSON, CSV dumps.
 
 Graph JSON is ``{"n": int, "edges": [[u,v] or [u,v,w]], "loops": [[v,w]]}``.
+Counts, vertices and cell entries must be JSON integers and weights JSON
+numbers; anything else (``3.7``, ``"3"``, ``true``) is a ValueError, never
+truncated.
 The writer is canonical (sorted edges, weight omitted when it is exactly 1,
 compact separators, trailing newline) so that load -> save round-trips
 canonical files byte for byte. The edge-list format has a ``n <count>``
@@ -44,14 +47,31 @@ def graph_to_json(g: Graph) -> str:
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
+def _integer(x, what: str) -> int:
+    """A JSON integer; floats, strings and booleans (an int subclass) are errors."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _weight(x) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"weight must be a number, got {x!r}")
+    return float(x)
+
+
 def graph_from_json(text: str) -> Graph:
     payload = json.loads(text)
     if not isinstance(payload, dict) or "n" not in payload:
         raise ValueError("graph JSON must be an object with an 'n' field")
+    edges = [
+        [_integer(v, "edge endpoint") for v in e[:2]] + [_weight(w) for w in e[2:]]
+        for e in payload.get("edges", ())
+    ]
     return make_graph(
-        payload["n"],
-        payload.get("edges", ()),
-        [(v, float(w)) for v, w in payload.get("loops", ())],
+        _integer(payload["n"], "n"),
+        edges,
+        [(_integer(v, "loop vertex"), _weight(w)) for v, w in payload.get("loops", ())],
     )
 
 
@@ -102,7 +122,7 @@ def cells_from_json(text: str) -> list[list[int]]:
     payload = json.loads(text)
     if not isinstance(payload, dict) or "cells" not in payload:
         raise ValueError("partition JSON must be an object with a 'cells' field")
-    return [[int(v) for v in cell] for cell in payload["cells"]]
+    return [[_integer(v, "cell entry") for v in cell] for cell in payload["cells"]]
 
 
 def cells_to_json(cells: Iterable[Iterable[int]]) -> str:

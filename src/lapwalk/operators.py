@@ -64,6 +64,8 @@ class Hamiltonian:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("matrix must be square")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has non-finite entries")
         if not (m == m.T).all():
             raise ValueError("matrix must be exactly symmetric")
         m = m.copy()

@@ -104,24 +104,25 @@ def _validated_cells(n: int, cells: Sequence[Iterable[int]]) -> tuple[tuple[int,
     return tuple(out)
 
 
-def _neighbor_counts(g: Graph, cells, owner) -> np.ndarray:
-    """counts[u, k] = number of neighbors of u inside cell k."""
-    counts = np.zeros((g.n, len(cells)), dtype=int)
-    for u in range(g.n):
-        for v in g.neighbors[u]:
-            counts[u, owner[v]] += 1
-    return counts
+def _membership(n: int, cells) -> np.ndarray:
+    """n x m 0/1 matrix with a one on (vertex, its cell)."""
+    out = np.zeros((n, len(cells)))
+    for k, cell in enumerate(cells):
+        out[list(cell), k] = 1.0
+    return out
+
+
+def _neighbor_counts(adj: np.ndarray, cells) -> np.ndarray:
+    """counts[u, k] = number of neighbors of u inside cell k, for the 0/1
+    adjacency matrix ``adj``."""
+    return (adj @ _membership(len(adj), cells)).astype(int)
 
 
 def _check(g: Graph, cells, require_diagonal: bool) -> Partition:
     if not g.is_unweighted:
         raise ValueError("partitions are defined on unweighted, loop-free graphs")
     tup = _validated_cells(g.n, cells)
-    owner = [-1] * g.n
-    for k, cell in enumerate(tup):
-        for v in cell:
-            owner[v] = k
-    counts = _neighbor_counts(g, tup, owner)
+    counts = _neighbor_counts(g.adjacency(), tup)
     m = len(tup)
     d = np.full((m, m), np.nan)
     err = NotEquitableError if require_diagonal else NotAlmostEquitableError
@@ -165,12 +166,9 @@ def coarsest_equitable_refinement(g: Graph, initial_cells: Sequence[Iterable[int
     if not g.is_unweighted:
         raise ValueError("partitions are defined on unweighted, loop-free graphs")
     cells = list(_validated_cells(g.n, initial_cells))
+    adj = g.adjacency()
     while True:
-        owner = [-1] * g.n
-        for k, cell in enumerate(cells):
-            for v in cell:
-                owner[v] = k
-        counts = _neighbor_counts(g, cells, owner)
+        counts = _neighbor_counts(adj, cells)
         new_cells: list[tuple[int, ...]] = []
         for cell in cells:
             groups: dict[tuple[int, ...], list[int]] = {}
@@ -186,10 +184,8 @@ def coarsest_equitable_refinement(g: Graph, initial_cells: Sequence[Iterable[int
 def partition_matrix(p: Partition) -> np.ndarray:
     """n x m matrix with entry 1/sqrt(|cell|) on (vertex, its cell); columns
     are orthonormal."""
-    out = np.zeros((p.n, p.size))
-    for k, cell in enumerate(p.cells):
-        out[list(cell), k] = 1.0 / math.sqrt(len(cell))
-    return out
+    member = _membership(p.n, p.cells)
+    return member / np.sqrt(member.sum(axis=0))
 
 
 @dataclass(frozen=True)

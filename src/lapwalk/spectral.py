@@ -51,7 +51,6 @@ class EigenDecomposition:
     values: np.ndarray
     vectors: np.ndarray
     multiplicities: tuple[int, ...]
-    kind: OperatorKind = OperatorKind.CUSTOM
 
     @property
     def n(self) -> int:
@@ -104,21 +103,16 @@ def eigendecompose(
     the cluster mean; this keeps the cluster projectors well defined on
     degenerate spectra.
     """
-    if isinstance(source, Hamiltonian):
-        m = source.matrix
-        kind = source.kind
-    else:
-        m = np.asarray(source, dtype=float)
-        kind = OperatorKind.CUSTOM
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.allclose(m, m.T, atol=0.0):
-            raise ValueError("eigendecompose needs a square symmetric matrix")
+    if not isinstance(source, Hamiltonian):
+        source = Hamiltonian(OperatorKind.CUSTOM, source)
+    m = source.matrix
     try:
         evals, evecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
         raise RuntimeError(f"eigensolver failed: {exc}") from exc
 
     if len(evals) == 0:
-        return EigenDecomposition(evals, evals, evecs, (), kind)
+        return EigenDecomposition(evals, evals, evecs, ())
     if cluster_tol is None:
         cluster_tol = 1e-8 * float(evals[-1] - evals[0])
     clusters = np.split(evals, np.flatnonzero(np.diff(evals) > cluster_tol) + 1)
@@ -127,7 +121,6 @@ def eigendecompose(
         values=np.array([c.mean() for c in clusters]),
         vectors=evecs,
         multiplicities=tuple(len(c) for c in clusters),
-        kind=kind,
     )
 
 

@@ -264,3 +264,29 @@ def test_bad_vertices_and_times_are_rejected(tmp_path, capsys):
         with pytest.raises(ValueError):
             parse_time(bad)
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 3.7, "edges": [[0, 1.9]]}',
+        '{"n": 3, "edges": [[0, true]]}',
+        '{"n": "3"}',
+        '{"n": 2, "edges": [[0, 1, true]]}',
+        '{"n": 2, "loops": [[1.0, 2]]}',
+    ],
+)
+def test_non_integer_graph_json_is_rejected(tmp_path, capsys, text):
+    gfile = tmp_path / "g.json"
+    gfile.write_text(text)
+    assert main(["graph", "show", "--graph", str(gfile)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_non_integer_cell_entries_are_rejected(tmp_path, capsys):
+    gfile, pfile = tmp_path / "p3.json", tmp_path / "cells.json"
+    lio.save_graph(path(3), gfile)
+    pfile.write_text('{"cells": [[0, 2.5], [1]]}')  # [0, 2] would be equitable
+    code = main(["quotient", "--graph", str(gfile), "--partition", str(pfile), "--kind", "adjacency"])
+    assert code == 2
+    assert capsys.readouterr().out == ""

@@ -133,6 +133,48 @@ def test_products():
     assert cartesian_product(complete(2), join(empty(2), complete(2))).n == 8
 
 
+def test_combinators_match_networkx():
+    """networkx builds every combinator independently; its labels are mapped
+    to lapwalk's: (a, b) -> a*|V(h)| + b in products, edge index in line
+    graphs, h shifted by |V(g)| in unions and joins."""
+    nx = pytest.importorskip("networkx")
+
+    def to_nx(g):
+        out = nx.Graph()
+        out.add_nodes_from(range(g.n))
+        out.add_edges_from((u, v) for u, v, _ in g.edges)
+        return out
+
+    def same(ours, theirs, label=lambda x: x):
+        edges = [(label(u), label(v)) for u, v in theirs.edges()]
+        assert ours == make_graph(theirs.number_of_nodes(), edges)
+        assert all(type(u) is type(v) is int and type(w) is float for u, v, w in ours.edges)
+
+    rng = np.random.default_rng(29)
+    graphs = [empty(0), path(4), cycle(5), complete(4), empty(3), hypercube(3)]
+    graphs += [_random_graph(rng, int(rng.integers(1, 8))) for _ in range(14)]
+    for g in graphs:
+        same(complement(g), nx.complement(to_nx(g)))
+        lg, edges = line_graph(g)
+        index = {frozenset(e): i for i, e in enumerate(edges)}
+        same(lg, nx.line_graph(to_nx(g)), lambda e: index[frozenset(e)])
+    for g, h in zip(graphs, graphs[5:] + graphs[:5]):
+        big, small = to_nx(g), to_nx(h)
+        shifted = nx.relabel_nodes(small, lambda b: b + g.n)
+        same(disjoint_union(g, h), nx.union(big, shifted))
+        same(join(g, h), nx.full_join(big, shifted))
+        pair = lambda ab: ab[0] * h.n + ab[1]
+        same(cartesian_product(g, h), nx.cartesian_product(big, small), pair)
+        same(weak_product(g, h), nx.tensor_product(big, small), pair)
+    for n in range(0, 12):
+        same(complete(n), nx.complete_graph(n))
+    for n in range(1, 14):
+        for _ in range(3):
+            gens = {s for s in range(1, n // 2 + 1) if rng.random() < 0.5}
+            gens |= {n - s for s in gens}
+            same(circulant(n, gens), nx.circulant_graph(n, sorted(gens)))
+
+
 def test_line_graph():
     lg, edges = line_graph(path(5))
     assert lg == path(4)

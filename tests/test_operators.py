@@ -14,6 +14,7 @@ from lapwalk.graphs import (
     path,
 )
 from lapwalk.operators import (
+    Hamiltonian,
     NotBipartiteError,
     OperatorKind,
     adjacency,
@@ -153,6 +154,12 @@ def test_exact_symmetry():
         if g.degrees().min() >= 1:
             m = normalized_laplacian(g).matrix
             assert (m == m.T).all(), label
+
+
+def test_non_finite_matrix_is_not_called_asymmetric():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            Hamiltonian(OperatorKind.CUSTOM, [[bad, 0.0], [0.0, 0.0]])
 
 
 def test_kind_parsing():

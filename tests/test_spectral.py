@@ -88,6 +88,12 @@ def test_eigenvector_blocks_match_projectors():
                 assert np.abs(dec.pair_weights(u, v) - expected).max() < 1e-12
 
 
+def test_eigendecompose_rejects_asymmetric_array():
+    # within np.allclose's default rtol, but not symmetric
+    with pytest.raises(ValueError, match="exactly symmetric"):
+        eigendecompose(np.array([[0.0, 1.0], [1.000001, 0.0]]))
+
+
 def test_walk_identity_at_zero():
     for h in (standard_laplacian(path(4)), adjacency(cycle(5))):
         assert np.array_equal(walk(h, 0.0).matrix, np.eye(h.n, dtype=complex))
