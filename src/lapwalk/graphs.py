@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -107,23 +108,30 @@ class Graph:
         key = (u, v) if u < v else (v, u)
         return key in self.edge_index
 
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Edge ends as an (m, 2) index array, edge weights, loop vertices and
+        loop weights, in the order of ``edges`` and ``loops``."""
+        edges = np.fromiter(chain.from_iterable(self.edges), float, 3 * len(self.edges))
+        edges = edges.reshape(-1, 3)
+        loops = np.array(self.loops, dtype=float).reshape(-1, 2)
+        return edges[:, :2].astype(np.intp), edges[:, 2], loops[:, 0].astype(np.intp), loops[:, 1]
+
     def adjacency(self) -> np.ndarray:
+        ends, w, loop_v, loop_w = self._arrays
         a = np.zeros((self.n, self.n))
-        for u, v, w in self.edges:
-            a[u, v] = w
-            a[v, u] = w
-        for v, w in self.loops:
-            a[v, v] = w
+        a[ends[:, 0], ends[:, 1]] = w
+        a[ends[:, 1], ends[:, 0]] = w
+        a[loop_v, loop_v] = loop_w
         return a
 
     def degrees(self) -> np.ndarray:
         """Weighted degrees; a loop of weight w contributes w once."""
+        ends, w, loop_v, loop_w = self._arrays
         d = np.zeros(self.n)
-        for u, v, w in self.edges:
-            d[u] += w
-            d[v] += w
-        for v, w in self.loops:
-            d[v] += w
+        # unbuffered and in index order: each vertex sums its edges in edge order
+        np.add.at(d, ends.ravel(), np.repeat(w, 2))
+        d[loop_v] += loop_w  # at most one loop per vertex
         return d
 
     def is_connected(self) -> bool:

@@ -3,16 +3,20 @@
 Graph JSON is ``{"n": int, "edges": [[u,v] or [u,v,w]], "loops": [[v,w]]}``.
 Counts, vertices and cell entries must be JSON integers and weights JSON
 numbers; anything else (``3.7``, ``"3"``, ``true``) is a ValueError, never
-truncated.
+truncated, and so is an ``edges``, ``loops`` or ``cells`` entry that is not
+a list of the right length.
 The writer is canonical (sorted edges, weight omitted when it is exactly 1,
 compact separators, trailing newline) so that load -> save round-trips
 canonical files byte for byte. The edge-list format has a ``n <count>``
-header followed by ``u v [w]`` lines; a line with u == v denotes a loop.
+header followed by ``u v [w]`` lines; a line with u == v denotes a loop. The
+count and the vertices must be plain decimal digits and a weight a decimal
+number.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Iterable
 
@@ -60,19 +64,31 @@ def _weight(x) -> float:
     return float(x)
 
 
+def _lists(payload: dict, key: str, lengths: tuple[int, ...] | None, shape: str) -> list:
+    """``payload[key]`` (empty when absent), checked to be a list of lists
+    whose lengths are in ``lengths`` (any length when None)."""
+    items = payload.get(key, [])
+    if not isinstance(items, list):
+        raise ValueError(f"'{key}' must be a list, got {items!r}")
+    for item in items:
+        if not isinstance(item, list) or (lengths is not None and len(item) not in lengths):
+            raise ValueError(f"each '{key}' entry must be {shape}, got {item!r}")
+    return items
+
+
 def graph_from_json(text: str) -> Graph:
     payload = json.loads(text)
     if not isinstance(payload, dict) or "n" not in payload:
         raise ValueError("graph JSON must be an object with an 'n' field")
     edges = [
         [_integer(v, "edge endpoint") for v in e[:2]] + [_weight(w) for w in e[2:]]
-        for e in payload.get("edges", ())
+        for e in _lists(payload, "edges", (2, 3), "[u, v] or [u, v, w]")
     ]
-    return make_graph(
-        _integer(payload["n"], "n"),
-        edges,
-        [(_integer(v, "loop vertex"), _weight(w)) for v, w in payload.get("loops", ())],
-    )
+    loops = [
+        (_integer(v, "loop vertex"), _weight(w))
+        for v, w in _lists(payload, "loops", (2,), "[v, w]")
+    ]
+    return make_graph(_integer(payload["n"], "n"), edges, loops)
 
 
 def graph_to_edgelist(g: Graph) -> str:
@@ -84,18 +100,34 @@ def graph_to_edgelist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# decimal literals, which is how repr() writes a finite float; float() also
+# reads '1_0', 'inf' and the digits of other scripts
+_DECIMAL_FLOAT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def _decimal(text: str, what: str) -> int:
+    """Plain decimal digits only; ``int`` also reads '1_0', '+1' and the
+    digits of other scripts."""
+    if not re.fullmatch("[0-9]+", text):
+        raise ValueError(f"{what} must be written in decimal digits, got {text!r}")
+    return int(text)
+
+
 def graph_from_edgelist(text: str) -> Graph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n "):
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or header[0] != "n":
         raise ValueError("edge list must start with a 'n <count>' header")
-    n = int(lines[0].split()[1])
+    n = _decimal(header[1], "vertex count")
     edges = []
     loops = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) not in (2, 3):
             raise ValueError(f"bad edge line: {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = _decimal(parts[0], "vertex"), _decimal(parts[1], "vertex")
+        if len(parts) == 3 and not _DECIMAL_FLOAT.fullmatch(parts[2]):
+            raise ValueError(f"weight must be a decimal number, got {parts[2]!r}")
         w = float(parts[2]) if len(parts) == 3 else 1.0
         if u == v:
             loops.append((u, w))
@@ -122,7 +154,8 @@ def cells_from_json(text: str) -> list[list[int]]:
     payload = json.loads(text)
     if not isinstance(payload, dict) or "cells" not in payload:
         raise ValueError("partition JSON must be an object with a 'cells' field")
-    return [[_integer(v, "cell entry") for v in cell] for cell in payload["cells"]]
+    cells = _lists(payload, "cells", None, "a list of vertices")
+    return [[_integer(v, "cell entry") for v in cell] for cell in cells]
 
 
 def cells_to_json(cells: Iterable[Iterable[int]]) -> str:

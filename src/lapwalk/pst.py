@@ -149,7 +149,14 @@ def search_pst(
 
     The magnitude is sampled on a uniform grid with ``grid_density`` points
     per pi/spectral-range period, ``SCAN_BLOCK`` (2048) points at a time, so
-    memory does not grow with t_max. Of the grid maxima (points no neighbour
+    memory does not grow with t_max. Grid point t = (start + j) * step has
+    phases exp(-i start step theta) exp(-i j step theta): the second factor,
+    for j = -1 .. SCAN_BLOCK, is one table per search, so a block costs one
+    row of exponentials at its start, folded into the weights, and one
+    contraction with the table. The last point, clamped to t_max, is off
+    that lattice and evaluated directly. Grid magnitudes then differ from
+    direct exponentials by rounding, at most about
+    eps * t_max * max|theta| * sum|w|. Of the grid maxima (points no neighbour
     exceeds), the ``PEAK_CAP`` (400) largest, ties going to interior points
     before t = 0 and t_max, are kept unless more than ``PEAK_CUTOFF`` (0.05)
     below the largest. One bisection refines them all inside their
@@ -176,14 +183,17 @@ def search_pst(
     def times(index):
         return np.minimum(index * step, t_max)
 
+    table = np.exp(-1j * np.outer(np.arange(-1, min(SCAN_BLOCK, count) + 1) * step, values))
+    last_mag = abs(walk_sum(values, weights, [times(count - 1)])[0])
     peaks = np.empty(0, dtype=int)
     peak_mags = np.empty(0)
     for start in range(0, count, SCAN_BLOCK):
         index = np.arange(start - 1, min(start + SCAN_BLOCK, count) + 1)
         # einsum keeps this contraction out of BLAS: a threaded product per
-        # block leaves the BLAS workers spinning through the next block's exp
-        phases = np.exp(-1j * np.outer(times(index), values))
-        mags = np.abs(np.einsum("tk,k->t", phases, weights))
+        # block leaves the BLAS workers spinning between blocks
+        shifted = weights * np.exp(-1j * (start * step) * values)
+        mags = np.abs(np.einsum("tk,k->t", table[: len(index)], shifted))
+        mags[index == count - 1] = last_mag
         mags[(index < 0) | (index == count)] = -np.inf  # outside the grid
         is_peak = (mags[1:-1] >= mags[:-2]) & (mags[1:-1] >= mags[2:])
         peaks = np.concatenate([peaks, index[1:-1][is_peak]])

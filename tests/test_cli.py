@@ -6,7 +6,7 @@ import pytest
 
 from lapwalk.cli import main, parse_time
 from lapwalk import io as lio
-from lapwalk.graphs import path
+from lapwalk.graphs import cycle, empty, hypercube, join, path
 from lapwalk.operators import standard_laplacian
 from oracle import walk_oracle
 
@@ -290,3 +290,99 @@ def test_non_integer_cell_entries_are_rejected(tmp_path, capsys):
     code = main(["quotient", "--graph", str(gfile), "--partition", str(pfile), "--kind", "adjacency"])
     assert code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 3, "edges": [5]}',
+        '{"n": 3, "edges": [[0, 1]], "loops": [7]}',
+        '{"n": 3, "edges": 5}',
+        '{"n": 3, "edges": [[0, 1, 1, 1]]}',
+        '{"n": 3, "loops": [[1]]}',
+        '{"n": 3, "edges": [{"u": 0, "v": 1}]}',
+    ],
+)
+def test_malformed_graph_json_is_rejected(tmp_path, capsys, text):
+    gfile = tmp_path / "g.json"
+    gfile.write_text(text)
+    assert main(["graph", "show", "--graph", str(gfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "entry must be" in captured.err or "must be a list" in captured.err
+
+
+@pytest.mark.parametrize("cells", ['{"cells": [[0, 2], 1]}', '{"cells": 5}'])
+def test_malformed_cells_are_rejected(tmp_path, capsys, cells):
+    gfile, pfile = tmp_path / "p3.json", tmp_path / "cells.json"
+    lio.save_graph(path(3), gfile)
+    pfile.write_text(cells)
+    code = main(["quotient", "--graph", str(gfile), "--partition", str(pfile), "--kind", "adjacency"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cells" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "n 1_1\n0 1\n",  # int() reads 11
+        "n 11\n0 1_0\n",  # int() reads 10
+        "n 3\n+0 1\n",
+        "n 3\n0 1 1_0\n",  # float() reads 10.0
+        "n 3 7\n0 1\n",
+        "n 3\n0 1 \u0661\n",  # float() reads the Arabic-Indic digit one as 1.0
+    ],
+)
+def test_non_decimal_edge_list_is_rejected(tmp_path, capsys, text):
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(text)
+    assert main(["graph", "show", "--graph", str(gfile)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+# `pst search` JSON of the six scan searches (P100 under three operators and
+# Q8 at t_max=2000, double cones over C38 and C40 at 500): the peak each one
+# reports. Times and phases are compared to 1e-9 and magnitudes to 1e-12,
+# because their last bits follow the LAPACK build.
+PINNED_SEARCHES = [
+    # graph, kind, pair, t_max; then the reported time, magnitude and phase
+    (
+        path(100), "signless", (0, 99), "2000",
+        1774.8583104854479, 0.3424079295044807, -2.8585150680195746,
+    ),
+    (
+        path(100), "standard", (0, 99), "2000",
+        1774.8583104854479, 0.3424079295044807, 0.2830775855702185,
+    ),
+    (
+        path(100), "normalized", (0, 99), "2000",
+        698.51422280105, 0.31928395624473255, 0.49014262267897846,
+    ),
+    (
+        hypercube(8), "adjacency", (0, 255), "2000",
+        1.5707963267952536, 0.9999999999999998, -1.2493672724040955e-16,
+    ),
+    (
+        join(empty(2), cycle(38)), "standard", (0, 1), "500",
+        1.5707963267951832, 0.9999999999999998, -1.0851433135122798e-11,
+    ),
+    (
+        join(empty(2), cycle(40)), "standard", (0, 1), "500",
+        472.884494190349, 0.9972037971816612, 0.07479982510039447,
+    ),
+]
+
+
+@pytest.mark.parametrize("g, kind, pair, t_max, time, magnitude, phase", PINNED_SEARCHES)
+def test_scan_search_answers_are_pinned(tmp_path, capsys, g, kind, pair, t_max, time, magnitude, phase):
+    gfile = tmp_path / "g.json"
+    lio.save_graph(g, gfile)
+    argv = ["pst", "search", "--graph", str(gfile), "--kind", kind, "--pair", *map(str, pair)]
+    assert main(argv + ["--t-max", t_max]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pair"] == list(pair) and payload["kind"] == kind
+    assert payload["method"] == "GridSearchRefined"
+    assert payload["time"] == pytest.approx(time, rel=0, abs=1e-9)
+    assert payload["magnitude"] == pytest.approx(magnitude, rel=0, abs=1e-12)
+    assert payload["phase"] == pytest.approx(phase, rel=0, abs=1e-9)

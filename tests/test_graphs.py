@@ -244,6 +244,30 @@ def test_loops_on_diagonal_and_degree():
     assert not g.is_unweighted
 
 
+
+def test_matrix_helpers_match_edge_loops():
+    # reference: one Python addition per edge end, in edge order, then loops;
+    # the array helpers must give the same bits, degrees included
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 2, 7, 30):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        scale = 10.0 ** rng.integers(-8, 9, len(pairs))
+        g = make_graph(
+            n,
+            [(u, v, w) for (u, v), w in zip(pairs, rng.standard_normal(len(pairs)) * scale)],
+            loops=[(v, rng.standard_normal()) for v in range(n) if rng.random() < 0.3],
+        )
+        a, d = np.zeros((n, n)), np.zeros(n)
+        for u, v, w in g.edges:
+            a[u, v] = a[v, u] = w
+            d[u] += w
+            d[v] += w
+        for v, w in g.loops:
+            a[v, v] = w
+            d[v] += w
+        assert g.adjacency().tobytes() == a.tobytes()
+        assert g.degrees().tobytes() == d.tobytes()
+
 def test_json_round_trip():
     g = make_graph(4, [(0, 1), (1, 2, 2.5), (0, 3)], loops=[(2, 1.5)])
     text = lio.graph_to_json(g)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from lapwalk import pst
@@ -250,3 +251,37 @@ def test_refinement_stops_at_float_resolution():
     assert abs(t[0] - peak) < 1e-9
     h = standard_laplacian(path(4))
     assert search_pst(h, (0, 3), 1e4).magnitude >= search_pst(h, (0, 3), 200.0).magnitude
+
+
+@pytest.mark.parametrize("block", [1, 7, 450, 451, 2048])
+def test_search_grid_matches_direct_exponentials(monkeypatch, block):
+    # t_max = 6.475 is no multiple of the step, so the last grid point is
+    # clamped to it. There |a| still rises and exceeds the point before it,
+    # while at the lattice time past t_max it has fallen below: the grid
+    # maximum is the last point only if that point is evaluated at t_max.
+    # Block sizes 1, 450 and 451 put the last point in a block of its own
+    # and in the halo of the block before it.
+    h, pair, t_max = standard_laplacian(path(4)), (0, 3), 6.475
+    dec = eigendecompose(h)
+    step = (math.pi / dec.spectral_range) / 64
+    count = math.ceil((t_max + step) / step)
+    times = np.minimum(np.arange(count) * step, t_max)
+    mags = np.abs(dec.amplitude(*pair, times))  # one direct exponential per point
+    padded = np.concatenate([[-np.inf], mags, [-np.inf]])
+    peaks = np.flatnonzero((mags >= padded[:-2]) & (mags >= padded[2:]))
+    peaks = peaks[mags[peaks] >= mags.max() - pst.PEAK_CUTOFF]
+    expected = {(times[max(i - 1, 0)], times[min(i + 1, count - 1)]) for i in peaks}
+    lattice_last = abs(dec.amplitude(*pair, [(count - 1) * step])[0])
+    assert mags[-1] > mags[-2] > lattice_last and count - 1 in peaks
+
+    brackets = set()
+    refine = pst._refine_peak
+
+    def spy(values, weights, lo, hi, refine_tol):
+        brackets.update(zip(lo, hi))
+        return refine(values, weights, lo, hi, refine_tol)
+
+    monkeypatch.setattr(pst, "SCAN_BLOCK", block)
+    monkeypatch.setattr(pst, "_refine_peak", spy)
+    search_pst(h, pair, t_max)
+    assert brackets == expected
