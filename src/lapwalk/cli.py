@@ -102,25 +102,29 @@ def _vertices(g: Graph, *vertices: int) -> tuple[int, ...]:
     return vertices
 
 
+# graph type -> (its size option, builder from that size and the arguments);
+# --n stands in for a missing --d or --m
 _BUILDERS = {
-    "path": lambda a: path(a.n),
-    "cycle": lambda a: cycle(a.n),
-    "complete": lambda a: complete(a.n),
-    "empty": lambda a: empty(a.n),
-    "hypercube": lambda a: hypercube(a.d if a.d is not None else a.n),
-    "circulant": lambda a: circulant(a.n, [int(s) for s in a.gens.split(",")]),
-    "circulant-family": lambda a: circulant_family(a.m if a.m is not None else a.n),
-    "odd-unicyclic": lambda a: odd_unicyclic(a.m if a.m is not None else a.n).graph,
-    "cone-p4-pendant": lambda a: cone_p4_with_pendant(a.m if a.m is not None else a.n).graph,
+    "path": ("n", lambda k, a: path(k)),
+    "cycle": ("n", lambda k, a: cycle(k)),
+    "complete": ("n", lambda k, a: complete(k)),
+    "empty": ("n", lambda k, a: empty(k)),
+    "hypercube": ("d", lambda k, a: hypercube(k)),
+    "circulant": ("n", lambda k, a: circulant(k, [int(s) for s in a.gens.split(",")])),
+    "circulant-family": ("m", lambda k, a: circulant_family(k)),
+    "odd-unicyclic": ("m", lambda k, a: odd_unicyclic(k).graph),
+    "cone-p4-pendant": ("m", lambda k, a: cone_p4_with_pendant(k).graph),
 }
 
 
 def _cmd_graph(args) -> int:
     if args.action == "build":
-        if args.type not in _BUILDERS:
-            print(f"unknown graph type {args.type!r}", file=sys.stderr)
-            return 2
-        g = _BUILDERS[args.type](args)
+        option, build = _BUILDERS[args.type]
+        size = args.n if getattr(args, option) is None else getattr(args, option)
+        if size is None:
+            alias = "" if option == "n" else " (or --n)"
+            raise ValueError(f"graph type {args.type} needs --{option}{alias}")
+        g = build(size, args)
         _emit(lio.graph_to_json(g), args.out)
         return 0
     g = lio.load_graph(args.graph)

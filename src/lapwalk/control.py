@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graphs import Graph, cone_p4_with_pendant, line_graph, odd_unicyclic
+from .linegraph import _pendant_edge_index
 from .operators import adjacency, signless_laplacian
 from .pst import REFUTE_THRESHOLD, search_pst
 from .spectral import eigendecompose
@@ -151,9 +152,8 @@ def unicyclic_no_pst_pipeline(m: int, t_max: float = 200.0) -> UnicyclicReport:
     if m < 1:
         raise ValueError("pendant paths need at least one edge")
     u_graph, (end1, end2) = odd_unicyclic(m)
-    lg, edge_order = line_graph(u_graph)
-    e1 = next(i for i, e in enumerate(edge_order) if end1 in e)
-    e2 = next(i for i, e in enumerate(edge_order) if end2 in e)
+    lg, _ = line_graph(u_graph)
+    e1, e2 = _pendant_edge_index(u_graph, end1), _pendant_edge_index(u_graph, end2)
     r1 = exact_rank(walk_matrix(lg, (e1,)))
     r2 = exact_rank(walk_matrix(lg, (e2,)))
     controllable = (r1 == lg.n, r2 == lg.n)

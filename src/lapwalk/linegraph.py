@@ -21,7 +21,7 @@ import numpy as np
 
 from .graphs import Graph, line_graph, path
 from .operators import adjacency, incidence, signless_laplacian
-from .pst import PST_TOL, REFUTE_THRESHOLD, PstCertificate, Refuted, search_pst, verify_pst
+from .pst import REFUTE_THRESHOLD, PstCertificate, Refuted, search_pst, verify_pst
 from .spectral import walk
 
 __all__ = [
@@ -67,9 +67,7 @@ def _pendant_edge_index(g: Graph, u: int) -> int:
     return hits[0]
 
 
-def pst_transfer_to_line(
-    g: Graph, u1: int, u2: int, t: float, pst_tol: float = PST_TOL
-) -> LineTransferReport:
+def pst_transfer_to_line(g: Graph, u1: int, u2: int, t: float) -> LineTransferReport:
     """Check transfer from a degree-one vertex u1 to u2 under the signless
     Laplacian and, when it certifies, confirm that u2 also has degree one and
     that the line graph transfers between the two pendant edges at the same
@@ -83,7 +81,7 @@ def pst_transfer_to_line(
     degs = g.degrees()
     if degs[u1] != 1:
         raise ValueError(f"vertex {u1} must have degree one")
-    source = verify_pst(signless_laplacian(g), (u1, u2), t, pst_tol)
+    source = verify_pst(signless_laplacian(g), (u1, u2), t)
     if isinstance(source, Refuted):
         return LineTransferReport(source.magnitude, False, None, None, None)
     if degs[u2] != 1:
@@ -94,7 +92,7 @@ def pst_transfer_to_line(
     e1 = _pendant_edge_index(g, u1)
     e2 = _pendant_edge_index(g, u2)
     lg, _ = line_graph(g)
-    line_res = verify_pst(adjacency(lg), (e1, e2), t, pst_tol)
+    line_res = verify_pst(adjacency(lg), (e1, e2), t)
     certified = isinstance(line_res, PstCertificate)
     return LineTransferReport(
         source.magnitude,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -71,11 +72,7 @@ class Partition:
 
     @cached_property
     def cell_of(self) -> tuple[int, ...]:
-        owner = [-1] * self.n
-        for k, cell in enumerate(self.cells):
-            for v in cell:
-                owner[v] = k
-        return tuple(owner)
+        return tuple(_owner(self.n, self.cells).tolist())
 
     @classmethod
     def from_cells(cls, n: int, cells: Sequence[Iterable[int]]) -> "Partition":
@@ -86,63 +83,74 @@ class Partition:
 
 
 def _validated_cells(n: int, cells: Sequence[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    out = []
-    seen: set[int] = set()
-    for cell in cells:
-        tup = tuple(sorted(int(v) for v in cell))
-        if not tup:
+    """The cells as sorted tuples. Reading cells in order and each cell in
+    ascending order, the first empty cell, out-of-range vertex or repeated
+    vertex raises ValueError."""
+    tup = tuple(tuple(sorted(map(int, cell))) for cell in cells)
+    sizes = np.fromiter(map(len, tup), np.intp, len(tup))
+    flat = np.fromiter(chain.from_iterable(tup), object)  # Python ints: no overflow
+    inside = (flat >= 0) & (flat < n)
+    ids = np.where(inside, flat, -1).astype(np.intp)
+    repeated = np.ones(flat.size, dtype=bool)
+    repeated[np.unique(ids, return_index=True)[1]] = False
+    # event 2i + 1: a bad vertex at flat position i; event 2i: an empty cell starting there
+    starts = np.cumsum(sizes) - sizes
+    events = np.r_[2 * starts[sizes == 0], 2 * np.flatnonzero(~inside | repeated) + 1]
+    if events.size:
+        i, at_vertex = divmod(int(events.min()), 2)
+        if not at_vertex:
             raise ValueError("cells must be nonempty")
-        for v in tup:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} out of range")
-            if v in seen:
-                raise ValueError(f"vertex {v} appears in two cells")
-            seen.add(v)
-        out.append(tup)
-    if len(seen) != n:
+        why = "appears in two cells" if inside[i] else "out of range"
+        raise ValueError(f"vertex {flat[i]} {why}")
+    if flat.size != n:
         raise ValueError("cells must cover every vertex")
-    return tuple(out)
+    return tup
 
 
-def _membership(n: int, cells) -> np.ndarray:
-    """n x m 0/1 matrix with a one on (vertex, its cell)."""
-    out = np.zeros((n, len(cells)))
-    for k, cell in enumerate(cells):
-        out[list(cell), k] = 1.0
-    return out
+def _owner(n: int, cells) -> np.ndarray:
+    """owner[v] = index of the cell holding v, -1 where no cell does."""
+    owner = np.full(n, -1)
+    owner[np.fromiter(chain.from_iterable(cells), np.intp)] = np.repeat(
+        np.arange(len(cells)), list(map(len, cells))
+    )
+    return owner
 
 
-def _neighbor_counts(adj: np.ndarray, cells) -> np.ndarray:
-    """counts[u, k] = number of neighbors of u inside cell k, for the 0/1
-    adjacency matrix ``adj``."""
-    return (adj @ _membership(len(adj), cells)).astype(int)
+def _neighbor_counts(g: Graph, owner: np.ndarray, m: int) -> np.ndarray:
+    """counts[u, k] = number of neighbors of u inside cell k, counted from
+    both ends of every edge with one bincount."""
+    ends = g._arrays[0]  # (edges, 2) vertex indices
+    u, v = ends.ravel(), ends[:, ::-1].ravel()  # both directions of every edge
+    return np.bincount(u * m + owner[v], minlength=g.n * m).reshape(g.n, m)
+
+
+def _cells_of(owner: np.ndarray, m: int) -> tuple[tuple[int, ...], ...]:
+    """The m cells of an owner array, each in ascending vertex order."""
+    by_cell = np.argsort(owner, kind="stable").astype(object)  # Python ints
+    ends = np.cumsum(np.bincount(owner, minlength=m))
+    return tuple(map(tuple, np.split(by_cell, ends)[:-1]))
 
 
 def _check(g: Graph, cells, require_diagonal: bool) -> Partition:
     if not g.is_unweighted:
         raise ValueError("partitions are defined on unweighted, loop-free graphs")
     tup = _validated_cells(g.n, cells)
-    counts = _neighbor_counts(g.adjacency(), tup)
-    m = len(tup)
-    d = np.full((m, m), np.nan)
-    err = NotEquitableError if require_diagonal else NotAlmostEquitableError
-    for j, cell in enumerate(tup):
-        ref = counts[cell[0]]
-        for u in cell[1:]:
-            for k in range(m):
-                if j == k and not require_diagonal:
-                    continue
-                if counts[u, k] != ref[k]:
-                    raise err(
-                        u,
-                        k,
-                        f"vertex {u} has {counts[u, k]} neighbors in cell {k}, "
-                        f"expected {ref[k]}",
-                    )
-        for k in range(m):
-            if j == k and not require_diagonal:
-                continue
-            d[j, k] = ref[k]
+    owner, m = _owner(g.n, tup), len(tup)
+    counts = _neighbor_counts(g, owner, m)
+    ref = counts[np.unique(owner, return_index=True)[1]]  # row j: cell j's first vertex
+    bad = counts != ref[owner]
+    if not require_diagonal:
+        bad[np.arange(g.n), owner] = False
+    by_cell = np.argsort(owner, kind="stable")  # cell by cell, ascending inside each
+    hits = np.flatnonzero(bad[by_cell])
+    if hits.size:
+        u, k = int(by_cell[hits[0] // m]), int(hits[0] % m)
+        err = NotEquitableError if require_diagonal else NotAlmostEquitableError
+        expected = ref[owner[u], k]
+        raise err(u, k, f"vertex {u} has {counts[u, k]} neighbors in cell {k}, expected {expected}")
+    d = ref.astype(float)
+    if not require_diagonal:
+        np.fill_diagonal(d, np.nan)
     return Partition(g.n, tup, d)
 
 
@@ -160,31 +168,30 @@ def check_almost_equitable(g: Graph, cells: Sequence[Iterable[int]]) -> Partitio
 
 def coarsest_equitable_refinement(g: Graph, initial_cells: Sequence[Iterable[int]]) -> Partition:
     """Coarsest equitable partition refining the given cells: split cells by
-    their neighbor-count signature until a fixpoint. New cells are ordered by
-    (parent cell, signature) lexicographically, which makes the result
-    deterministic."""
+    their neighbor-count signature until a fixpoint. Each round sorts the
+    rows (parent cell, counts...) and numbers the distinct ones in order, so
+    new cells are ordered by (parent cell, signature) lexicographically,
+    which makes the result deterministic."""
     if not g.is_unweighted:
         raise ValueError("partitions are defined on unweighted, loop-free graphs")
-    cells = list(_validated_cells(g.n, initial_cells))
-    adj = g.adjacency()
+    tup = _validated_cells(g.n, initial_cells)
+    owner, m = _owner(g.n, tup), len(tup)
     while True:
-        counts = _neighbor_counts(adj, cells)
-        new_cells: list[tuple[int, ...]] = []
-        for cell in cells:
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for u in cell:
-                groups.setdefault(tuple(counts[u]), []).append(u)
-            for sig in sorted(groups):
-                new_cells.append(tuple(groups[sig]))
-        if len(new_cells) == len(cells):
-            return check_equitable(g, new_cells)
-        cells = new_cells
+        rows = np.column_stack([owner, _neighbor_counts(g, owner, m)])
+        order = np.lexsort(rows.T[::-1])
+        starts = np.ones(g.n, dtype=bool)
+        starts[1:] = (rows[order[1:]] != rows[order[:-1]]).any(axis=1)
+        split = int(starts.sum())
+        if split == m:
+            return check_equitable(g, _cells_of(owner, m))
+        owner[order] = np.cumsum(starts) - 1
+        m = split
 
 
 def partition_matrix(p: Partition) -> np.ndarray:
     """n x m matrix with entry 1/sqrt(|cell|) on (vertex, its cell); columns
     are orthonormal."""
-    member = _membership(p.n, p.cells)
+    member = (_owner(p.n, p.cells)[:, None] == np.arange(p.size)).astype(float)
     return member / np.sqrt(member.sum(axis=0))
 
 
@@ -211,19 +218,11 @@ def quotient(g: Graph, p: Partition, kind: OperatorKind | str) -> QuotientMatrix
         raise ValueError(f"no quotient defined for operator kind {k.value}")
     if k in (OperatorKind.ADJACENCY, OperatorKind.SIGNLESS) and not p.is_equitable:
         raise ValueError(f"{k.value} quotient needs a fully equitable partition")
-    d = p.degree_counts
-    off_diag = d[~np.eye(p.size, dtype=bool)]
-    if off_diag.size and np.isnan(off_diag).any():
+    d, diag = p.degree_counts, np.eye(p.size, dtype=bool)
+    if np.isnan(d[~diag]).any():
         raise ValueError("partition carries no verified neighbor counts; run a check first")
-    m = p.size
-    b = np.zeros((m, m))
-    sign = -1.0 if k == OperatorKind.STANDARD else 1.0
-    for j in range(m):
-        for l in range(j + 1, m):
-            root = math.sqrt(d[j, l] * d[l, j])
-            b[j, l] = sign * root
-            b[l, j] = sign * root
-    offsums = np.array([sum(d[j, l] for l in range(m) if l != j) for j in range(m)])
+    offsums = np.where(diag, 0.0, d).sum(axis=1)
+    b = (-1.0 if k == OperatorKind.STANDARD else 1.0) * np.sqrt(d * d.T)
     if k == OperatorKind.ADJACENCY:
         np.fill_diagonal(b, np.diag(d))
     elif k == OperatorKind.STANDARD:
@@ -291,11 +290,8 @@ def path_cycle_correspondence(
         p = check_equitable(c, cells)
         a_quot = quotient(c, p, OperatorKind.ADJACENCY).matrix
         a_path = path(m + 1).adjacency()
-        expected = a_path.copy()
-        for j in range(m + 1):
-            for k in range(m + 1):
-                if expected[j, k] and (j in (0, m) or k in (0, m)):
-                    expected[j, k] = math.sqrt(2.0)
+        ends = np.isin(np.arange(m + 1), (0, m))
+        expected = np.where((a_path != 0) & (ends[:, None] | ends), math.sqrt(2.0), a_path)
         quotient_dev = float(np.abs(a_quot - expected).max())
         a_cycle = c.adjacency()
 

@@ -107,6 +107,7 @@ def verify_pst(
 SCAN_BLOCK = 2048  # grid points search_pst evaluates at once
 PEAK_CAP = 400  # most grid maxima refined per search
 PEAK_CUTOFF = 0.05  # grid maxima further than this below the best are not refined
+REFINE_TOL = 1e-12  # bracket width at which search_pst stops bisecting a peak
 
 
 def _refine_peak(values, weights, lo, hi, refine_tol):
@@ -143,7 +144,6 @@ def search_pst(
     pair: tuple[int, int],
     t_max: float,
     grid_density: int = 64,
-    refine_tol: float = 1e-12,
 ) -> PstCertificate:
     """Best walk-entry magnitude over [0, t_max]; a candidate certificate.
 
@@ -160,11 +160,11 @@ def search_pst(
     exceeds), the ``PEAK_CAP`` (400) largest, ties going to interior points
     before t = 0 and t_max, are kept unless more than ``PEAK_CUTOFF`` (0.05)
     below the largest. One bisection refines them all inside their
-    neighbour brackets to ``refine_tol``; a bracket where the magnitude does
-    not rise and then fall resolves to its better end. Starting from t = 0
-    and in order of grid magnitude, a refined peak becomes the result when
-    it is more than 1e-15 larger, or within 1e-15 and earlier. The result
-    asserts transfer only through ``certifies``.
+    neighbour brackets to ``REFINE_TOL`` (1e-12); a bracket where the
+    magnitude does not rise and then fall resolves to its better end.
+    Starting from t = 0 and in order of grid magnitude, a refined peak
+    becomes the result when it is more than 1e-15 larger, or within 1e-15
+    and earlier. The result asserts transfer only through ``certifies``.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
@@ -204,7 +204,7 @@ def search_pst(
 
     lo = times(np.maximum(peaks - 1, 0))
     hi = times(np.minimum(peaks + 1, count - 1))
-    refined = _refine_peak(values, weights, lo, hi, refine_tol)
+    refined = _refine_peak(values, weights, lo, hi, REFINE_TOL)
     best_t, best_mag = 0.0, abs(walk_sum(values, weights, [0.0])[0])
     for t, mag in zip(refined, np.abs(walk_sum(values, weights, refined))):
         if mag > best_mag + 1e-15 or (abs(mag - best_mag) <= 1e-15 and t < best_t):

@@ -93,15 +93,12 @@ class EigenDecomposition:
         return (self.vectors * phases) @ self.vectors.T
 
 
-def eigendecompose(
-    source: Hamiltonian | np.ndarray, cluster_tol: float | None = None
-) -> EigenDecomposition:
+def eigendecompose(source: Hamiltonian | np.ndarray) -> EigenDecomposition:
     """Symmetric eigensolve with eigenvalue clustering.
 
-    Consecutive eigenvalues closer than ``cluster_tol`` (default 1e-8 times
-    the spectral range) fall into one cluster, whose eigenvectors then share
-    the cluster mean; this keeps the cluster projectors well defined on
-    degenerate spectra.
+    Consecutive eigenvalues closer than 1e-8 times the spectral range fall
+    into one cluster, whose eigenvectors then share the cluster mean; this
+    keeps the cluster projectors well defined on degenerate spectra.
     """
     if not isinstance(source, Hamiltonian):
         source = Hamiltonian(OperatorKind.CUSTOM, source)
@@ -113,8 +110,7 @@ def eigendecompose(
 
     if len(evals) == 0:
         return EigenDecomposition(evals, evals, evecs, ())
-    if cluster_tol is None:
-        cluster_tol = 1e-8 * float(evals[-1] - evals[0])
+    cluster_tol = 1e-8 * float(evals[-1] - evals[0])
     clusters = np.split(evals, np.flatnonzero(np.diff(evals) > cluster_tol) + 1)
     return EigenDecomposition(
         eigenvalues=evals,

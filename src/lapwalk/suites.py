@@ -50,6 +50,8 @@ class SuiteReport:
 
 def _report(name: str, rows: Iterable[tuple[bool, str]]) -> SuiteReport:
     rows = list(rows)
+    if not rows:  # a run that checks nothing proves nothing
+        raise ValueError(f"suite {name} checks nothing with these options")
     passed = all(ok for ok, _ in rows)
     lines = tuple(f"{'ok  ' if ok else 'FAIL'} {text}" for ok, text in rows)
     return SuiteReport(name, passed, lines)

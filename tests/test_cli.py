@@ -250,6 +250,43 @@ def test_suite_options_are_checked_before_any_suite_runs(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "path",
+        "cycle",
+        "complete",
+        "empty",
+        "hypercube",
+        "circulant",
+        "circulant-family",
+        "odd-unicyclic",
+        "cone-p4-pendant",
+    ],
+)
+def test_graph_build_needs_its_size_option(kind, capsys):
+    assert main(["graph", "build", "--type", kind, "--gens", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"graph type {kind} needs --" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["double-cone", "--n-max", "0"],
+        ["double-cone", "--n-max", "-3"],
+        ["path-cycle", "--n-max", "1"],
+        ["path-cycle", "--n-max", "-3"],
+    ],
+)
+def test_suite_that_checks_nothing_is_rejected(argv, capsys):
+    assert main(["verify-suite", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "checks nothing" in captured.err
+
+
 def test_bad_vertices_and_times_are_rejected(tmp_path, capsys):
     gfile = tmp_path / "p3.json"
     lio.save_graph(path(3), gfile)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from oracle import walk_oracle
 
 from lapwalk.graphs import (
@@ -242,3 +243,112 @@ def test_cells_validation():
         check_equitable(make_graph(2, [(0, 1, 2.0)]), [(0,), (1,)])
     with pytest.raises(NotAlmostEquitableError):
         check_almost_equitable(path(4), [(0, 1), (2, 3)])
+
+
+# -- agreement with the loop-based reference in tests/oracle.py ---------------
+
+
+def _random_graph(rng, n):
+    upper = np.triu(rng.uniform(size=(n, n)) < rng.uniform(), 1)
+    return make_graph(n, [(int(u), int(v)) for u, v in zip(*np.nonzero(upper))])
+
+
+def _random_cells(rng, n):
+    """Shuffled cells in shuffled order; about a third of them are broken by
+    an empty cell, a repeated vertex, a vertex out of range or a gap."""
+    labels = rng.integers(0, int(rng.integers(1, n + 1)), n) if n else np.zeros(0, int)
+    cells = [[int(v) for v in rng.permutation(np.flatnonzero(labels == k))] for k in set(labels)]
+    rng.shuffle(cells)
+    fault = int(rng.integers(0, 12))
+    if fault == 0:
+        cells.insert(int(rng.integers(0, len(cells) + 1)), [])
+    elif fault == 1 and n:
+        cells[int(rng.integers(0, len(cells)))].append(int(rng.integers(0, n)))
+    elif fault == 2:
+        cells.append([int(rng.choice([-1, n, n + 5, 10**30, -(10**25)]))])
+    elif fault == 3 and n:
+        cells[0].pop()
+    return cells
+
+
+def _outcome(call):
+    """What a check returns or raises, in terms both sides can report."""
+    try:
+        result = call()
+    except (oracle.CountWitness, NotEquitableError) as exc:
+        return ("witness", exc.vertex, type(exc.vertex), exc.cell, type(exc.cell), str(exc))
+    except ValueError as exc:
+        return ("invalid", type(exc), str(exc))
+    cells, d = (result.cells, result.degree_counts) if hasattr(result, "cells") else result
+    return ("ok", cells, [type(v) for cell in cells for v in cell], d.shape, d.tobytes())
+
+
+def _reference_cases():
+    rng = np.random.default_rng(20240611)
+    graphs = [empty(0), empty(1), empty(6), path(60), cycle(9), join(empty(2), cycle(6))]
+    graphs += [_random_graph(rng, int(rng.integers(0, 13))) for _ in range(80)]
+    for g in graphs:
+        trials = [[range(g.n)], [[v] for v in range(g.n)]]
+        trials += [_random_cells(rng, g.n) for _ in range(5)]
+        if g.n > 2:
+            trials.append([[0], [g.n - 1], range(1, g.n - 1)])
+        for cells in trials:
+            yield g, [list(c) for c in cells]
+
+
+def test_checks_and_refinement_match_the_loop_reference():
+    seen = set()
+    for g, cells in _reference_cases():
+        adj = g.adjacency()
+        for require_diagonal, check, err in (
+            (True, check_equitable, NotEquitableError),
+            (False, check_almost_equitable, NotAlmostEquitableError),
+        ):
+            got = _outcome(lambda: check(g, cells))
+            want = _outcome(lambda: oracle.check_partition(adj, cells, require_diagonal))
+            assert got == want, (g, cells, check.__name__)
+            if got[0] == "witness":
+                with pytest.raises(err) as info:
+                    check(g, cells)
+                assert type(info.value) is err
+            seen.add((check.__name__, got[0]))
+        got = _outcome(lambda: coarsest_equitable_refinement(g, cells))
+        assert got == _outcome(lambda: oracle.refine_partition(adj, cells)), (g, cells)
+        seen.add(("refine", got[0]))
+    # the cases reach every outcome of every entry point
+    assert seen == {
+        (name, outcome)
+        for name in ("check_equitable", "check_almost_equitable")
+        for outcome in ("ok", "witness", "invalid")
+    } | {("refine", "ok"), ("refine", "invalid")}
+
+
+def test_zero_vertex_partitions():
+    g = empty(0)
+    for p in (check_equitable(g, []), coarsest_equitable_refinement(g, [])):
+        assert p.cells == () and p.cell_of == ()
+        assert p.degree_counts.shape == (0, 0)
+        assert partition_matrix(p).shape == (0, 0)
+    assert check_almost_equitable(g, []).size == 0
+    with pytest.raises(ValueError, match="nonempty"):
+        check_equitable(g, [[]])
+
+
+def test_edgeless_refinement_keeps_the_input_cells():
+    g = empty(7)
+    p = coarsest_equitable_refinement(g, [(6, 1), (0, 2, 4), (3, 5)])
+    assert p.cells == ((1, 6), (0, 2, 4), (3, 5))
+    assert not p.degree_counts.any()
+    assert p.cell_of == (1, 0, 1, 2, 1, 2, 0)
+
+
+def test_validation_reports_the_first_fault_in_cell_order():
+    g = path(4)
+    with pytest.raises(ValueError, match="vertex 9 out of range"):
+        check_equitable(g, [(0, 9), (1, 1), ()])
+    with pytest.raises(ValueError, match="vertex 1 appears in two cells"):
+        check_equitable(g, [(3, 1, 1), (), (0, 9)])
+    with pytest.raises(ValueError, match="nonempty"):
+        check_equitable(g, [(0, 1), (), (1, 9)])
+    with pytest.raises(ValueError, match=f"vertex {10**30} out of range"):
+        check_equitable(g, [(0, 1, 2, 3, 10**30)])
