@@ -31,6 +31,9 @@ __all__ = [
     "UnicyclicReport",
 ]
 
+# a cluster's projected weight sqrt(E[u, u]) below this counts as vanishing
+VANISH_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class WalkMatrix:
@@ -52,45 +55,41 @@ def walk_matrix(g: Graph, subset: Iterable[int]) -> WalkMatrix:
     for v in s:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    n = g.n
-    current = [1 if v in s else 0 for v in range(n)]
-    columns = [current]
-    for _ in range(n - 1):
-        nxt = [sum(current[w] for w in g.neighbors[v]) for v in range(n)]
-        columns.append(nxt)
-        current = nxt
-    rows = tuple(tuple(col[v] for col in columns) for v in range(n))
-    return WalkMatrix(rows, s)
+    src, dst = g._arrays[0].T
+    columns = np.zeros((g.n, g.n), dtype=object)  # Python ints: no overflow
+    columns[list(s), :1] = 1  # e_S; a slice, so that n = 0 works too
+    for k in range(1, g.n):
+        # (A x)[v] sums x over the neighbours of v: both ends of every edge
+        np.add.at(columns[:, k], src, columns[dst, k - 1])
+        np.add.at(columns[:, k], dst, columns[src, k - 1])
+    return WalkMatrix(tuple(map(tuple, columns.tolist())), s)
 
 
 def exact_rank(w: WalkMatrix | Sequence[Sequence[int]]) -> int:
     """Rank over the rationals by fraction-free (Bareiss) elimination.
 
     All divisions are exact integer divisions by the previous pivot, so no
-    tolerance enters anywhere.
+    tolerance enters anywhere. Entries become Python ints first, so
+    fixed-width integer input cannot overflow.
     """
     rows = w.rows if isinstance(w, WalkMatrix) else w
-    m = [[int(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    prev_pivot = 1
-    for col in range(n_cols):
-        pivot_row = next((r for r in range(rank, n_rows) if m[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for r in range(rank + 1, n_rows):
-            factor = m[r][col]
-            for c in range(col + 1, n_cols):
-                m[r][c] = (pivot * m[r][c] - factor * m[rank][c]) // prev_pivot
-            m[r][col] = 0
-        prev_pivot = pivot
-        rank += 1
-        if rank == n_rows:
-            break
+    # the block still to eliminate: the rows below the pivots found so far and
+    # the columns right of the last pivot
+    block = np.frompyfunc(int, 1, 1)(np.array(rows, dtype=object))
+    rank, prev_pivot = 0, 1
+    while block.size:
+        nonzero = np.flatnonzero(block[:, 0])
+        if nonzero.size:
+            top = nonzero[0]
+            block[[0, top]] = block[[top, 0]]
+            pivot = block[0, 0]
+            rest = pivot * block[1:, 1:]  # updated in place: one temporary less
+            rest -= block[1:, :1] * block[0, 1:]
+            rest //= prev_pivot
+            block, prev_pivot = rest, pivot
+            rank += 1
+        else:
+            block = block[:, 1:]
     return rank
 
 
@@ -98,15 +97,15 @@ def is_controllable(g: Graph, subset: Iterable[int]) -> bool:
     return exact_rank(walk_matrix(g, subset)) == g.n
 
 
-def spectral_controllability_count(g: Graph, u: int, tol: float = 1e-8) -> int:
+def spectral_controllability_count(g: Graph, u: int) -> int:
     """Number of eigenvalue clusters whose eigenspace is not orthogonal to
     e_u; equals the exact walk-matrix rank (the projection of e_u onto a
     cluster has squared norm E[u, u])."""
     dec = eigendecompose(adjacency(g))
-    return sum(1 for w in dec.pair_weights(u, u) if np.sqrt(max(w, 0.0)) > tol)
+    return sum(1 for w in dec.pair_weights(u, u) if np.sqrt(max(w, 0.0)) > VANISH_TOL)
 
 
-def eigenvector_chase_check(m: int, tol: float = 1e-8) -> bool:
+def eigenvector_chase_check(m: int) -> bool:
     """True when the cone-over-P4 with an m-edge pendant path admits an
     eigenvector vanishing at the probe vertex.
 
@@ -120,7 +119,7 @@ def eigenvector_chase_check(m: int, tol: float = 1e-8) -> bool:
     for mult, weight in zip(dec.multiplicities, dec.pair_weights(probe, probe)):
         if mult >= 2:
             return True
-        if np.sqrt(max(weight, 0.0)) < tol:
+        if np.sqrt(max(weight, 0.0)) < VANISH_TOL:
             return True
     return False
 
@@ -145,9 +144,11 @@ def unicyclic_no_pst_pipeline(m: int, t_max: float = 200.0) -> UnicyclicReport:
     """Refute endpoint transfer on the odd unicyclic graph via line-graph
     controllability, cross-checked by a bounded scan of the signless walk.
 
-    The controllability route works whenever m is not divisible by 3; the
-    m = 0 (mod 3) cases are reported as inconclusive (scan evidence only),
-    since there the probe vertices do admit vanishing eigenvectors.
+    The controllability route works whenever m is not divisible by 3, and
+    the pipeline raises if it fails there; the m = 0 (mod 3) cases are
+    reported as inconclusive (scan evidence only), since there the probe
+    vertices do admit vanishing eigenvectors. A report therefore stands
+    exactly when ``scan_below_threshold`` holds.
     """
     if m < 1:
         raise ValueError("pendant paths need at least one edge")

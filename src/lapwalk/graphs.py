@@ -5,10 +5,12 @@ constructors); loops are kept separately as (vertex, weight) entries that land
 on the adjacency diagonal. All combinators are pure and relabel vertices
 deterministically: in unions/joins the first argument keeps its labels and the
 second is shifted by ``|V(g)|``; in products the pair (a, b) becomes
-``a * |V(h)| + b``. Each combinator (and ``complete`` and ``circulant``) is
-built from its adjacency identity, such as A(g) (x) A(h) for the weak product,
-and read back into a graph by one constructor, never by looping over vertex
-pairs.
+``a * |V(h)| + b``. Each combinator (and ``complete``, ``hypercube`` and
+``circulant``) is built from its adjacency identity, such as A(g) (x) A(h) for
+the weak product, and read back into a graph by one constructor, never by
+looping over vertex pairs. Everything that reads a graph's structure reads
+its edge index arrays (``Graph._arrays``); there is no second adjacency
+structure.
 """
 
 from __future__ import annotations
@@ -89,24 +91,11 @@ class Graph:
     @property
     def is_unweighted(self) -> bool:
         """True when every edge weight is 1 and there are no loops."""
-        return not self.loops and all(w == 1.0 for _, _, w in self.edges)
-
-    @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
-
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Stable index of each (u, v) pair in the canonical edge order."""
-        return {(u, v): i for i, (u, v, _) in enumerate(self.edges)}
+        return not self.loops and bool((self._arrays[1] == 1.0).all())
 
     def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self.edge_index
+        ends = self._arrays[0]
+        return bool(((ends[:, 0] == min(u, v)) & (ends[:, 1] == max(u, v))).any())
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -134,37 +123,35 @@ class Graph:
         d[loop_v] += loop_w  # at most one loop per vertex
         return d
 
+    @cached_property
+    def _levels(self) -> np.ndarray:
+        """Breadth-first depth of every vertex, each component searched from
+        its smallest vertex in turn; those starts are the vertices at level 0."""
+        src, dst = self._arrays[0].T
+        level = np.full(self.n, -1)
+        frontier = np.zeros(self.n, dtype=bool)
+        while (level < 0).any():
+            if not frontier.any():
+                frontier[np.argmax(level < 0)], depth = True, 0
+            level[frontier] = depth
+            reached = np.zeros(self.n, dtype=bool)
+            reached[dst[frontier[src]]] = True
+            reached[src[frontier[dst]]] = True
+            frontier = reached & (level < 0)
+            depth += 1
+        return level
+
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in self.neighbors[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n
+        return not (self._levels[1:] == 0).any()
 
     def two_coloring(self) -> tuple[np.ndarray, tuple[int, int] | None]:
         """Breadth-first two-coloring that never fails, plus the first edge
         (in ``edges`` order) whose ends got the same color, or None when
         there is none. Such an edge closes an odd cycle."""
-        color = np.full(self.n, -1, dtype=int)
-        for start in range(self.n):
-            if color[start] >= 0:
-                continue
-            color[start] = 0
-            queue = [start]
-            while queue:
-                u = queue.pop(0)
-                for v in self.neighbors[u]:
-                    if color[v] < 0:
-                        color[v] = 1 - color[u]
-                        queue.append(v)
-        clash = next(((u, v) for u, v, _ in self.edges if color[u] == color[v]), None)
-        return color, clash
+        color = self._levels % 2
+        ends = self._arrays[0]
+        clash = np.flatnonzero(color[ends[:, 0]] == color[ends[:, 1]])
+        return color, tuple(ends[clash[0]].tolist()) if clash.size else None
 
     def bipartition(self) -> np.ndarray | None:
         """Two-coloring by breadth-first traversal, or None on an odd cycle."""
@@ -228,6 +215,16 @@ def _from_adjacency(a: np.ndarray) -> Graph:
     return Graph(len(a), tuple((u, v, 1.0) for u, v in zip(rows.tolist(), cols.tolist())))
 
 
+def _incidence(g: Graph) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """0/1 vertex-edge incidence N, one column per edge in ``edges`` order,
+    and those edges as (u, v) pairs."""
+    ends = g._arrays[0]
+    n_edges = len(ends)
+    incidence = np.zeros((g.n, n_edges))
+    incidence[ends, np.arange(n_edges)[:, None]] = 1.0
+    return incidence, tuple(map(tuple, ends.tolist()))
+
+
 def _blocks(g: Graph, h: Graph, cross: float) -> Graph:
     """A(g) and A(h) on the diagonal blocks, ``cross`` everywhere off them."""
     a = np.full((g.n + h.n, g.n + h.n), cross)
@@ -269,14 +266,9 @@ def hypercube(d: int) -> Graph:
     """d-dimensional cube on 2^d vertices; x ~ y iff they differ in one bit."""
     if d < 0:
         raise ValueError("dimension must be nonnegative")
-    n = 1 << d
-    edges = []
-    for x in range(n):
-        for b in range(d):
-            y = x ^ (1 << b)
-            if x < y:
-                edges.append((x, y))
-    return make_graph(n, edges)
+    i = np.arange(1 << d)
+    x = i[:, None] ^ i
+    return _from_adjacency((x & (x - 1) == 0) & (x != 0))  # exactly one bit differs
 
 
 def circulant(n: int, gens: Iterable[int]) -> Graph:
@@ -364,11 +356,8 @@ def line_graph(g: Graph) -> LineGraph:
     adjacent exactly when the source edges share one endpoint.
     """
     _require_unweighted(g, "line_graph")
-    pairs = tuple((u, v) for u, v, _ in g.edges)
-    # vertex-edge incidence N; (N^T N)[i, j] counts the endpoints edges i and j share
-    ends = np.array(pairs, dtype=int).reshape(-1, 2)
-    incidence = np.zeros((g.n, len(pairs)))
-    incidence[ends, np.arange(len(pairs))[:, None]] = 1.0
+    incidence, pairs = _incidence(g)
+    # (N^T N)[i, j] counts the endpoints edges i and j share
     return LineGraph(_from_adjacency(incidence.T @ incidence), pairs)
 
 

@@ -40,11 +40,9 @@ def intertwine_check(g: Graph, t: float) -> tuple[float, float, float]:
     uq = walk(signless_laplacian(g), t).matrix
     ua = walk(adjacency(lg), t).matrix
     phase = cmath.exp(-2j * t)
-    dev_a = float(np.abs(b.T @ uq - phase * ua @ b.T).max()) if g.edge_count else 0.0
-    dev_b = float(np.abs(uq @ b - phase * b @ ua).max()) if g.edge_count else 0.0
-    dev_c = (
-        float(np.abs(b.T @ uq @ b - phase * ua @ (b.T @ b)).max()) if g.edge_count else 0.0
-    )
+    dev_a = float(np.abs(b.T @ uq - phase * ua @ b.T).max(initial=0.0))
+    dev_b = float(np.abs(uq @ b - phase * b @ ua).max(initial=0.0))
+    dev_c = float(np.abs(b.T @ uq @ b - phase * ua @ (b.T @ b)).max(initial=0.0))
     return dev_a, dev_b, dev_c
 
 
@@ -61,10 +59,10 @@ class LineTransferReport:
 
 
 def _pendant_edge_index(g: Graph, u: int) -> int:
-    hits = [i for i, (a, b, _) in enumerate(g.edges) if u in (a, b)]
+    hits = np.flatnonzero((g._arrays[0] == u).any(axis=1))
     if len(hits) != 1:
         raise ValueError(f"vertex {u} has degree {len(hits)}, expected 1")
-    return hits[0]
+    return int(hits[0])
 
 
 def pst_transfer_to_line(g: Graph, u1: int, u2: int, t: float) -> LineTransferReport:

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _incidence
 
 __all__ = [
     "OperatorKind",
@@ -147,12 +147,8 @@ class IncidenceMatrix:
 def incidence(g: Graph) -> IncidenceMatrix:
     if not g.is_unweighted:
         raise ValueError("incidence matrix requires an unweighted, loop-free graph")
-    b = np.zeros((g.n, g.edge_count))
-    half = 1.0 / math.sqrt(2.0)
-    for i, (u, v, _) in enumerate(g.edges):
-        b[u, i] = half
-        b[v, i] = half
-    return IncidenceMatrix(b, tuple((u, v) for u, v, _ in g.edges))
+    b, edges = _incidence(g)
+    return IncidenceMatrix(b * (1.0 / math.sqrt(2.0)), edges)
 
 
 class NotBipartiteError(ValueError):

@@ -230,7 +230,7 @@ def quotient(g: Graph, p: Partition, kind: OperatorKind | str) -> QuotientMatrix
     else:
         np.fill_diagonal(b, 2 * np.diag(d) + offsums)
     pm = partition_matrix(p)
-    deviation = float(np.abs(operator(g, k).matrix @ pm - pm @ b).max())
+    deviation = float(np.abs(operator(g, k).matrix @ pm - pm @ b).max(initial=0.0))
     if deviation > _INTERTWINE_TOL:
         raise RuntimeError(
             f"intertwining M P = P B failed for {k.value}: deviation {deviation:.3e}"

@@ -215,24 +215,28 @@ def search_pst(
 # -- standard Laplacian closures ---------------------------------------------
 
 
+CLOSURE_TOL = 1e-8  # distance from an integer allowed in the weak-product closures
+INTEGER_TOL = 1e-9  # distance from an integer allowed to a cycle eigenvalue counted as one
+
+
 def _near_integers(x: float, tol: float) -> bool:
     return abs(x - round(x)) < tol
 
 
-def complement_closure_check(g: Graph, t: float, tol: float = PST_TOL) -> tuple[bool, float]:
+def complement_closure_check(g: Graph, t: float) -> tuple[bool, float]:
     """Condition |V| t in 2 pi Z together with the max-norm deviation of
     exp(-itL(complement)) from exp(+itL(g)); the deviation is reported whether
     or not the condition holds."""
-    condition = _near_integers(g.n * t / (2.0 * math.pi), tol)
+    condition = _near_integers(g.n * t / (2.0 * math.pi), PST_TOL)
     u_comp = walk(standard_laplacian(complement(g)), t).matrix
     u_back = walk(standard_laplacian(g), t).matrix.conjugate()  # exp(+itL) for real L
     deviation = float(np.abs(u_comp - u_back).max())
     return condition, deviation
 
 
-def join_necessary_condition(m: int, n: int, t: float, tol: float = PST_TOL) -> bool:
+def join_necessary_condition(m: int, n: int, t: float) -> bool:
     """Transfer inside a join forces t(m+n) in 2 pi Z."""
-    return _near_integers(t * (m + n) / (2.0 * math.pi), tol)
+    return _near_integers(t * (m + n) / (2.0 * math.pi), PST_TOL)
 
 
 @dataclass(frozen=True)
@@ -291,25 +295,21 @@ def connected_double_cone_refutation(base: Graph, t_max: float = 50.0) -> float:
 # -- normalized Laplacian weak products --------------------------------------
 
 
-def weak_product_closure_1(
-    spec_g: Sequence[float], spec_h: Sequence[float], t: float, tol: float = 1e-8
-) -> bool:
+def weak_product_closure_1(spec_g: Sequence[float], spec_h: Sequence[float], t: float) -> bool:
     """True when t * mu * (lambda - 1) lies in 2 pi Z for every lambda in the
     first spectrum and mu in the second (both normalized-Laplacian spectra)."""
     for lam in spec_g:
         for mu in spec_h:
-            if not _near_integers(t * mu * (lam - 1.0) / (2.0 * math.pi), tol):
+            if not _near_integers(t * mu * (lam - 1.0) / (2.0 * math.pi), CLOSURE_TOL):
                 return False
     return True
 
 
-def weak_product_closure_2(
-    spec_g: Sequence[float], spec_h: Sequence[float], t: float, tol: float = 1e-8
-) -> bool:
+def weak_product_closure_2(spec_g: Sequence[float], spec_h: Sequence[float], t: float) -> bool:
     """True when t * lambda * mu lies in 2 pi Z for every pair of eigenvalues."""
     for lam in spec_g:
         for mu in spec_h:
-            if not _near_integers(t * lam * mu / (2.0 * math.pi), tol):
+            if not _near_integers(t * lam * mu / (2.0 * math.pi), CLOSURE_TOL):
                 return False
     return True
 
@@ -373,7 +373,7 @@ class CycleScreen:
     witness: float | None = None  # a non-integer eigenvalue, when that decided
 
 
-def cycle_pst_screen(n: int, tol: float = 1e-9) -> CycleScreen:
+def cycle_pst_screen(n: int) -> CycleScreen:
     """Integrality screen on the eigenvalues 2 cos(2 pi k / (2(n-1))) of the
     cycle C_{2(n-1)}.
 
@@ -388,7 +388,7 @@ def cycle_pst_screen(n: int, tol: float = 1e-9) -> CycleScreen:
     order = 2 * (n - 1)
     for k in range(order):
         ev = 2.0 * math.cos(2.0 * math.pi * k / order)
-        if not _near_integers(ev, tol):
+        if not _near_integers(ev, INTEGER_TOL):
             return CycleScreen(n, order, False, "integrality", ev)
     if n in (2, 3):
         return CycleScreen(n, order, True, "integer-spectrum")

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Hamiltonian, OperatorKind
+from .graphs import cartesian_product
+from .operators import Hamiltonian, OperatorKind, operator
 
 __all__ = [
     "EigenDecomposition",
@@ -181,9 +182,6 @@ def join_cross_entry(m: int, n: int, t: float) -> complex:
 def cartesian_walk_check(h_g: Hamiltonian, h_h: Hamiltonian, t: float) -> float:
     """Max-norm deviation between the walk on the box product and the
     Kronecker product of the factor walks, for standard/signless Laplacians."""
-    from .graphs import cartesian_product
-    from .operators import operator
-
     if h_g.kind != h_h.kind:
         raise ValueError("factors must use the same operator kind")
     if h_g.kind not in (OperatorKind.STANDARD, OperatorKind.SIGNLESS):

@@ -128,3 +128,125 @@ def refine_partition(adj: np.ndarray, initial_cells):
         if len(new_cells) == len(cells):
             return check_partition(adj, new_cells, require_diagonal=True)
         cells = new_cells
+
+
+# -- walk matrices, exact rank, traversal: the loop-based references --------
+#
+# Reference for lapwalk.control, Graph.is_connected, Graph.two_coloring,
+# hypercube and incidence: Python lists and sorted neighbour lists, one loop
+# per vertex, neighbour, edge, row and column. Graphs come in as the vertex
+# count and the (u, v, ...) edge tuples.
+
+
+def random_edge_lists(rng: np.random.Generator, count: int, n_max: int = 12):
+    """Seeded (n, edges) inputs for the reference comparisons. Orders run
+    from 0 to n_max and densities from edgeless to complete, so isolated
+    vertices, disconnected graphs, odd cycles and bipartite graphs all occur."""
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(0, n_max + 1))
+        p = float(rng.choice([0.0, 0.1, 0.2, 0.35, 0.6, 1.0]))
+        out.append((n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    return out
+
+
+def neighbor_lists(n: int, edges) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v, *_ in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return [sorted(a) for a in adj]
+
+
+def walk_matrix_rows(n: int, edges, subset) -> tuple[tuple[int, ...], ...]:
+    """Columns e_S, A e_S, ..., A^{n-1} e_S as Python ints, one row per vertex."""
+    neighbors = neighbor_lists(n, edges)
+    s = set(subset)
+    current = [1 if v in s else 0 for v in range(n)]
+    columns = [current]
+    for _ in range(n - 1):
+        current = [sum(current[w] for w in neighbors[v]) for v in range(n)]
+        columns.append(current)
+    return tuple(tuple(col[v] for col in columns) for v in range(n))
+
+
+def exact_rank(rows) -> int:
+    """Bareiss elimination on lists of Python ints: the first nonzero pivot
+    at or below the current row, exact // by the previous pivot."""
+    m = [[int(x) for x in row] for row in rows]
+    if not m:
+        return 0
+    n_rows, n_cols = len(m), len(m[0])
+    rank = 0
+    prev_pivot = 1
+    for col in range(n_cols):
+        pivot_row = next((r for r in range(rank, n_rows) if m[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        pivot = m[rank][col]
+        for r in range(rank + 1, n_rows):
+            factor = m[r][col]
+            for c in range(col + 1, n_cols):
+                m[r][c] = (pivot * m[r][c] - factor * m[rank][c]) // prev_pivot
+            m[r][col] = 0
+        prev_pivot = pivot
+        rank += 1
+        if rank == n_rows:
+            break
+    return rank
+
+
+def is_connected(n: int, edges) -> bool:
+    if n <= 1:
+        return True
+    neighbors = neighbor_lists(n, edges)
+    seen = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in neighbors[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == n
+
+
+def two_coloring(n: int, edges) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """Breadth-first colours, each component started at its smallest vertex,
+    and the first edge in ``edges`` order whose ends share a colour."""
+    neighbors = neighbor_lists(n, edges)
+    color = np.full(n, -1, dtype=int)
+    for start in range(n):
+        if color[start] >= 0:
+            continue
+        color[start] = 0
+        queue = [start]
+        while queue:
+            u = queue.pop(0)
+            for v in neighbors[u]:
+                if color[v] < 0:
+                    color[v] = 1 - color[u]
+                    queue.append(v)
+    clash = next(((u, v) for u, v, *_ in edges if color[u] == color[v]), None)
+    return color, clash
+
+
+def hypercube_edges(d: int) -> tuple[tuple[int, int, float], ...]:
+    edges = []
+    for x in range(1 << d):
+        for b in range(d):
+            y = x ^ (1 << b)
+            if x < y:
+                edges.append((x, y, 1.0))
+    return tuple(sorted(edges))
+
+
+def incidence(n: int, edges) -> np.ndarray:
+    """Normalized vertex-edge incidence, 1/sqrt(2) where a vertex lies on an edge."""
+    b = np.zeros((n, len(edges)))
+    half = 1.0 / np.sqrt(2.0)
+    for i, (u, v, *_) in enumerate(edges):
+        b[u, i] = half
+        b[v, i] = half
+    return b

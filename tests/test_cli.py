@@ -271,6 +271,23 @@ def test_graph_build_needs_its_size_option(kind, capsys):
     assert f"graph type {kind} needs --" in captured.err
 
 
+def test_circulant_needs_its_generators(capsys):
+    assert main(["graph", "build", "--type", "circulant", "--n", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: graph type circulant needs --gens\n"
+
+
+def test_fidelity_curve_needs_two_samples(tmp_path, capsys):
+    gfile = tmp_path / "p3.json"
+    lio.save_graph(path(3), gfile)
+    argv = ["fidelity-curve", "--graph", str(gfile), "--kind", "adjacency", "--pair", "0", "2"]
+    assert main(argv + ["--samples", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --samples must be at least 2\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from lapwalk.control import (
     eigenvector_chase_check,
     exact_rank,
@@ -10,7 +11,17 @@ from lapwalk.control import (
     walk_matrix,
 )
 from lapwalk.corpus import random_connected_graphs
-from lapwalk.graphs import complete, cone_p4_with_pendant, make_graph
+from lapwalk.graphs import (
+    complete,
+    cone_p4_with_pendant,
+    cycle,
+    disjoint_union,
+    empty,
+    line_graph,
+    make_graph,
+    odd_unicyclic,
+    path,
+)
 
 
 def test_walk_matrix_k2():
@@ -102,3 +113,44 @@ def test_unicyclic_pipeline_inconclusive():
     assert not all(rep.endpoints_controllable)
     with pytest.raises(ValueError):
         unicyclic_no_pst_pipeline(0)
+
+
+def test_walk_matrices_and_ranks_match_the_loop_reference():
+    rng = np.random.default_rng(20240702)
+    graphs = [empty(0), empty(1), empty(5), path(9), disjoint_union(cycle(5), path(4))]
+    graphs += [line_graph(odd_unicyclic(m).graph).graph for m in (3, 4)]
+    graphs += [make_graph(n, edges) for n, edges in oracle.random_edge_lists(rng, 120)]
+    deficient = 0
+    for g in graphs:
+        subsets = [(u,) for u in range(g.n)]
+        if g.n:
+            size = int(rng.integers(1, g.n + 1))
+            subsets.append(tuple(rng.choice(g.n, size=size, replace=False)))
+        for subset in subsets:
+            w = walk_matrix(g, subset)
+            want = oracle.walk_matrix_rows(g.n, g.edges, subset)
+            assert w.rows == want and w.subset == tuple(sorted(map(int, subset))), (g, subset)
+            assert all(type(x) is int for row in w.rows for x in row)
+            rank = exact_rank(w)
+            assert rank == oracle.exact_rank(want), (g, subset)
+            deficient += rank < g.n
+    assert deficient and walk_matrix(empty(0), ()).rows == ()
+
+
+def test_exact_rank_of_int64_matrices_matches_the_loop_reference():
+    # entries near 2^62: every product in the elimination overflows int64
+    rng = np.random.default_rng(62)
+    ranks = set()
+    for _ in range(150):
+        rows, cols = (int(k) for k in rng.integers(0, 8, size=2))
+        signs = rng.choice([-1, 1], size=(rows, cols))
+        a = signs * rng.integers(2**62 - 2**20, 2**62, size=(rows, cols))
+        if rows > 1 and rng.random() < 0.5:
+            a[rng.integers(rows)] = a[rng.integers(rows)]
+        if cols > 1 and rng.random() < 0.3:
+            a[:, rng.integers(cols)] = 0
+        want = oracle.exact_rank(a)
+        assert exact_rank(a) == want == exact_rank(a.tolist()), a
+        assert exact_rank([list(row) for row in a]) == want, a  # rows of np.int64 scalars
+        ranks.add((want, min(rows, cols)))
+    assert any(r < full for r, full in ranks) and any(0 < r == full for r, full in ranks)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from lapwalk import io as lio
 from lapwalk.graphs import (
     cartesian_product,
@@ -282,3 +283,30 @@ def test_edgelist_round_trip():
     back = lio.graph_from_edgelist(text)
     assert back == g
     assert lio.graph_to_edgelist(back) == text
+
+
+def test_traversal_matches_the_loop_reference():
+    rng = np.random.default_rng(20240703)
+    graphs = [empty(0), empty(1), empty(4), path(30), cycle(7), disjoint_union(cycle(5), path(4))]
+    graphs += [make_graph(n, edges) for n, edges in oracle.random_edge_lists(rng, 200)]
+    seen = set()
+    for g in graphs:
+        color, clash = g.two_coloring()
+        want_color, want_clash = oracle.two_coloring(g.n, g.edges)
+        assert color.dtype == want_color.dtype and np.array_equal(color, want_color), g
+        assert clash == want_clash and all(type(v) is int for v in clash or ()), g
+        bipartition = g.bipartition()
+        assert (bipartition is None) == (clash is not None)
+        connected = g.is_connected()
+        assert connected == oracle.is_connected(g.n, g.edges), g
+        neighbors = oracle.neighbor_lists(g.n, g.edges)
+        assert all(g.has_edge(u, v) == (v in neighbors[u]) for u in range(g.n) for v in range(g.n))
+        seen.add((connected, clash is None))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_hypercube_matches_the_loop_reference():
+    for d in range(8):
+        q = hypercube(d)
+        assert q.n == 1 << d and q.edges == oracle.hypercube_edges(d)
+        assert all(type(u) is type(v) is int and type(w) is float for u, v, w in q.edges)

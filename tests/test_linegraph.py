@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lapwalk.graphs import complete, line_graph, odd_unicyclic, path
+from lapwalk.graphs import complete, empty, line_graph, odd_unicyclic, path
 from lapwalk.linegraph import (
     intertwine_check,
     path_signless_refutation,
@@ -24,6 +24,11 @@ def test_intertwine_u2_random_times():
 def test_intertwine_at_zero():
     u2, _ = odd_unicyclic(2)
     assert max(intertwine_check(u2, 0.0)) < 1e-12
+
+
+def test_intertwine_on_edgeless_graphs():
+    for n in (0, 1, 4):
+        assert intertwine_check(empty(n), 0.7) == (0.0, 0.0, 0.0)
 
 
 def test_intertwine_p5():

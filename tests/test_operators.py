@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from lapwalk.corpus import named_small_graphs, random_connected_graphs
 from lapwalk.graphs import (
     complete,
@@ -167,3 +168,13 @@ def test_kind_parsing():
     assert OperatorKind.from_name("Signless") == OperatorKind.SIGNLESS
     with pytest.raises(ValueError):
         OperatorKind.from_name("mystery")
+
+
+def test_incidence_matches_the_loop_reference():
+    rng = np.random.default_rng(20240704)
+    for n, edges in [(0, [])] + oracle.random_edge_lists(rng, 60):
+        g = make_graph(n, edges)
+        b = incidence(g)
+        want = oracle.incidence(g.n, g.edges)
+        assert b.matrix.shape == want.shape and b.matrix.tobytes() == want.tobytes()
+        assert b.edges == tuple((u, v) for u, v, _ in g.edges)

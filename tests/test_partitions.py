@@ -334,6 +334,17 @@ def test_zero_vertex_partitions():
         check_equitable(g, [[]])
 
 
+def test_zero_vertex_quotient_is_empty():
+    g = empty(0)
+    for kind, check in (
+        (OperatorKind.ADJACENCY, check_equitable),
+        (OperatorKind.SIGNLESS, check_equitable),
+        (OperatorKind.STANDARD, check_almost_equitable),
+    ):
+        q = quotient(g, check(g, []), kind)
+        assert q.kind == kind and q.matrix.shape == (0, 0)
+
+
 def test_edgeless_refinement_keeps_the_input_cells():
     g = empty(7)
     p = coarsest_equitable_refinement(g, [(6, 1), (0, 2, 4), (3, 5)])

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from oracle import walk_oracle  # noqa: E402
 
-from lapwalk.graphs import make_graph  # noqa: E402
+from lapwalk.graphs import complement, make_graph  # noqa: E402
 from lapwalk.operators import operator  # noqa: E402
 from lapwalk.partitions import check_equitable, coarsest_equitable_refinement  # noqa: E402
 from lapwalk.spectral import walk  # noqa: E402
@@ -77,3 +77,12 @@ def test_relabelling_invariance(data, kind, t):
 def test_walk_matches_the_series_oracle(g, kind, t):
     h = operator(g, kind)
     assert np.abs(walk(h, t).matrix - walk_oracle(h.matrix, t)).max() < 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(graphs(min_n=1), st.integers(-3, 3))
+def test_complement_walk_runs_backwards_when_n_t_is_a_multiple_of_2pi(g, k):
+    # L(complement) = nI - J - L(G), and exp(-itn) exp(itJ) = I when nt is in 2 pi Z
+    t = 2.0 * np.pi * k / g.n
+    u_comp = _walk(complement(g), "standard", t)
+    assert np.abs(u_comp - _walk(g, "standard", -t)).max() < 1e-9
