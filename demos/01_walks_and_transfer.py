@@ -33,7 +33,7 @@ def main():
         print(f"  t = {t:5.3f}   magnitude = {abs(amp):.6f}   (sin t = {math.sin(t):.6f})")
 
     # The walk operator itself is unitary and is the identity at t = 0.
-    u = walk(h, 0.8).matrix
+    u = walk(h, 0.8)
     print("\nunitarity check at t=0.8:", np.abs(u @ u.conj().T - np.eye(2)).max())
 
     # Three small graphs with transfer, each under a different operator.
@@ -50,7 +50,7 @@ def main():
     for label, ham, pair, t in examples:
         res = verify_pst(ham, pair, t)
         print(f"{label}:")
-        print(f"  certified = {type(res).__name__ == 'PstCertificate'}, "
+        print(f"  certified = {res.certifies()}, "
               f"magnitude = {res.magnitude:.12f}")
 
     # P3 does *not* transfer under the standard Laplacian: same pair, same

@@ -52,8 +52,8 @@ def main():
     # Consequence one: no endpoint transfer on paths with >= 5 vertices
     # (their line graphs are shorter paths, already known not to transfer).
     print("\nendpoint scans on paths under the signless Laplacian (t <= 200):")
-    for row in path_signless_refutation((5, 6, 7)):
-        print(f"  P{row.n}: max magnitude {row.max_magnitude:.6f} at t = {row.best_time:.2f}")
+    for n, best in path_signless_refutation((5, 6, 7)).items():
+        print(f"  P{n}: max magnitude {best.magnitude:.6f} at t = {best.time:.2f}")
 
     # Consequence two: the odd unicyclic family. For m not divisible by 3
     # the line graph's pendant endpoints are controllable (exact integer
@@ -63,7 +63,7 @@ def main():
         rep = unicyclic_no_pst_pipeline(m, t_max=100.0)
         print(
             f"  m = {m}: verdict {rep.verdict:13s} ranks {rep.ranks[0]},{rep.ranks[1]} of "
-            f"{rep.line_order}, scan max {rep.scan_magnitude:.6f}"
+            f"{rep.line_order}, scan max {rep.scan.magnitude:.6f}"
         )
 
 

@@ -68,7 +68,6 @@ from .partitions import (
 from .pst import (
     CycleScreen,
     PstCertificate,
-    Refuted,
     complement_closure_check,
     connected_double_cone_refutation,
     cycle_pst_screen,
@@ -82,7 +81,6 @@ from .pst import (
 )
 from .spectral import (
     EigenDecomposition,
-    WalkOperator,
     cartesian_walk_check,
     eigendecompose,
     join_cross_entry,

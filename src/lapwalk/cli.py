@@ -38,7 +38,7 @@ from .graphs import (
 )
 from .operators import OperatorKind, operator
 from .partitions import check_almost_equitable, check_equitable, quotient
-from .pst import PstCertificate, search_pst, verify_pst
+from .pst import search_pst, verify_pst
 from .spectral import eigendecompose, walk
 from .suites import available_suites, suite_for
 
@@ -157,7 +157,7 @@ def _cmd_walk(args) -> int:
     h = operator(g, args.kind)
     src, dst = _vertices(g, args.src, args.dst)
     t = parse_time(args.time)
-    amp = complex(walk(h, t).matrix[dst, src])
+    amp = complex(walk(h, t)[dst, src])
     payload = {
         "from": args.src,
         "to": args.dst,
@@ -199,7 +199,7 @@ def _cmd_pst(args) -> int:
         t = parse_time(args.time)
         res = verify_pst(h, pair, t, pst_tol=args.tol)
         _emit(json.dumps(res.payload()) + "\n", args.out)
-        return 0 if isinstance(res, PstCertificate) else 1
+        return 0 if res.certifies(args.tol) else 1
     t_max = parse_time(args.t_max)
     cert = search_pst(h, pair, t_max)
     _emit(json.dumps(cert.payload()) + "\n", args.out)
@@ -238,11 +238,11 @@ def _cmd_unicyclic(args) -> int:
         f"pendant-edge pair {rep.line_pair[0]} {rep.line_pair[1]}",
         f"ranks {rep.ranks[0]} {rep.ranks[1]}",
         f"endpoints controllable {rep.endpoints_controllable[0]} {rep.endpoints_controllable[1]}",
-        f"scan max magnitude {rep.scan_magnitude!r} at t={rep.scan_time!r}",
+        f"scan max magnitude {rep.scan.magnitude!r} at t={rep.scan.time!r}",
         f"verdict {rep.verdict}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
-    return 0 if rep.scan_below_threshold else 1
+    return 0 if rep.scan.refutes() else 1
 
 
 def _cmd_verify_suite(args) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 from .graphs import Graph, cone_p4_with_pendant, line_graph, odd_unicyclic
 from .linegraph import _pendant_edge_index
 from .operators import adjacency, signless_laplacian
-from .pst import REFUTE_THRESHOLD, search_pst
+from .pst import PstCertificate, search_pst
 from .spectral import eigendecompose
 
 __all__ = [
@@ -135,9 +135,7 @@ class UnicyclicReport:
     ranks: tuple[int, int]
     line_order: int
     endpoints_controllable: tuple[bool, bool]
-    scan_magnitude: float
-    scan_time: float
-    scan_below_threshold: bool
+    scan: PstCertificate  # best signless walk entry between the endpoints
 
 
 def unicyclic_no_pst_pipeline(m: int, t_max: float = 200.0) -> UnicyclicReport:
@@ -148,7 +146,7 @@ def unicyclic_no_pst_pipeline(m: int, t_max: float = 200.0) -> UnicyclicReport:
     the pipeline raises if it fails there; the m = 0 (mod 3) cases are
     reported as inconclusive (scan evidence only), since there the probe
     vertices do admit vanishing eigenvectors. A report therefore stands
-    exactly when ``scan_below_threshold`` holds.
+    exactly when ``scan.refutes()`` holds.
     """
     if m < 1:
         raise ValueError("pendant paths need at least one edge")
@@ -159,8 +157,7 @@ def unicyclic_no_pst_pipeline(m: int, t_max: float = 200.0) -> UnicyclicReport:
     r2 = exact_rank(walk_matrix(lg, (e2,)))
     controllable = (r1 == lg.n, r2 == lg.n)
 
-    cert = search_pst(signless_laplacian(u_graph), (end1, end2), t_max)
-    below = cert.magnitude < REFUTE_THRESHOLD
+    scan = search_pst(signless_laplacian(u_graph), (end1, end2), t_max)
 
     if m % 3 == 0:
         verdict = "inconclusive"
@@ -178,7 +175,5 @@ def unicyclic_no_pst_pipeline(m: int, t_max: float = 200.0) -> UnicyclicReport:
         ranks=(r1, r2),
         line_order=lg.n,
         endpoints_controllable=controllable,
-        scan_magnitude=cert.magnitude,
-        scan_time=cert.time,
-        scan_below_threshold=below,
+        scan=scan,
     )

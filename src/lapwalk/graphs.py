@@ -5,10 +5,11 @@ constructors); loops are kept separately as (vertex, weight) entries that land
 on the adjacency diagonal. All combinators are pure and relabel vertices
 deterministically: in unions/joins the first argument keeps its labels and the
 second is shifted by ``|V(g)|``; in products the pair (a, b) becomes
-``a * |V(h)| + b``. Each combinator (and ``complete``, ``hypercube`` and
-``circulant``) is built from its adjacency identity, such as A(g) (x) A(h) for
-the weak product, and read back into a graph by one constructor, never by
-looping over vertex pairs. Everything that reads a graph's structure reads
+``a * |V(h)| + b``. Each combinator (and ``complete`` and ``circulant``) is
+built from its adjacency identity, such as A(g) (x) A(h) for the weak
+product, and read back into a graph by one constructor, never by looping over
+vertex pairs; ``hypercube`` lists its d 2^(d-1) edges directly, without the
+2^d x 2^d square. Everything that reads a graph's structure reads
 its edge index arrays (``Graph._arrays``); there is no second adjacency
 structure.
 """
@@ -208,11 +209,16 @@ def _require_unweighted(g: Graph, what: str) -> None:
         raise ValueError(f"{what} requires an unweighted, loop-free graph")
 
 
+def _unweighted(n: int, rows: np.ndarray, cols: np.ndarray) -> Graph:
+    """Unweighted graph on n vertices with the edges (rows[i], cols[i]),
+    given canonical (rows < cols) and sorted."""
+    return Graph(n, tuple((u, v, 1.0) for u, v in zip(rows.tolist(), cols.tolist())))
+
+
 def _from_adjacency(a: np.ndarray) -> Graph:
     """Unweighted graph whose edges are the nonzero entries of the symmetric
     matrix ``a`` above the diagonal."""
-    rows, cols = np.nonzero(np.triu(a, 1))
-    return Graph(len(a), tuple((u, v, 1.0) for u, v in zip(rows.tolist(), cols.tolist())))
+    return _unweighted(len(a), *np.nonzero(np.triu(a, 1)))
 
 
 def _incidence(g: Graph) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
@@ -266,9 +272,11 @@ def hypercube(d: int) -> Graph:
     """d-dimensional cube on 2^d vertices; x ~ y iff they differ in one bit."""
     if d < 0:
         raise ValueError("dimension must be nonnegative")
-    i = np.arange(1 << d)
-    x = i[:, None] ^ i
-    return _from_adjacency((x & (x - 1) == 0) & (x != 0))  # exactly one bit differs
+    # edge (x, x | bit) for every bit not set in x; row-major order sorts them
+    x = np.arange(1 << d)[:, None]
+    bits = 1 << np.arange(d)
+    unset = (x & bits) == 0
+    return _unweighted(1 << d, np.broadcast_to(x, unset.shape)[unset], (x | bits)[unset])
 
 
 def circulant(n: int, gens: Iterable[int]) -> Graph:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .graphs import Graph, line_graph, path
 from .operators import adjacency, incidence, signless_laplacian
-from .pst import REFUTE_THRESHOLD, PstCertificate, Refuted, search_pst, verify_pst
+from .pst import PstCertificate, search_pst, verify_pst
 from .spectral import walk
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "pst_transfer_to_line",
     "LineTransferReport",
     "path_signless_refutation",
-    "PathScanRow",
 ]
 
 
@@ -37,8 +36,8 @@ def intertwine_check(g: Graph, t: float) -> tuple[float, float, float]:
     """Max-norm deviations of the three intertwining identities at time t."""
     b = incidence(g).matrix
     lg, _ = line_graph(g)
-    uq = walk(signless_laplacian(g), t).matrix
-    ua = walk(adjacency(lg), t).matrix
+    uq = walk(signless_laplacian(g), t)
+    ua = walk(adjacency(lg), t)
     phase = cmath.exp(-2j * t)
     dev_a = float(np.abs(b.T @ uq - phase * ua @ b.T).max(initial=0.0))
     dev_b = float(np.abs(uq @ b - phase * b @ ua).max(initial=0.0))
@@ -80,7 +79,7 @@ def pst_transfer_to_line(g: Graph, u1: int, u2: int, t: float) -> LineTransferRe
     if degs[u1] != 1:
         raise ValueError(f"vertex {u1} must have degree one")
     source = verify_pst(signless_laplacian(g), (u1, u2), t)
-    if isinstance(source, Refuted):
+    if not source.certifies():
         return LineTransferReport(source.magnitude, False, None, None, None)
     if degs[u2] != 1:
         raise RuntimeError(
@@ -91,36 +90,16 @@ def pst_transfer_to_line(g: Graph, u1: int, u2: int, t: float) -> LineTransferRe
     e2 = _pendant_edge_index(g, u2)
     lg, _ = line_graph(g)
     line_res = verify_pst(adjacency(lg), (e1, e2), t)
-    certified = isinstance(line_res, PstCertificate)
-    return LineTransferReport(
-        source.magnitude,
-        True,
-        (e1, e2),
-        line_res.magnitude,
-        certified,
-    )
-
-
-@dataclass(frozen=True)
-class PathScanRow:
-    n: int
-    max_magnitude: float
-    best_time: float
-
-    @property
-    def refuted(self) -> bool:
-        return self.max_magnitude < REFUTE_THRESHOLD
+    return LineTransferReport(source.magnitude, True, (e1, e2), line_res.magnitude, line_res.certifies())
 
 
 def path_signless_refutation(
     ns: Iterable[int], t_max: float = 200.0
-) -> list[PathScanRow]:
-    """Scan the endpoint-to-endpoint signless walk magnitude on paths; the
-    known negative result starts at five vertices, so smaller n is rejected."""
-    rows = []
-    for n in ns:
-        if n < 5:
-            raise ValueError("the endpoint refutation applies to paths on >= 5 vertices")
-        cert = search_pst(signless_laplacian(path(n)), (0, n - 1), t_max)
-        rows.append(PathScanRow(n, cert.magnitude, cert.time))
-    return rows
+) -> dict[int, PstCertificate]:
+    """The best endpoint-to-endpoint signless walk entry on each path P_n,
+    by n; the known negative result starts at five vertices, so smaller n is
+    rejected before any scan."""
+    ns = list(ns)
+    if min(ns, default=5) < 5:
+        raise ValueError("the endpoint refutation applies to paths on >= 5 vertices")
+    return {n: search_pst(signless_laplacian(path(n)), (0, n - 1), t_max) for n in ns}

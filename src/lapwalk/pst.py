@@ -1,18 +1,20 @@
 """Perfect state transfer verification, time search, and the closure and
 impossibility condition checkers.
 
-Certification and refutation use different thresholds on purpose: a
-certificate requires magnitude >= 1 - 1e-9, while a scan-based refutation
-only asserts that nothing above 1 - 1e-6 was seen on a bounded horizon.
-Scan refutation is evidence, not proof, and the gap keeps the two regimes
-from touching.
+Every transfer verdict is a PstCertificate, and only the record compares
+its magnitude with a threshold. Certification and refutation use different
+thresholds on purpose: ``certifies`` requires magnitude >= 1 - 1e-9, while
+``refutes`` only asserts that the magnitude stays below 1 - 1e-6; after a
+scan that means nothing above it was seen on a bounded horizon. Scan
+refutation is evidence, not proof, and the gap keeps the two regimes from
+touching: a magnitude inside it satisfies neither.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,8 +33,8 @@ __all__ = [
     "REFUTE_THRESHOLD",
     "METHOD_VERIFIED",
     "METHOD_GRID",
+    "METHOD_REFUTED",
     "PstCertificate",
-    "Refuted",
     "verify_pst",
     "search_pst",
     "complement_closure_check",
@@ -53,10 +55,14 @@ REFUTE_THRESHOLD = 1.0 - 1e-6
 
 METHOD_VERIFIED = "VerifiedAtGivenTime"
 METHOD_GRID = "GridSearchRefined"
+METHOD_REFUTED = "Refuted"
 
 
 @dataclass(frozen=True)
 class PstCertificate:
+    """The walk entry U(time)[pair[1], pair[0]] as magnitude and phase, and
+    the ``method`` that chose the time: the only PST answer."""
+
     pair: tuple[int, int]
     kind: OperatorKind
     time: float
@@ -66,6 +72,9 @@ class PstCertificate:
 
     def certifies(self, pst_tol: float = PST_TOL) -> bool:
         return self.magnitude >= 1.0 - pst_tol
+
+    def refutes(self) -> bool:
+        return self.magnitude < REFUTE_THRESHOLD
 
     def payload(self) -> dict:
         return {
@@ -78,30 +87,15 @@ class PstCertificate:
         }
 
 
-@dataclass(frozen=True)
-class Refuted:
-    """Outcome of a failed verification; keeps the achieved walk entry."""
-
-    pair: tuple[int, int]
-    kind: OperatorKind
-    time: float
-    magnitude: float
-    phase: float
-    method = "Refuted"
-    payload = PstCertificate.payload
-
-
 def verify_pst(
     h: Hamiltonian, pair: tuple[int, int], t: float, pst_tol: float = PST_TOL
-) -> PstCertificate | Refuted:
-    """Certificate when |walk entry| >= 1 - pst_tol at the given time,
-    otherwise a Refuted record with the achieved magnitude and phase."""
+) -> PstCertificate:
+    """The walk entry at the given time, with method METHOD_VERIFIED when it
+    certifies under ``pst_tol`` and METHOD_REFUTED otherwise."""
     dec = eigendecompose(h)
     amp = complex(dec.amplitude(pair[0], pair[1], [t])[0])
-    magnitude, phase = abs(amp), cmath.phase(amp)
-    if magnitude >= 1.0 - pst_tol:
-        return PstCertificate(tuple(pair), h.kind, float(t), magnitude, phase, METHOD_VERIFIED)
-    return Refuted(tuple(pair), h.kind, float(t), magnitude, phase)
+    cert = PstCertificate(tuple(pair), h.kind, float(t), abs(amp), cmath.phase(amp), METHOD_VERIFIED)
+    return cert if cert.certifies(pst_tol) else replace(cert, method=METHOD_REFUTED)
 
 
 SCAN_BLOCK = 2048  # grid points search_pst evaluates at once
@@ -228,8 +222,8 @@ def complement_closure_check(g: Graph, t: float) -> tuple[bool, float]:
     exp(-itL(complement)) from exp(+itL(g)); the deviation is reported whether
     or not the condition holds."""
     condition = _near_integers(g.n * t / (2.0 * math.pi), PST_TOL)
-    u_comp = walk(standard_laplacian(complement(g)), t).matrix
-    u_back = walk(standard_laplacian(g), t).matrix.conjugate()  # exp(+itL) for real L
+    u_comp = walk(standard_laplacian(complement(g)), t)
+    u_back = walk(standard_laplacian(g), t).conjugate()  # exp(+itL) for real L
     deviation = float(np.abs(u_comp - u_back).max())
     return condition, deviation
 
@@ -272,7 +266,7 @@ def double_cone_characterization(
         for label, base in _cone_bases(n):
             g = join(empty(2), base)
             cert = search_pst(standard_laplacian(g), (0, 1), t_max)
-            if REFUTE_THRESHOLD <= cert.magnitude < 1.0 - PST_TOL:
+            if not cert.certifies() and not cert.refutes():
                 raise RuntimeError(
                     f"ambiguous double-cone magnitude {cert.magnitude!r} for n={n} ({label})"
                 )
@@ -295,23 +289,21 @@ def connected_double_cone_refutation(base: Graph, t_max: float = 50.0) -> float:
 # -- normalized Laplacian weak products --------------------------------------
 
 
+def _all_in_2pi_z(angles: np.ndarray) -> bool:
+    """Whether every angle lies within CLOSURE_TOL turns of 2 pi Z."""
+    turns = angles / (2.0 * math.pi)
+    return bool((np.abs(turns - np.round(turns)) < CLOSURE_TOL).all())
+
+
 def weak_product_closure_1(spec_g: Sequence[float], spec_h: Sequence[float], t: float) -> bool:
     """True when t * mu * (lambda - 1) lies in 2 pi Z for every lambda in the
     first spectrum and mu in the second (both normalized-Laplacian spectra)."""
-    for lam in spec_g:
-        for mu in spec_h:
-            if not _near_integers(t * mu * (lam - 1.0) / (2.0 * math.pi), CLOSURE_TOL):
-                return False
-    return True
+    return _all_in_2pi_z(np.outer(t * np.asarray(spec_h, float), np.asarray(spec_g, float) - 1.0))
 
 
 def weak_product_closure_2(spec_g: Sequence[float], spec_h: Sequence[float], t: float) -> bool:
     """True when t * lambda * mu lies in 2 pi Z for every pair of eigenvalues."""
-    for lam in spec_g:
-        for mu in spec_h:
-            if not _near_integers(t * lam * mu / (2.0 * math.pi), CLOSURE_TOL):
-                return False
-    return True
+    return _all_in_2pi_z(np.outer(t * np.asarray(spec_g, float), np.asarray(spec_h, float)))
 
 
 @dataclass(frozen=True)
@@ -353,7 +345,7 @@ def normalized_weak_product_walk_check(g: Graph, h: Graph, t: float) -> WeakProd
     phase = np.exp(-1j * t * (lam + mu - lam * mu)).ravel()
     w = np.kron(dg.vectors, dh.vectors)
     formula = (w * phase) @ w.T
-    direct = walk(lp, t).matrix
+    direct = walk(lp, t)
     walk_dev = float(np.abs(direct - formula).max())
     return WeakProductCheck(op_dev, walk_dev)
 

@@ -24,7 +24,6 @@ from .operators import Hamiltonian, OperatorKind, operator
 
 __all__ = [
     "EigenDecomposition",
-    "WalkOperator",
     "eigendecompose",
     "walk",
     "p3_alpha_fidelity",
@@ -121,17 +120,9 @@ def eigendecompose(source: Hamiltonian | np.ndarray) -> EigenDecomposition:
     )
 
 
-@dataclass(frozen=True)
-class WalkOperator:
-    """exp(-i t M) for the tagged time t; exactly the identity at t = 0."""
-
-    time: float
-    matrix: np.ndarray
-
-
-def walk(source: Hamiltonian | np.ndarray, t: float) -> WalkOperator:
-    dec = eigendecompose(source)
-    return WalkOperator(time=float(t), matrix=dec.matrix_at(float(t)))
+def walk(source: Hamiltonian | np.ndarray, t: float) -> np.ndarray:
+    """exp(-i t M) as a dense matrix; exactly the identity at t = 0."""
+    return eigendecompose(source).matrix_at(float(t))
 
 
 # -- closed forms -----------------------------------------------------------
@@ -189,6 +180,6 @@ def cartesian_walk_check(h_g: Hamiltonian, h_h: Hamiltonian, t: float) -> float:
     if h_g.graph is None or h_h.graph is None:
         raise ValueError("both Hamiltonians must carry their source graph")
     product = cartesian_product(h_g.graph, h_h.graph)
-    direct = walk(operator(product, h_g.kind), t).matrix
-    factored = np.kron(walk(h_g, t).matrix, walk(h_h, t).matrix)
+    direct = walk(operator(product, h_g.kind), t)
+    factored = np.kron(walk(h_g, t), walk(h_h, t))
     return float(np.abs(direct - factored).max())

@@ -9,7 +9,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -39,6 +39,9 @@ __all__ = ["SuiteReport", "SUITES", "run_suite", "suite_for", "available_suites"
 
 IDENTITY_TOL = 1e-9
 TIMES = (0.1, 1.0, math.pi, 10.0)
+SIGNLESS_CONE_MS = (2, 3, 4)  # signless double cones over circulant_family(m)
+UNICYCLIC_MS = (1, 2, 3, 4, 5)  # pendant path lengths of the odd unicyclic graphs
+REFUTED_PATH_ORDERS = (4, 5, 6, 7, 8)  # paths whose end-to-end transfer is refuted
 
 
 @dataclass(frozen=True)
@@ -95,9 +98,9 @@ def suite_double_cone(n_max: int = 10, t_max: float = 50.0) -> SuiteReport:
     return _report("double-cone", rows)
 
 
-def suite_signless_double_cone(ms: Sequence[int] = (2, 3, 4)) -> SuiteReport:
+def suite_signless_double_cone() -> SuiteReport:
     rows = []
-    for m in ms:
+    for m in SIGNLESS_CONE_MS:
         base = circulant_family(m)
         degs = base.degrees()
         regular_ok = base.n == 2 * m and degs.min() == degs.max() == m - 1
@@ -105,10 +108,9 @@ def suite_signless_double_cone(ms: Sequence[int] = (2, 3, 4)) -> SuiteReport:
         g = join(empty(2), base)
         t = math.pi / (2.0 * math.sqrt(m))
         res = verify_pst(signless_laplacian(g), (0, 1), t)
-        ok = isinstance(res, pst.PstCertificate)
         rows.append(
             (
-                ok,
+                res.certifies(),
                 f"signless double cone m={m} t=pi/(2*sqrt({m})) magnitude={res.magnitude:.12f}",
             )
         )
@@ -132,8 +134,7 @@ def suite_weak_product() -> SuiteReport:
         prod = weak_product(g, h)
         pair = (0 * h.n + 0, 2 * h.n + 0)
         res = verify_pst(normalized_laplacian(prod), pair, t)
-        ok = isinstance(res, pst.PstCertificate)
-        rows.append((ok, f"weak-product {label} t={t / math.pi:g}pi magnitude={res.magnitude:.12f}"))
+        rows.append((res.certifies(), f"weak-product {label} t={t / math.pi:g}pi magnitude={res.magnitude:.12f}"))
         spec_g = eigendecompose(normalized_laplacian(g)).values
         spec_h = eigendecompose(normalized_laplacian(h)).values
         cond = pst.weak_product_closure_1(spec_g, spec_h, t)
@@ -185,33 +186,30 @@ def suite_path_cycle(n_max: int = 8) -> SuiteReport:
     return _report("path-cycle", rows)
 
 
-def suite_unicyclic(ms: Sequence[int] = (1, 2, 3, 4, 5), t_max: float = 200.0) -> SuiteReport:
+def suite_unicyclic(t_max: float = 200.0) -> SuiteReport:
     def check(m):
         rep = unicyclic_no_pst_pipeline(m, t_max=t_max)
         return (
-            rep.scan_below_threshold,
+            rep.scan.refutes(),
             f"unicyclic m={m} verdict={rep.verdict} ranks={rep.ranks[0]},{rep.ranks[1]}/"
-            f"{rep.line_order} scan-max={rep.scan_magnitude:.9f}",
+            f"{rep.line_order} scan-max={rep.scan.magnitude:.9f}",
         )
 
-    return _report("unicyclic", [check(m) for m in ms])
+    return _report("unicyclic", [check(m) for m in UNICYCLIC_MS])
 
 
-def suite_path_refutation(
-    ns: Sequence[int] = (4, 5, 6, 7, 8), t_max: float = 200.0
-) -> SuiteReport:
+def suite_path_refutation(t_max: float = 200.0) -> SuiteReport:
     kinds = (OperatorKind.STANDARD, OperatorKind.SIGNLESS, OperatorKind.NORMALIZED)
 
     def check(n, kind):
         cert = search_pst(operator(path(n), kind), (0, n - 1), t_max)
-        ok = cert.magnitude < pst.REFUTE_THRESHOLD
         return (
-            ok,
+            cert.refutes(),
             f"path-refutation P{n} {kind.value} max-magnitude={cert.magnitude:.9f} "
             f"at t={cert.time:.6f}",
         )
 
-    return _report("path-refutation", [check(n, kind) for kind in kinds for n in ns])
+    return _report("path-refutation", [check(n, kind) for kind in kinds for n in REFUTED_PATH_ORDERS])
 
 
 SUITES: dict[str, Callable[..., SuiteReport]] = {

@@ -64,6 +64,20 @@ def test_pst_verify_normalized_p3(tmp_path, capsys):
     assert payload2["method"] == "Refuted"
 
 
+@pytest.mark.parametrize(
+    "tol, code, method", [(None, 1, "Refuted"), ("0.5", 0, "VerifiedAtGivenTime")]
+)
+def test_pst_verify_tol_sets_exit_code_and_method(tmp_path, capsys, tol, code, method):
+    # standard P3 carries 0 -> 2 at pi with magnitude 2/3
+    gfile = tmp_path / "p3.json"
+    lio.save_graph(path(3), gfile)
+    argv = ["pst", "verify", "--graph", str(gfile), "--kind", "standard", "--pair", "0", "2", "--time", "pi"]
+    assert main(argv + (["--tol", tol] if tol else [])) == code
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == method
+    assert abs(payload["magnitude"] - 2.0 / 3.0) < 1e-12
+
+
 def test_pst_search(tmp_path, capsys):
     gfile = tmp_path / "dc.json"
     from lapwalk.graphs import complete, empty, join

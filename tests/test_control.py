@@ -103,7 +103,7 @@ def test_unicyclic_pipeline_controllable_cases():
         assert rep.verdict == "no-pst"
         assert rep.endpoints_controllable == (True, True)
         assert rep.ranks == (rep.line_order, rep.line_order)
-        assert rep.scan_below_threshold
+        assert rep.scan.refutes()
 
 
 def test_unicyclic_pipeline_inconclusive():

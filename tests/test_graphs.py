@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -306,7 +308,19 @@ def test_traversal_matches_the_loop_reference():
 
 
 def test_hypercube_matches_the_loop_reference():
-    for d in range(8):
+    for d in range(9):
         q = hypercube(d)
         assert q.n == 1 << d and q.edges == oracle.hypercube_edges(d)
         assert all(type(u) is type(v) is int and type(w) is float for u, v, w in q.edges)
+
+
+def test_hypercube_memory_follows_its_edges():
+    # the 12 * 2^11 edges take a few MiB; a 2^12 x 2^12 matrix alone takes 128
+    tracemalloc.start()
+    try:
+        q = hypercube(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q.n == 1 << 12 and q.edge_count == 12 << 11
+    assert peak < 32 << 20

@@ -74,10 +74,12 @@ def test_contrapositive_p5():
 
 
 def test_path_signless_refutation_rows():
-    rows = path_signless_refutation((5, 6), t_max=200.0)
-    for row in rows:
-        assert row.refuted
-        assert row.max_magnitude < 1 - 1e-6
+    scans = path_signless_refutation((5, 6), t_max=200.0)
+    assert sorted(scans) == [5, 6]
+    for n, cert in scans.items():
+        assert cert.pair == (0, n - 1)
+        assert cert.refutes()
+        assert cert.magnitude < 1 - 1e-6
     with pytest.raises(ValueError):
         path_signless_refutation((4,), t_max=10.0)
 
@@ -85,7 +87,7 @@ def test_path_signless_refutation_rows():
 def test_sanity_p2_has_signless_pst():
     # bipartite equivalence: Q(P2) = L(P2) transfers at pi/2 (excluded from
     # the refutation range)
-    from lapwalk.pst import verify_pst, PstCertificate
+    from lapwalk.pst import verify_pst
 
     res = verify_pst(signless_laplacian(path(2)), (0, 1), math.pi / 2)
-    assert isinstance(res, PstCertificate)
+    assert res.certifies()

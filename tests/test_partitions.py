@@ -170,7 +170,7 @@ def test_lift_check_signless_double_cone():
     p = check_equitable(g, [(0,), tuple(range(2, 6)), (1,)])
     t = math.pi / math.sqrt(8)
     assert lift_check(g, p, OperatorKind.SIGNLESS, 0, 1, t) < 1e-9
-    mag = abs(walk(operator(g, OperatorKind.SIGNLESS), t).matrix[1, 0])
+    mag = abs(walk(operator(g, OperatorKind.SIGNLESS), t)[1, 0])
     assert abs(mag - 1.0) < 1e-9
 
 

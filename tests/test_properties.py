@@ -31,7 +31,7 @@ def graphs(draw, min_n=2, max_n=7, connected=False):
 
 
 def _walk(g, kind, t):
-    return walk(operator(g, kind), t).matrix
+    return walk(operator(g, kind), t)
 
 
 @PROPERTY_SETTINGS
@@ -76,7 +76,7 @@ def test_relabelling_invariance(data, kind, t):
 @given(graphs(connected=True), st.sampled_from(KINDS), times)
 def test_walk_matches_the_series_oracle(g, kind, t):
     h = operator(g, kind)
-    assert np.abs(walk(h, t).matrix - walk_oracle(h.matrix, t)).max() < 1e-9
+    assert np.abs(walk(h, t) - walk_oracle(h.matrix, t)).max() < 1e-9
 
 
 @PROPERTY_SETTINGS

@@ -16,13 +16,13 @@ from lapwalk.graphs import (
     weak_product,
 )
 from lapwalk.operators import (
+    OperatorKind,
     normalized_laplacian,
     signless_laplacian,
     standard_laplacian,
 )
 from lapwalk.pst import (
     PstCertificate,
-    Refuted,
     complement_closure_check,
     connected_double_cone_refutation,
     cycle_pst_screen,
@@ -40,20 +40,66 @@ from lapwalk.spectral import eigendecompose, p3_alpha_pst_condition, walk
 def test_verify_weak_product_p3_k4():
     prod = weak_product(path(3), complete(4))
     res = verify_pst(normalized_laplacian(prod), (0, 8), 3 * math.pi)
-    assert isinstance(res, PstCertificate)
+    assert res.certifies()
     assert res.method == "VerifiedAtGivenTime"
 
 
 def test_verify_hypercube_normalized():
     q3 = hypercube(3)
     res = verify_pst(normalized_laplacian(q3), (0, 7), 3 * math.pi / 2)
-    assert isinstance(res, PstCertificate)
+    assert res.certifies()
+
+
+def test_certifies_and_refutes_split_at_their_thresholds():
+    def verdicts(magnitude):
+        cert = PstCertificate((0, 1), OperatorKind.STANDARD, 1.0, magnitude, 0.0, pst.METHOD_GRID)
+        return cert.certifies(), cert.refutes()
+
+    certify_at = 1.0 - pst.PST_TOL
+    assert verdicts(certify_at) == (True, False)
+    assert verdicts(np.nextafter(certify_at, 0.0)) == (False, False)
+    assert verdicts(pst.REFUTE_THRESHOLD) == (False, False)
+    assert verdicts(np.nextafter(pst.REFUTE_THRESHOLD, 0.0)) == (False, True)
+    assert verdicts(0.5 * (certify_at + pst.REFUTE_THRESHOLD)) == (False, False)
+    assert verdicts(1.0) == (True, False) and verdicts(0.0) == (False, True)
+    # certifies takes its tolerance; refutes has one threshold
+    cert = PstCertificate((0, 1), OperatorKind.STANDARD, 1.0, 0.75, 0.0, pst.METHOD_GRID)
+    assert cert.certifies(0.25) and not cert.certifies(0.2)
+
+
+def _closure_reference(spec_g, spec_h, t, angle):
+    return all(
+        abs(x - round(x)) < pst.CLOSURE_TOL
+        for lam in spec_g
+        for mu in spec_h
+        for x in [angle(t, lam, mu) / (2.0 * math.pi)]
+    )
+
+
+def test_weak_product_closures_match_the_scalar_loop():
+    # eigenvalues k/3 and times 2 pi j land the angles on or near 2 pi Z;
+    # offsets around CLOSURE_TOL put them on both sides of the tolerance
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        spec_g = rng.integers(0, 7, size=rng.integers(0, 4)) / 3.0
+        spec_h = rng.integers(0, 7, size=rng.integers(0, 4)) / 3.0
+        spec_h = spec_h + rng.choice([0.0, 1e-9, 3e-9, 1e-8], size=spec_h.shape)
+        t = 2.0 * math.pi * 3.0 * int(rng.integers(1, 4))
+        first = _closure_reference(spec_g, spec_h, t, lambda t, lam, mu: t * mu * (lam - 1.0))
+        second = _closure_reference(spec_g, spec_h, t, lambda t, lam, mu: t * lam * mu)
+        assert weak_product_closure_1(list(spec_g), list(spec_h), t) is first
+        assert weak_product_closure_2(list(spec_g), list(spec_h), t) is second
 
 
 def test_verify_refutes_standard_p3():
     res = verify_pst(standard_laplacian(path(3)), (0, 2), math.pi)
-    assert isinstance(res, Refuted)
+    assert not res.certifies()
     assert res.magnitude < 1 - 1e-6
+    assert res.method == pst.METHOD_REFUTED and res.refutes()
+    # the method label follows pst_tol; the walk entry does not
+    loose = verify_pst(standard_laplacian(path(3)), (0, 2), math.pi, pst_tol=0.5)
+    assert loose.method == pst.METHOD_VERIFIED and loose.certifies(0.5)
+    assert (loose.time, loose.magnitude, loose.phase) == (res.time, res.magnitude, res.phase)
 
 
 def test_certificate_column_collapse():
@@ -61,8 +107,8 @@ def test_certificate_column_collapse():
     g = join(empty(2), complete(2))
     h = standard_laplacian(g)
     cert = verify_pst(h, (0, 1), math.pi / 2)
-    assert isinstance(cert, PstCertificate)
-    u = walk(h, cert.time).matrix
+    assert cert.certifies()
+    u = walk(h, cert.time)
     others = [abs(u[v, 0]) for v in range(g.n) if v != 1]
     assert max(others) < math.sqrt(2e-9)
 
@@ -116,11 +162,11 @@ def test_complement_closure_transfers_certificates():
         condition, deviation = complement_closure_check(g, t)
         assert condition and deviation < 1e-9
         res = verify_pst(standard_laplacian(g), (0, 1), t)
-        assert isinstance(res, PstCertificate)
+        assert res.certifies()
         comp = complement(g)
         assert comp == join(empty(2), complete(k))
         res2 = verify_pst(standard_laplacian(comp), (0, 1), t)
-        assert isinstance(res2, PstCertificate)
+        assert res2.certifies()
 
 
 def test_double_cone_characterization_small():
@@ -144,7 +190,7 @@ def test_connected_double_cone_refutation():
         assert connected_double_cone_refutation(base, t_max=50.0) < 1 - 1e-6
     # off-diagonal of the identity at t=0
     g = join(complete(2), complete(2))
-    assert abs(walk(standard_laplacian(g), 0.0).matrix[1, 0]) == 0.0
+    assert abs(walk(standard_laplacian(g), 0.0)[1, 0]) == 0.0
 
 
 def test_weak_product_closure_conditions():
@@ -186,7 +232,7 @@ def test_normalized_weak_product_walk_check():
     assert chk0.walk_deviation < 1e-12
     prod = weak_product(path(3), hypercube(3))
     res = verify_pst(normalized_laplacian(prod), (0, 16), 3 * math.pi)
-    assert isinstance(res, PstCertificate)
+    assert res.certifies()
 
 
 def test_cycle_pst_screen():
@@ -207,7 +253,7 @@ def test_verify_pst_tolerance_boundary():
     g = join(empty(2), complete(2))
     h = standard_laplacian(g)
     res = verify_pst(h, (0, 1), math.pi / 2 + 1e-3)
-    assert isinstance(res, Refuted)
+    assert not res.certifies()
     assert 0.9 < res.magnitude < 1 - 1e-9
 
 

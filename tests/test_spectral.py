@@ -96,7 +96,7 @@ def test_eigendecompose_rejects_asymmetric_array():
 
 def test_walk_identity_at_zero():
     for h in (standard_laplacian(path(4)), adjacency(cycle(5))):
-        assert np.array_equal(walk(h, 0.0).matrix, np.eye(h.n, dtype=complex))
+        assert np.array_equal(walk(h, 0.0), np.eye(h.n, dtype=complex))
 
 
 def test_walk_k2_pst():
@@ -145,17 +145,17 @@ def test_walk_matches_series_oracle():
     for label, g in named_small_graphs()[:8]:
         h = standard_laplacian(g)
         for t in (0.3, 1.7, math.pi):
-            assert np.abs(walk(h, t).matrix - walk_oracle(h.matrix, t)).max() < 1e-10, label
+            assert np.abs(walk(h, t) - walk_oracle(h.matrix, t)).max() < 1e-10, label
 
 
 def test_regular_equivalence():
     for g, k in [(cycle(6), 2), (complete(5), 4), (hypercube(3), 3)]:
         t = 1.3
-        ua = np.abs(walk(adjacency(g), t).matrix)
-        ul = np.abs(walk(standard_laplacian(g), t).matrix)
-        uq = np.abs(walk(signless_laplacian(g), t).matrix)
-        un = np.abs(walk(normalized_laplacian(g), t).matrix)
-        ua_dilated = np.abs(walk(adjacency(g), t / k).matrix)
+        ua = np.abs(walk(adjacency(g), t))
+        ul = np.abs(walk(standard_laplacian(g), t))
+        uq = np.abs(walk(signless_laplacian(g), t))
+        un = np.abs(walk(normalized_laplacian(g), t))
+        ua_dilated = np.abs(walk(adjacency(g), t / k))
         assert np.abs(ul - ua).max() < 1e-9
         assert np.abs(uq - ua).max() < 1e-9
         assert np.abs(un - ua_dilated).max() < 1e-9
@@ -164,8 +164,8 @@ def test_regular_equivalence():
 def test_bipartite_equivalence():
     for g in (path(5), hypercube(3), cycle(6)):
         for t in (0.4, math.pi, 7.0):
-            ul = np.abs(walk(standard_laplacian(g), t).matrix)
-            uq = np.abs(walk(signless_laplacian(g), t).matrix)
+            ul = np.abs(walk(standard_laplacian(g), t))
+            uq = np.abs(walk(signless_laplacian(g), t))
             assert np.abs(ul - uq).max() < 1e-9
 
 
