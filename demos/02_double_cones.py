@@ -42,15 +42,15 @@ def main():
     # transfers iff n = 2 (mod 4), independent of which base is used.
     print("\ndouble-cone characterization (search up to t=50):")
     for res in double_cone_characterization(range(1, 11)):
-        best = max(w[1] for w in res.witnesses)
+        best = max(cert.magnitude for _, cert in res.witnesses)
         note = "transfer at pi/2" if res.has_pst else f"best magnitude {best:.6f}"
         print(f"  n = {res.n:2d}  (n mod 4 = {res.n % 4}): {note}")
 
     # Making the two apexes adjacent kills the effect entirely.
     print("\nconnected double cones K2 + G (apexes adjacent), scan to t=50:")
     for label, base in [("K2", complete(2)), ("2 isolated", empty(2))]:
-        mag = connected_double_cone_refutation(base)
-        print(f"  base {label}: max apex-pair magnitude {mag:.6f}")
+        best = connected_double_cone_refutation(base)
+        print(f"  base {label}: max apex-pair magnitude {best.magnitude:.6f}")
 
 
 if __name__ == "__main__":

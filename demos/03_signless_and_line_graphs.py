@@ -38,8 +38,8 @@ def main():
     # The normalized incidence matrix ties Q(G) to the line graph:
     # B B^T = Q/2 and B^T B = A(line)/2 + I.
     u2, endpoints = odd_unicyclic(2)
-    b = incidence(u2).matrix
-    lg, edge_order = line_graph(u2)
+    b = incidence(u2)
+    lg = line_graph(u2)
     q = signless_laplacian(u2).matrix
     print("\nincidence identities on the 7-vertex odd unicyclic graph:")
     print("  ||B B^T - Q/2||        =", np.abs(b @ b.T - q / 2).max())

@@ -39,7 +39,6 @@ from .io import graph_from_json, graph_to_json, load_graph, save_graph
 from .linegraph import intertwine_check, path_signless_refutation, pst_transfer_to_line
 from .operators import (
     Hamiltonian,
-    IncidenceMatrix,
     NotBipartiteError,
     OperatorKind,
     adjacency,
@@ -56,7 +55,6 @@ from .partitions import (
     NotAlmostEquitableError,
     NotEquitableError,
     Partition,
-    QuotientMatrix,
     check_almost_equitable,
     check_equitable,
     coarsest_equitable_refinement,

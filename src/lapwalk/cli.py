@@ -196,6 +196,8 @@ def _cmd_pst(args) -> int:
     h = operator(g, args.kind)
     pair = _vertices(g, *args.pair)
     if args.action == "verify":
+        if not 0.0 <= args.tol < 1.0:  # also false for nan
+            raise ValueError(f"--tol must be a number in [0, 1), got {args.tol!r}")
         t = parse_time(args.time)
         res = verify_pst(h, pair, t, pst_tol=args.tol)
         _emit(json.dumps(res.payload()) + "\n", args.out)
@@ -214,8 +216,7 @@ def _cmd_quotient(args) -> int:
         part = check_almost_equitable(g, cells)
     else:
         part = check_equitable(g, cells)
-    q = quotient(g, part, kind)
-    text = lio.matrix_to_csv(q.matrix)
+    text = lio.matrix_to_csv(quotient(g, part, kind))
     text += "# neighbor counts d[j,k] (nan = unconstrained diagonal)\n"
     text += lio.matrix_to_csv(part.degree_counts)
     _emit(text, args.out)
@@ -237,7 +238,7 @@ def _cmd_unicyclic(args) -> int:
         f"line-graph order {rep.line_order}",
         f"pendant-edge pair {rep.line_pair[0]} {rep.line_pair[1]}",
         f"ranks {rep.ranks[0]} {rep.ranks[1]}",
-        f"endpoints controllable {rep.endpoints_controllable[0]} {rep.endpoints_controllable[1]}",
+        f"endpoints controllable {rep.ranks[0] == rep.line_order} {rep.ranks[1] == rep.line_order}",
         f"scan max magnitude {rep.scan.magnitude!r} at t={rep.scan.time!r}",
         f"verdict {rep.verdict}",
     ]

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, cone_p4_with_pendant, line_graph, odd_unicyclic
+from .graphs import Graph, _require_unweighted, cone_p4_with_pendant, line_graph, odd_unicyclic
 from .linegraph import _pendant_edge_index
 from .operators import adjacency, signless_laplacian
 from .pst import PstCertificate, search_pst
@@ -49,8 +49,7 @@ class WalkMatrix:
 
 
 def walk_matrix(g: Graph, subset: Iterable[int]) -> WalkMatrix:
-    if not g.is_unweighted:
-        raise ValueError("walk matrices are defined on unweighted, loop-free graphs")
+    _require_unweighted(g, "walk_matrix")
     s = tuple(sorted({int(v) for v in subset}))
     for v in s:
         if not 0 <= v < g.n:
@@ -133,8 +132,7 @@ class UnicyclicReport:
     verdict: str  # "no-pst" | "inconclusive"
     line_pair: tuple[int, int]
     ranks: tuple[int, int]
-    line_order: int
-    endpoints_controllable: tuple[bool, bool]
+    line_order: int  # a rank equal to it means that pendant edge is controllable
     scan: PstCertificate  # best signless walk entry between the endpoints
 
 
@@ -151,18 +149,17 @@ def unicyclic_no_pst_pipeline(m: int, t_max: float = 200.0) -> UnicyclicReport:
     if m < 1:
         raise ValueError("pendant paths need at least one edge")
     u_graph, (end1, end2) = odd_unicyclic(m)
-    lg, _ = line_graph(u_graph)
+    lg = line_graph(u_graph)
     e1, e2 = _pendant_edge_index(u_graph, end1), _pendant_edge_index(u_graph, end2)
     r1 = exact_rank(walk_matrix(lg, (e1,)))
     r2 = exact_rank(walk_matrix(lg, (e2,)))
-    controllable = (r1 == lg.n, r2 == lg.n)
 
     scan = search_pst(signless_laplacian(u_graph), (end1, end2), t_max)
 
     if m % 3 == 0:
         verdict = "inconclusive"
     else:
-        if not all(controllable):
+        if r1 != lg.n or r2 != lg.n:
             raise RuntimeError(
                 f"expected both pendant edges of the line graph controllable for m={m}, "
                 f"got ranks {r1},{r2} of {lg.n}"
@@ -174,6 +171,5 @@ def unicyclic_no_pst_pipeline(m: int, t_max: float = 200.0) -> UnicyclicReport:
         line_pair=(e1, e2),
         ranks=(r1, r2),
         line_order=lg.n,
-        endpoints_controllable=controllable,
         scan=scan,
     )

@@ -40,7 +40,6 @@ __all__ = [
     "cartesian_product",
     "weak_product",
     "line_graph",
-    "LineGraph",
     "odd_unicyclic",
     "OddUnicyclic",
     "cone_p4_with_pendant",
@@ -221,14 +220,13 @@ def _from_adjacency(a: np.ndarray) -> Graph:
     return _unweighted(len(a), *np.nonzero(np.triu(a, 1)))
 
 
-def _incidence(g: Graph) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
-    """0/1 vertex-edge incidence N, one column per edge in ``edges`` order,
-    and those edges as (u, v) pairs."""
+def _incidence(g: Graph) -> np.ndarray:
+    """0/1 vertex-edge incidence N, one column per edge in ``edges`` order."""
     ends = g._arrays[0]
     n_edges = len(ends)
     incidence = np.zeros((g.n, n_edges))
     incidence[ends, np.arange(n_edges)[:, None]] = 1.0
-    return incidence, tuple(map(tuple, ends.tolist()))
+    return incidence
 
 
 def _blocks(g: Graph, h: Graph, cross: float) -> Graph:
@@ -352,21 +350,13 @@ def weak_product(g: Graph, h: Graph) -> Graph:
     return _from_adjacency(np.kron(g.adjacency(), h.adjacency()))
 
 
-class LineGraph(NamedTuple):
-    graph: Graph
-    edges: tuple[tuple[int, int], ...]  # edge i of the source = vertex i here
-
-
-def line_graph(g: Graph) -> LineGraph:
-    """Line graph, with the stable source edge ordering returned alongside.
-
-    Vertex i of the result is edge i of ``g.edges``; two such vertices are
-    adjacent exactly when the source edges share one endpoint.
-    """
+def line_graph(g: Graph) -> Graph:
+    """Line graph: vertex i is edge i of ``g.edges``, and two vertices are
+    adjacent exactly when those source edges share one endpoint."""
     _require_unweighted(g, "line_graph")
-    incidence, pairs = _incidence(g)
+    incidence = _incidence(g)
     # (N^T N)[i, j] counts the endpoints edges i and j share
-    return LineGraph(_from_adjacency(incidence.T @ incidence), pairs)
+    return _from_adjacency(incidence.T @ incidence)
 
 
 class OddUnicyclic(NamedTuple):

@@ -7,8 +7,8 @@ products satisfy B B^T = Q/2 and B^T B = A(line)/2 + I, which gives
 
     B^T exp(-itQ) = exp(-2it) exp(-itA(line)) B^T
 
-and its two companions. Edge indices always follow the graph's canonical
-edge order, the same order line_graph and incidence report.
+and its two companions. Edge i of ``g.edges`` is column i of the incidence
+matrix and vertex i of the line graph.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ __all__ = [
 
 def intertwine_check(g: Graph, t: float) -> tuple[float, float, float]:
     """Max-norm deviations of the three intertwining identities at time t."""
-    b = incidence(g).matrix
-    lg, _ = line_graph(g)
+    b = incidence(g)
+    lg = line_graph(g)
     uq = walk(signless_laplacian(g), t)
     ua = walk(adjacency(lg), t)
     phase = cmath.exp(-2j * t)
@@ -48,13 +48,11 @@ def intertwine_check(g: Graph, t: float) -> tuple[float, float, float]:
 @dataclass(frozen=True)
 class LineTransferReport:
     """Both sides of the endpoint-transfer correspondence: the signless walk
-    between two vertices and the adjacency walk between their pendant edges."""
+    between two vertices and, when that certifies, the adjacency walk
+    between their pendant edges (``line.pair``)."""
 
-    source_magnitude: float
-    source_certified: bool
-    line_pair: tuple[int, int] | None
-    line_magnitude: float | None
-    line_certified: bool | None
+    source: PstCertificate
+    line: PstCertificate | None
 
 
 def _pendant_edge_index(g: Graph, u: int) -> int:
@@ -80,7 +78,7 @@ def pst_transfer_to_line(g: Graph, u1: int, u2: int, t: float) -> LineTransferRe
         raise ValueError(f"vertex {u1} must have degree one")
     source = verify_pst(signless_laplacian(g), (u1, u2), t)
     if not source.certifies():
-        return LineTransferReport(source.magnitude, False, None, None, None)
+        return LineTransferReport(source, None)
     if degs[u2] != 1:
         raise RuntimeError(
             f"certified transfer into vertex {u2} of degree {int(degs[u2])}; "
@@ -88,9 +86,7 @@ def pst_transfer_to_line(g: Graph, u1: int, u2: int, t: float) -> LineTransferRe
         )
     e1 = _pendant_edge_index(g, u1)
     e2 = _pendant_edge_index(g, u2)
-    lg, _ = line_graph(g)
-    line_res = verify_pst(adjacency(lg), (e1, e2), t)
-    return LineTransferReport(source.magnitude, True, (e1, e2), line_res.magnitude, line_res.certifies())
+    return LineTransferReport(source, verify_pst(adjacency(line_graph(g)), (e1, e2), t))
 
 
 def path_signless_refutation(

@@ -15,12 +15,11 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import Graph, _incidence
+from .graphs import Graph, _incidence, _require_unweighted
 
 __all__ = [
     "OperatorKind",
     "Hamiltonian",
-    "IncidenceMatrix",
     "NotBipartiteError",
     "adjacency",
     "degree_matrix",
@@ -97,8 +96,7 @@ def signless_laplacian(g: Graph) -> Hamiltonian:
 def normalized_laplacian(g: Graph) -> Hamiltonian:
     """I - D^{-1/2} A D^{-1/2}; defined here for unweighted loop-free graphs
     with minimum degree one."""
-    if not g.is_unweighted:
-        raise ValueError("normalized Laplacian is only supported on unweighted, loop-free graphs")
+    _require_unweighted(g, "normalized_laplacian")
     d = g.degrees()
     if g.n and d.min() < 1:
         v = int(np.argmin(d))
@@ -134,21 +132,12 @@ def weighted_p3(alpha: float) -> Hamiltonian:
     return Hamiltonian(OperatorKind.CUSTOM, m)
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """Normalized vertex-edge incidence: entry 1/sqrt(2) where the vertex lies
-    on the edge. Columns follow the graph's canonical edge order (the same
-    ordering line_graph reports)."""
-
-    matrix: np.ndarray
-    edges: tuple[tuple[int, int], ...]
-
-
-def incidence(g: Graph) -> IncidenceMatrix:
-    if not g.is_unweighted:
-        raise ValueError("incidence matrix requires an unweighted, loop-free graph")
-    b, edges = _incidence(g)
-    return IncidenceMatrix(b * (1.0 / math.sqrt(2.0)), edges)
+def incidence(g: Graph) -> np.ndarray:
+    """Normalized n x m vertex-edge incidence: entry 1/sqrt(2) where the
+    vertex lies on the edge. Column i is edge i of ``g.edges``, which is
+    vertex i of ``line_graph(g)``."""
+    _require_unweighted(g, "incidence")
+    return _incidence(g) * (1.0 / math.sqrt(2.0))
 
 
 class NotBipartiteError(ValueError):

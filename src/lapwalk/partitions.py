@@ -19,13 +19,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, cycle, path
+from .graphs import Graph, _require_unweighted, cycle, path
 from .operators import OperatorKind, normalized_laplacian, operator
 from .spectral import eigendecompose, walk
 
 __all__ = [
     "Partition",
-    "QuotientMatrix",
     "NotEquitableError",
     "NotAlmostEquitableError",
     "check_equitable",
@@ -132,8 +131,7 @@ def _cells_of(owner: np.ndarray, m: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _check(g: Graph, cells, require_diagonal: bool) -> Partition:
-    if not g.is_unweighted:
-        raise ValueError("partitions are defined on unweighted, loop-free graphs")
+    _require_unweighted(g, "a partition check")
     tup = _validated_cells(g.n, cells)
     owner, m = _owner(g.n, tup), len(tup)
     counts = _neighbor_counts(g, owner, m)
@@ -172,8 +170,7 @@ def coarsest_equitable_refinement(g: Graph, initial_cells: Sequence[Iterable[int
     rows (parent cell, counts...) and numbers the distinct ones in order, so
     new cells are ordered by (parent cell, signature) lexicographically,
     which makes the result deterministic."""
-    if not g.is_unweighted:
-        raise ValueError("partitions are defined on unweighted, loop-free graphs")
+    _require_unweighted(g, "coarsest_equitable_refinement")
     tup = _validated_cells(g.n, initial_cells)
     owner, m = _owner(g.n, tup), len(tup)
     while True:
@@ -195,17 +192,12 @@ def partition_matrix(p: Partition) -> np.ndarray:
     return member / np.sqrt(member.sum(axis=0))
 
 
-@dataclass(frozen=True)
-class QuotientMatrix:
-    kind: OperatorKind
-    matrix: np.ndarray
-
-
 _INTERTWINE_TOL = 1e-10
 
 
-def quotient(g: Graph, p: Partition, kind: OperatorKind | str) -> QuotientMatrix:
-    """Quotient matrix B with M P = P B for the normalized partition matrix P.
+def quotient(g: Graph, p: Partition, kind: OperatorKind | str) -> np.ndarray:
+    """The k x k quotient matrix B with M P = P B for the normalized
+    partition matrix P.
 
     Off-diagonal entries are sqrt(d[j,k] d[k,j]) with a minus sign for the
     standard Laplacian; diagonals are d[j,j] (adjacency),
@@ -235,7 +227,7 @@ def quotient(g: Graph, p: Partition, kind: OperatorKind | str) -> QuotientMatrix
         raise RuntimeError(
             f"intertwining M P = P B failed for {k.value}: deviation {deviation:.3e}"
         )
-    return QuotientMatrix(k, b)
+    return b
 
 
 def lift_check(
@@ -247,7 +239,7 @@ def lift_check(
     cu, cv = p.cell_of[u], p.cell_of[v]
     if len(p.cells[cu]) != 1 or len(p.cells[cv]) != 1:
         raise ValueError("lifting needs singleton cells at both endpoints")
-    b = quotient(g, p, kind).matrix
+    b = quotient(g, p, kind)
     big = abs(walk(operator(g, kind), t)[v, u])
     small = abs(walk(b, t)[cv, cu])
     return float(abs(big - small))
@@ -288,7 +280,7 @@ def path_cycle_correspondence(n: int) -> PathCycleReport:
         c = cycle(2 * m)
         cells = [(0,)] + [(k, 2 * m - k) for k in range(1, m)] + [(m,)]
         p = check_equitable(c, cells)
-        a_quot = quotient(c, p, OperatorKind.ADJACENCY).matrix
+        a_quot = quotient(c, p, OperatorKind.ADJACENCY)
         a_path = path(m + 1).adjacency()
         ends = np.isin(np.arange(m + 1), (0, m))
         expected = np.where((a_path != 0) & (ends[:, None] | ends), math.sqrt(2.0), a_path)

@@ -235,9 +235,15 @@ def join_necessary_condition(m: int, n: int, t: float) -> bool:
 
 @dataclass(frozen=True)
 class DoubleConeResult:
+    """The apex-to-apex search over each base graph of order n, by label."""
+
     n: int
-    has_pst: bool
-    witnesses: tuple[tuple[str, float, float], ...]  # (label, magnitude, time)
+    witnesses: tuple[tuple[str, PstCertificate], ...]
+
+    @property
+    def has_pst(self) -> bool:
+        """The verdict every witness agrees on."""
+        return self.witnesses[0][1].certifies()
 
 
 def _cone_bases(n: int) -> list[tuple[str, Graph]]:
@@ -262,7 +268,6 @@ def double_cone_characterization(
         if n < 1:
             raise ValueError("base order must be at least 1")
         witnesses = []
-        verdicts = []
         for label, base in _cone_bases(n):
             g = join(empty(2), base)
             cert = search_pst(standard_laplacian(g), (0, 1), t_max)
@@ -270,20 +275,19 @@ def double_cone_characterization(
                 raise RuntimeError(
                     f"ambiguous double-cone magnitude {cert.magnitude!r} for n={n} ({label})"
                 )
-            verdicts.append(cert.certifies())
-            witnesses.append((label, cert.magnitude, cert.time))
-        if len(set(verdicts)) != 1:
+            witnesses.append((label, cert))
+        if len({cert.certifies() for _, cert in witnesses}) != 1:
             raise RuntimeError(f"double-cone verdict depends on the base graph at n={n}")
-        results.append(DoubleConeResult(n, verdicts[0], tuple(witnesses)))
+        results.append(DoubleConeResult(n, tuple(witnesses)))
     return results
 
 
-def connected_double_cone_refutation(base: Graph, t_max: float = 50.0) -> float:
-    """Max magnitude found between the two adjacent apexes of K2 + G under the
-    standard Laplacian. No such cone ever reaches magnitude one; the scan
-    documents the bounded-horizon evidence."""
+def connected_double_cone_refutation(base: Graph, t_max: float = 50.0) -> PstCertificate:
+    """The best walk entry found between the two adjacent apexes of K2 + G
+    under the standard Laplacian. No such cone ever reaches magnitude one;
+    the scan documents the bounded-horizon evidence."""
     g = join(complete(2), base)
-    return search_pst(standard_laplacian(g), (0, 1), t_max).magnitude
+    return search_pst(standard_laplacian(g), (0, 1), t_max)
 
 
 # -- normalized Laplacian weak products --------------------------------------

@@ -86,7 +86,7 @@ def suite_double_cone(n_max: int = 10, t_max: float = 50.0) -> SuiteReport:
     for res in results:
         expected = res.n % 4 == 2
         ok = res.has_pst == expected
-        best = max(w[1] for w in res.witnesses)
+        best = max(cert.magnitude for _, cert in res.witnesses)
         rows.append(
             (
                 ok,
@@ -115,7 +115,7 @@ def suite_signless_double_cone() -> SuiteReport:
             )
         )
         part = check_equitable(g, [(0,), tuple(range(2, g.n)), (1,)])
-        b = quotient(g, part, OperatorKind.SIGNLESS).matrix
+        b = quotient(g, part, OperatorKind.SIGNLESS)
         n = 2 * m
         expected = n * np.eye(3) + math.sqrt(n) * path(3).adjacency()
         dev = float(np.abs(b - expected).max())

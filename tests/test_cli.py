@@ -78,6 +78,17 @@ def test_pst_verify_tol_sets_exit_code_and_method(tmp_path, capsys, tol, code, m
     assert abs(payload["magnitude"] - 2.0 / 3.0) < 1e-12
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "1", "5"])
+def test_pst_verify_rejects_a_tol_outside_the_unit_interval(tmp_path, capsys, tol):
+    # read as a tolerance, each would certify every magnitude (>= 1) or none (< 0, nan)
+    gfile = tmp_path / "p3.json"
+    lio.save_graph(path(3), gfile)
+    argv = ["pst", "verify", "--graph", str(gfile), "--kind", "standard", "--pair", "0", "2", "--time", "pi"]
+    assert main(argv + [f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --tol")
+
+
 def test_pst_search(tmp_path, capsys):
     gfile = tmp_path / "dc.json"
     from lapwalk.graphs import complete, empty, join

@@ -75,15 +75,15 @@ def test_weighted_p3():
 
 def test_incidence_identities():
     u2, _ = odd_unicyclic(2)
-    b = incidence(u2).matrix
+    b = incidence(u2)
     assert np.abs(b @ b.T - signless_laplacian(u2).matrix / 2).max() < 1e-12
     from lapwalk.graphs import line_graph
 
     p5 = path(5)
-    b5 = incidence(p5).matrix
-    lg, _ = line_graph(p5)
+    b5 = incidence(p5)
+    lg = line_graph(p5)
     assert np.abs(b5.T @ b5 - (lg.adjacency() / 2 + np.eye(4))).max() < 1e-12
-    bk2 = incidence(complete(2)).matrix
+    bk2 = incidence(complete(2))
     assert np.allclose(bk2, [[1 / math.sqrt(2)], [1 / math.sqrt(2)]])
 
 
@@ -91,9 +91,9 @@ def test_incidence_identities_random_corpus():
     from lapwalk.graphs import line_graph
 
     for g in random_connected_graphs(20, n_max=10, seed=3):
-        b = incidence(g).matrix
+        b = incidence(g)
         assert np.abs(b @ b.T - signless_laplacian(g).matrix / 2).max() < 1e-12
-        lg, _ = line_graph(g)
+        lg = line_graph(g)
         assert np.abs(b.T @ b - (lg.adjacency() / 2 + np.eye(g.edge_count))).max() < 1e-12
         # column norms are exactly 1 up to roundoff
         assert np.allclose((b**2).sum(axis=0), 1.0, atol=1e-15)
@@ -176,5 +176,4 @@ def test_incidence_matches_the_loop_reference():
         g = make_graph(n, edges)
         b = incidence(g)
         want = oracle.incidence(g.n, g.edges)
-        assert b.matrix.shape == want.shape and b.matrix.tobytes() == want.tobytes()
-        assert b.edges == tuple((u, v) for u, v, _ in g.edges)
+        assert b.shape == want.shape and b.tobytes() == want.tobytes()

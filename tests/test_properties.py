@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from oracle import walk_oracle  # noqa: E402
 
-from lapwalk.graphs import complement, make_graph  # noqa: E402
-from lapwalk.operators import operator  # noqa: E402
-from lapwalk.partitions import check_equitable, coarsest_equitable_refinement  # noqa: E402
-from lapwalk.spectral import walk  # noqa: E402
+from lapwalk.graphs import complement, empty, join, make_graph  # noqa: E402
+from lapwalk.operators import operator, standard_laplacian  # noqa: E402
+from lapwalk.partitions import check_equitable, coarsest_equitable_refinement, lift_check  # noqa: E402
+from lapwalk.spectral import eigendecompose, join_walk_entry, walk  # noqa: E402
 
 KINDS = ("adjacency", "standard", "signless", "normalized")
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -45,6 +45,27 @@ def test_refinement_is_equitable_and_refines_its_input(data):
     assert again.cells == p.cells and np.array_equal(again.degree_counts, p.degree_counts)
     for cell in p.cells:
         assert len({labels[v] for v in cell}) == 1
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), st.sampled_from(("adjacency", "standard", "signless")), times)
+def test_walk_entry_between_singleton_cells_lifts_from_the_quotient(data, kind, t):
+    g = data.draw(graphs())
+    u, v = data.draw(st.permutations(range(g.n)))[:2]
+    rest = [w for w in range(g.n) if w not in (u, v)]
+    p = coarsest_equitable_refinement(g, [[u], [v], rest] if rest else [[u], [v]])
+    assert lift_check(g, p, kind, u, v, t) < 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(graphs(min_n=1), times)
+def test_double_cone_apex_entry_depends_only_on_the_base_order(base, t):
+    # the double cone over any m-vertex graph walks its apexes like the one over empty(m)
+    m = base.n
+    entry = _walk(join(empty(2), base), "standard", t)[1, 0]
+    formula = join_walk_entry(eigendecompose(standard_laplacian(empty(2))), 2, m, (0, 1), t)
+    assert abs(entry - formula) < 1e-9
+    assert abs(entry - _walk(join(empty(2), empty(m)), "standard", t)[1, 0]) < 1e-9
 
 
 @PROPERTY_SETTINGS
