@@ -216,7 +216,7 @@ def _cmd_quotient(args) -> int:
         part = check_almost_equitable(g, cells)
     else:
         part = check_equitable(g, cells)
-    text = lio.matrix_to_csv(quotient(g, part, kind))
+    text = lio.matrix_to_csv(quotient(part, kind))
     text += "# neighbor counts d[j,k] (nan = unconstrained diagonal)\n"
     text += lio.matrix_to_csv(part.degree_counts)
     _emit(text, args.out)

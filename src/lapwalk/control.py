@@ -35,6 +35,11 @@ __all__ = [
 VANISH_TOL = 1e-8
 
 
+def _vanishing(weights: np.ndarray) -> np.ndarray:
+    """Which clusters' projected weights sqrt(E[u, u]) vanish."""
+    return np.sqrt(np.maximum(weights, 0.0)) < VANISH_TOL
+
+
 @dataclass(frozen=True)
 class WalkMatrix:
     """Columns e_S, A e_S, ..., A^{n-1} e_S as exact integers (rows indexed by
@@ -101,7 +106,7 @@ def spectral_controllability_count(g: Graph, u: int) -> int:
     e_u; equals the exact walk-matrix rank (the projection of e_u onto a
     cluster has squared norm E[u, u])."""
     dec = eigendecompose(adjacency(g))
-    return sum(1 for w in dec.pair_weights(u, u) if np.sqrt(max(w, 0.0)) > VANISH_TOL)
+    return int(np.count_nonzero(~_vanishing(dec.pair_weights(u, u))))
 
 
 def eigenvector_chase_check(m: int) -> bool:
@@ -115,12 +120,8 @@ def eigenvector_chase_check(m: int) -> bool:
     """
     g, probe, _ = cone_p4_with_pendant(m)
     dec = eigendecompose(adjacency(g))
-    for mult, weight in zip(dec.multiplicities, dec.pair_weights(probe, probe)):
-        if mult >= 2:
-            return True
-        if np.sqrt(max(weight, 0.0)) < VANISH_TOL:
-            return True
-    return False
+    repeated = np.array(dec.multiplicities) >= 2
+    return bool((repeated | _vanishing(dec.pair_weights(probe, probe))).any())
 
 
 @dataclass(frozen=True)

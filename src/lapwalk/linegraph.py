@@ -69,13 +69,18 @@ def pst_transfer_to_line(g: Graph, u1: int, u2: int, t: float) -> LineTransferRe
     time under the adjacency matrix.
 
     Single-edge graphs are rejected: their line graph is a single vertex and
-    the statement degenerates.
+    the statement degenerates. So are targets on u1's own pendant edge of
+    degree one (u1 itself, or the far end of an isolated edge): both ends
+    would be the same line-graph vertex.
     """
     if g.edge_count < 2:
         raise ValueError("transfer to the line graph needs at least two edges")
     degs = g.degrees()
     if degs[u1] != 1:
         raise ValueError(f"vertex {u1} must have degree one")
+    e1 = _pendant_edge_index(g, u1)
+    if u2 in g._arrays[0][e1] and degs[u2] == 1:
+        raise ValueError(f"vertex {u2} ends the same pendant edge as vertex {u1}")
     source = verify_pst(signless_laplacian(g), (u1, u2), t)
     if not source.certifies():
         return LineTransferReport(source, None)
@@ -84,7 +89,6 @@ def pst_transfer_to_line(g: Graph, u1: int, u2: int, t: float) -> LineTransferRe
             f"certified transfer into vertex {u2} of degree {int(degs[u2])}; "
             "the target of endpoint transfer must be pendant"
         )
-    e1 = _pendant_edge_index(g, u1)
     e2 = _pendant_edge_index(g, u2)
     return LineTransferReport(source, verify_pst(adjacency(line_graph(g)), (e1, e2), t))
 

@@ -6,7 +6,8 @@ d[j,k] of neighbors in cell k, for all j and k; almost equitable only
 requires this for j != k. Quotient matrices follow the displayed formulas
 for each operator kind; the sign of the off-diagonal entries is fixed by the
 kind (negative square roots for the standard Laplacian, positive otherwise)
-and never inferred from data.
+and never inferred from data. A partition exists only once its counts are
+verified, so a quotient is read from the partition alone, with no graph.
 """
 
 from __future__ import annotations
@@ -55,7 +56,9 @@ class NotAlmostEquitableError(NotEquitableError):
 class Partition:
     """Ordered disjoint cells covering 0..n-1 plus the verified neighbor
     counts. ``degree_counts[j, k]`` is d[j,k]; the diagonal is NaN when only
-    the almost-equitable condition was verified."""
+    the almost-equitable condition was verified. Every Partition is built by
+    check_equitable, check_almost_equitable or coarsest_equitable_refinement,
+    so its counts are a proof of the condition it names."""
 
     n: int
     cells: tuple[tuple[int, ...], ...]
@@ -73,35 +76,23 @@ class Partition:
     def cell_of(self) -> tuple[int, ...]:
         return tuple(_owner(self.n, self.cells).tolist())
 
-    @classmethod
-    def from_cells(cls, n: int, cells: Sequence[Iterable[int]]) -> "Partition":
-        """Plain partition with no equitability claim (all counts NaN); good
-        enough for the partition matrix, not for quotients."""
-        tup = _validated_cells(n, cells)
-        return cls(n, tup, np.full((len(tup), len(tup)), np.nan))
-
 
 def _validated_cells(n: int, cells: Sequence[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     """The cells as sorted tuples. Reading cells in order and each cell in
     ascending order, the first empty cell, out-of-range vertex or repeated
     vertex raises ValueError."""
     tup = tuple(tuple(sorted(map(int, cell))) for cell in cells)
-    sizes = np.fromiter(map(len, tup), np.intp, len(tup))
-    flat = np.fromiter(chain.from_iterable(tup), object)  # Python ints: no overflow
-    inside = (flat >= 0) & (flat < n)
-    ids = np.where(inside, flat, -1).astype(np.intp)
-    repeated = np.ones(flat.size, dtype=bool)
-    repeated[np.unique(ids, return_index=True)[1]] = False
-    # event 2i + 1: a bad vertex at flat position i; event 2i: an empty cell starting there
-    starts = np.cumsum(sizes) - sizes
-    events = np.r_[2 * starts[sizes == 0], 2 * np.flatnonzero(~inside | repeated) + 1]
-    if events.size:
-        i, at_vertex = divmod(int(events.min()), 2)
-        if not at_vertex:
+    seen = set()
+    for cell in tup:
+        if not cell:
             raise ValueError("cells must be nonempty")
-        why = "appears in two cells" if inside[i] else "out of range"
-        raise ValueError(f"vertex {flat[i]} {why}")
-    if flat.size != n:
+        for v in cell:
+            if not 0 <= v < n:
+                raise ValueError(f"vertex {v} out of range")
+            if v in seen:
+                raise ValueError(f"vertex {v} appears in two cells")
+            seen.add(v)
+    if len(seen) != n:
         raise ValueError("cells must cover every vertex")
     return tup
 
@@ -192,12 +183,10 @@ def partition_matrix(p: Partition) -> np.ndarray:
     return member / np.sqrt(member.sum(axis=0))
 
 
-_INTERTWINE_TOL = 1e-10
-
-
-def quotient(g: Graph, p: Partition, kind: OperatorKind | str) -> np.ndarray:
+def quotient(p: Partition, kind: OperatorKind | str) -> np.ndarray:
     """The k x k quotient matrix B with M P = P B for the normalized
-    partition matrix P.
+    partition matrix P, read from the partition's checked counts in O(k^2);
+    no operator is built.
 
     Off-diagonal entries are sqrt(d[j,k] d[k,j]) with a minus sign for the
     standard Laplacian; diagonals are d[j,j] (adjacency),
@@ -210,10 +199,8 @@ def quotient(g: Graph, p: Partition, kind: OperatorKind | str) -> np.ndarray:
         raise ValueError(f"no quotient defined for operator kind {k.value}")
     if k in (OperatorKind.ADJACENCY, OperatorKind.SIGNLESS) and not p.is_equitable:
         raise ValueError(f"{k.value} quotient needs a fully equitable partition")
-    d, diag = p.degree_counts, np.eye(p.size, dtype=bool)
-    if np.isnan(d[~diag]).any():
-        raise ValueError("partition carries no verified neighbor counts; run a check first")
-    offsums = np.where(diag, 0.0, d).sum(axis=1)
+    d = p.degree_counts
+    offsums = np.where(np.eye(p.size, dtype=bool), 0.0, d).sum(axis=1)
     b = (-1.0 if k == OperatorKind.STANDARD else 1.0) * np.sqrt(d * d.T)
     if k == OperatorKind.ADJACENCY:
         np.fill_diagonal(b, np.diag(d))
@@ -221,12 +208,6 @@ def quotient(g: Graph, p: Partition, kind: OperatorKind | str) -> np.ndarray:
         np.fill_diagonal(b, offsums)
     else:
         np.fill_diagonal(b, 2 * np.diag(d) + offsums)
-    pm = partition_matrix(p)
-    deviation = float(np.abs(operator(g, k).matrix @ pm - pm @ b).max(initial=0.0))
-    if deviation > _INTERTWINE_TOL:
-        raise RuntimeError(
-            f"intertwining M P = P B failed for {k.value}: deviation {deviation:.3e}"
-        )
     return b
 
 
@@ -239,7 +220,7 @@ def lift_check(
     cu, cv = p.cell_of[u], p.cell_of[v]
     if len(p.cells[cu]) != 1 or len(p.cells[cv]) != 1:
         raise ValueError("lifting needs singleton cells at both endpoints")
-    b = quotient(g, p, kind)
+    b = quotient(p, kind)
     big = abs(walk(operator(g, kind), t)[v, u])
     small = abs(walk(b, t)[cv, cu])
     return float(abs(big - small))
@@ -280,7 +261,7 @@ def path_cycle_correspondence(n: int) -> PathCycleReport:
         c = cycle(2 * m)
         cells = [(0,)] + [(k, 2 * m - k) for k in range(1, m)] + [(m,)]
         p = check_equitable(c, cells)
-        a_quot = quotient(c, p, OperatorKind.ADJACENCY)
+        a_quot = quotient(p, OperatorKind.ADJACENCY)
         a_path = path(m + 1).adjacency()
         ends = np.isin(np.arange(m + 1), (0, m))
         expected = np.where((a_path != 0) & (ends[:, None] | ends), math.sqrt(2.0), a_path)

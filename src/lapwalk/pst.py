@@ -210,18 +210,20 @@ def search_pst(
 
 
 CLOSURE_TOL = 1e-8  # distance from an integer allowed in the weak-product closures
-INTEGER_TOL = 1e-9  # distance from an integer allowed to a cycle eigenvalue counted as one
+INTEGER_TOL = 1e-9  # distance from an integer allowed to a value counted as one
 
 
-def _near_integers(x: float, tol: float) -> bool:
-    return abs(x - round(x)) < tol
+def _near_integers(x, tol: float) -> bool:
+    """Whether every entry of x lies within tol of an integer."""
+    x = np.asarray(x, dtype=float)
+    return bool((np.abs(x - np.round(x)) < tol).all())
 
 
 def complement_closure_check(g: Graph, t: float) -> tuple[bool, float]:
     """Condition |V| t in 2 pi Z together with the max-norm deviation of
     exp(-itL(complement)) from exp(+itL(g)); the deviation is reported whether
     or not the condition holds."""
-    condition = _near_integers(g.n * t / (2.0 * math.pi), PST_TOL)
+    condition = _near_integers(g.n * t / (2.0 * math.pi), INTEGER_TOL)
     u_comp = walk(standard_laplacian(complement(g)), t)
     u_back = walk(standard_laplacian(g), t).conjugate()  # exp(+itL) for real L
     deviation = float(np.abs(u_comp - u_back).max())
@@ -230,7 +232,7 @@ def complement_closure_check(g: Graph, t: float) -> tuple[bool, float]:
 
 def join_necessary_condition(m: int, n: int, t: float) -> bool:
     """Transfer inside a join forces t(m+n) in 2 pi Z."""
-    return _near_integers(t * (m + n) / (2.0 * math.pi), PST_TOL)
+    return _near_integers(t * (m + n) / (2.0 * math.pi), INTEGER_TOL)
 
 
 @dataclass(frozen=True)
@@ -293,21 +295,17 @@ def connected_double_cone_refutation(base: Graph, t_max: float = 50.0) -> PstCer
 # -- normalized Laplacian weak products --------------------------------------
 
 
-def _all_in_2pi_z(angles: np.ndarray) -> bool:
-    """Whether every angle lies within CLOSURE_TOL turns of 2 pi Z."""
-    turns = angles / (2.0 * math.pi)
-    return bool((np.abs(turns - np.round(turns)) < CLOSURE_TOL).all())
-
-
 def weak_product_closure_1(spec_g: Sequence[float], spec_h: Sequence[float], t: float) -> bool:
     """True when t * mu * (lambda - 1) lies in 2 pi Z for every lambda in the
     first spectrum and mu in the second (both normalized-Laplacian spectra)."""
-    return _all_in_2pi_z(np.outer(t * np.asarray(spec_h, float), np.asarray(spec_g, float) - 1.0))
+    angles = np.outer(t * np.asarray(spec_h, float), np.asarray(spec_g, float) - 1.0)
+    return _near_integers(angles / (2.0 * math.pi), CLOSURE_TOL)
 
 
 def weak_product_closure_2(spec_g: Sequence[float], spec_h: Sequence[float], t: float) -> bool:
     """True when t * lambda * mu lies in 2 pi Z for every pair of eigenvalues."""
-    return _all_in_2pi_z(np.outer(t * np.asarray(spec_g, float), np.asarray(spec_h, float)))
+    angles = np.outer(t * np.asarray(spec_g, float), np.asarray(spec_h, float))
+    return _near_integers(angles / (2.0 * math.pi), CLOSURE_TOL)
 
 
 @dataclass(frozen=True)

@@ -115,7 +115,7 @@ def suite_signless_double_cone() -> SuiteReport:
             )
         )
         part = check_equitable(g, [(0,), tuple(range(2, g.n)), (1,)])
-        b = quotient(g, part, OperatorKind.SIGNLESS)
+        b = quotient(part, OperatorKind.SIGNLESS)
         n = 2 * m
         expected = n * np.eye(3) + math.sqrt(n) * path(3).adjacency()
         dev = float(np.abs(b - expected).max())

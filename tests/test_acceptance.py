@@ -213,7 +213,7 @@ def test_criterion_3_identity_suites():
         p = coarsest_equitable_refinement(g, [range(g.n)])
         pm = partition_matrix(p)
         for kind in (OperatorKind.ADJACENCY, OperatorKind.STANDARD, OperatorKind.SIGNLESS):
-            b = quotient(g, p, kind)  # raises above 1e-10 internally
+            b = quotient(p, kind)  # read from the refinement's counts; checked here
             m = operator(g, kind).matrix
             dev = max(dev, float(np.abs(m @ pm - pm @ b).max()))
     assert dev < 1e-10

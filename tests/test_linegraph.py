@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lapwalk.graphs import complete, empty, line_graph, odd_unicyclic, path
+from lapwalk.graphs import complete, empty, line_graph, make_graph, odd_unicyclic, path
 from lapwalk.linegraph import (
     intertwine_check,
     path_signless_refutation,
@@ -60,6 +60,18 @@ def test_transfer_requires_pendant_start():
         pst_transfer_to_line(complete(3), 0, 1, 1.0)
     with pytest.raises(ValueError):
         pst_transfer_to_line(path(2), 0, 1, 1.0)  # single edge degenerates
+
+
+def test_transfer_rejects_a_target_on_the_same_pendant_edge():
+    # both ends of an isolated edge, or u1 itself, are one line-graph vertex;
+    # the signless walk certifies both, so the check comes before any walk
+    two_k2 = make_graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="same pendant edge"):
+        pst_transfer_to_line(two_k2, 0, 1, math.pi / 2)
+    with pytest.raises(ValueError, match="same pendant edge"):
+        pst_transfer_to_line(path(3), 0, 0, 0.0)
+    rep = pst_transfer_to_line(two_k2, 0, 2, math.pi / 2)  # a different edge still runs
+    assert rep.source.refutes() and rep.line is None
 
 
 def test_contrapositive_p5():

@@ -10,7 +10,14 @@ from oracle import walk_oracle  # noqa: E402
 
 from lapwalk.graphs import complement, empty, join, make_graph  # noqa: E402
 from lapwalk.operators import operator, standard_laplacian  # noqa: E402
-from lapwalk.partitions import check_equitable, coarsest_equitable_refinement, lift_check  # noqa: E402
+from lapwalk.partitions import (  # noqa: E402
+    check_almost_equitable,
+    check_equitable,
+    coarsest_equitable_refinement,
+    lift_check,
+    partition_matrix,
+    quotient,
+)
 from lapwalk.spectral import eigendecompose, join_walk_entry, walk  # noqa: E402
 
 KINDS = ("adjacency", "standard", "signless", "normalized")
@@ -45,6 +52,23 @@ def test_refinement_is_equitable_and_refines_its_input(data):
     assert again.cells == p.cells and np.array_equal(again.degree_counts, p.degree_counts)
     for cell in p.cells:
         assert len({labels[v] for v in cell}) == 1
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_quotient_from_the_counts_intertwines_the_operator(data):
+    # quotient reads B from the checked counts alone; M P = P B is checked here
+    g = data.draw(graphs(min_n=0, max_n=9))
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+    cells = [[v for v in range(g.n) if labels[v] == k] for k in sorted(set(labels))]
+    p = coarsest_equitable_refinement(g, cells)
+    pm = partition_matrix(p)
+    for kind in ("adjacency", "standard", "signless"):
+        b = quotient(p, kind)
+        assert np.array_equal(b, b.T)
+        assert np.abs(operator(g, kind).matrix @ pm - pm @ b).max(initial=0.0) < 1e-10
+    almost = check_almost_equitable(g, p.cells)
+    assert np.array_equal(quotient(almost, "standard"), quotient(p, "standard"))
 
 
 @PROPERTY_SETTINGS
