@@ -1,10 +1,15 @@
 """Walk matrices, exact integer rank, vertex controllability, and the
 pipeline refuting endpoint transfer on the odd unicyclic family.
 
-Rank is computed over the integers with fraction-free elimination. Walk
-matrix entries grow like lambda_max^(n-1), so floating-point rank would be
-hopelessly ill-conditioned exactly where the mod-3 controllability pattern
-matters; Python integers make the elimination exact at any size.
+Walk matrix entries grow like lambda_max^(n-1), so floating-point rank would
+be hopelessly ill-conditioned exactly where the mod-3 controllability
+pattern matters; rank is therefore exact, in two steps. A screen first
+eliminates the matrix modulo the prime ``RANK_PRIME`` in int64. The rank mod
+a prime never exceeds the rank over the rationals, which never exceeds
+min(rows, cols), so a full rank mod the prime is the exact answer. Only when
+the screen falls short (the matrix is rank deficient, or the prime divides
+every maximal minor) does fraction-free (Bareiss) elimination over Python
+integers decide, exact at any size.
 """
 
 from __future__ import annotations
@@ -69,17 +74,34 @@ def walk_matrix(g: Graph, subset: Iterable[int]) -> WalkMatrix:
     return WalkMatrix(tuple(map(tuple, columns.tolist())), s)
 
 
-def exact_rank(w: WalkMatrix | Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination.
+# below 2^31, so a product of two residues stays inside int64
+RANK_PRIME = 2**31 - 19
 
-    All divisions are exact integer divisions by the previous pivot, so no
-    tolerance enters anywhere. Entries become Python ints first, so
-    fixed-width integer input cannot overflow.
-    """
-    rows = w.rows if isinstance(w, WalkMatrix) else w
+
+def _rank_mod_prime(block: np.ndarray) -> int:
+    """Rank of an integer object array modulo RANK_PRIME: one whole-array
+    update of the remaining block per pivot."""
+    block = (block % RANK_PRIME).astype(np.int64)
+    rank = 0
+    while block.size:
+        nonzero = np.flatnonzero(block[:, 0])
+        if nonzero.size:
+            top = nonzero[0]
+            block[[0, top]] = block[[top, 0]]
+            pivot_row = block[0, 1:] * pow(int(block[0, 0]), -1, RANK_PRIME) % RANK_PRIME
+            block = (block[1:, 1:] - block[1:, :1] * pivot_row % RANK_PRIME) % RANK_PRIME
+            rank += 1
+        else:
+            block = block[:, 1:]
+    return rank
+
+
+def _bareiss_rank(block: np.ndarray) -> int:
+    """Rank over the rationals of an integer object array by fraction-free
+    (Bareiss) elimination. All divisions are exact integer divisions by the
+    previous pivot, so no tolerance enters anywhere."""
     # the block still to eliminate: the rows below the pivots found so far and
     # the columns right of the last pivot
-    block = np.frompyfunc(int, 1, 1)(np.array(rows, dtype=object))
     rank, prev_pivot = 0, 1
     while block.size:
         nonzero = np.flatnonzero(block[:, 0])
@@ -95,6 +117,20 @@ def exact_rank(w: WalkMatrix | Sequence[Sequence[int]]) -> int:
         else:
             block = block[:, 1:]
     return rank
+
+
+def exact_rank(w: WalkMatrix | Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals: the rank modulo RANK_PRIME when that is
+    already min(rows, cols), Bareiss elimination otherwise.
+
+    Entries become Python ints first, so fixed-width integer input cannot
+    overflow.
+    """
+    rows = w.rows if isinstance(w, WalkMatrix) else w
+    block = np.frompyfunc(int, 1, 1)(np.array(rows, dtype=object))
+    if block.ndim == 2 and _rank_mod_prime(block) == min(block.shape):
+        return min(block.shape)
+    return _bareiss_rank(block)
 
 
 def is_controllable(g: Graph, subset: Iterable[int]) -> bool:

@@ -72,6 +72,10 @@ def pst_transfer_to_line(g: Graph, u1: int, u2: int, t: float) -> LineTransferRe
     the statement degenerates. So are targets on u1's own pendant edge of
     degree one (u1 itself, or the far end of an isolated edge): both ends
     would be the same line-graph vertex.
+
+    The certified branch (the pendant check on u2 and the line-graph
+    verification) has no known non-degenerate input, and no test exercises
+    it: every input known to certify is one of the degenerate cases above.
     """
     if g.edge_count < 2:
         raise ValueError("transfer to the line graph needs at least two edges")

@@ -13,7 +13,7 @@ verified, so a quotient is read from the partition alone, with no graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
@@ -52,17 +52,29 @@ class NotAlmostEquitableError(NotEquitableError):
     pass
 
 
+_CHECKED = object()  # held by _check, the only constructor of a Partition
+
+
 @dataclass(frozen=True)
 class Partition:
     """Ordered disjoint cells covering 0..n-1 plus the verified neighbor
     counts. ``degree_counts[j, k]`` is d[j,k]; the diagonal is NaN when only
-    the almost-equitable condition was verified. Every Partition is built by
-    check_equitable, check_almost_equitable or coarsest_equitable_refinement,
-    so its counts are a proof of the condition it names."""
+    the almost-equitable condition was verified. Only check_equitable,
+    check_almost_equitable and coarsest_equitable_refinement build a
+    Partition (a direct call raises TypeError) and its counts are read-only,
+    so they are a proof of the condition they name."""
 
     n: int
     cells: tuple[tuple[int, ...], ...]
     degree_counts: np.ndarray
+    _proof: InitVar[object] = None
+
+    def __post_init__(self, _proof):
+        if _proof is not _CHECKED:
+            raise TypeError(
+                "a Partition comes from check_equitable, check_almost_equitable "
+                "or coarsest_equitable_refinement"
+            )
 
     @property
     def size(self) -> int:
@@ -140,7 +152,8 @@ def _check(g: Graph, cells, require_diagonal: bool) -> Partition:
     d = ref.astype(float)
     if not require_diagonal:
         np.fill_diagonal(d, np.nan)
-    return Partition(g.n, tup, d)
+    d.flags.writeable = False
+    return Partition(g.n, tup, d, _CHECKED)
 
 
 def check_equitable(g: Graph, cells: Sequence[Iterable[int]]) -> Partition:

@@ -157,8 +157,9 @@ def search_pst(
     neighbour brackets to ``REFINE_TOL`` (1e-12); a bracket where the
     magnitude does not rise and then fall resolves to its better end.
     Starting from t = 0 and in order of grid magnitude, a refined peak
-    becomes the result when it is more than 1e-15 larger, or within 1e-15
-    and earlier. The result asserts transfer only through ``certifies``.
+    becomes the result when it is larger by more than that rounding bound,
+    or within it and earlier, so of peaks equal up to rounding the earliest
+    wins. The result asserts transfer only through ``certifies``.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
@@ -199,9 +200,10 @@ def search_pst(
     lo = times(np.maximum(peaks - 1, 0))
     hi = times(np.minimum(peaks + 1, count - 1))
     refined = _refine_peak(values, weights, lo, hi, REFINE_TOL)
+    tie = np.finfo(float).eps * t_max * np.abs(values).max() * np.abs(weights).sum()
     best_t, best_mag = 0.0, abs(walk_sum(values, weights, [0.0])[0])
     for t, mag in zip(refined, np.abs(walk_sum(values, weights, refined))):
-        if mag > best_mag + 1e-15 or (abs(mag - best_mag) <= 1e-15 and t < best_t):
+        if mag > best_mag + tie or (abs(mag - best_mag) <= tie and t < best_t):
             best_t, best_mag = t, mag
     return certificate(best_t)
 

@@ -446,9 +446,11 @@ PINNED_SEARCHES = [
         join(empty(2), cycle(38)), "standard", (0, 1), "500",
         1.5707963267951832, 0.9999999999999998, -1.0851433135122798e-11,
     ),
+    # the entry 1/42 - e^(-40it)/2 + 10 e^(-42it)/21 has period pi and
+    # |a(pi - s)| = |a(s)|: the earliest of its equal peaks
     (
         join(empty(2), cycle(40)), "standard", (0, 1), "500",
-        472.884494190349, 0.9972037971816612, 0.07479982510039447,
+        1.4959965017096972, 0.9972037971811801, -0.0747998250963452,
     ),
 ]
 

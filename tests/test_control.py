@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracle
+from lapwalk import control
 from lapwalk.control import (
     eigenvector_chase_check,
     exact_rank,
@@ -153,3 +154,52 @@ def test_exact_rank_of_int64_matrices_matches_the_loop_reference():
         assert exact_rank([list(row) for row in a]) == want, a  # rows of np.int64 scalars
         ranks.add((want, min(rows, cols)))
     assert any(r < full for r, full in ranks) and any(0 < r == full for r, full in ranks)
+
+
+P = control.RANK_PRIME
+
+
+def test_unlucky_prime_falls_back_to_bareiss(monkeypatch):
+    # the prime divides every maximal minor: the rank mod p falls short
+    calls = []
+    bareiss = control._bareiss_rank
+    monkeypatch.setattr(control, "_bareiss_rank", lambda block: calls.append(1) or bareiss(block))
+    cases = [
+        [[P, 0], [0, 1]],
+        [[P, 1], [0, P]],
+        [[2 * P, -P], [P, 3 * P], [-P, 0]],
+        [[P, 2 * P, 0], [1, 2, 0]],  # rank 1 over Q and mod p: deficient
+    ]
+    ranks = [exact_rank(rows) for rows in cases]
+    assert ranks == [oracle.exact_rank(rows) for rows in cases] == [2, 2, 2, 1]
+    assert len(calls) == len(cases)
+
+
+def test_exact_rank_of_rectangular_empty_and_negative_rows():
+    rng = np.random.default_rng(31)
+    cases = [[], [[]], [[], []], [[0]], [[-5]], [[-1, -2, -3]], [[4], [-6], [2]]]
+    for _ in range(200):
+        rows, cols = (int(k) for k in rng.integers(0, 9, size=2))
+        # residues mostly 0 mod p, so the screen often falls short of the rank over Q
+        a = P * rng.integers(-3, 4, size=(rows, cols)) + rng.choice([0, 0, 0, 1, -1], size=(rows, cols))
+        if rows > 1 and rng.random() < 0.3:
+            a[rng.integers(rows)] = -a[rng.integers(rows)]
+        cases.append(a.tolist())
+    seen = set()  # (screen short of the rank, rank short of full)
+    for rows in cases:
+        want = oracle.exact_rank(rows)
+        assert exact_rank(rows) == want, rows
+        if rows and rows[0]:
+            screen = control._rank_mod_prime(np.array(rows, dtype=object))
+            assert screen <= want, rows  # a lower bound on the rank over Q
+            seen.add((screen < want, want < min(len(rows), len(rows[0]))))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_full_rank_walk_matrix_never_reaches_bareiss(monkeypatch):
+    def refuse(block):
+        raise AssertionError("Bareiss ran on a full-rank walk matrix")
+
+    monkeypatch.setattr(control, "_bareiss_rank", refuse)
+    rep = unicyclic_no_pst_pipeline(10, t_max=1.0)  # both pendant edges of the line graph
+    assert rep.ranks == (rep.line_order, rep.line_order) == (23, 23)

@@ -21,6 +21,7 @@ from lapwalk.operators import OperatorKind, operator
 from lapwalk.partitions import (
     NotAlmostEquitableError,
     NotEquitableError,
+    Partition,
     check_almost_equitable,
     check_equitable,
     coarsest_equitable_refinement,
@@ -145,6 +146,15 @@ def test_quotient_requires_matching_partition():
     with pytest.raises(ValueError):
         quotient(p, OperatorKind.NORMALIZED)
     quotient(p, OperatorKind.STANDARD)  # almost-equitable suffices here
+
+
+def test_only_the_checks_build_a_partition():
+    with pytest.raises(TypeError):
+        Partition(3, ((0,), (1, 2)), np.zeros((2, 2)))
+    p = check_equitable(path(3), [(0, 2), (1,)])
+    with pytest.raises(ValueError):
+        p.degree_counts[0, 0] = 5.0  # the checked counts are read-only
+    assert np.array_equal(quotient(p, OperatorKind.ADJACENCY), [[0.0, math.sqrt(2)], [math.sqrt(2), 0.0]])
 
 
 def test_projector_commutes_and_intertwines():

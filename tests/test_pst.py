@@ -271,6 +271,14 @@ def test_search_k2_earliest_peak_across_blocks():
     assert cert.certifies()
 
 
+def test_search_ties_go_to_the_earliest_peak_up_to_rounding():
+    # |U(t)[2, 0]| on the standard P3 peaks at sqrt(3)/2 at 2 pi/3 + 2 pi k and
+    # 4 pi/3 + 2 pi k; far peaks differ from the first only by rounding
+    cert = search_pst(standard_laplacian(path(3)), (0, 2), 301.0)
+    assert abs(cert.time - 2 * math.pi / 3) < 1e-9
+    assert abs(cert.magnitude - math.sqrt(3) / 2) < 1e-12
+
+
 def test_search_block_size_does_not_change_certificate(monkeypatch):
     h = normalized_laplacian(path(7))
     default = search_pst(h, (0, 6), 200.0)
