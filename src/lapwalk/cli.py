@@ -102,14 +102,14 @@ def _vertices(g: Graph, *vertices: int) -> tuple[int, ...]:
     return vertices
 
 
-def _generators(text: str) -> list[int]:
+def _generators(text: str | None) -> list[int]:
     if not text:
         raise ValueError("graph type circulant needs --gens")
     return [int(s) for s in text.split(",")]
 
 
 # graph type -> (its size option, builder from that size and the arguments);
-# --n stands in for a missing --d or --m
+# --n stands in for a missing --d or --m, and only circulant reads --gens
 _BUILDERS = {
     "path": ("n", lambda k, a: path(k)),
     "cycle": ("n", lambda k, a: cycle(k)),
@@ -130,6 +130,12 @@ def _cmd_graph(args) -> int:
         if size is None:
             alias = "" if option == "n" else " (or --n)"
             raise ValueError(f"graph type {args.type} needs --{option}{alias}")
+        read = {option if getattr(args, option) is not None else "n"}
+        if args.type == "circulant":
+            read.add("gens")
+        for flag in ("n", "d", "m", "gens"):
+            if flag not in read and getattr(args, flag) is not None:
+                raise ValueError(f"graph type {args.type} does not take --{flag}")
         g = build(size, args)
         _emit(lio.graph_to_json(g), args.out)
         return 0
@@ -285,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--n", type=int, default=None)
     p_build.add_argument("--d", type=int, default=None)
     p_build.add_argument("--m", type=int, default=None)
-    p_build.add_argument("--gens", default="")
+    p_build.add_argument("--gens", default=None)
     add_common(p_build)
     p_build.set_defaults(func=_cmd_graph)
     p_show = graph_sub.add_parser("show")

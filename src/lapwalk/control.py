@@ -139,8 +139,12 @@ def is_controllable(g: Graph, subset: Iterable[int]) -> bool:
 
 def spectral_controllability_count(g: Graph, u: int) -> int:
     """Number of eigenvalue clusters whose eigenspace is not orthogonal to
-    e_u; equals the exact walk-matrix rank (the projection of e_u onto a
-    cluster has squared norm E[u, u])."""
+    e_u (the projection of e_u onto a cluster has squared norm E[u, u]).
+    In exact arithmetic this is the walk-matrix rank; in floating point a
+    true weight below VANISH_TOL**2 = 1e-16 counts as zero. The first miss
+    over the vertices of ``cone_p4_with_pendant(m)`` is m = 19, vertex 23,
+    whose smallest weight is about 2e-17: the count reads 23 where
+    ``exact_rank`` reads 24."""
     dec = eigendecompose(adjacency(g))
     return int(np.count_nonzero(~_vanishing(dec.pair_weights(u, u))))
 

@@ -93,23 +93,38 @@ def verify_pst(
     """The walk entry at the given time, with method METHOD_VERIFIED when it
     certifies under ``pst_tol`` and METHOD_REFUTED otherwise."""
     dec = eigendecompose(h)
-    amp = complex(dec.amplitude(pair[0], pair[1], [t])[0])
-    cert = PstCertificate(tuple(pair), h.kind, float(t), abs(amp), cmath.phase(amp), METHOD_VERIFIED)
+    cert = _certificate(h, pair, dec.values, dec.pair_weights(*pair), t, METHOD_VERIFIED)
     return cert if cert.certifies(pst_tol) else replace(cert, method=METHOD_REFUTED)
+
+
+def _certificate(h, pair, values, weights, t, method) -> PstCertificate:
+    """The walk entry sum_k weights[k] exp(-i t values[k]) as a certificate."""
+    amp = complex(walk_sum(values, weights, [t])[0])
+    return PstCertificate(tuple(pair), h.kind, float(t), abs(amp), cmath.phase(amp), method)
 
 
 SCAN_BLOCK = 2048  # grid points search_pst evaluates at once
 PEAK_CAP = 400  # most grid maxima refined per search
 PEAK_CUTOFF = 0.05  # grid maxima further than this below the best are not refined
 REFINE_TOL = 1e-12  # bracket width at which search_pst stops bisecting a peak
+SUPPORT_TOL = 1e-13  # share of sum|w| at or below which a cluster leaves the scan
 
 
-def _refine_peak(values, weights, lo, hi, refine_tol):
+def _support(values, weights):
+    """The clusters whose pair weight exceeds ``SUPPORT_TOL`` of sum|w|, and
+    the dropped mass sum|w| of the others: leaving them out moves the walk
+    entry, and so its magnitude, by at most that mass at every time."""
+    size = np.abs(weights)
+    keep = size > SUPPORT_TOL * size.sum()
+    return values[keep], weights[keep], float(size[~keep].sum())
+
+
+def _refine_peak(values, weights, lo, hi):
     """Time of the magnitude maximum inside every bracket [lo[j], hi[j]].
 
     Where d|a|^2/dt = 2 Re(conj(a) a') falls from >= 0 at lo to <= 0 at hi,
     its sign is bisected, over all such brackets at once, until the bracket
-    is at most ``refine_tol`` wide or holds no float strictly inside, and
+    is at most ``REFINE_TOL`` wide or holds no float strictly inside, and
     the midpoint is returned. Any other bracket resolves to its end of
     larger magnitude (lo on a tie)."""
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
@@ -122,14 +137,14 @@ def _refine_peak(values, weights, lo, hi, refine_tol):
     mag_lo, slope_lo = amp_and_slope(lo)
     mag_hi, slope_hi = amp_and_slope(hi)
     rising = (slope_lo >= 0.0) & (slope_hi <= 0.0)
-    active = np.flatnonzero(rising & (hi - lo > refine_tol))
+    active = np.flatnonzero(rising & (hi - lo > REFINE_TOL))
     while active.size:
         mid = 0.5 * (lo[active] + hi[active])
         up = amp_and_slope(mid)[1] >= 0.0
         lo[active[up]] = mid[up]
         hi[active[~up]] = mid[~up]
         # beyond t = 8192 adjacent floats lie more than 1e-12 apart
-        active = active[hi[active] - lo[active] > np.maximum(refine_tol, np.spacing(lo[active]))]
+        active = active[hi[active] - lo[active] > np.maximum(REFINE_TOL, np.spacing(lo[active]))]
     return np.where(rising, 0.5 * (lo + hi), np.where(mag_hi > mag_lo, hi, lo))
 
 
@@ -141,38 +156,40 @@ def search_pst(
 ) -> PstCertificate:
     """Best walk-entry magnitude over [0, t_max]; a candidate certificate.
 
+    The walk entry is sum_k w_k exp(-i t theta_k) over the eigenvalue
+    clusters theta_k with pair weights w_k. The scan reads only the pair's
+    support, the clusters with |w_k| > ``SUPPORT_TOL`` (1e-13) * sum|w|;
+    the others move any magnitude by at most their dropped mass sum|w_k|.
     The magnitude is sampled on a uniform grid with ``grid_density`` points
-    per pi/spectral-range period, ``SCAN_BLOCK`` (2048) points at a time, so
-    memory does not grow with t_max. Grid point t = (start + j) * step has
-    phases exp(-i start step theta) exp(-i j step theta): the second factor,
-    for j = -1 .. SCAN_BLOCK, is one table per search, so a block costs one
-    row of exponentials at its start, folded into the weights, and one
-    contraction with the table. The last point, clamped to t_max, is off
-    that lattice and evaluated directly. Grid magnitudes then differ from
-    direct exponentials by rounding, at most about
-    eps * t_max * max|theta| * sum|w|. Of the grid maxima (points no neighbour
-    exceeds), the ``PEAK_CAP`` (400) largest, ties going to interior points
-    before t = 0 and t_max, are kept unless more than ``PEAK_CUTOFF`` (0.05)
-    below the largest. One bisection refines them all inside their
-    neighbour brackets to ``REFINE_TOL`` (1e-12); a bracket where the
-    magnitude does not rise and then fall resolves to its better end.
-    Starting from t = 0 and in order of grid magnitude, a refined peak
-    becomes the result when it is larger by more than that rounding bound,
-    or within it and earlier, so of peaks equal up to rounding the earliest
-    wins. The result asserts transfer only through ``certifies``.
+    per pi/(range of the support), ``SCAN_BLOCK`` (2048) points at a time,
+    so memory does not grow with t_max. Grid point t = (start + j) * step
+    has phases exp(-i start step theta) exp(-i j step theta): the second
+    factor, for j = -1 .. SCAN_BLOCK, is one table per search, so a block
+    costs one row of exponentials at its start, folded into the weights,
+    and one contraction with the table. The last point, clamped to t_max, is
+    off that lattice and evaluated directly. Grid magnitudes then differ
+    from direct exponentials by rounding, at most about
+    eps * t_max * max|theta| * sum|w| over the support. Of the grid maxima
+    (points no neighbour exceeds), the ``PEAK_CAP`` (400) largest, ties
+    going to interior points before t = 0 and t_max, are kept unless more
+    than ``PEAK_CUTOFF`` (0.05) below the largest. One bisection refines
+    them all inside their neighbour brackets to ``REFINE_TOL`` (1e-12); a
+    bracket where the magnitude does not rise and then fall resolves to its
+    better end. Starting from t = 0 and in order of grid magnitude, a
+    refined peak becomes the result when it is larger by more than the tie
+    bound, that rounding bound plus the dropped mass, or within it and
+    earlier, so of peaks equal up to the bound the earliest wins. The
+    certificate at the chosen time is evaluated on all weights, and it
+    asserts transfer only through ``certifies``.
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     dec = eigendecompose(h)
-    values, weights = dec.values, dec.pair_weights(*pair)
-
-    def certificate(t: float) -> PstCertificate:
-        amp = complex(walk_sum(values, weights, [t])[0])
-        return PstCertificate(tuple(pair), h.kind, float(t), abs(amp), cmath.phase(amp), METHOD_GRID)
-
-    if dec.spectral_range == 0.0:  # the magnitude never changes
-        return certificate(0.0)
-    step = (math.pi / dec.spectral_range) / grid_density
+    all_weights = dec.pair_weights(*pair)
+    values, weights, dropped = _support(dec.values, all_weights)
+    if len(values) < 2:  # the magnitude changes by at most the dropped mass
+        return _certificate(h, pair, dec.values, all_weights, 0.0, METHOD_GRID)
+    step = (math.pi / float(values[-1] - values[0])) / grid_density
     count = math.ceil((t_max + step) / step)  # grid t = i * step, as in arange(0, t_max + step, step)
 
     def times(index):
@@ -199,13 +216,13 @@ def search_pst(
 
     lo = times(np.maximum(peaks - 1, 0))
     hi = times(np.minimum(peaks + 1, count - 1))
-    refined = _refine_peak(values, weights, lo, hi, REFINE_TOL)
-    tie = np.finfo(float).eps * t_max * np.abs(values).max() * np.abs(weights).sum()
+    refined = _refine_peak(values, weights, lo, hi)
+    tie = np.finfo(float).eps * t_max * np.abs(values).max() * np.abs(weights).sum() + dropped
     best_t, best_mag = 0.0, abs(walk_sum(values, weights, [0.0])[0])
     for t, mag in zip(refined, np.abs(walk_sum(values, weights, refined))):
         if mag > best_mag + tie or (abs(mag - best_mag) <= tie and t < best_t):
             best_t, best_mag = t, mag
-    return certificate(best_t)
+    return _certificate(h, pair, dec.values, all_weights, best_t, METHOD_GRID)
 
 
 # -- standard Laplacian closures ---------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 from lapwalk.cli import main, parse_time
 from lapwalk import io as lio
 from lapwalk.graphs import cycle, empty, hypercube, join, path
-from lapwalk.operators import standard_laplacian
+from lapwalk.operators import operator, standard_laplacian
+from lapwalk.pst import search_pst, verify_pst
 from oracle import walk_oracle
 
 
@@ -296,6 +297,24 @@ def test_graph_build_needs_its_size_option(kind, capsys):
     assert f"graph type {kind} needs --" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--type", "path", "--n", "4", "--d", "3"], "d"),
+        (["--type", "path", "--n", "4", "--gens", "1,3"], "gens"),
+        (["--type", "cycle", "--n", "5", "--m", "2"], "m"),
+        (["--type", "hypercube", "--n", "2", "--d", "3"], "n"),
+        (["--type", "circulant", "--n", "6", "--gens", "1", "--m", "2"], "m"),
+        (["--type", "odd-unicyclic", "--m", "2", "--gens", "1"], "gens"),
+    ],
+)
+def test_graph_build_rejects_options_its_type_does_not_read(argv, flag, capsys):
+    assert main(["graph", "build", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: graph type {argv[1]} does not take --{flag}\n"
+
+
 def test_circulant_needs_its_generators(capsys):
     assert main(["graph", "build", "--type", "circulant", "--n", "6"]) == 2
     captured = capsys.readouterr()
@@ -467,3 +486,13 @@ def test_scan_search_answers_are_pinned(tmp_path, capsys, g, kind, pair, t_max, 
     assert payload["time"] == pytest.approx(time, rel=0, abs=1e-9)
     assert payload["magnitude"] == pytest.approx(magnitude, rel=0, abs=1e-12)
     assert payload["phase"] == pytest.approx(phase, rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("g, kind, pair, t_max", [entry[:4] for entry in PINNED_SEARCHES])
+def test_search_reports_the_entry_from_all_weights(g, kind, pair, t_max):
+    # the scan reads only the pair's support; the reported magnitude and
+    # phase are those of verify_pst, which reads every cluster
+    h = operator(g, kind)
+    cert = search_pst(h, pair, float(t_max))
+    check = verify_pst(h, pair, cert.time)
+    assert (cert.magnitude, cert.phase) == (check.magnitude, check.phase)

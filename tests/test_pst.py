@@ -8,6 +8,7 @@ from lapwalk import pst
 from lapwalk.graphs import (
     circulant_family,
     complete,
+    cycle,
     disjoint_union,
     empty,
     hypercube,
@@ -298,10 +299,10 @@ def test_search_memory_is_bounded():
 
 
 def test_refinement_stops_at_float_resolution():
-    # beyond t = 8192 adjacent floats lie further apart than refine_tol
+    # beyond t = 8192 adjacent floats lie further apart than REFINE_TOL
     dec = eigendecompose(standard_laplacian(complete(2)))
     peak = math.pi / 2 + 3000 * math.pi
-    t = pst._refine_peak(dec.values, dec.pair_weights(0, 1), [peak - 0.01], [peak + 0.01], 1e-12)
+    t = pst._refine_peak(dec.values, dec.pair_weights(0, 1), [peak - 0.01], [peak + 0.01])
     assert abs(t[0] - peak) < 1e-9
     h = standard_laplacian(path(4))
     assert search_pst(h, (0, 3), 1e4).magnitude >= search_pst(h, (0, 3), 200.0).magnitude
@@ -331,11 +332,29 @@ def test_search_grid_matches_direct_exponentials(monkeypatch, block):
     brackets = set()
     refine = pst._refine_peak
 
-    def spy(values, weights, lo, hi, refine_tol):
+    def spy(values, weights, lo, hi):
         brackets.update(zip(lo, hi))
-        return refine(values, weights, lo, hi, refine_tol)
+        return refine(values, weights, lo, hi)
 
     monkeypatch.setattr(pst, "SCAN_BLOCK", block)
     monkeypatch.setattr(pst, "_refine_peak", spy)
     search_pst(h, pair, t_max)
     assert brackets == expected
+
+
+def test_search_scans_only_the_pair_support(monkeypatch):
+    # the apex entry of the double cone over C98 is 1/100 - e^(-98it)/2 +
+    # 49 e^(-100it)/100: 3 of its 52 clusters carry weight
+    h = standard_laplacian(join(empty(2), cycle(98)))
+    scanned = []
+    refine = pst._refine_peak
+
+    def spy(values, weights, *brackets):
+        scanned.append(len(values))
+        return refine(values, weights, *brackets)
+
+    monkeypatch.setattr(pst, "_refine_peak", spy)
+    cert = search_pst(h, (0, 1), 200.0)
+    assert scanned == [3]
+    assert abs(cert.time - math.pi / 2) < 1e-12
+    assert cert.magnitude >= 1 - 1e-12
