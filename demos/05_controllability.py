@@ -28,7 +28,7 @@ def main():
 
     # Entries grow like lambda_max^(n-1); once they pass ~1e12 the columns
     # look nearly parallel in floating point and a numeric rank collapses,
-    # while the fraction-free elimination stays exact.
+    # while the exact rank (a certified Krylov relation) does not.
     for m_big in (11, 23, 29):
         pcb = cone_p4_with_pendant(m_big)
         wb = walk_matrix(pcb.graph, (pcb.probe,))

@@ -1,9 +1,12 @@
+from itertools import chain, islice
+
 import numpy as np
 import pytest
 
 import oracle
 from lapwalk import control
 from lapwalk.control import (
+    WalkMatrix,
     eigenvector_chase_check,
     exact_rank,
     is_controllable,
@@ -18,11 +21,13 @@ from lapwalk.graphs import (
     cycle,
     disjoint_union,
     empty,
+    hypercube,
     line_graph,
     make_graph,
     odd_unicyclic,
     path,
 )
+from lapwalk.linegraph import _pendant_edge_index
 
 
 def test_walk_matrix_k2():
@@ -44,6 +49,13 @@ def test_walk_matrix_columns_recurrence():
 def test_walk_matrix_rejects_weighted():
     with pytest.raises(ValueError):
         walk_matrix(make_graph(2, [(0, 1, 2.0)]), (0,))
+
+
+def test_only_walk_matrix_builds_a_walk_matrix():
+    # exact_rank's upper bound holds only on Krylov columns
+    with pytest.raises(TypeError):
+        WalkMatrix(((1, 0), (0, 0)), (0,))
+    assert exact_rank(walk_matrix(path(2), (0,))) == 2
 
 
 def test_cone_rank_examples():
@@ -115,7 +127,7 @@ def test_unicyclic_pipeline_inconclusive():
         unicyclic_no_pst_pipeline(0)
 
 
-def test_walk_matrices_and_ranks_match_the_loop_reference():
+def _loop_reference_sweep() -> None:
     rng = np.random.default_rng(20240702)
     graphs = [empty(0), empty(1), empty(5), path(9), disjoint_union(cycle(5), path(4))]
     graphs += [line_graph(odd_unicyclic(m).graph) for m in (3, 4)]
@@ -135,6 +147,64 @@ def test_walk_matrices_and_ranks_match_the_loop_reference():
             assert rank == oracle.exact_rank(want), (g, subset)
             deficient += rank < g.n
     assert deficient and walk_matrix(empty(0), ()).rows == ()
+
+
+def test_walk_matrices_and_ranks_match_the_loop_reference():
+    _loop_reference_sweep()
+
+
+def test_unlucky_primes_first_leave_every_walk_rank_unchanged(monkeypatch):
+    # 2, 3, 5, 7 and 11 divide many Hankel determinants: their Berlekamp-Massey
+    # complexity falls short of the rank and their relation is not the integer one
+    primes = control._primes
+    monkeypatch.setattr(control, "_primes", lambda: chain([2, 3, 5, 7, 11], primes()))
+    lengths = []
+    bm = control._berlekamp_massey
+
+    def recording_bm(s, p):
+        length, connection = bm(s, p)
+        lengths.append((p, length))
+        return length, connection
+
+    monkeypatch.setattr(control, "_berlekamp_massey", recording_bm)
+    assert exact_rank(walk_matrix(complete(3), (0,))) == 2
+    assert lengths[:3] == [(2, 1), (3, 2), (5, 2)]  # mod 2, s = 1, 0, 2, 2, 6 looks like 1, 0, 0, 0, 0
+    _loop_reference_sweep()
+
+
+def test_primes_descend_from_rank_prime_and_are_prime():
+    sympy = pytest.importorskip("sympy")
+    first = list(islice(control._primes(), 64))
+    assert all(q < 2**31 for q in first) and all(a > b for a, b in zip(first, first[1:]))
+    assert all(sympy.isprime(q) for q in first)
+    want = [sympy.prevprime(control.RANK_PRIME + 1)]
+    while len(want) < 64:
+        want.append(sympy.prevprime(want[-1]))
+    assert first == want  # no prime skipped
+    assert [q for q in range(3000) if control._is_prime(q)] == list(sympy.primerange(3000))
+
+
+def test_krylov_relation_divides_the_characteristic_polynomial():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    cases = [(complete(3), (0,)), (cycle(6), (0,)), (cycle(6), (0, 3)), (hypercube(3), (0,)), (path(9), (4,))]
+    cases += [(empty(4), ()), (disjoint_union(cycle(5), path(4)), (0, 6))]
+    cases += [(pc.graph, (pc.probe,)) for pc in map(cone_p4_with_pendant, range(0, 12, 2))]
+    cases += [(line_graph(odd_unicyclic(m).graph), (0,)) for m in (3, 6, 9)]
+    cases += [(g, (u,)) for g in random_connected_graphs(8, n_max=12, seed=13) for u in (0, g.n - 1)]
+    deficient = 0
+    for g, subset in cases:
+        assert g.n <= 25
+        w = walk_matrix(g, subset)
+        relation = control._krylov_relation(w)
+        rank = g.n if relation is None else len(relation)
+        assert rank == sympy.Matrix(w.rows).rank() == exact_rank(w), (g, subset)
+        if relation is not None:
+            deficient += 1
+            mu = x**rank - sum(a * x**i for i, a in enumerate(relation))
+            charpoly = sympy.Matrix(g.adjacency().astype(int).tolist()).charpoly(x).as_expr()
+            assert sympy.rem(charpoly, mu, x) == 0, (g, subset, mu)
+    assert deficient >= 10
 
 
 def test_exact_rank_of_int64_matrices_matches_the_loop_reference():
@@ -196,10 +266,22 @@ def test_exact_rank_of_rectangular_empty_and_negative_rows():
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
-def test_full_rank_walk_matrix_never_reaches_bareiss(monkeypatch):
+def test_walk_matrices_never_reach_bareiss(monkeypatch):
     def refuse(block):
-        raise AssertionError("Bareiss ran on a full-rank walk matrix")
+        raise AssertionError("Bareiss ran on a walk matrix")
 
     monkeypatch.setattr(control, "_bareiss_rank", refuse)
     rep = unicyclic_no_pst_pipeline(10, t_max=1.0)  # both pendant edges of the line graph
     assert rep.ranks == (rep.line_order, rep.line_order) == (23, 23)
+    cases = [(complete(3), (0,)), (empty(0), ()), (empty(3), ()), (path(4), ())]
+    for m in (3, 6):  # rank deficient at both pendant edges
+        u_graph, ends = odd_unicyclic(m)
+        cases += [(line_graph(u_graph), (_pendant_edge_index(u_graph, end),)) for end in ends]
+    pc = cone_p4_with_pendant(2)
+    cases.append((pc.graph, (pc.probe,)))
+    ranks = []
+    for g, subset in cases:
+        w = walk_matrix(g, subset)
+        ranks.append(exact_rank(w))
+        assert ranks[-1] == oracle.exact_rank(w.rows), (g, subset)
+    assert ranks == [2, 0, 0, 0, 8, 8, 14, 14, 6]
