@@ -126,19 +126,29 @@ class Graph:
     @cached_property
     def _levels(self) -> np.ndarray:
         """Breadth-first depth of every vertex, each component searched from
-        its smallest vertex in turn; those starts are the vertices at level 0."""
+        its smallest vertex in turn; those starts are the vertices at level 0.
+        Each level reads only its frontier's rows of a CSR neighbour array,
+        so the whole search reads every edge twice."""
         src, dst = self._arrays[0].T
-        level = np.full(self.n, -1)
-        frontier = np.zeros(self.n, dtype=bool)
-        while (level < 0).any():
-            if not frontier.any():
-                frontier[np.argmax(level < 0)], depth = True, 0
-            level[frontier] = depth
-            reached = np.zeros(self.n, dtype=bool)
-            reached[dst[frontier[src]]] = True
-            reached[src[frontier[dst]]] = True
-            frontier = reached & (level < 0)
-            depth += 1
+        tails = np.concatenate([src, dst])
+        heads = np.concatenate([dst, src])[np.argsort(tails, kind="stable")]
+        degree = np.bincount(tails, minlength=self.n)
+        row_start = np.cumsum(degree) - degree
+        level = np.where(degree == 0, 0, -1)  # an isolated vertex is its own component
+        for start in np.flatnonzero(level < 0).tolist():
+            if level[start] >= 0:
+                continue
+            level[start], depth = 0, 0
+            frontier = np.array([start])
+            while frontier.size:
+                depth += 1
+                span = degree[frontier]
+                # the CSR positions row_start[v] ... of every frontier vertex v
+                first = np.repeat(row_start[frontier] - span.cumsum() + span, span)
+                reached = heads[first + np.arange(span.sum())]
+                reached = reached[level[reached] < 0]
+                level[reached] = depth
+                frontier = np.unique(reached)
         return level
 
     def is_connected(self) -> bool:

@@ -91,10 +91,28 @@ def verify_pst(
     h: Hamiltonian, pair: tuple[int, int], t: float, pst_tol: float = PST_TOL
 ) -> PstCertificate:
     """The walk entry at the given time, with method METHOD_VERIFIED when it
-    certifies under ``pst_tol`` and METHOD_REFUTED otherwise."""
+    certifies under ``pst_tol`` and METHOD_REFUTED otherwise. A time at which
+    rounding alone could move the magnitude across the gap between the two
+    thresholds raises ValueError (see ``_rounding_bound``)."""
     dec = eigendecompose(h)
-    cert = _certificate(h, pair, dec.values, dec.pair_weights(*pair), t, METHOD_VERIFIED)
+    weights = dec.pair_weights(*pair)
+    _rounding_bound(*_support(dec.values, weights)[:2], t)
+    cert = _certificate(h, pair, dec.values, weights, t, METHOD_VERIFIED)
     return cert if cert.certifies(pst_tol) else replace(cert, method=METHOD_REFUTED)
+
+
+def _rounding_bound(values, weights, t) -> float:
+    """How far rounding can move |sum_k w_k exp(-i t theta_k)|: about
+    eps * |t| * max|theta| * sum|w|. A bound of 1 - REFUTE_THRESHOLD or more
+    raises ValueError, since a magnitude that uncertain can neither certify
+    nor refute."""
+    theta = np.abs(values).max(initial=0.0)
+    bound = float(np.finfo(float).eps * abs(t) * theta * np.abs(weights).sum())
+    if not bound < 1.0 - REFUTE_THRESHOLD:
+        raise ValueError(
+            f"time {t!r} is too long: rounding alone could move the walk magnitude by {bound:.3g}"
+        )
+    return bound
 
 
 def _certificate(h, pair, values, weights, t, method) -> PstCertificate:
@@ -103,7 +121,8 @@ def _certificate(h, pair, values, weights, t, method) -> PstCertificate:
     return PstCertificate(tuple(pair), h.kind, float(t), abs(amp), cmath.phase(amp), method)
 
 
-SCAN_BLOCK = 2048  # grid points search_pst evaluates at once
+SCAN_BLOCK = 2048  # grid points per block, one row of a scan product
+SCAN_POINTS = 1 << 16  # grid points per scan product: 32 blocks, 1 MiB of complex
 PEAK_CAP = 400  # most grid maxima refined per search
 PEAK_CUTOFF = 0.05  # grid maxima further than this below the best are not refined
 REFINE_TOL = 1e-12  # bracket width at which search_pst stops bisecting a peak
@@ -148,6 +167,58 @@ def _refine_peak(values, weights, lo, hi):
     return np.where(rising, 0.5 * (lo + hi), np.where(mag_hi > mag_lo, hi, lo))
 
 
+def _grid_peaks(values, weights, step, count, t_max):
+    """Grid indices of the maxima of |sum_k w_k exp(-i t theta_k)| on the
+    grid t = i * step, i < count, the last point clamped to t_max: the
+    ``PEAK_CAP`` largest of them, none more than ``PEAK_CUTOFF`` below the
+    largest, ordered by magnitude, then interior points before the two
+    ends, then index.
+
+    Grid point (s + j) * step has phases exp(-i s step theta) exp(-i j step
+    theta). The second factor, for j = -1 .. SCAN_BLOCK, is one table per
+    search; the first, times the weights, is one row per block start s. A
+    product of up to ``SCAN_POINTS`` / ``SCAN_BLOCK`` such rows with the
+    table evaluates that many blocks at once, each with its own neighbour
+    on either side, so memory does not grow with count. The last point is
+    off that lattice and evaluated directly.
+
+    A grid of at least one whole product runs its products through BLAS;
+    a shorter one contracts with einsum. A threaded BLAS call leaves its
+    worker threads spinning after it returns: over the verification
+    suites' short grids (at most about 2e4 points) that spin raised the
+    CPU time by half, while the long searches of the scan benchmark (8e4
+    points or more) ran in half the time on BLAS."""
+    offsets = np.arange(-1, min(SCAN_BLOCK, count) + 1)
+    table = np.exp(-1j * np.outer(offsets * step, values))
+    last_mag = abs(walk_sum(values, weights, [min((count - 1) * step, t_max)])[0])
+    peaks = np.empty(0, dtype=int)
+    peak_mags = np.empty(0)
+    stride = max(SCAN_POINTS // SCAN_BLOCK, 1) * SCAN_BLOCK
+    for first in range(0, count, stride):
+        starts = np.arange(first, min(first + stride, count), SCAN_BLOCK)[:, None]
+        shifted = weights * np.exp(-1j * (starts * step) * values)
+        if count >= SCAN_POINTS:
+            mags = np.abs(shifted @ table.T)  # one row per block
+        else:
+            mags = np.abs(np.einsum("bk,tk->bt", shifted, table))
+        index = starts + offsets
+        mags[index == count - 1] = last_mag
+        # outside the grid; the cutoff drops any maximum found there
+        mags[(index < 0) | (index >= count)] = -np.inf
+        mid, index = mags[:, 1:-1], index[:, 1:-1]
+        is_peak = (mid >= mags[:, :-2]) & (mid >= mags[:, 2:])
+        peaks = np.concatenate([peaks, index[is_peak]])
+        peak_mags = np.concatenate([peak_mags, mid[is_peak]])
+        # the cutoff only tightens as the largest grows, and the top
+        # PEAK_CAP of a union are the top of the parts' tops: merging once
+        # per product keeps the set that merging once per block keeps
+        near = peak_mags >= peak_mags.max(initial=-np.inf) - PEAK_CUTOFF
+        peaks, peak_mags = peaks[near], peak_mags[near]
+        top = np.lexsort((peaks, (peaks == 0) | (peaks == count - 1), -peak_mags))[:PEAK_CAP]
+        peaks, peak_mags = peaks[top], peak_mags[top]
+    return peaks
+
+
 def search_pst(
     h: Hamiltonian,
     pair: tuple[int, int],
@@ -161,24 +232,22 @@ def search_pst(
     support, the clusters with |w_k| > ``SUPPORT_TOL`` (1e-13) * sum|w|;
     the others move any magnitude by at most their dropped mass sum|w_k|.
     The magnitude is sampled on a uniform grid with ``grid_density`` points
-    per pi/(range of the support), ``SCAN_BLOCK`` (2048) points at a time,
-    so memory does not grow with t_max. Grid point t = (start + j) * step
-    has phases exp(-i start step theta) exp(-i j step theta): the second
-    factor, for j = -1 .. SCAN_BLOCK, is one table per search, so a block
-    costs one row of exponentials at its start, folded into the weights,
-    and one contraction with the table. The last point, clamped to t_max, is
-    off that lattice and evaluated directly. Grid magnitudes then differ
-    from direct exponentials by rounding, at most about
-    eps * t_max * max|theta| * sum|w| over the support. Of the grid maxima
-    (points no neighbour exceeds), the ``PEAK_CAP`` (400) largest, ties
-    going to interior points before t = 0 and t_max, are kept unless more
-    than ``PEAK_CUTOFF`` (0.05) below the largest. One bisection refines
-    them all inside their neighbour brackets to ``REFINE_TOL`` (1e-12); a
-    bracket where the magnitude does not rise and then fall resolves to its
-    better end. Starting from t = 0 and in order of grid magnitude, a
-    refined peak becomes the result when it is larger by more than the tie
-    bound, that rounding bound plus the dropped mass, or within it and
-    earlier, so of peaks equal up to the bound the earliest wins. The
+    per pi/(range of the support), evaluated as one matrix product per
+    ``SCAN_POINTS`` (2^16) grid points: a table of phases for the
+    ``SCAN_BLOCK`` (2048) offsets inside a block times one row of weights
+    per block start (see ``_grid_peaks``). Grid magnitudes then
+    differ from direct exponentials by rounding, at most about
+    eps * t_max * max|theta| * sum|w| over the support; a horizon where that
+    bound reaches 1 - ``REFUTE_THRESHOLD`` raises ValueError. Of the grid
+    maxima (points no neighbour exceeds), the ``PEAK_CAP`` (400) largest,
+    ties going to interior points before t = 0 and t_max, are kept unless
+    more than ``PEAK_CUTOFF`` (0.05) below the largest. One bisection
+    refines them all inside their neighbour brackets to ``REFINE_TOL``
+    (1e-12); a bracket where the magnitude does not rise and then fall
+    resolves to its better end. Starting from t = 0 and in order of grid
+    magnitude, a refined peak becomes the result when it is larger by more
+    than the tie bound, that rounding bound plus the dropped mass, or within
+    it and earlier, so of peaks equal up to the bound the earliest wins. The
     certificate at the chosen time is evaluated on all weights, and it
     asserts transfer only through ``certifies``.
     """
@@ -189,35 +258,17 @@ def search_pst(
     values, weights, dropped = _support(dec.values, all_weights)
     if len(values) < 2:  # the magnitude changes by at most the dropped mass
         return _certificate(h, pair, dec.values, all_weights, 0.0, METHOD_GRID)
+    tie = _rounding_bound(values, weights, t_max) + dropped
     step = (math.pi / float(values[-1] - values[0])) / grid_density
     count = math.ceil((t_max + step) / step)  # grid t = i * step, as in arange(0, t_max + step, step)
+    peaks = _grid_peaks(values, weights, step, count, t_max)
 
     def times(index):
         return np.minimum(index * step, t_max)
 
-    table = np.exp(-1j * np.outer(np.arange(-1, min(SCAN_BLOCK, count) + 1) * step, values))
-    last_mag = abs(walk_sum(values, weights, [times(count - 1)])[0])
-    peaks = np.empty(0, dtype=int)
-    peak_mags = np.empty(0)
-    for start in range(0, count, SCAN_BLOCK):
-        index = np.arange(start - 1, min(start + SCAN_BLOCK, count) + 1)
-        # einsum keeps this contraction out of BLAS: a threaded product per
-        # block leaves the BLAS workers spinning between blocks
-        shifted = weights * np.exp(-1j * (start * step) * values)
-        mags = np.abs(np.einsum("tk,k->t", table[: len(index)], shifted))
-        mags[index == count - 1] = last_mag
-        mags[(index < 0) | (index == count)] = -np.inf  # outside the grid
-        is_peak = (mags[1:-1] >= mags[:-2]) & (mags[1:-1] >= mags[2:])
-        peaks = np.concatenate([peaks, index[1:-1][is_peak]])
-        peak_mags = np.concatenate([peak_mags, mags[1:-1][is_peak]])
-        top = np.lexsort((peaks, (peaks == 0) | (peaks == count - 1), -peak_mags))[:PEAK_CAP]
-        top = top[peak_mags[top] >= peak_mags.max(initial=-np.inf) - PEAK_CUTOFF]
-        peaks, peak_mags = peaks[top], peak_mags[top]
-
     lo = times(np.maximum(peaks - 1, 0))
     hi = times(np.minimum(peaks + 1, count - 1))
     refined = _refine_peak(values, weights, lo, hi)
-    tie = np.finfo(float).eps * t_max * np.abs(values).max() * np.abs(weights).sum() + dropped
     best_t, best_mag = 0.0, abs(walk_sum(values, weights, [0.0])[0])
     for t, mag in zip(refined, np.abs(walk_sum(values, weights, refined))):
         if mag > best_mag + tie or (abs(mag - best_mag) <= tie and t < best_t):

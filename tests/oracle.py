@@ -250,3 +250,36 @@ def incidence(n: int, edges) -> np.ndarray:
         b[u, i] = half
         b[v, i] = half
     return b
+
+
+# -- the grid scan: one contraction per block ---------------------------------
+#
+# Reference for lapwalk.pst's grid: blocks of 2048 points, each evaluated by
+# its own einsum against the phase table and merged into the running set of
+# grid maxima before the next block. Constants are the engine's documented
+# values, frozen here: 2048 points per block, the 400 largest maxima, none
+# more than 0.05 below the best.
+
+
+def blockwise_grid_peaks(values, weights, step, count, t_max) -> np.ndarray:
+    """Grid indices of the largest maxima of |sum_k w_k exp(-i t theta_k)|
+    on t = i * step, i < count, the last point clamped to t_max."""
+    block, cap, cutoff = 2048, 400, 0.05
+    table = np.exp(-1j * np.outer(np.arange(-1, min(block, count) + 1) * step, values))
+    last_t = min((count - 1) * step, t_max)
+    last_mag = abs((np.exp(-1j * np.outer([last_t], values)) @ weights)[0])
+    peaks = np.empty(0, dtype=int)
+    peak_mags = np.empty(0)
+    for start in range(0, count, block):
+        index = np.arange(start - 1, min(start + block, count) + 1)
+        shifted = weights * np.exp(-1j * (start * step) * values)
+        mags = np.abs(np.einsum("tk,k->t", table[: len(index)], shifted))
+        mags[index == count - 1] = last_mag
+        mags[(index < 0) | (index == count)] = -np.inf
+        is_peak = (mags[1:-1] >= mags[:-2]) & (mags[1:-1] >= mags[2:])
+        peaks = np.concatenate([peaks, index[1:-1][is_peak]])
+        peak_mags = np.concatenate([peak_mags, mags[1:-1][is_peak]])
+        top = np.lexsort((peaks, (peaks == 0) | (peaks == count - 1), -peak_mags))[:cap]
+        top = top[peak_mags[top] >= peak_mags.max(initial=-np.inf) - cutoff]
+        peaks, peak_mags = peaks[top], peak_mags[top]
+    return peaks

@@ -471,6 +471,15 @@ PINNED_SEARCHES = [
         join(empty(2), cycle(40)), "standard", (0, 1), "500",
         1.4959965017096972, 0.9972037971811801, -0.0747998250963452,
     ),
+    # horizons whose grids span several scan products
+    (
+        path(100), "standard", (0, 99), "20000",
+        15986.3325392915, 0.4705932241279774, -0.676642999679364,
+    ),
+    (
+        path(4), "standard", (0, 3), "10000",
+        7470.707495374911, 0.9999999727293148, -0.0003302767660253747,
+    ),
 ]
 
 
@@ -496,3 +505,17 @@ def test_search_reports_the_entry_from_all_weights(g, kind, pair, t_max):
     cert = search_pst(h, pair, float(t_max))
     check = verify_pst(h, pair, cert.time)
     assert (cert.magnitude, cert.phase) == (check.magnitude, check.phase)
+
+
+@pytest.mark.parametrize("verb", [["search", "--t-max"], ["verify", "--time"]])
+def test_pst_rejects_a_horizon_lost_to_rounding(tmp_path, capsys, verb):
+    # at t = 1e300 rounding alone moves the magnitude by far more than the
+    # 1e-6 between the two thresholds; the search would never return
+    gfile = tmp_path / "p4.json"
+    lio.save_graph(path(4), gfile)
+    action, option = verb
+    argv = ["pst", action, "--graph", str(gfile), "--kind", "standard", "--pair", "0", "3"]
+    assert main(argv + [option, "1e300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "too long" in captured.err
+    assert main(argv + [option, "200"]) in (0, 1)

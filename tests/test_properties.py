@@ -6,9 +6,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import oracle  # noqa: E402
 from oracle import walk_oracle  # noqa: E402
 
-from lapwalk.graphs import complement, empty, join, make_graph  # noqa: E402
+from lapwalk.graphs import complement, disjoint_union, empty, join, make_graph, path  # noqa: E402
 from lapwalk.operators import operator, standard_laplacian  # noqa: E402
 from lapwalk.partitions import (  # noqa: E402
     check_almost_equitable,
@@ -131,3 +132,16 @@ def test_complement_walk_runs_backwards_when_n_t_is_a_multiple_of_2pi(g, k):
     t = 2.0 * np.pi * k / g.n
     u_comp = _walk(complement(g), "standard", t)
     assert np.abs(u_comp - _walk(g, "standard", -t)).max() < 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), graphs(min_n=0, max_n=10), st.integers(0, 12))
+def test_traversal_matches_the_loop_reference(data, g, tail):
+    # a path beside a random graph, relabelled: several components, some
+    # deep, some isolated vertices, and component starts anywhere
+    union = disjoint_union(g, path(tail)) if tail else g
+    union = union.relabel(data.draw(st.permutations(range(union.n))))
+    color, clash = union.two_coloring()
+    want_color, want_clash = oracle.two_coloring(union.n, union.edges)
+    assert np.array_equal(color, want_color) and clash == want_clash
+    assert union.is_connected() == oracle.is_connected(union.n, union.edges)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracle
 from lapwalk import pst
 from lapwalk.graphs import (
     circulant_family,
@@ -13,12 +14,15 @@ from lapwalk.graphs import (
     empty,
     hypercube,
     join,
+    make_graph,
     path,
     weak_product,
 )
 from lapwalk.operators import (
+    Hamiltonian,
     OperatorKind,
     normalized_laplacian,
+    operator,
     signless_laplacian,
     standard_laplacian,
 )
@@ -316,6 +320,18 @@ def test_search_grid_matches_direct_exponentials(monkeypatch, block):
     # maximum is the last point only if that point is evaluated at t_max.
     # Block sizes 1, 450 and 451 put the last point in a block of its own
     # and in the halo of the block before it.
+    _check_grid_brackets(monkeypatch, block, pst.SCAN_POINTS)
+
+
+@pytest.mark.parametrize("block, points", [(1, 5), (7, 20), (7, 448), (150, 300), (451, 451)])
+def test_search_grid_matches_direct_exponentials_across_products(monkeypatch, block, points):
+    # the same 452-point grid split over several products: products of 5
+    # blocks of 1, of 2 or 64 blocks of 7 and of 2 blocks of 150, the last
+    # product partial; (451, 451) leaves the last point alone in the second
+    _check_grid_brackets(monkeypatch, block, points)
+
+
+def _check_grid_brackets(monkeypatch, block, points):
     h, pair, t_max = standard_laplacian(path(4)), (0, 3), 6.475
     dec = eigendecompose(h)
     step = (math.pi / dec.spectral_range) / 64
@@ -325,21 +341,22 @@ def test_search_grid_matches_direct_exponentials(monkeypatch, block):
     padded = np.concatenate([[-np.inf], mags, [-np.inf]])
     peaks = np.flatnonzero((mags >= padded[:-2]) & (mags >= padded[2:]))
     peaks = peaks[mags[peaks] >= mags.max() - pst.PEAK_CUTOFF]
-    expected = {(times[max(i - 1, 0)], times[min(i + 1, count - 1)]) for i in peaks}
+    expected = sorted((times[max(i - 1, 0)], times[min(i + 1, count - 1)]) for i in peaks)
     lattice_last = abs(dec.amplitude(*pair, [(count - 1) * step])[0])
     assert mags[-1] > mags[-2] > lattice_last and count - 1 in peaks
 
-    brackets = set()
+    brackets = []
     refine = pst._refine_peak
 
     def spy(values, weights, lo, hi):
-        brackets.update(zip(lo, hi))
+        brackets.extend(zip(lo, hi))
         return refine(values, weights, lo, hi)
 
     monkeypatch.setattr(pst, "SCAN_BLOCK", block)
+    monkeypatch.setattr(pst, "SCAN_POINTS", points)
     monkeypatch.setattr(pst, "_refine_peak", spy)
     search_pst(h, pair, t_max)
-    assert brackets == expected
+    assert count == 452 and sorted(brackets) == expected  # each peak once
 
 
 def test_search_scans_only_the_pair_support(monkeypatch):
@@ -358,3 +375,89 @@ def test_search_scans_only_the_pair_support(monkeypatch):
     assert scanned == [3]
     assert abs(cert.time - math.pi / 2) < 1e-12
     assert cert.magnitude >= 1 - 1e-12
+
+
+def _connected_graph(rng, n):
+    while True:
+        g = make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+        if g.is_connected():
+            return g
+
+
+def _horizon(h, pair, count):
+    """A t_max off the lattice whose grid has ``count`` points."""
+    dec = eigendecompose(h)
+    values = pst._support(dec.values, dec.pair_weights(*pair))[0]
+    step = (math.pi / float(values[-1] - values[0])) / 64
+    t_max = (count - 1.5) * step
+    assert math.ceil((t_max + step) / step) == count
+    return t_max
+
+
+def _with_reference_grid(monkeypatch, h, pair, t_max, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(pst, "_grid_peaks", oracle.blockwise_grid_peaks)
+        return search_pst(h, pair, t_max, **kwargs)
+
+
+SCAN_COUNTS = [
+    1000,  # below one block
+    pst.SCAN_BLOCK,
+    3 * pst.SCAN_BLOCK,
+    pst.SCAN_POINTS - 1,  # the longest grid contracted with einsum
+    pst.SCAN_POINTS,  # the shortest one multiplied through BLAS
+    pst.SCAN_POINTS + 1,
+]
+
+
+@pytest.mark.parametrize("seed, kind", enumerate(["adjacency", "standard", "signless", "normalized"]))
+def test_search_matches_the_blockwise_reference_grid(monkeypatch, seed, kind):
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        n = int(rng.integers(3, 11))
+        g = _connected_graph(rng, n)
+        pair = tuple(int(v) for v in rng.choice(n, 2, replace=False))
+        h = operator(g, kind)
+        for count in SCAN_COUNTS:
+            t_max = _horizon(h, pair, count)
+            cert = search_pst(h, pair, t_max)
+            assert cert == _with_reference_grid(monkeypatch, h, pair, t_max), (g, pair, count)
+
+
+def test_search_peak_at_the_last_point_of_a_product(monkeypatch):
+    # |U(t)[1, 0]| = |sin t| on K2: with pi/2 at grid index SCAN_POINTS - 1,
+    # the best grid point ends the first product and its right neighbour
+    # starts the second
+    h, density = standard_laplacian(complete(2)), pst.SCAN_POINTS - 1
+    found = []
+    grid_peaks = pst._grid_peaks
+
+    def spy(*args):
+        found.append(grid_peaks(*args))
+        return found[-1]
+
+    monkeypatch.setattr(pst, "_grid_peaks", spy)
+    cert = search_pst(h, (0, 1), 3.0, grid_density=density)
+    assert found[0][0] == pst.SCAN_POINTS - 1
+    assert abs(cert.time - math.pi / 2) < 1e-12 and cert.certifies()
+    assert cert == _with_reference_grid(monkeypatch, h, (0, 1), 3.0, grid_density=density)
+
+
+def test_long_horizons_are_refused_where_rounding_decides():
+    # K2 under the standard Laplacian: values 0 and 2, weights 1/2 and -1/2,
+    # so the rounding bound eps * t * 2 * 1 reaches 1e-6 at t = 1e-6 / (2 eps)
+    h = standard_laplacian(complete(2))
+    limit = (1.0 - pst.REFUTE_THRESHOLD) / (2 * np.finfo(float).eps)
+    assert verify_pst(h, (0, 1), 0.99 * limit).magnitude <= 1.0
+    for call in (verify_pst, search_pst):
+        with pytest.raises(ValueError, match="too long"):
+            call(h, (0, 1), 1.01 * limit)
+
+
+def test_single_cluster_pair_answers_at_zero_for_any_horizon():
+    # the pair's support is one cluster, at eigenvalue 5: |a(t)| is constant,
+    # nothing is scanned, so no horizon is too long
+    h = Hamiltonian(OperatorKind.CUSTOM, np.diag([2.0, 5.0]))
+    for t_max in (1.0, 1e300):
+        cert = search_pst(h, (1, 1), t_max)
+        assert (cert.time, cert.magnitude, cert.method) == (0.0, 1.0, pst.METHOD_GRID)
