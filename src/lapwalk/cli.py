@@ -3,7 +3,8 @@
 Verbs: graph build|show, matrix, walk, fidelity-curve, pst verify|search,
 quotient, controllable, unicyclic, verify-suite. Exit codes: 0 when the
 command succeeded and any assertion held, 1 when an assertion failed
-(refuted transfer, failing suite), 2 on usage or input errors.
+(refuted transfer, failing suite), 2 on usage or input errors, input too
+large for memory included.
 
 Times are accepted either as decimals or as symbolic expressions over pi and
 sqrt ("pi/2", "3pi", "pi/sqrt(8)"), parsed exactly and converted to float
@@ -38,8 +39,8 @@ from .graphs import (
 )
 from .operators import OperatorKind, operator
 from .partitions import check_almost_equitable, check_equitable, quotient
-from .pst import search_pst, verify_pst
-from .spectral import eigendecompose, walk
+from .pst import _require_resolvable, search_pst, verify_pst
+from .spectral import eigendecompose
 from .suites import available_suites, suite_for
 
 __all__ = ["main", "parse_time"]
@@ -163,7 +164,9 @@ def _cmd_walk(args) -> int:
     h = operator(g, args.kind)
     src, dst = _vertices(g, args.src, args.dst)
     t = parse_time(args.time)
-    amp = complex(walk(h, t)[dst, src])
+    dec = eigendecompose(h)
+    _require_resolvable(dec.values, dec.pair_weights(src, dst), t)
+    amp = complex(dec.matrix_at(float(t))[dst, src])  # exactly walk(h, t)[dst, src]
     payload = {
         "from": args.src,
         "to": args.dst,
@@ -191,8 +194,10 @@ def _cmd_fidelity_curve(args) -> int:
     h = operator(g, args.kind)
     u, v = _vertices(g, *args.pair)
     t_max = parse_time(args.t_max)
+    dec = eigendecompose(h)
+    _require_resolvable(dec.values, dec.pair_weights(u, v), t_max)  # the curve's largest |t|
     ts = np.linspace(0.0, t_max, args.samples)
-    amps = eigendecompose(h).amplitude(u, v, ts)
+    amps = dec.amplitude(u, v, ts)
     _emit(lio.curve_to_csv(zip(ts, amps)), args.out)
     return 0
 
@@ -374,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

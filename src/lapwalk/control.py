@@ -16,16 +16,12 @@ integer coefficients a_i (mu is monic and integral by Gauss's lemma), and
 the exact relation c_L = sum a_i c_i on the columns proves d <= L. Primes
 come lazily, descending from ``RANK_PRIME``; only finitely many fall short of
 d, so the loop ends.
-
-Plain integer rows are no Krylov columns: their rank mod ``RANK_PRIME`` is
-returned when it is full (it never exceeds the rank over the rationals), and
-fraction-free (Bareiss) elimination over Python integers decides the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -192,65 +188,14 @@ def _krylov_relation(w: WalkMatrix) -> tuple[int, ...] | None:
     raise RuntimeError("the primes below 2^31 ran out before the Krylov relation was proven")
 
 
-def _rank_mod_prime(block: np.ndarray) -> int:
-    """Rank of an integer object array modulo RANK_PRIME: one whole-array
-    update of the remaining block per pivot."""
-    block = (block % RANK_PRIME).astype(np.int64)
-    rank = 0
-    while block.size:
-        nonzero = np.flatnonzero(block[:, 0])
-        if nonzero.size:
-            top = nonzero[0]
-            block[[0, top]] = block[[top, 0]]
-            pivot_row = block[0, 1:] * pow(int(block[0, 0]), -1, RANK_PRIME) % RANK_PRIME
-            block = (block[1:, 1:] - block[1:, :1] * pivot_row % RANK_PRIME) % RANK_PRIME
-            rank += 1
-        else:
-            block = block[:, 1:]
-    return rank
-
-
-def _bareiss_rank(block: np.ndarray) -> int:
-    """Rank over the rationals of an integer object array by fraction-free
-    (Bareiss) elimination. All divisions are exact integer divisions by the
-    previous pivot, so no tolerance enters anywhere."""
-    # the block still to eliminate: the rows below the pivots found so far and
-    # the columns right of the last pivot
-    rank, prev_pivot = 0, 1
-    while block.size:
-        nonzero = np.flatnonzero(block[:, 0])
-        if nonzero.size:
-            top = nonzero[0]
-            block[[0, top]] = block[[top, 0]]
-            pivot = block[0, 0]
-            rest = pivot * block[1:, 1:]  # updated in place: one temporary less
-            rest -= block[1:, :1] * block[0, 1:]
-            rest //= prev_pivot
-            block, prev_pivot = rest, pivot
-            rank += 1
-        else:
-            block = block[:, 1:]
-    return rank
-
-
-def exact_rank(w: WalkMatrix | Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals.
-
-    A walk matrix answers with the degree of its Krylov relation (see
-    ``_krylov_relation``): a Berlekamp-Massey lower bound modulo primes and
-    an exact column relation as the upper bound, with no elimination. Plain
-    integer rows answer with their rank modulo RANK_PRIME when that is
-    already min(rows, cols), and with Bareiss elimination otherwise; their
-    entries become Python ints first, so fixed-width integer input cannot
-    overflow.
-    """
-    if isinstance(w, WalkMatrix):
-        relation = _krylov_relation(w)
-        return w.n if relation is None else len(relation)
-    block = np.frompyfunc(int, 1, 1)(np.array(w, dtype=object))
-    if block.ndim == 2 and _rank_mod_prime(block) == min(block.shape):
-        return min(block.shape)
-    return _bareiss_rank(block)
+def exact_rank(w: WalkMatrix) -> int:
+    """Rank over the rationals of a walk matrix: the degree of its Krylov
+    relation (see ``_krylov_relation``), a Berlekamp-Massey lower bound
+    modulo primes and an exact column relation as the upper bound."""
+    if not isinstance(w, WalkMatrix):
+        raise TypeError("exact_rank takes a WalkMatrix from walk_matrix")
+    relation = _krylov_relation(w)
+    return w.n if relation is None else len(relation)
 
 
 def is_controllable(g: Graph, subset: Iterable[int]) -> bool:

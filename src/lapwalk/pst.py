@@ -96,7 +96,7 @@ def verify_pst(
     thresholds raises ValueError (see ``_rounding_bound``)."""
     dec = eigendecompose(h)
     weights = dec.pair_weights(*pair)
-    _rounding_bound(*_support(dec.values, weights)[:2], t)
+    _require_resolvable(dec.values, weights, t)
     cert = _certificate(h, pair, dec.values, weights, t, METHOD_VERIFIED)
     return cert if cert.certifies(pst_tol) else replace(cert, method=METHOD_REFUTED)
 
@@ -113,6 +113,14 @@ def _rounding_bound(values, weights, t) -> float:
             f"time {t!r} is too long: rounding alone could move the walk magnitude by {bound:.3g}"
         )
     return bound
+
+
+def _require_resolvable(values, weights, t) -> None:
+    """Raise ValueError when rounding alone could move the walk entry
+    sum_k weights[k] exp(-i t values[k]) across the gap between the two
+    thresholds: ``_rounding_bound`` over the pair's support. The one horizon
+    rule of every verb that reads a walk entry at a given time."""
+    _rounding_bound(*_support(values, weights)[:2], t)
 
 
 def _certificate(h, pair, values, weights, t, method) -> PstCertificate:

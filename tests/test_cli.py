@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from lapwalk import cli
 from lapwalk.cli import main, parse_time
 from lapwalk import io as lio
 from lapwalk.graphs import cycle, empty, hypercube, join, path
@@ -507,15 +508,34 @@ def test_search_reports_the_entry_from_all_weights(g, kind, pair, t_max):
     assert (cert.magnitude, cert.phase) == (check.magnitude, check.phase)
 
 
-@pytest.mark.parametrize("verb", [["search", "--t-max"], ["verify", "--time"]])
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ["pst", "search", "--pair", "0", "3", "--t-max"],
+        ["pst", "verify", "--pair", "0", "3", "--time"],
+        ["walk", "--from", "0", "--to", "3", "--time"],
+        ["fidelity-curve", "--pair", "0", "3", "--t-max"],
+    ],
+)
 def test_pst_rejects_a_horizon_lost_to_rounding(tmp_path, capsys, verb):
     # at t = 1e300 rounding alone moves the magnitude by far more than the
-    # 1e-6 between the two thresholds; the search would never return
+    # 1e-6 between the two thresholds: the search would never return, and
+    # every other verb would print rounding noise
     gfile = tmp_path / "p4.json"
     lio.save_graph(path(4), gfile)
-    action, option = verb
-    argv = ["pst", action, "--graph", str(gfile), "--kind", "standard", "--pair", "0", "3"]
-    assert main(argv + [option, "1e300"]) == 2
+    argv = verb[:-1] + ["--graph", str(gfile), "--kind", "standard"]
+    assert main(argv + [verb[-1], "1e300"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "too long" in captured.err
-    assert main(argv + [option, "200"]) in (0, 1)
+    assert main(argv + [verb[-1], "200"]) in (0, 1)
+    assert capsys.readouterr().out
+
+
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    def refuse(k, a):
+        raise MemoryError(f"Unable to allocate {k} GiB")
+
+    monkeypatch.setitem(cli._BUILDERS, "complete", ("n", refuse))
+    assert main(["graph", "build", "--type", "complete", "--n", "200000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: Unable to allocate 200000 GiB\n"
