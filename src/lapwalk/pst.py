@@ -146,6 +146,24 @@ def _support(values, weights):
     return values[keep], weights[keep], float(size[~keep].sum())
 
 
+def _period(values, weights, t_max, bound):
+    """The period P = 2 pi / g of |sum_k w_k exp(-i t theta_k)| and its drift
+    t_max * sum_k |w_k| |gamma_k - m_k|, when every gap gamma_k = theta_k -
+    theta_0 lies within ``INTEGER_TOL`` of an integer m_k below 2^53 (where
+    floats still tell integers apart), g = gcd(m_k) > 0, P < t_max and
+    bound + drift < 1 - REFUTE_THRESHOLD; None otherwise."""
+    gaps = values - values[0]
+    nearest = np.round(gaps)
+    off = np.abs(gaps - nearest)
+    if not ((gaps < 2.0**53) & (off < INTEGER_TOL)).all():
+        return None
+    g = int(np.gcd.reduce(nearest.astype(np.int64)))
+    drift = float(t_max * (np.abs(weights) @ off))
+    if g == 0 or not (2.0 * math.pi / g < t_max and bound + drift < 1.0 - REFUTE_THRESHOLD):
+        return None
+    return 2.0 * math.pi / g, drift
+
+
 def _refine_peak(values, weights, lo, hi):
     """Time of the magnitude maximum inside every bracket [lo[j], hi[j]].
 
@@ -246,16 +264,31 @@ def search_pst(
     per block start (see ``_grid_peaks``). Grid magnitudes then
     differ from direct exponentials by rounding, at most about
     eps * t_max * max|theta| * sum|w| over the support; a horizon where that
-    bound reaches 1 - ``REFUTE_THRESHOLD`` raises ValueError. Of the grid
-    maxima (points no neighbour exceeds), the ``PEAK_CAP`` (400) largest,
-    ties going to interior points before t = 0 and t_max, are kept unless
-    more than ``PEAK_CUTOFF`` (0.05) below the largest. One bisection
-    refines them all inside their neighbour brackets to ``REFINE_TOL``
-    (1e-12); a bracket where the magnitude does not rise and then fall
-    resolves to its better end. Starting from t = 0 and in order of grid
-    magnitude, a refined peak becomes the result when it is larger by more
-    than the tie bound, that rounding bound plus the dropped mass, or within
-    it and earlier, so of peaks equal up to the bound the earliest wins. The
+    bound reaches 1 - ``REFUTE_THRESHOLD`` raises ValueError.
+
+    An integral support is scanned over one period only. When every gap
+    gamma_k = theta_k - theta_0 lies within ``INTEGER_TOL`` of an integer
+    m_k and g = gcd(m_k) > 0, the grid stops at P = 2 pi / g if P < t_max.
+    For t = s + jP <= t_max with s in [0, P], exp(-i m_k jP) = 1, so
+    |a(t)| = |sum_k w_k exp(-i gamma_k s) exp(-i (gamma_k - m_k) jP)|, and
+    |exp(-i x) - 1| <= |x| gives ||a(t)| - |a(s)|| <= drift =
+    t_max * sum_k |w_k| |gamma_k - m_k|: every magnitude on the horizon is
+    within the drift of one at an earlier time in the first period. The
+    drift joins the tie bound below. The cap applies only while the
+    rounding bound plus the drift stays below 1 - ``REFUTE_THRESHOLD``, and
+    not when every gap rounds to 0 or a gap reaches 2^53; otherwise, and
+    for every other support, the grid runs to t_max.
+
+    Of the grid maxima (points no neighbour exceeds), the ``PEAK_CAP`` (400)
+    largest, ties going to interior points before t = 0 and the grid's end,
+    are kept unless more than ``PEAK_CUTOFF`` (0.05) below the largest. One
+    bisection refines them all inside their neighbour brackets to
+    ``REFINE_TOL`` (1e-12); a bracket where the magnitude does not rise and
+    then fall resolves to its better end. Starting from t = 0 and in order
+    of grid magnitude, a refined peak becomes the result when it is larger
+    by more than the tie bound, the rounding bound at t_max plus the dropped
+    mass (plus the drift when the period caps the grid), or within it and
+    earlier, so of peaks equal up to the bound the earliest wins. The
     certificate at the chosen time is evaluated on all weights, and it
     asserts transfer only through ``certifies``.
     """
@@ -266,13 +299,15 @@ def search_pst(
     values, weights, dropped = _support(dec.values, all_weights)
     if len(values) < 2:  # the magnitude changes by at most the dropped mass
         return _certificate(h, pair, dec.values, all_weights, 0.0, METHOD_GRID)
-    tie = _rounding_bound(values, weights, t_max) + dropped
+    rounding = _rounding_bound(values, weights, t_max)
+    horizon, drift = _period(values, weights, t_max, rounding) or (t_max, 0.0)
+    tie = rounding + drift + dropped
     step = (math.pi / float(values[-1] - values[0])) / grid_density
-    count = math.ceil((t_max + step) / step)  # grid t = i * step, as in arange(0, t_max + step, step)
-    peaks = _grid_peaks(values, weights, step, count, t_max)
+    count = math.ceil((horizon + step) / step)  # grid t = i * step, as in arange(0, horizon + step, step)
+    peaks = _grid_peaks(values, weights, step, count, horizon)
 
     def times(index):
-        return np.minimum(index * step, t_max)
+        return np.minimum(index * step, horizon)
 
     lo = times(np.maximum(peaks - 1, 0))
     hi = times(np.minimum(peaks + 1, count - 1))

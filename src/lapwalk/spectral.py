@@ -111,12 +111,16 @@ def eigendecompose(source: Hamiltonian | np.ndarray) -> EigenDecomposition:
     if len(evals) == 0:
         return EigenDecomposition(evals, evals, evecs, ())
     cluster_tol = 1e-8 * float(evals[-1] - evals[0])
-    clusters = np.split(evals, np.flatnonzero(np.diff(evals) > cluster_tol) + 1)
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(evals) > cluster_tol) + 1, [len(evals)]))
+    sizes = np.diff(bounds)
+    values = evals[bounds[:-1]]  # the mean of a single eigenvalue is that eigenvalue
+    for k in np.flatnonzero(sizes > 1).tolist():
+        values[k] = evals[bounds[k] : bounds[k + 1]].sum() / sizes[k]  # as ndarray.mean computes it
     return EigenDecomposition(
         eigenvalues=evals,
-        values=np.array([c.mean() for c in clusters]),
+        values=values,
         vectors=evecs,
-        multiplicities=tuple(len(c) for c in clusters),
+        multiplicities=tuple(sizes.tolist()),
     )
 
 

@@ -283,3 +283,25 @@ def blockwise_grid_peaks(values, weights, step, count, t_max) -> np.ndarray:
         top = top[peak_mags[top] >= peak_mags.max(initial=-np.inf) - cutoff]
         peaks, peak_mags = peaks[top], peak_mags[top]
     return peaks
+
+
+# -- the search: direct exponentials over the whole horizon -------------------
+#
+# Reference for lapwalk.pst.search_pst's one-period scan of an integral
+# support: the walk entry from the matrix's own eigenpairs (no clusters, no
+# support, no factored phases, no period), one exponential per eigenvalue and
+# grid point, on a uniform grid over all of [0, t_max].
+
+
+def scan_max(matrix: np.ndarray, pair: tuple[int, int], t_max: float, density: int = 256) -> float:
+    """Largest |exp(-itM)[v, u]| on a grid of ``density`` points per
+    pi / (spectral range) over [0, t_max], both ends included."""
+    evals, vecs = np.linalg.eigh(np.asarray(matrix, dtype=float))
+    u, v = pair
+    weights = vecs[v] * vecs[u]
+    spread = max(float(evals[-1] - evals[0]), 1e-12)
+    times = np.linspace(0.0, t_max, int(np.ceil(t_max * spread * density / np.pi)) + 1)
+    best = 0.0
+    for chunk in np.array_split(times, max(1, len(times) // 4096)):
+        best = max(best, float(np.abs(np.exp(-1j * np.outer(chunk, evals)) @ weights).max()))
+    return best

@@ -508,6 +508,21 @@ def test_search_reports_the_entry_from_all_weights(g, kind, pair, t_max):
     assert (cert.magnitude, cert.phase) == (check.magnitude, check.phase)
 
 
+def test_search_on_an_integral_support_scans_one_period(tmp_path, capsys):
+    # the Q10 antipodes' support {-10, -8, ..., 10} has period pi: a horizon
+    # of 1e8 scans what a horizon of 4 scans, and answers the same
+    gfile = tmp_path / "q10.json"
+    assert main(["graph", "build", "--type", "hypercube", "--d", "10", "--out", str(gfile)]) == 0
+    argv = ["pst", "search", "--graph", str(gfile), "--kind", "adjacency", "--pair", "0", "1023"]
+    answers = []
+    for t_max in ("4", "1e8"):
+        assert main(argv + ["--t-max", t_max]) == 0
+        answers.append(json.loads(capsys.readouterr().out))
+    assert answers[0] == answers[1]
+    assert answers[0]["magnitude"] >= 1 - 1e-9
+    assert answers[0]["time"] == pytest.approx(math.pi / 2, rel=0, abs=1e-9)
+
+
 @pytest.mark.parametrize(
     "verb",
     [

@@ -287,6 +287,11 @@ def test_traversal_matches_the_loop_reference():
     rng = np.random.default_rng(20240703)
     graphs = [empty(0), empty(1), empty(4), path(30), cycle(7), disjoint_union(cycle(5), path(4))]
     graphs += [make_graph(n, edges) for n, edges in oracle.random_edge_lists(rng, 200)]
+    # dense inputs, alone and beside deep ones: complete and near-complete
+    # graphs, whose frontiers read long CSR rows, and a complete graph beside
+    # a long path
+    graphs += [complete(40), join(complete(2), path(9)), disjoint_union(complete(30), path(60))]
+    graphs += [complement(make_graph(n, edges)) for n, edges in oracle.random_edge_lists(rng, 60, 30)]
     seen = set()
     for g in graphs:
         color, clash = g.two_coloring()

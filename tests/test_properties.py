@@ -135,10 +135,12 @@ def test_complement_walk_runs_backwards_when_n_t_is_a_multiple_of_2pi(g, k):
 
 
 @PROPERTY_SETTINGS
-@given(st.data(), graphs(min_n=0, max_n=10), st.integers(0, 12))
-def test_traversal_matches_the_loop_reference(data, g, tail):
-    # a path beside a random graph, relabelled: several components, some
-    # deep, some isolated vertices, and component starts anywhere
+@given(st.data(), graphs(min_n=0, max_n=10), st.integers(0, 12), st.booleans())
+def test_traversal_matches_the_loop_reference(data, g, tail, dense):
+    # a path beside a random graph or its complement, relabelled: several
+    # components, some deep, some dense, some isolated vertices, component
+    # starts anywhere
+    g = complement(g) if dense else g
     union = disjoint_union(g, path(tail)) if tail else g
     union = union.relabel(data.draw(st.permutations(range(union.n))))
     color, clash = union.two_coloring()

@@ -7,6 +7,7 @@ import pytest
 import oracle
 from lapwalk import pst
 from lapwalk.graphs import (
+    cartesian_product,
     circulant_family,
     complete,
     cycle,
@@ -271,8 +272,39 @@ def test_search_k2_ends_on_rising_edge():
 
 
 def test_search_k2_earliest_peak_across_blocks():
+    # the support {0, 2} is integral: the scan stops after one period, pi
     cert = search_pst(standard_laplacian(complete(2)), (0, 1), 1000.0)
     assert abs(cert.time - math.pi / 2) < 1e-9
+    assert cert.certifies()
+
+
+def _scaled(g, factor):
+    """g with every edge weight multiplied by factor."""
+    return make_graph(g.n, [(u, v, w * factor) for u, v, w in g.edges])
+
+
+def _scanned_horizon(monkeypatch, h, pair, t_max):
+    """The certificate and the end of the grid the search scanned."""
+    horizons = []
+    grid_peaks = pst._grid_peaks
+
+    def spy(values, weights, step, count, horizon):
+        horizons.append(horizon)
+        return grid_peaks(values, weights, step, count, horizon)
+
+    with monkeypatch.context() as m:
+        m.setattr(pst, "_grid_peaks", spy)
+        cert = search_pst(h, pair, t_max)
+    return cert, horizons[0]
+
+
+def test_search_earliest_peak_across_blocks_off_period(monkeypatch):
+    # |U(t)[1, 0]| = |sin(sqrt(2) t)| on K2 with edge weight sqrt(2): the gap
+    # 2 sqrt(2) is no integer, so every block up to t_max is scanned
+    h = standard_laplacian(_scaled(complete(2), math.sqrt(2)))
+    cert, horizon = _scanned_horizon(monkeypatch, h, (0, 1), 1000.0)
+    assert horizon == 1000.0
+    assert abs(cert.time - math.pi / (2 * math.sqrt(2))) < 1e-9
     assert cert.certifies()
 
 
@@ -281,6 +313,17 @@ def test_search_ties_go_to_the_earliest_peak_up_to_rounding():
     # 4 pi/3 + 2 pi k; far peaks differ from the first only by rounding
     cert = search_pst(standard_laplacian(path(3)), (0, 2), 301.0)
     assert abs(cert.time - 2 * math.pi / 3) < 1e-9
+    assert abs(cert.magnitude - math.sqrt(3) / 2) < 1e-12
+
+
+def test_search_ties_go_to_the_earliest_peak_off_period(monkeypatch):
+    # the same entry at time sqrt(2) t on P3 with edge weights sqrt(2): its
+    # support 0, sqrt(2), 3 sqrt(2) is not integral, so the far peaks, equal
+    # up to rounding, are all scanned and the first still wins
+    h = standard_laplacian(_scaled(path(3), math.sqrt(2)))
+    cert, horizon = _scanned_horizon(monkeypatch, h, (0, 2), 301.0)
+    assert horizon == 301.0
+    assert abs(cert.time - 2 * math.pi / (3 * math.sqrt(2))) < 1e-9
     assert abs(cert.magnitude - math.sqrt(3) / 2) < 1e-12
 
 
@@ -424,6 +467,28 @@ def test_search_matches_the_blockwise_reference_grid(monkeypatch, seed, kind):
             assert cert == _with_reference_grid(monkeypatch, h, pair, t_max), (g, pair, count)
 
 
+# pairs whose support is not integral, so that every SCAN_COUNTS grid is
+# scanned to its end
+OFF_PERIOD_PAIRS = [
+    (path(4), "adjacency", (0, 3)),
+    (path(4), "standard", (0, 3)),
+    (_scaled(path(3), math.sqrt(2)), "signless", (0, 2)),
+    (path(5), "normalized", (0, 4)),
+]
+
+
+@pytest.mark.parametrize("g, kind, pair", OFF_PERIOD_PAIRS)
+def test_search_matches_the_blockwise_reference_grid_off_period(monkeypatch, g, kind, pair):
+    h = operator(g, kind)
+    dec = eigendecompose(h)
+    values, weights, _ = pst._support(dec.values, dec.pair_weights(*pair))
+    assert pst._period(values, weights, 1e6, 0.0) is None
+    for count in SCAN_COUNTS:
+        t_max = _horizon(h, pair, count)
+        cert = search_pst(h, pair, t_max)
+        assert cert == _with_reference_grid(monkeypatch, h, pair, t_max), count
+
+
 def test_search_peak_at_the_last_point_of_a_product(monkeypatch):
     # |U(t)[1, 0]| = |sin t| on K2: with pi/2 at grid index SCAN_POINTS - 1,
     # the best grid point ends the first product and its right neighbour
@@ -461,3 +526,93 @@ def test_single_cluster_pair_answers_at_zero_for_any_horizon():
     for t_max in (1.0, 1e300):
         cert = search_pst(h, (1, 1), t_max)
         assert (cert.time, cert.magnitude, cert.method) == (0.0, 1.0, pst.METHOD_GRID)
+
+
+# -- one period of an integral support ----------------------------------------
+
+
+def _star(leaves):
+    return join(empty(1), empty(leaves))
+
+
+# pairs whose eigenvalue support is integral under the kind
+INTEGRAL_PAIRS = [
+    *[(join(empty(2), base), "standard", (0, 1)) for base in (empty(3), complete(4), path(5), cycle(6))],
+    (join(empty(2), empty(4)), "signless", (0, 1)),
+    (join(empty(2), empty(2)), "adjacency", (0, 3)),
+    *[(complete(n), kind, (0, n - 1)) for n, kind in ((4, "adjacency"), (5, "standard"), (7, "signless"))],
+    (_star(4), "adjacency", (0, 4)),
+    (_star(8), "standard", (0, 8)),
+    (_star(3), "signless", (0, 3)),
+    (join(empty(2), empty(3)), "standard", (0, 4)),
+    (join(empty(3), empty(4)), "signless", (0, 6)),
+    (hypercube(5), "adjacency", (0, 31)),
+    (hypercube(4), "standard", (0, 15)),
+    (hypercube(3), "signless", (0, 7)),
+    (cartesian_product(complete(3), hypercube(2)), "adjacency", (0, 11)),
+    (cartesian_product(_star(4), complete(2)), "standard", (0, 9)),
+    (cartesian_product(join(empty(2), empty(3)), complete(2)), "signless", (0, 9)),
+]
+
+
+@pytest.mark.parametrize("g, kind, pair", INTEGRAL_PAIRS)
+def test_one_period_scan_matches_the_brute_force_horizon(monkeypatch, g, kind, pair):
+    h, t_max = operator(g, kind), 40.0
+    dec = eigendecompose(h)
+    values, weights, dropped = pst._support(dec.values, dec.pair_weights(*pair))
+    rounding = pst._rounding_bound(values, weights, t_max)
+    period, drift = pst._period(values, weights, t_max, rounding)
+    tie = rounding + drift + dropped
+    cert, horizon = _scanned_horizon(monkeypatch, h, pair, t_max)
+    assert horizon == period < t_max / 5 and cert.time <= period
+    # direct exponentials over all of [0, t_max] see nothing better
+    assert cert.magnitude >= oracle.scan_max(h.matrix, pair, t_max) - tie
+    # neither does the engine's own grid over the whole horizon, and the
+    # peaks it finds are no earlier
+    monkeypatch.setattr(pst, "_period", lambda *args: None)
+    full = search_pst(h, pair, t_max)
+    assert cert.magnitude >= full.magnitude - tie and cert.time <= full.time + 1e-9
+
+
+def _two_clusters(gap):
+    """Eigenvalues -gap/2 and gap/2, pair weights -1/2 and 1/2 for (0, 1):
+    |U(t)[1, 0]| = |sin(gap t / 2)|."""
+    return Hamiltonian(OperatorKind.CUSTOM, np.array([[0.0, gap / 2], [gap / 2, 0.0]]))
+
+
+def test_the_period_caps_only_a_resolvable_integral_support(monkeypatch):
+    # gap 2: one period, pi
+    cert, horizon = _scanned_horizon(monkeypatch, _two_clusters(2.0), (0, 1), 1000.0)
+    assert horizon == math.pi and abs(cert.time - math.pi / 2) < 1e-9
+    # 1e-8 from the integer 2, beyond INTEGER_TOL: the whole horizon, though
+    # the drift 100 * 1e-8 / 2 would pass the guard
+    cert, horizon = _scanned_horizon(monkeypatch, _two_clusters(2.0 + 1e-8), (0, 1), 100.0)
+    assert horizon == 100.0 and abs(cert.time - math.pi / (2.0 + 1e-8)) < 1e-9
+    # 5e-10 from 2, with weight 1/2: the drift t_max * 5e-10 / 2 stays
+    # below 1e-6 up to t_max = 4000
+    h = _two_clusters(2.0 + 5e-10)
+    assert _scanned_horizon(monkeypatch, h, (0, 1), 3000.0)[1] == math.pi
+    assert _scanned_horizon(monkeypatch, h, (0, 1), 5000.0)[1] == 5000.0
+    # a gap of 5e-10 rounds to 0: there is no period
+    cert, horizon = _scanned_horizon(monkeypatch, _two_clusters(5e-10), (0, 1), 1e10)
+    assert horizon == 1e10 and cert.time > 6e9
+
+
+def test_period_needs_a_positive_gcd_of_exact_integers_below_t_max():
+    weights = np.array([0.5, -0.5])
+    assert pst._period(np.array([0.0, 2.0**52]), weights, 1.0, 0.0) == (2 * math.pi / 2**52, 0.0)
+    assert pst._period(np.array([0.0, 2.0**53]), weights, 1.0, 0.0) is None
+    three = np.array([-1.0, 5.0, 8.0]), np.array([0.2, 0.3, 0.5])
+    assert pst._period(*three, 10.0, 0.0) == (2 * math.pi / 3, 0.0)
+    assert pst._period(*three, 2.0, 0.0) is None  # the horizon ends within one period
+    assert pst._period(np.array([0.0, 1e-10]), weights, 1.0, 0.0) is None
+
+
+def test_equal_peaks_over_many_periods_go_to_the_first():
+    # the apex entry 1/6 - e^(-4it)/2 + e^(-6it)/3 of the double cone over
+    # four isolated vertices peaks at sqrt(3)/2 at pi/3 + k pi and 2 pi/3 + k pi;
+    # t_max = 2000 holds 637 periods, more equal grid maxima than PEAK_CAP, and
+    # a whole-horizon scan kept a later one
+    cert = search_pst(standard_laplacian(join(empty(2), empty(4))), (0, 1), 2000.0)
+    assert abs(cert.time - math.pi / 3) < 1e-9
+    assert abs(cert.magnitude - math.sqrt(3) / 2) < 1e-12

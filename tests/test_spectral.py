@@ -54,6 +54,23 @@ def test_eigendecompose_c6():
     assert np.allclose(np.sort(dec.eigenvalues), [-2, -1, -1, 1, 1, 2], atol=1e-9)
 
 
+def test_cluster_values_are_the_means_of_their_eigenvalues():
+    # to the last bit, against splitting the spectrum and averaging each part
+    rng = np.random.default_rng(3)
+    spread = np.repeat([-1.0, 0.5, 2.0, 7.0], [1, 3, 40, 2]) + rng.normal(size=46) * 1e-10
+    cases = [np.diag(np.sort(spread)), np.diag(rng.normal(size=9))]
+    for _, g in named_small_graphs()[:12]:
+        cases += [adjacency(g).matrix, standard_laplacian(g).matrix]
+    cases += [standard_laplacian(join(empty(2), cycle(98))).matrix, adjacency(hypercube(6)).matrix]
+    for m in cases:
+        dec = eigendecompose(m)
+        evals = dec.eigenvalues
+        cuts = np.flatnonzero(np.diff(evals) > 1e-8 * (evals[-1] - evals[0])) + 1
+        clusters = np.split(evals, cuts)
+        assert dec.multiplicities == tuple(len(c) for c in clusters)
+        assert dec.values.tobytes() == np.array([c.mean() for c in clusters]).tobytes()
+
+
 def test_decomposition_invariants():
     for label, g in named_small_graphs()[:12]:
         dec = eigendecompose(standard_laplacian(g))
