@@ -74,6 +74,7 @@ from .pst import (
     normalized_weak_product_walk_check,
     search_pst,
     verify_pst,
+    walk_entries,
     weak_product_closure_1,
     weak_product_closure_2,
 )

@@ -1,10 +1,11 @@
 """Command-line frontend.
 
 Verbs: graph build|show, matrix, walk, fidelity-curve, pst verify|search,
-quotient, controllable, unicyclic, verify-suite. Exit codes: 0 when the
-command succeeded and any assertion held, 1 when an assertion failed
-(refuted transfer, failing suite), 2 on usage or input errors, input too
-large for memory included.
+quotient, controllable, unicyclic, verify-suite; walk, fidelity-curve and
+pst verify read the walk entry through ``pst.walk_entries``. Exit codes: 0
+when the command succeeded and any assertion held, 1 when an assertion
+failed (refuted transfer, failing suite), 2 on usage or input errors, input
+too large for memory included.
 
 Times are accepted either as decimals or as symbolic expressions over pi and
 sqrt ("pi/2", "3pi", "pi/sqrt(8)"), parsed exactly and converted to float
@@ -39,8 +40,7 @@ from .graphs import (
 )
 from .operators import OperatorKind, operator
 from .partitions import check_almost_equitable, check_equitable, quotient
-from .pst import _require_resolvable, search_pst, verify_pst
-from .spectral import eigendecompose
+from .pst import search_pst, verify_pst, walk_entries
 from .suites import available_suites, suite_for
 
 __all__ = ["main", "parse_time"]
@@ -164,9 +164,7 @@ def _cmd_walk(args) -> int:
     h = operator(g, args.kind)
     src, dst = _vertices(g, args.src, args.dst)
     t = parse_time(args.time)
-    dec = eigendecompose(h)
-    _require_resolvable(dec.values, dec.pair_weights(src, dst), t)
-    amp = complex(dec.matrix_at(float(t))[dst, src])  # exactly walk(h, t)[dst, src]
+    amp = complex(walk_entries(h, (src, dst), [t])[0])
     payload = {
         "from": args.src,
         "to": args.dst,
@@ -193,11 +191,8 @@ def _cmd_fidelity_curve(args) -> int:
     g = lio.load_graph(args.graph)
     h = operator(g, args.kind)
     u, v = _vertices(g, *args.pair)
-    t_max = parse_time(args.t_max)
-    dec = eigendecompose(h)
-    _require_resolvable(dec.values, dec.pair_weights(u, v), t_max)  # the curve's largest |t|
-    ts = np.linspace(0.0, t_max, args.samples)
-    amps = dec.amplitude(u, v, ts)
+    ts = np.linspace(0.0, parse_time(args.t_max), args.samples)
+    amps = walk_entries(h, (u, v), ts)
     _emit(lio.curve_to_csv(zip(ts, amps)), args.out)
     return 0
 

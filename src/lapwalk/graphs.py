@@ -5,13 +5,15 @@ constructors); loops are kept separately as (vertex, weight) entries that land
 on the adjacency diagonal. All combinators are pure and relabel vertices
 deterministically: in unions/joins the first argument keeps its labels and the
 second is shifted by ``|V(g)|``; in products the pair (a, b) becomes
-``a * |V(h)| + b``. Each combinator (and ``complete`` and ``circulant``) is
-built from its adjacency identity, such as A(g) (x) A(h) for the weak
-product, and read back into a graph by one constructor, never by looping over
-vertex pairs; ``hypercube`` lists its d 2^(d-1) edges directly, without the
-2^d x 2^d square. Everything that reads a graph's structure reads
-its edge index arrays (``Graph._arrays``); there is no second adjacency
-structure.
+``a * |V(h)| + b``. ``disjoint_union`` and ``join`` list their edges from
+the arguments' edge index arrays and that shift (plus every cross pair for
+the join), and ``hypercube`` lists its d 2^(d-1) edges directly, none of
+them through an n x n square. Every other combinator (and ``complete`` and
+``circulant``) is built from its adjacency identity, such as A(g) (x) A(h)
+for the weak product. Either way one constructor reads the edges back into
+a graph, never by looping over vertex pairs. Everything that reads a
+graph's structure reads its edge index arrays (``Graph._arrays``); there is
+no second adjacency structure.
 """
 
 from __future__ import annotations
@@ -219,9 +221,11 @@ def _require_unweighted(g: Graph, what: str) -> None:
 
 
 def _unweighted(n: int, rows: np.ndarray, cols: np.ndarray) -> Graph:
-    """Unweighted graph on n vertices with the edges (rows[i], cols[i]),
-    given canonical (rows < cols) and sorted."""
-    return Graph(n, tuple((u, v, 1.0) for u, v in zip(rows.tolist(), cols.tolist())))
+    """Unweighted graph on n vertices with the edges {rows[i], cols[i]},
+    each given once, its ends and the edges in any order."""
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+    order = np.lexsort((hi, lo))
+    return Graph(n, tuple((u, v, 1.0) for u, v in zip(lo[order].tolist(), hi[order].tolist())))
 
 
 def _from_adjacency(a: np.ndarray) -> Graph:
@@ -237,14 +241,6 @@ def _incidence(g: Graph) -> np.ndarray:
     incidence = np.zeros((g.n, n_edges))
     incidence[ends, np.arange(n_edges)[:, None]] = 1.0
     return incidence
-
-
-def _blocks(g: Graph, h: Graph, cross: float) -> Graph:
-    """A(g) and A(h) on the diagonal blocks, ``cross`` everywhere off them."""
-    a = np.full((g.n + h.n, g.n + h.n), cross)
-    a[: g.n, : g.n] = g.adjacency()
-    a[g.n :, g.n :] = h.adjacency()
-    return _from_adjacency(a)
 
 
 # -- elementary constructors ----------------------------------------------
@@ -332,17 +328,24 @@ def complement(g: Graph) -> Graph:
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Union with h's vertices shifted by |V(g)|."""
-    _require_unweighted(g, "disjoint_union")
-    _require_unweighted(h, "disjoint_union")
-    return _blocks(g, h, 0.0)
+    return _union(g, h, "disjoint_union", cross=False)
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """Join: the union plus every cross edge; equals the complement identity
     complement(union(complement(g), complement(h)))."""
-    _require_unweighted(g, "join")
-    _require_unweighted(h, "join")
-    return _blocks(g, h, 1.0)
+    return _union(g, h, "join", cross=True)
+
+
+def _union(g: Graph, h: Graph, what: str, cross: bool) -> Graph:
+    """The edges of g, those of h shifted by |V(g)| and, when ``cross``,
+    every edge between the two vertex sets, from edge index arrays."""
+    _require_unweighted(g, what)
+    _require_unweighted(h, what)
+    ends = [g._arrays[0], h._arrays[0] + g.n]
+    if cross:
+        ends.append(np.argwhere(np.ones((g.n, h.n), dtype=bool)) + (0, g.n))
+    return _unweighted(g.n + h.n, *np.concatenate(ends).T)
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .graphs import Graph, _require_unweighted, cycle, path
 from .operators import OperatorKind, normalized_laplacian, operator
-from .spectral import eigendecompose, walk
+from .spectral import eigendecompose
 
 __all__ = [
     "Partition",
@@ -234,8 +234,8 @@ def lift_check(
     if len(p.cells[cu]) != 1 or len(p.cells[cv]) != 1:
         raise ValueError("lifting needs singleton cells at both endpoints")
     b = quotient(p, kind)
-    big = abs(walk(operator(g, kind), t)[v, u])
-    small = abs(walk(b, t)[cv, cu])
+    big = abs(eigendecompose(operator(g, kind)).amplitude(u, v, [t])[0])
+    small = abs(eigendecompose(b).amplitude(cu, cv, [t])[0])
     return float(abs(big - small))
 
 

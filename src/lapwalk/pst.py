@@ -35,6 +35,7 @@ __all__ = [
     "METHOD_GRID",
     "METHOD_REFUTED",
     "PstCertificate",
+    "walk_entries",
     "verify_pst",
     "search_pst",
     "complement_closure_check",
@@ -87,17 +88,24 @@ class PstCertificate:
         }
 
 
+def walk_entries(h: Hamiltonian, pair: tuple[int, int], times) -> np.ndarray:
+    """U(t)[pair[1], pair[0]] at every time, by ``EigenDecomposition.amplitude``
+    on the pair's cluster weights. Raises ValueError where rounding could move
+    the magnitude across the gap between the two thresholds at the largest |t|
+    (``_rounding_bound`` over the pair's support)."""
+    dec = eigendecompose(h)
+    values, weights, _ = _support(dec.values, dec.pair_weights(*pair))
+    _rounding_bound(values, weights, float(np.abs(times).max(initial=0.0)))
+    return dec.amplitude(*pair, times)
+
+
 def verify_pst(
     h: Hamiltonian, pair: tuple[int, int], t: float, pst_tol: float = PST_TOL
 ) -> PstCertificate:
-    """The walk entry at the given time, with method METHOD_VERIFIED when it
-    certifies under ``pst_tol`` and METHOD_REFUTED otherwise. A time at which
-    rounding alone could move the magnitude across the gap between the two
-    thresholds raises ValueError (see ``_rounding_bound``)."""
-    dec = eigendecompose(h)
-    weights = dec.pair_weights(*pair)
-    _require_resolvable(dec.values, weights, t)
-    cert = _certificate(h, pair, dec.values, weights, t, METHOD_VERIFIED)
+    """The walk entry at the given time (see ``walk_entries``), with method
+    METHOD_VERIFIED when it certifies under ``pst_tol`` and METHOD_REFUTED
+    otherwise."""
+    cert = _certificate(h, pair, t, walk_entries(h, pair, [t])[0], METHOD_VERIFIED)
     return cert if cert.certifies(pst_tol) else replace(cert, method=METHOD_REFUTED)
 
 
@@ -115,17 +123,9 @@ def _rounding_bound(values, weights, t) -> float:
     return bound
 
 
-def _require_resolvable(values, weights, t) -> None:
-    """Raise ValueError when rounding alone could move the walk entry
-    sum_k weights[k] exp(-i t values[k]) across the gap between the two
-    thresholds: ``_rounding_bound`` over the pair's support. The one horizon
-    rule of every verb that reads a walk entry at a given time."""
-    _rounding_bound(*_support(values, weights)[:2], t)
-
-
-def _certificate(h, pair, values, weights, t, method) -> PstCertificate:
-    """The walk entry sum_k weights[k] exp(-i t values[k]) as a certificate."""
-    amp = complex(walk_sum(values, weights, [t])[0])
+def _certificate(h, pair, t, amp, method) -> PstCertificate:
+    """The walk entry ``amp`` at time t as a certificate."""
+    amp = complex(amp)
     return PstCertificate(tuple(pair), h.kind, float(t), abs(amp), cmath.phase(amp), method)
 
 
@@ -176,7 +176,11 @@ def _refine_peak(values, weights, lo, hi):
     a_and_da = np.column_stack([weights, -1j * values * weights])  # a and da/dt
 
     def amp_and_slope(ts):
-        a, da = walk_sum(values, a_and_da, ts).T
+        # one (1 x k)(k x 2) product per time: a single (times x k) product
+        # rounds one row (matrix-vector) unlike several (matrix-matrix), and
+        # an answer would depend on which other brackets are refined with it
+        phases = np.exp(-1j * np.outer(ts, values))[:, None, :]
+        a, da = np.matmul(phases, a_and_da)[:, 0, :].T
         return np.abs(a), (a.conjugate() * da).real
 
     mag_lo, slope_lo = amp_and_slope(lo)
@@ -295,10 +299,9 @@ def search_pst(
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     dec = eigendecompose(h)
-    all_weights = dec.pair_weights(*pair)
-    values, weights, dropped = _support(dec.values, all_weights)
+    values, weights, dropped = _support(dec.values, dec.pair_weights(*pair))
     if len(values) < 2:  # the magnitude changes by at most the dropped mass
-        return _certificate(h, pair, dec.values, all_weights, 0.0, METHOD_GRID)
+        return _certificate(h, pair, 0.0, dec.amplitude(*pair, [0.0])[0], METHOD_GRID)
     rounding = _rounding_bound(values, weights, t_max)
     horizon, drift = _period(values, weights, t_max, rounding) or (t_max, 0.0)
     tie = rounding + drift + dropped
@@ -316,7 +319,7 @@ def search_pst(
     for t, mag in zip(refined, np.abs(walk_sum(values, weights, refined))):
         if mag > best_mag + tie or (abs(mag - best_mag) <= tie and t < best_t):
             best_t, best_mag = t, mag
-    return _certificate(h, pair, dec.values, all_weights, best_t, METHOD_GRID)
+    return _certificate(h, pair, best_t, dec.amplitude(*pair, [best_t])[0], METHOD_GRID)
 
 
 # -- standard Laplacian closures ---------------------------------------------

@@ -7,8 +7,10 @@ then exact up to the orthogonality error of V no matter how large t gets.
 Eigenvalues are grouped into clusters and every eigenvector of a cluster
 shares the cluster's mean eigenvalue theta_k, so degenerate spectra
 (hypercubes, products) stay stable. The spectral projector of cluster k is
-E_k = V_k V_k^T over the cluster's block of columns V_k; it is never stored,
-and entries E_k[v, u] come out as per-cluster sums of V[v, j] V[u, j].
+E_k = V_k V_k^T over the cluster's block of columns V_k; it is never stored.
+A walk entry U(t)[v, u] = sum_k E_k[v, u] exp(-i t theta_k) reads only the
+pair weights E_k[v, u], per-cluster sums of V[v, j] V[u, j] (``amplitude``);
+the whole matrix from ``walk`` serves the checks that compare whole matrices.
 """
 
 from __future__ import annotations
@@ -83,8 +85,10 @@ class EigenDecomposition:
         return np.add.reduceat(v[target] * v[source], self._starts)
 
     def amplitude(self, source: int, target: int, times) -> np.ndarray:
-        """Walk entry from ``source`` to ``target`` at every time."""
-        return walk_sum(self.values, self.pair_weights(source, target), times)
+        """Walk entry from ``source`` to ``target`` at every time; exactly
+        I[target, source] at t = 0, as ``walk`` is."""
+        amps = walk_sum(self.values, self.pair_weights(source, target), times)
+        return np.where(np.equal(times, 0.0), float(source == target), amps)
 
     def matrix_at(self, t: float) -> np.ndarray:
         if t == 0.0:

@@ -1,15 +1,18 @@
 import cmath
 import json
 import math
+import random
+import tracemalloc
 
 import pytest
 
 from lapwalk import cli
 from lapwalk.cli import main, parse_time
 from lapwalk import io as lio
-from lapwalk.graphs import cycle, empty, hypercube, join, path
+from lapwalk.graphs import cycle, empty, hypercube, join, make_graph, path
 from lapwalk.operators import operator, standard_laplacian
 from lapwalk.pst import search_pst, verify_pst
+from lapwalk.spectral import eigendecompose
 from oracle import walk_oracle
 
 
@@ -554,3 +557,73 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
     assert main(["graph", "build", "--type", "complete", "--n", "200000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: Unable to allocate 200000 GiB\n"
+
+
+def _random_graph_file(rng, tmp_path, i):
+    n = rng.randint(2, 12)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}  # a random tree ...
+    for _ in range(rng.randint(0, n)):  # ... plus random chords
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    gfile = tmp_path / f"g{i}.json"
+    lio.save_graph(make_graph(n, edges), gfile)
+    return n, str(gfile)
+
+
+@pytest.mark.parametrize("kind", ["adjacency", "standard", "signless", "normalized"])
+def test_walk_prints_what_pst_verify_reports(tmp_path, capsys, kind):
+    # both verbs read the same walk entry, so they agree bit for bit: the
+    # magnitude, and the phase of re + i im
+    rng = random.Random(17)
+    for i in range(12):
+        n, gfile = _random_graph_file(rng, tmp_path, i)
+        u, v = rng.randrange(n), rng.randrange(n)
+        t = repr(rng.choice([rng.uniform(0.05, 3.0), rng.uniform(3.0, 40.0)]))
+        graph = ["--graph", gfile, "--kind", kind]
+        assert main(["walk", *graph, "--time", t, "--from", str(u), "--to", str(v), "--format", "json"]) == 0
+        walked = json.loads(capsys.readouterr().out)
+        main(["pst", "verify", *graph, "--pair", str(u), str(v), "--time", t])
+        verified = json.loads(capsys.readouterr().out)
+        assert walked["magnitude"] == verified["magnitude"]
+        assert cmath.phase(complex(walked["re"], walked["im"])) == verified["phase"]
+
+
+def test_every_reader_answers_the_identity_at_time_zero(tmp_path, capsys):
+    # U(0) = I exactly: 1 on the diagonal, 0 off it, whatever the rounding
+    # of the eigenvectors
+    rng = random.Random(3)
+    for i, kind in enumerate(["adjacency", "standard", "signless", "normalized"] * 3):
+        n, gfile = _random_graph_file(rng, tmp_path, i)
+        h = operator(lio.load_graph(gfile), kind)
+        for u, v in [(0, 0), (0, n - 1), (rng.randrange(n), rng.randrange(n))]:
+            delta = float(u == v)
+            graph = ["--graph", gfile, "--kind", kind]
+            main(["walk", *graph, "--time", "0", "--from", str(u), "--to", str(v), "--format", "json"])
+            walked = json.loads(capsys.readouterr().out)
+            assert (walked["re"], walked["im"], walked["magnitude"]) == (delta, 0.0, delta)
+            cert = verify_pst(h, (u, v), 0.0)
+            assert (cert.magnitude, cert.phase) == (delta, 0.0)
+            main(["fidelity-curve", *graph, "--pair", str(u), str(v), "--t-max", "3", "--samples", "4"])
+            first = capsys.readouterr().out.splitlines()[1].split(",")
+            assert [float(x) for x in first] == [0.0, delta, 0.0, delta]
+            assert eigendecompose(h).amplitude(u, v, [0.0, -0.0])[0] == delta
+    # a search whose only cluster is 0 answers at t = 0
+    for u, v in [(0, 0), (0, 2)]:
+        cert = search_pst(operator(empty(3), "adjacency"), (u, v), 10.0)
+        assert (cert.time, cert.magnitude, cert.phase) == (0.0, float(u == v), 0.0)
+
+
+def test_walk_memory_stays_with_the_eigensolve(tmp_path, capsys):
+    # an n = 1000 eigensolve holds two 8 MB arrays; a whole complex walk
+    # matrix, and the scaled eigenvectors that build it, take 16 MB more each
+    gfile = tmp_path / "p1000.json"
+    lio.save_graph(path(1000), gfile)
+    argv = ["walk", "--graph", str(gfile), "--kind", "standard", "--time", "7.5", "--from", "0", "--to", "999"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "magnitude=" in capsys.readouterr().out
+    assert peak < 32 << 20

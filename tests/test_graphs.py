@@ -325,3 +325,19 @@ def test_hypercube_memory_follows_its_edges():
         tracemalloc.stop()
     assert q.n == 1 << 12 and q.edge_count == 12 << 11
     assert peak < 32 << 20
+
+
+def test_join_memory_follows_its_edges():
+    # the cone's 12000 edges take a few MiB; a 4002 x 4002 adjacency alone
+    # takes 128, and its upper triangle as much again
+    base, apexes = cycle(4000), empty(2)
+    tracemalloc.start()
+    try:
+        cone = join(apexes, base)
+        union = disjoint_union(apexes, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cone.edge_count == 12000 and union.edge_count == 4000
+    assert cone.edges[:2] == ((0, 2, 1.0), (0, 3, 1.0)) and union.edges[0] == (2, 3, 1.0)
+    assert peak < 16 << 20

@@ -616,3 +616,19 @@ def test_equal_peaks_over_many_periods_go_to_the_first():
     cert = search_pst(standard_laplacian(join(empty(2), empty(4))), (0, 1), 2000.0)
     assert abs(cert.time - math.pi / 3) < 1e-9
     assert abs(cert.magnitude - math.sqrt(3) / 2) < 1e-12
+
+
+@pytest.mark.parametrize("n, pair", [(7, (0, 1)), (7, (1, 3)), (8, (0, 1)), (8, (2, 5))])
+def test_refined_time_does_not_depend_on_the_other_brackets(n, pair):
+    # the peaks of the signless K_n entry (e^{-i(2n-2)t} - e^{-i(n-2)t})/n
+    # are flat to rounding: a product that rounds one row differently from
+    # several moves the refined pi/n by about 5e-13
+    dec = eigendecompose(signless_laplacian(complete(n)))
+    step = math.pi / float(dec.values[-1] - dec.values[0]) / 64  # search_pst's grid
+    peaks = 64 + 128 * np.arange(5)  # pi/n and the next four periods
+    lo, hi = (peaks - 1) * step, (peaks + 1) * step
+    weights = dec.pair_weights(*pair)
+    together = pst._refine_peak(dec.values, weights, lo, hi)
+    for j in range(5):
+        assert pst._refine_peak(dec.values, weights, lo[j : j + 1], hi[j : j + 1])[0] == together[j]
+        assert pst._refine_peak(dec.values, weights, lo[j:], hi[j:])[0] == together[j]
