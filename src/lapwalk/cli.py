@@ -5,7 +5,7 @@ quotient, controllable, unicyclic, verify-suite; walk, fidelity-curve and
 pst verify read the walk entry through ``pst.walk_entries``. Exit codes: 0
 when the command succeeded and any assertion held, 1 when an assertion
 failed (refuted transfer, failing suite), 2 on usage or input errors, input
-too large for memory included.
+too large for memory or for a 64-bit index included.
 
 Times are accepted either as decimals or as symbolic expressions over pi and
 sqrt ("pi/2", "3pi", "pi/sqrt(8)"), parsed exactly and converted to float
@@ -142,10 +142,8 @@ def _cmd_graph(args) -> int:
         return 0
     g = lio.load_graph(args.graph)
     lines = [f"n {g.n}", f"edges {g.edge_count}", f"loops {len(g.loops)}"]
-    degs = g.degrees()
-    lines.append("degrees " + " ".join(f"{d:g}" for d in degs))
-    for u, v, w in g.edges:
-        lines.append(f"{u} {v}" if w == 1.0 else f"{u} {v} {w!r}")
+    lines.append("degrees " + " ".join(map("{:g}".format, g.degrees().tolist())))
+    lines += lio.edge_lines(g)
     for v, w in g.loops:
         lines.append(f"loop {v} {w!r}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -374,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, MemoryError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,24 +1,40 @@
 """Immutable graphs and the constructors/combinators the walk machinery runs on.
 
-Vertices are always 0..n-1. Edges carry a real weight (1.0 from the unweighted
-constructors); loops are kept separately as (vertex, weight) entries that land
-on the adjacency diagonal. All combinators are pure and relabel vertices
-deterministically: in unions/joins the first argument keeps its labels and the
-second is shifted by ``|V(g)|``; in products the pair (a, b) becomes
-``a * |V(h)| + b``. ``disjoint_union`` and ``join`` list their edges from
-the arguments' edge index arrays and that shift (plus every cross pair for
-the join), and ``hypercube`` lists its d 2^(d-1) edges directly, none of
-them through an n x n square. Every other combinator (and ``complete`` and
-``circulant``) is built from its adjacency identity, such as A(g) (x) A(h)
-for the weak product. Either way one constructor reads the edges back into
-a graph, never by looping over vertex pairs. Everything that reads a
-graph's structure reads its edge index arrays (``Graph._arrays``); there is
-no second adjacency structure.
+Vertices are always 0..n-1. A ``Graph`` is its vertex count and four
+read-only arrays: the edge ends (an m x 2 index array, each row u < v, rows
+sorted), the edge weights (1.0 from the unweighted constructors), the loop
+vertices (sorted) and the loop weights; a loop of weight w lands on the
+adjacency diagonal. One constructor checks all four: a Python pass over the
+rows of a graph with few edges, vectorized comparisons otherwise. ``edges`` and
+``loops`` are tuple views of those arrays for printing, writing and tests;
+everything that reads a graph's structure reads the arrays
+(``Graph._arrays``), and there is no second adjacency structure.
+
+All combinators are pure and relabel vertices deterministically: in
+unions/joins the first argument keeps its labels and the second is shifted
+by ``|V(g)|``; in products the pair (a, b) becomes ``a * |V(h)| + b``. Each
+builds its edge arrays by index arithmetic, never a Python tuple per edge and
+never an n x n float matrix:
+
+- ``path``, ``cycle``, ``hypercube`` and ``circulant`` list their edges in
+  sorted order directly (a circulant's as i + s for every vertex i and
+  generator s with i + s < n);
+- ``complete`` reads the pairs above the diagonal of a boolean mask, and
+  ``complement`` the same pairs with g's edges cleared;
+- ``disjoint_union`` and ``join`` list the arguments' edges, the second
+  shifted by ``|V(g)|``, plus every cross pair for the join;
+- ``cartesian_product`` pairs every edge of g with every vertex of h, and
+  every vertex of g with every edge of h; ``weak_product`` pairs every edge
+  of g with every edge of h, both ways round;
+- ``line_graph`` pairs the edges that meet at each vertex.
+
+Rows that do not come out sorted are sorted once, by ``np.lexsort``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -48,65 +64,122 @@ __all__ = [
     "PendantCone",
 ]
 
+# Vertex counts stay below 2^62, so that a vertex index plus another vertex
+# count (the shift in a union) fits in int64, and so does the count of every
+# np.arange a constructor takes: numpy returns an empty range, not an error,
+# for counts just below 2^63.
+_ORDER_LIMIT = 1 << 62
 
-@dataclass(frozen=True)
+
+def _order(n: int) -> int:
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if n >= _ORDER_LIMIT:
+        raise ValueError(f"vertex count {n} is too large")
+    return n
+
+
+_INDEX, _WEIGHT = np.dtype(np.intp), np.dtype(float)
+
+
+def _frozen(values, dtype: np.dtype) -> np.ndarray:
+    out = np.asarray(values, dtype)
+    if out.flags.writeable:
+        out.setflags(write=False)
+    return out
+
+
+_NO_LOOP_VERTICES = _frozen(np.empty(0), _INDEX)
+_NO_LOOP_WEIGHTS = _frozen(np.empty(0), _WEIGHT)
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Graph:
     """Simple undirected weighted graph with optional loops.
 
-    ``edges`` holds canonical (u, v, weight) triples with u < v, sorted;
-    ``loops`` holds sorted (vertex, weight) pairs. Use :func:`make_graph` to
-    build instances from unnormalized edge data.
+    ``ends`` is the (m, 2) index array of the edges, each row u < v and the
+    rows sorted and distinct, ``weights`` their m finite weights;
+    ``loop_vertices`` are the sorted distinct vertices carrying a loop and
+    ``loop_weights`` its finite weight. The graph keeps the arrays it is
+    given, made read-only. Use :func:`make_graph` to build instances from
+    unnormalized edge data.
     """
 
     n: int
-    edges: tuple[tuple[int, int, float], ...] = ()
-    loops: tuple[tuple[int, float], ...] = ()
+    ends: np.ndarray
+    weights: np.ndarray
+    loop_vertices: np.ndarray
+    loop_weights: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        prev = None
-        for u, v, w in self.edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range or not canonical")
-            if not math.isfinite(w):
-                raise ValueError(f"edge ({u},{v}) has non-finite weight {w}")
-            if prev is not None and (u, v) <= prev:
-                raise ValueError("edges must be sorted and duplicate-free")
-            prev = (u, v)
-        prev_v = None
-        for v, w in self.loops:
-            if not 0 <= v < self.n:
-                raise ValueError(f"loop vertex {v} out of range")
-            if not math.isfinite(w):
-                raise ValueError(f"loop at {v} has non-finite weight {w}")
-            if prev_v is not None and v <= prev_v:
+    def __init__(self, n: int, ends, weights, loop_vertices, loop_weights) -> None:
+        n = _order(n)
+        ends, weights = _frozen(ends, _INDEX), _frozen(weights, _WEIGHT)
+        loop_v, loop_w = _frozen(loop_vertices, _INDEX), _frozen(loop_weights, _WEIGHT)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "loop_vertices", loop_v)
+        object.__setattr__(self, "loop_weights", loop_w)
+        if weights.ndim != 1 or ends.shape != (len(weights), 2):
+            raise ValueError("edge ends must be an (m, 2) array beside m weights")
+        if loop_v.ndim != 1 or loop_v.shape != loop_w.shape:
+            raise ValueError("loop vertices and loop weights must be arrays of one length")
+        if len(ends) > _FEW_EDGES or not _few_edges_ok(ends, weights, n):
+            _check_edges(ends, weights, n)
+        if len(loop_v):
+            fault = (loop_v.view(np.uint64) >= n) | ~np.isfinite(loop_w)
+            fault[1:] |= loop_v[1:] <= loop_v[:-1]
+            if np.count_nonzero(fault):
+                i = int(fault.argmax())
+                if not 0 <= loop_v[i] < n:
+                    raise ValueError(f"loop vertex {loop_v[i]} out of range")
+                if not math.isfinite(loop_w[i]):
+                    raise ValueError(f"loop at {loop_v[i]} has non-finite weight {float(loop_w[i])}")
                 raise ValueError("loops must be sorted and duplicate-free")
-            prev_v = v
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and all(map(np.array_equal, self._arrays, other._arrays))
+
+    def __hash__(self) -> int:
+        # + 0.0 turns -0.0 into 0.0, which == already takes for equal
+        ends, weights, loop_v, loop_w = self._arrays
+        parts = (ends, weights + 0.0, loop_v, loop_w + 0.0)
+        return hash((self.n, *(a.tobytes() for a in parts)))
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n}, edges={self.edges!r}, loops={self.loops!r})"
 
     # -- basic queries ---------------------------------------------------
 
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """The edges as canonical (u, v, weight) triples, u < v, sorted."""
+        return tuple(zip(*self.ends.T.tolist(), self.weights.tolist()))
+
+    @cached_property
+    def loops(self) -> tuple[tuple[int, float], ...]:
+        """The loops as sorted (vertex, weight) pairs."""
+        return tuple(zip(self.loop_vertices.tolist(), self.loop_weights.tolist()))
+
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.weights)
 
     @property
     def is_unweighted(self) -> bool:
         """True when every edge weight is 1 and there are no loops."""
-        return not self.loops and bool((self._arrays[1] == 1.0).all())
+        return not len(self.loop_vertices) and not np.count_nonzero(self.weights != 1.0)
 
     def has_edge(self, u: int, v: int) -> bool:
-        ends = self._arrays[0]
+        ends = self.ends
         return bool(((ends[:, 0] == min(u, v)) & (ends[:, 1] == max(u, v))).any())
 
-    @cached_property
+    @property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Edge ends as an (m, 2) index array, edge weights, loop vertices and
-        loop weights, in the order of ``edges`` and ``loops``."""
-        edges = np.fromiter(chain.from_iterable(self.edges), float, 3 * len(self.edges))
-        edges = edges.reshape(-1, 3)
-        loops = np.array(self.loops, dtype=float).reshape(-1, 2)
-        return edges[:, :2].astype(np.intp), edges[:, 2], loops[:, 0].astype(np.intp), loops[:, 1]
+        """Edge ends, edge weights, loop vertices and loop weights."""
+        return self.ends, self.weights, self.loop_vertices, self.loop_weights
 
     def adjacency(self) -> np.ndarray:
         ends, w, loop_v, loop_w = self._arrays
@@ -131,7 +204,7 @@ class Graph:
         its smallest vertex in turn; those starts are the vertices at level 0.
         Each level reads only its frontier's rows of a CSR neighbour array,
         so the whole search reads every edge twice."""
-        src, dst = self._arrays[0].T
+        src, dst = self.ends.T
         tails = np.concatenate([src, dst])
         heads = np.concatenate([dst, src])[np.argsort(tails, kind="stable")]
         degree = np.bincount(tails, minlength=self.n)
@@ -161,7 +234,7 @@ class Graph:
         (in ``edges`` order) whose ends got the same color, or None when
         there is none. Such an edge closes an odd cycle."""
         color = self._levels % 2
-        ends = self._arrays[0]
+        ends = self.ends
         clash = np.flatnonzero(color[ends[:, 0]] == color[ends[:, 1]])
         return color, tuple(ends[clash[0]].tolist()) if clash.size else None
 
@@ -172,12 +245,99 @@ class Graph:
 
     def relabel(self, perm: Iterable[int]) -> "Graph":
         """New graph with vertex u renamed to perm[u]."""
-        p = list(perm)
-        if sorted(p) != list(range(self.n)):
+        p = np.asarray(list(perm))
+        if (
+            p.shape != (self.n,)
+            or (self.n and p.dtype.kind not in "iu")
+            or not np.array_equal(np.sort(p), np.arange(self.n))
+        ):
             raise ValueError("perm must be a permutation of 0..n-1")
-        edges = [(p[u], p[v], w) for u, v, w in self.edges]
-        loops = [(p[v], w) for v, w in self.loops]
-        return make_graph(self.n, edges, loops)
+        ends = _canonical(p[self.ends])
+        order = np.lexsort((ends[:, 1], ends[:, 0]))
+        loop_vertices = p[self.loop_vertices]
+        loop_order = np.argsort(loop_vertices)
+        loop_weights = self.loop_weights[loop_order]
+        return Graph(self.n, ends[order], self.weights[order], loop_vertices[loop_order], loop_weights)
+
+
+# Up to this many edges, one Python pass over the rows accepts a valid
+# graph sooner than the dozen numpy calls of the vectorized check
+_FEW_EDGES = 16
+
+
+def _few_edges_ok(ends: np.ndarray, weights: np.ndarray, n: int) -> bool:
+    """Whether every row is in range with u < v, comes strictly after the
+    row before it, and has a finite weight."""
+    rows = ends.tolist()
+    return (
+        all(0 <= u < v < n for u, v in rows)
+        and all(map(operator.lt, rows, rows[1:]))
+        and all(map(math.isfinite, weights.tolist()))
+    )
+
+
+def _check_edges(ends: np.ndarray, weights: np.ndarray, n: int) -> None:
+    """Raise on the first row in order that is out of range (as unsigned
+    integers a negative u exceeds v, and a negative v exceeds n), has a
+    non-finite weight, or does not come strictly after the row before it."""
+    unsigned = ends.view(np.uint64)
+    wild = (unsigned[:, 0] >= unsigned[:, 1]) | (unsigned[:, 1] >= n)
+    fault = wild | ~np.isfinite(weights)
+    later, earlier = ends[1:], ends[:-1]
+    above, tied = later > earlier, later == earlier
+    fault[1:] |= ~(above[:, 0] | (tied[:, 0] & above[:, 1]))
+    if np.count_nonzero(fault):
+        i = int(fault.argmax())
+        edge = f"edge ({ends[i, 0]},{ends[i, 1]})"
+        if wild[i]:
+            raise ValueError(f"{edge} out of range or not canonical")
+        if not math.isfinite(weights[i]):
+            raise ValueError(f"{edge} has non-finite weight {float(weights[i])}")
+        raise ValueError("edges must be sorted and duplicate-free")
+
+
+def _canonical(ends: np.ndarray) -> np.ndarray:
+    """The rows (min(u, v), max(u, v))."""
+    u, v = ends[:, 0], ends[:, 1]
+    return np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)
+
+
+def _graph(n: int, ends: np.ndarray) -> Graph:
+    """Unweighted, loop-free graph on the edge rows ``ends``, given sorted."""
+    return Graph(n, ends, np.ones(len(ends)), _NO_LOOP_VERTICES, _NO_LOOP_WEIGHTS)
+
+
+def _sorted_graph(n: int, ends: np.ndarray) -> Graph:
+    """Unweighted, loop-free graph on the edge rows ``ends``, each u < v,
+    given in any order."""
+    return _graph(n, ends[np.lexsort((ends[:, 1], ends[:, 0]))])
+
+
+def _rows(rows: list, ints: int, widths: tuple[int, ...], what: str, shape: str):
+    """Loose rows of ``ints`` vertices and, when a row is one longer, a
+    weight, each row's length one of ``widths``: the vertices as an int64
+    array with one row per row, and the weights as floats (1.0 when
+    absent). numpy converts every entry the way ``int`` and ``float`` do,
+    from one object array of all entries."""
+    sizes = list(map(len, rows))
+    if not set(sizes) <= set(widths):  # name the first row of another length
+        row = next(row for row in rows if len(row) not in widths)
+        raise ValueError(f"{what} {row!r} must be {shape}")
+    size = np.array(sizes, dtype=np.intp)
+    flat = np.fromiter(chain.from_iterable(rows), object, int(size.sum()))
+    first = np.cumsum(size) - size
+    weighted = size > ints
+    weights = np.ones(len(rows))
+    try:
+        weights[weighted] = flat[first[weighted] + ints].astype(float)
+        return flat[first[:, None] + np.arange(ints)].astype(np.int64), weights
+    except OverflowError:
+        for row in rows:  # the error path: name the first row that does not convert
+            try:
+                np.array(row[:ints], dtype=np.int64), [float(w) for w in row[ints:]]
+            except OverflowError:
+                raise ValueError(f"{what} {row!r} is out of range") from None
+        raise
 
 
 def make_graph(
@@ -185,34 +345,31 @@ def make_graph(
     edges: Iterable[tuple] = (),
     loops: Iterable[tuple[int, float]] = (),
 ) -> Graph:
-    """Build a Graph from loose edge data: (u, v) or (u, v, w) per edge."""
-    canon: dict[tuple[int, int], float] = {}
-    for e in edges:
-        if len(e) == 2:
-            u, v = e
-            w = 1.0
-        elif len(e) == 3:
-            u, v, w = e
-        else:
-            raise ValueError(f"edge {e!r} must be (u, v) or (u, v, w)")
-        u, v, w = int(u), int(v), float(w)
+    """Build a Graph from loose edge data: (u, v) or (u, v, w) per edge and
+    (v, w) per loop, in any order. The first edge in input order that is a
+    loop or repeats an earlier edge is an error, and so is the first loop
+    that repeats an earlier one."""
+    ends, weights = _rows(list(edges), 2, (2, 3), "edge", "(u, v) or (u, v, w)")
+    loop_vertices, loop_weights = _rows(list(loops), 1, (2,), "loop", "(v, w)")
+    loop_vertices = loop_vertices[:, 0]
+    ends = _canonical(ends)
+    order = np.lexsort((ends[:, 1], ends[:, 0]))
+    ranked = ends[order]
+    # with a stable sort, the later of two equal rows is the repeat
+    repeats = order[1:][(ranked[1:] == ranked[:-1]).all(axis=1)]
+    loop_rows = np.flatnonzero(ends[:, 0] == ends[:, 1])
+    first = min(repeats.min(initial=len(ends)), loop_rows.min(initial=len(ends)))
+    if first < len(ends):
+        u, v = ends[first].tolist()
         if u == v:
             raise ValueError(f"({u},{v}) is a loop; pass it via loops=")
-        key = (u, v) if u < v else (v, u)
-        if key in canon:
-            raise ValueError(f"duplicate edge {key}")
-        canon[key] = w
-    loop_map: dict[int, float] = {}
-    for v, w in loops:
-        v, w = int(v), float(w)
-        if v in loop_map:
-            raise ValueError(f"duplicate loop at {v}")
-        loop_map[v] = w
-    return Graph(
-        n=int(n),
-        edges=tuple((u, v, canon[(u, v)]) for u, v in sorted(canon)),
-        loops=tuple(sorted(loop_map.items())),
-    )
+        raise ValueError(f"duplicate edge {(u, v)}")
+    loop_order = np.argsort(loop_vertices, kind="stable")
+    ranked_loops = loop_vertices[loop_order]
+    repeats = loop_order[1:][ranked_loops[1:] == ranked_loops[:-1]]
+    if repeats.size:
+        raise ValueError(f"duplicate loop at {loop_vertices[repeats.min()]}")
+    return Graph(int(n), ranked, weights[order], ranked_loops, loop_weights[loop_order])
 
 
 def _require_unweighted(g: Graph, what: str) -> None:
@@ -220,56 +377,36 @@ def _require_unweighted(g: Graph, what: str) -> None:
         raise ValueError(f"{what} requires an unweighted, loop-free graph")
 
 
-def _unweighted(n: int, rows: np.ndarray, cols: np.ndarray) -> Graph:
-    """Unweighted graph on n vertices with the edges {rows[i], cols[i]},
-    each given once, its ends and the edges in any order."""
-    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
-    order = np.lexsort((hi, lo))
-    return Graph(n, tuple((u, v, 1.0) for u, v in zip(lo[order].tolist(), hi[order].tolist())))
-
-
-def _from_adjacency(a: np.ndarray) -> Graph:
-    """Unweighted graph whose edges are the nonzero entries of the symmetric
-    matrix ``a`` above the diagonal."""
-    return _unweighted(len(a), *np.nonzero(np.triu(a, 1)))
-
-
-def _incidence(g: Graph) -> np.ndarray:
-    """0/1 vertex-edge incidence N, one column per edge in ``edges`` order."""
-    ends = g._arrays[0]
-    n_edges = len(ends)
-    incidence = np.zeros((g.n, n_edges))
-    incidence[ends, np.arange(n_edges)[:, None]] = 1.0
-    return incidence
-
-
 # -- elementary constructors ----------------------------------------------
+
+
+def _path_ends(n: int) -> np.ndarray:
+    """The rows (i, i + 1) for i < n - 1."""
+    return np.arange(n).repeat(2)[1:-1].reshape(-1, 2)
 
 
 def path(n: int) -> Graph:
     """Path 0-1-...-(n-1); a single vertex for n = 1."""
     if n < 1:
         raise ValueError("path needs at least one vertex")
-    return make_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return _graph(n, _path_ends(_order(n)))
 
 
 def cycle(n: int) -> Graph:
     """Cycle with j ~ k iff j - k = +-1 (mod n); needs n >= 3 to stay simple."""
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
-    return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    ends = _path_ends(_order(n))
+    # (0, n - 1) sorts second, after (0, 1)
+    return _graph(n, np.concatenate([ends[:1], [[0, n - 1]], ends[1:]]))
 
 
 def complete(n: int) -> Graph:
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
-    return _from_adjacency(1.0 - np.eye(n))
+    return _graph(n, np.argwhere(_above_diagonal(_order(n))))
 
 
 def empty(n: int) -> Graph:
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
-    return make_graph(n)
+    return _graph(_order(n), np.empty((0, 2), np.intp))
 
 
 def hypercube(d: int) -> Graph:
@@ -277,10 +414,10 @@ def hypercube(d: int) -> Graph:
     if d < 0:
         raise ValueError("dimension must be nonnegative")
     # edge (x, x | bit) for every bit not set in x; row-major order sorts them
-    x = np.arange(1 << d)[:, None]
+    x = np.arange(_order(1 << d))[:, None]
     bits = 1 << np.arange(d)
     unset = (x & bits) == 0
-    return _unweighted(1 << d, np.broadcast_to(x, unset.shape)[unset], (x | bits)[unset])
+    return _graph(1 << d, np.stack([np.broadcast_to(x, unset.shape)[unset], (x | bits)[unset]], axis=1))
 
 
 def circulant(n: int, gens: Iterable[int]) -> Graph:
@@ -296,8 +433,18 @@ def circulant(n: int, gens: Iterable[int]) -> Graph:
     for s in gset:
         if (n - s) % n not in gset:
             raise ValueError(f"generators not closed under negation: missing {(n - s) % n}")
-    i = np.arange(n)
-    return _from_adjacency(np.isin((i[:, None] - i) % n, sorted(gset)))
+    return _circulant(n, np.array(sorted(gset), dtype=np.intp))
+
+
+def _circulant(n: int, gens: np.ndarray) -> Graph:
+    """Circulant on the sorted generators ``gens``: the rows (i, i + s) for
+    every vertex i and generator s with i + s < n, in that order, which is
+    sorted. The generator n - s gives every such edge again from its other
+    end, at (i + s) + (n - s) >= n, so it is dropped there."""
+    i = np.arange(_order(n))[:, None]
+    ends = i + gens
+    keep = ends < n
+    return _graph(n, np.stack([np.broadcast_to(i, keep.shape)[keep], ends[keep]], axis=1))
 
 
 def circulant_family(m: int) -> Graph:
@@ -308,68 +455,88 @@ def circulant_family(m: int) -> Graph:
     """
     if m < 2:
         raise ValueError("family is defined for m >= 2")
+    n = _order(2 * m)
     if (m - 1) % 2 == 0:
-        ks = range(1, (m - 1) // 2 + 1)
-        gens = set(ks) | {2 * m - k for k in ks}
+        ks = np.arange(1, (m - 1) // 2 + 1)
+        middle = []
     else:
-        ks = range(1, (m - 2) // 2 + 1)
-        gens = set(ks) | {2 * m - k for k in ks} | {m}
-    return circulant(2 * m, gens)
+        ks = np.arange(1, (m - 2) // 2 + 1)
+        middle = [m]
+    return _circulant(n, np.concatenate([ks, middle, n - ks[::-1]]).astype(np.intp))
 
 
 # -- combinators -----------------------------------------------------------
 
 
+def _above_diagonal(n: int) -> np.ndarray:
+    """The n x n boolean mask of the pairs (u, v) with u < v."""
+    vertices = np.arange(n)
+    return np.less.outer(vertices, vertices)
+
+
 def complement(g: Graph) -> Graph:
-    """Adjacency 1 - I - A(g)."""
+    """Adjacency 1 - I - A(g): the pairs above the diagonal that are not edges."""
     _require_unweighted(g, "complement")
-    return _from_adjacency(1.0 - np.eye(g.n) - g.adjacency())
+    mask = _above_diagonal(g.n)
+    mask[g.ends[:, 0], g.ends[:, 1]] = False
+    return _graph(g.n, np.argwhere(mask))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Union with h's vertices shifted by |V(g)|."""
-    return _union(g, h, "disjoint_union", cross=False)
+    _require_unweighted(g, "disjoint_union")
+    _require_unweighted(h, "disjoint_union")
+    return _graph(_order(g.n + h.n), np.concatenate([g.ends, h.ends + g.n]))
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """Join: the union plus every cross edge; equals the complement identity
     complement(union(complement(g), complement(h)))."""
-    return _union(g, h, "join", cross=True)
-
-
-def _union(g: Graph, h: Graph, what: str, cross: bool) -> Graph:
-    """The edges of g, those of h shifted by |V(g)| and, when ``cross``,
-    every edge between the two vertex sets, from edge index arrays."""
-    _require_unweighted(g, what)
-    _require_unweighted(h, what)
-    ends = [g._arrays[0], h._arrays[0] + g.n]
-    if cross:
-        ends.append(np.argwhere(np.ones((g.n, h.n), dtype=bool)) + (0, g.n))
-    return _unweighted(g.n + h.n, *np.concatenate(ends).T)
+    _require_unweighted(g, "join")
+    _require_unweighted(h, "join")
+    cross = np.argwhere(np.ones((g.n, h.n), dtype=bool)) + (0, g.n)
+    return _sorted_graph(_order(g.n + h.n), np.concatenate([g.ends, cross, h.ends + g.n]))
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
-    """Box product: adjacency A(g) (x) I + I (x) A(h) under (a,b) -> a*|V(h)|+b."""
+    """Box product: adjacency A(g) (x) I + I (x) A(h) under (a,b) -> a*|V(h)|+b.
+    Edge {a, a'} of g beside vertex b of h is the edge {(a, b), (a', b)},
+    and vertex a of g beside edge {b, b'} of h is {(a, b), (a, b')}."""
     _require_unweighted(g, "cartesian_product")
     _require_unweighted(h, "cartesian_product")
-    a = np.kron(g.adjacency(), np.eye(h.n)) + np.kron(np.eye(g.n), h.adjacency())
-    return _from_adjacency(a)
+    n = _order(g.n * h.n)
+    along_g = g.ends[:, None, :] * h.n + np.arange(h.n)[:, None]
+    along_h = h.ends + (np.arange(g.n) * h.n)[:, None, None]
+    return _sorted_graph(n, np.concatenate([along_g.reshape(-1, 2), along_h.reshape(-1, 2)]))
 
 
 def weak_product(g: Graph, h: Graph) -> Graph:
-    """Tensor product: adjacency A(g) (x) A(h) under (a,b) -> a*|V(h)|+b."""
+    """Tensor product: adjacency A(g) (x) A(h) under (a,b) -> a*|V(h)|+b.
+    Edges {a, a'} of g and {b, b'} of h give the edges {(a, b), (a', b')}
+    and {(a, b'), (a', b)}."""
     _require_unweighted(g, "weak_product")
     _require_unweighted(h, "weak_product")
-    return _from_adjacency(np.kron(g.adjacency(), h.adjacency()))
+    n = _order(g.n * h.n)
+    a = g.ends[:, None, :] * h.n  # (edges of g, 1, 2)
+    ends = np.concatenate([(a + h.ends).reshape(-1, 2), (a + h.ends[:, ::-1]).reshape(-1, 2)])
+    return _sorted_graph(n, ends)
 
 
 def line_graph(g: Graph) -> Graph:
     """Line graph: vertex i is edge i of ``g.edges``, and two vertices are
-    adjacent exactly when those source edges share one endpoint."""
+    adjacent exactly when those source edges share one endpoint. Edges that
+    meet at a vertex pair up there, and a simple graph's edges meet at one
+    vertex at most."""
     _require_unweighted(g, "line_graph")
-    incidence = _incidence(g)
-    # (N^T N)[i, j] counts the endpoints edges i and j share
-    return _from_adjacency(incidence.T @ incidence)
+    # the edges at each vertex, in edge order: a CSR array over both ends
+    at = np.argsort(g.ends.ravel(), kind="stable") // 2
+    degree = np.bincount(g.ends.ravel(), minlength=g.n)
+    stop = np.repeat(np.cumsum(degree), degree)  # end of each position's vertex block
+    # position p pairs with the positions p + 1 .. stop - 1 of its block
+    later = stop - np.arange(len(at)) - 1
+    first = np.repeat(np.arange(len(at)) + 1 - (np.cumsum(later) - later), later)
+    partner = first + np.arange(later.sum())
+    return _sorted_graph(len(g.ends), np.stack([np.repeat(at, later), at[partner]], axis=1))
 
 
 class OddUnicyclic(NamedTuple):
@@ -387,9 +554,8 @@ def odd_unicyclic(m: int) -> OddUnicyclic:
     if m < 1:
         raise ValueError("needs pendant paths with at least one edge")
     apex = 2 * m + 2
-    edges = [(i, i + 1) for i in range(2 * m + 1)]
-    edges += [(m, apex), (m + 1, apex)]
-    return OddUnicyclic(make_graph(2 * m + 3, edges), (0, 2 * m + 1))
+    ends = np.concatenate([_path_ends(_order(2 * m + 2)), [[m, apex], [m + 1, apex]]])
+    return OddUnicyclic(_sorted_graph(2 * m + 3, ends), (0, 2 * m + 1))
 
 
 class PendantCone(NamedTuple):
@@ -403,6 +569,6 @@ def cone_p4_with_pendant(m: int) -> PendantCone:
     edges appended at vertex 4 using labels 4+1..4+m."""
     if m < 0:
         raise ValueError("pendant length must be nonnegative")
-    edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)]
-    edges += [(4 + k, 4 + k + 1) for k in range(m)]
-    return PendantCone(make_graph(5 + m, edges), 1, 4 + m)
+    cone = [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [2, 3], [3, 4]]
+    pendant = _path_ends(_order(m + 1)) + 4  # (4 + k, 5 + k) for k < m
+    return PendantCone(_graph(5 + m, np.concatenate([cone, pendant])), 1, 4 + m)

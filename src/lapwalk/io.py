@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain, compress
+from operator import itemgetter, not_
 from pathlib import Path
 from typing import Iterable
 
@@ -25,6 +27,7 @@ import numpy as np
 from .graphs import Graph, make_graph
 
 __all__ = [
+    "edge_lines",
     "graph_to_json",
     "graph_from_json",
     "graph_to_edgelist",
@@ -38,16 +41,11 @@ __all__ = [
 ]
 
 
-def _edge_payload(u: int, v: int, w: float) -> list:
-    return [u, v] if w == 1.0 else [u, v, w]
-
-
 def graph_to_json(g: Graph) -> str:
-    payload = {
-        "n": g.n,
-        "edges": [_edge_payload(u, v, w) for u, v, w in g.edges],
-        "loops": [[v, w] for v, w in g.loops],
-    }
+    edges, weights = g.ends.tolist(), g.weights.tolist()
+    for i in np.flatnonzero(g.weights != 1.0).tolist():  # a weight of exactly 1 is left out
+        edges[i].append(weights[i])
+    payload = {"n": g.n, "edges": edges, "loops": list(map(list, g.loops))}
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
@@ -70,39 +68,64 @@ def _lists(payload: dict, key: str, lengths: tuple[int, ...] | None, shape: str)
     items = payload.get(key, [])
     if not isinstance(items, list):
         raise ValueError(f"'{key}' must be a list, got {items!r}")
-    for item in items:
+    if set(map(type, items)) <= {list} and (lengths is None or set(map(len, items)) <= set(lengths)):
+        return items
+    for item in items:  # name the first offending entry
         if not isinstance(item, list) or (lengths is not None and len(item) not in lengths):
             raise ValueError(f"each '{key}' entry must be {shape}, got {item!r}")
     return items
+
+
+def _numbers(items: list, ints: int, what: str) -> None:
+    """Check that the first ``ints`` entries of every item are JSON integers
+    and any further entry a JSON number, by the types of all entries at
+    once, and when there are floats among them, of the leading entries;
+    on failure, name the first offending entry."""
+    kinds = set(map(type, chain.from_iterable(items)))
+    if kinds <= {int}:
+        return
+    leading = chain.from_iterable(map(itemgetter(slice(ints)), items))
+    if kinds <= {int, float} and set(map(type, leading)) <= {int}:
+        return
+    for item in items:
+        for x in item[:ints]:
+            _integer(x, what)
+        for w in item[ints:]:
+            _weight(w)
 
 
 def graph_from_json(text: str) -> Graph:
     payload = json.loads(text)
     if not isinstance(payload, dict) or "n" not in payload:
         raise ValueError("graph JSON must be an object with an 'n' field")
-    edges = [
-        [_integer(v, "edge endpoint") for v in e[:2]] + [_weight(w) for w in e[2:]]
-        for e in _lists(payload, "edges", (2, 3), "[u, v] or [u, v, w]")
-    ]
-    loops = [
-        (_integer(v, "loop vertex"), _weight(w))
-        for v, w in _lists(payload, "loops", (2,), "[v, w]")
-    ]
+    edges = _lists(payload, "edges", (2, 3), "[u, v] or [u, v, w]")
+    _numbers(edges, 2, "edge endpoint")
+    loops = _lists(payload, "loops", (2,), "[v, w]")
+    _numbers(loops, 1, "loop vertex")
     return make_graph(_integer(payload["n"], "n"), edges, loops)
 
 
+def edge_lines(g: Graph) -> list[str]:
+    """One ``u v`` line per edge, in edge order, with `` w`` (the weight's
+    repr) appended when the weight is not exactly 1."""
+    lines = list(map("{} {}".format, *g.ends.T.tolist()))
+    weights = g.weights.tolist()
+    for i in np.flatnonzero(g.weights != 1.0).tolist():
+        lines[i] = f"{lines[i]} {weights[i]!r}"
+    return lines
+
+
 def graph_to_edgelist(g: Graph) -> str:
-    lines = [f"n {g.n}"]
-    for u, v, w in g.edges:
-        lines.append(f"{u} {v}" if w == 1.0 else f"{u} {v} {w!r}")
+    lines = [f"n {g.n}", *edge_lines(g)]
     for v, w in g.loops:
         lines.append(f"{v} {v}" if w == 1.0 else f"{v} {v} {w!r}")
     return "\n".join(lines) + "\n"
 
 
 # decimal literals, which is how repr() writes a finite float; float() also
-# reads '1_0', 'inf' and the digits of other scripts
-_DECIMAL_FLOAT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+# reads '1_0', 'inf' and the digits of other scripts. Each literal matches
+# one way only, so a failing match does not backtrack through digit splits.
+_DECIMAL_FLOAT = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 def _decimal(text: str, what: str) -> int:
@@ -114,25 +137,32 @@ def _decimal(text: str, what: str) -> int:
 
 
 def graph_from_edgelist(text: str) -> Graph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split() if lines else []
+    rows = list(filter(None, map(str.split, text.splitlines())))
+    header = rows[0] if rows else []
     if len(header) != 2 or header[0] != "n":
         raise ValueError("edge list must start with a 'n <count>' header")
     n = _decimal(header[1], "vertex count")
-    edges = []
-    loops = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) not in (2, 3):
-            raise ValueError(f"bad edge line: {ln!r}")
-        u, v = _decimal(parts[0], "vertex"), _decimal(parts[1], "vertex")
-        if len(parts) == 3 and not _DECIMAL_FLOAT.fullmatch(parts[2]):
-            raise ValueError(f"weight must be a decimal number, got {parts[2]!r}")
-        w = float(parts[2]) if len(parts) == 3 else 1.0
-        if u == v:
-            loops.append((u, w))
-        else:
-            edges.append((u, v, w))
+    rows = rows[1:]
+    # all vertex tokens by one regular expression (split() leaves no empty
+    # token and no whitespace inside one), and the weight tokens one by one
+    vertex_text = "".join(chain.from_iterable(map(itemgetter(slice(2)), rows)))
+    weight_tokens = chain.from_iterable(map(itemgetter(slice(2, None)), rows))
+    if not (
+        set(map(len, rows)) <= {2, 3}
+        and re.fullmatch("[0-9]*", vertex_text)
+        and all(map(_DECIMAL_FLOAT.fullmatch, weight_tokens))
+    ):
+        for parts in rows:  # name the first offending line
+            if len(parts) not in (2, 3):
+                raise ValueError(f"bad edge line: {' '.join(parts)!r}")
+            _decimal(parts[0], "vertex"), _decimal(parts[1], "vertex")
+            if len(parts) == 3 and not _DECIMAL_FLOAT.fullmatch(parts[2]):
+                raise ValueError(f"weight must be a decimal number, got {parts[2]!r}")
+    # a line with u == v is a loop; decimal digits name the same vertex
+    # exactly when they agree without their leading zeros
+    loop = [parts[0].lstrip("0") == parts[1].lstrip("0") for parts in rows]
+    edges = list(compress(rows, map(not_, loop)))
+    loops = [[parts[0], parts[2] if len(parts) == 3 else 1.0] for parts in compress(rows, loop)]
     return make_graph(n, edges, loops)
 
 

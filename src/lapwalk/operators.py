@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import Graph, _incidence, _require_unweighted
+from .graphs import Graph, _require_unweighted
 
 __all__ = [
     "OperatorKind",
@@ -137,7 +137,9 @@ def incidence(g: Graph) -> np.ndarray:
     vertex lies on the edge. Column i is edge i of ``g.edges``, which is
     vertex i of ``line_graph(g)``."""
     _require_unweighted(g, "incidence")
-    return _incidence(g) * (1.0 / math.sqrt(2.0))
+    b = np.zeros((g.n, g.edge_count))
+    b[g.ends, np.arange(g.edge_count)[:, None]] = 1.0 / math.sqrt(2.0)
+    return b
 
 
 class NotBipartiteError(ValueError):

@@ -26,7 +26,7 @@ from .operators import (
     normalized_laplacian,
     standard_laplacian,
 )
-from .spectral import eigendecompose, walk, walk_sum
+from .spectral import eigendecompose, entry_sum, walk, walk_sum
 
 __all__ = [
     "PST_TOL",
@@ -89,14 +89,16 @@ class PstCertificate:
 
 
 def walk_entries(h: Hamiltonian, pair: tuple[int, int], times) -> np.ndarray:
-    """U(t)[pair[1], pair[0]] at every time, by ``EigenDecomposition.amplitude``
-    on the pair's cluster weights. Raises ValueError where rounding could move
-    the magnitude across the gap between the two thresholds at the largest |t|
-    (``_rounding_bound`` over the pair's support)."""
+    """U(t)[pair[1], pair[0]] at every time, as ``EigenDecomposition.amplitude``
+    gives it, from the pair's cluster weights computed once. Raises
+    ValueError where rounding could move the magnitude across the gap
+    between the two thresholds at the largest |t| (``_rounding_bound`` over
+    the pair's support)."""
     dec = eigendecompose(h)
-    values, weights, _ = _support(dec.values, dec.pair_weights(*pair))
+    pair_weights = dec.pair_weights(*pair)
+    values, weights, _ = _support(dec.values, pair_weights)
     _rounding_bound(values, weights, float(np.abs(times).max(initial=0.0)))
-    return dec.amplitude(*pair, times)
+    return entry_sum(dec.values, pair_weights, times, float(pair[0] == pair[1]))
 
 
 def verify_pst(
@@ -299,9 +301,15 @@ def search_pst(
     if t_max <= 0:
         raise ValueError("t_max must be positive")
     dec = eigendecompose(h)
-    values, weights, dropped = _support(dec.values, dec.pair_weights(*pair))
+    pair_weights = dec.pair_weights(*pair)
+    values, weights, dropped = _support(dec.values, pair_weights)
+
+    def certificate(t):
+        amp = entry_sum(dec.values, pair_weights, [t], float(pair[0] == pair[1]))[0]
+        return _certificate(h, pair, t, amp, METHOD_GRID)
+
     if len(values) < 2:  # the magnitude changes by at most the dropped mass
-        return _certificate(h, pair, 0.0, dec.amplitude(*pair, [0.0])[0], METHOD_GRID)
+        return certificate(0.0)
     rounding = _rounding_bound(values, weights, t_max)
     horizon, drift = _period(values, weights, t_max, rounding) or (t_max, 0.0)
     tie = rounding + drift + dropped
@@ -319,7 +327,7 @@ def search_pst(
     for t, mag in zip(refined, np.abs(walk_sum(values, weights, refined))):
         if mag > best_mag + tie or (abs(mag - best_mag) <= tie and t < best_t):
             best_t, best_mag = t, mag
-    return _certificate(h, pair, best_t, dec.amplitude(*pair, [best_t])[0], METHOD_GRID)
+    return certificate(best_t)
 
 
 # -- standard Laplacian closures ---------------------------------------------

@@ -42,6 +42,12 @@ def walk_sum(values: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
     return np.exp(-1j * np.outer(times, values)) @ weights
 
 
+def entry_sum(values: np.ndarray, weights: np.ndarray, times, start: float) -> np.ndarray:
+    """``walk_sum`` for one walk entry, which is exactly ``start``, the
+    identity's entry, at t = 0."""
+    return np.where(np.equal(times, 0.0), start, walk_sum(values, weights, times))
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Ascending eigenvalues, the orthonormal eigenvectors ``vectors`` (one
@@ -87,8 +93,7 @@ class EigenDecomposition:
     def amplitude(self, source: int, target: int, times) -> np.ndarray:
         """Walk entry from ``source`` to ``target`` at every time; exactly
         I[target, source] at t = 0, as ``walk`` is."""
-        amps = walk_sum(self.values, self.pair_weights(source, target), times)
-        return np.where(np.equal(times, 0.0), float(source == target), amps)
+        return entry_sum(self.values, self.pair_weights(source, target), times, float(source == target))
 
     def matrix_at(self, t: float) -> np.ndarray:
         if t == 0.0:

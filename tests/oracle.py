@@ -305,3 +305,50 @@ def scan_max(matrix: np.ndarray, pair: tuple[int, int], t_max: float, density: i
     for chunk in np.array_split(times, max(1, len(times) // 4096)):
         best = max(best, float(np.abs(np.exp(-1j * np.outer(chunk, evals)) @ weights).max()))
     return best
+
+
+# -- graph construction: one Python step per row ------------------------------
+#
+# Reference for lapwalk.graphs' vectorized checks: make_graph reads the rows
+# one at a time (int and float per entry, loops and repeats rejected in input
+# order), then the canonical rows are checked in sorted order, each for its
+# range and weight and against the row before it, and the loops likewise.
+
+
+def make_graph(n: int, edges, loops):
+    """(n, edges, loops) as sorted tuples, or the ValueError message of the
+    first fault."""
+    try:
+        canon: dict[tuple[int, int], float] = {}
+        for e in edges:
+            if len(e) not in (2, 3):
+                raise ValueError(f"edge {e!r} must be (u, v) or (u, v, w)")
+            u, v, w = int(e[0]), int(e[1]), float(e[2]) if len(e) == 3 else 1.0
+            if u == v:
+                raise ValueError(f"({u},{v}) is a loop; pass it via loops=")
+            key = (min(u, v), max(u, v))
+            if key in canon:
+                raise ValueError(f"duplicate edge {key}")
+            canon[key] = w
+        loop_map: dict[int, float] = {}
+        for v, w in loops:
+            if int(v) in loop_map:
+                raise ValueError(f"duplicate loop at {int(v)}")
+            loop_map[int(v)] = float(w)
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
+        rows = tuple((u, v, canon[(u, v)]) for u, v in sorted(canon))
+        for u, v, w in rows:
+            if not 0 <= u < v < n:
+                raise ValueError(f"edge ({u},{v}) out of range or not canonical")
+            if not np.isfinite(w):
+                raise ValueError(f"edge ({u},{v}) has non-finite weight {w}")
+        looped = tuple(sorted(loop_map.items()))
+        for v, w in looped:
+            if not 0 <= v < n:
+                raise ValueError(f"loop vertex {v} out of range")
+            if not np.isfinite(w):
+                raise ValueError(f"loop at {v} has non-finite weight {w}")
+    except ValueError as exc:
+        return str(exc)
+    return n, rows, looped

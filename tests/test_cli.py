@@ -1,8 +1,12 @@
 import cmath
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,8 @@ from lapwalk.operators import operator, standard_laplacian
 from lapwalk.pst import search_pst, verify_pst
 from lapwalk.spectral import eigendecompose
 from oracle import walk_oracle
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_parse_time_forms():
@@ -379,10 +385,62 @@ def test_bad_vertices_and_times_are_rejected(tmp_path, capsys):
     ],
 )
 def test_non_integer_graph_json_is_rejected(tmp_path, capsys, text):
+    _show_rejects(tmp_path, capsys, text)
+
+
+def _show_rejects(tmp_path, capsys, text) -> str:
+    """``graph show`` on the graph JSON ``text`` exits 2 with one error
+    line and prints nothing; the error line is returned."""
     gfile = tmp_path / "g.json"
     gfile.write_text(text)
     assert main(["graph", "show", "--graph", str(gfile)]) == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+# each input is valid up to one entry, which comes after a valid one; the
+# error line must name that entry
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ('{"n": 3, "edges": [[0, 1], [1, 36893488147419103232]]}', "36893488147419103232"),
+        ('{"n": 3, "edges": [[0, 1], [true, 2]]}', "got True"),
+        ('{"n": 3, "edges": [[0, 1], [1.0, 2]]}', "got 1.0"),
+        ('{"n": 3, "edges": [[0, 1], [1, "1"]]}', "got '1'"),
+        ('{"n": 3, "edges": [[0, 1], [1, 2, NaN]]}', "edge (1,2) has non-finite weight nan"),
+        ('{"n": 3, "edges": [[0, 1, 2.5], [1, 2, Infinity]]}', "edge (1,2) has non-finite weight inf"),
+        ('{"n": 3, "edges": [[0, 1], [1, 2], [1, 0]]}', "duplicate edge (0, 1)"),
+        ('{"n": 3, "edges": [[0, 1], [2, 2]]}', "(2,2) is a loop"),
+        ('{"n": 3, "edges": [[0, 1], [1, 3]]}', "edge (1,3) out of range"),
+        ('{"n": 3, "edges": [[0, 1], [-1, 2]]}', "edge (-1,2) out of range"),
+        ('{"n": 3, "loops": [[1, 0.5], [3, 0.5]]}', "loop vertex 3 out of range"),
+        ('{"n": 3, "loops": [[1, 0.5], [1, 2]]}', "duplicate loop at 1"),
+        ('{"n": 3, "edges": [[0, 1, 1' + "0" * 400 + ']]}', "edge [0, 1, 1000"),
+    ],
+)
+def test_graph_json_errors_name_the_first_offending_entry(tmp_path, capsys, text, named):
+    assert named in _show_rejects(tmp_path, capsys, text)
+
+
+# sizes whose first array fails to allocate at once, or that no int64 holds
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--type", "path", "--n", str(2**65)],
+        ["--type", "path", "--n", str(10**15)],
+        ["--type", "circulant-family", "--m", str(10**20)],
+        ["--type", "circulant-family", "--m", str(10**15)],
+        ["--type", "empty", "--n", str(2**65)],
+        ["--type", "hypercube", "--d", "70"],
+        ["--type", "circulant", "--n", str(2**65), "--gens", "1,-1"],
+    ],
+)
+def test_graph_build_rejects_sizes_beyond_memory_at_once(argv, capsys):
+    assert main(["graph", "build", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_non_integer_cell_entries_are_rejected(tmp_path, capsys):
@@ -441,6 +499,25 @@ def test_non_decimal_edge_list_is_rejected(tmp_path, capsys, text):
     gfile.write_text(text)
     assert main(["graph", "show", "--graph", str(gfile)]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "weight", ["inf", "1_0", "2,5", "1" * 50000 + "_"], ids=["inf", "underscore", "comma", "long-token"]
+)
+def test_bad_weight_after_many_lines_is_rejected_at_once(tmp_path, weight):
+    # each weight token is checked on its own, by a pattern that matches a
+    # literal one way only: a pattern that could split digits several ways
+    # backtracks through every split, of one long token or of many tokens
+    gfile = tmp_path / "g.txt"
+    gfile.write_text("n 42\n" + "".join(f"0 {v} 10\n" for v in range(1, 41)) + f"0 41 {weight}\n")
+    code = "import sys; from lapwalk.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code, "graph", "show", "--graph", str(gfile)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error:") and repr(weight) in done.stderr
 
 
 # `pst search` JSON of the six scan searches (P100 under three operators and
@@ -557,6 +634,16 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
     assert main(["graph", "build", "--type", "complete", "--n", "200000"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: Unable to allocate 200000 GiB\n"
+
+
+def test_overflow_exits_2(monkeypatch, capsys):
+    def overflow(k, a):
+        raise OverflowError("Python int too large to convert to C long")
+
+    monkeypatch.setitem(cli._BUILDERS, "path", ("n", overflow))
+    assert main(["graph", "build", "--type", "path", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: Python int too large to convert to C long\n"
 
 
 def _random_graph_file(rng, tmp_path, i):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -154,12 +155,14 @@ def test_combinators_match_networkx():
         assert all(type(u) is type(v) is int and type(w) is float for u, v, w in ours.edges)
 
     rng = np.random.default_rng(29)
-    graphs = [empty(0), path(4), cycle(5), complete(4), empty(3), hypercube(3)]
+    graphs = [empty(0), path(4), cycle(5), complete(4), empty(3), hypercube(3), empty(1), path(2)]
     graphs += [_random_graph(rng, int(rng.integers(1, 8))) for _ in range(14)]
     for g in graphs:
         same(complement(g), nx.complement(to_nx(g)))
         index = {frozenset(e[:2]): i for i, e in enumerate(g.edges)}
         same(line_graph(g), nx.line_graph(to_nx(g)), lambda e: index[frozenset(e)])
+        perm = rng.permutation(g.n).tolist()
+        same(g.relabel(perm), nx.relabel_nodes(to_nx(g), dict(enumerate(perm))))
     for g, h in zip(graphs, graphs[5:] + graphs[:5]):
         big, small = to_nx(g), to_nx(h)
         shifted = nx.relabel_nodes(small, lambda b: b + g.n)
@@ -170,6 +173,7 @@ def test_combinators_match_networkx():
         same(weak_product(g, h), nx.tensor_product(big, small), pair)
     for n in range(0, 12):
         same(complete(n), nx.complete_graph(n))
+        same(empty(n), nx.empty_graph(n))
     for n in range(1, 14):
         for _ in range(3):
             gens = {s for s in range(1, n // 2 + 1) if rng.random() < 0.5}
@@ -283,6 +287,15 @@ def test_edgelist_round_trip():
     assert lio.graph_to_edgelist(back) == text
 
 
+def test_edgelist_reads_vertices_with_leading_zeros():
+    # a line names a loop when its two vertices are the same number, however
+    # written; a loop line without a weight has weight 1
+    g = lio.graph_from_edgelist("n 12\n010 10\n0 00\n2 01 0.5\n02 011\n")
+    assert g == make_graph(12, [(1, 2, 0.5), (2, 11)], loops=[(0, 1.0), (10, 1.0)])
+    with pytest.raises(ValueError, match=re.escape("duplicate loop at 3")):
+        lio.graph_from_edgelist("n 4\n3 3\n03 003 2\n")
+
+
 def test_traversal_matches_the_loop_reference():
     rng = np.random.default_rng(20240703)
     graphs = [empty(0), empty(1), empty(4), path(30), cycle(7), disjoint_union(cycle(5), path(4))]
@@ -341,3 +354,115 @@ def test_join_memory_follows_its_edges():
     assert cone.edge_count == 12000 and union.edge_count == 4000
     assert cone.edges[:2] == ((0, 2, 1.0), (0, 3, 1.0)) and union.edges[0] == (2, 3, 1.0)
     assert peak < 16 << 20
+
+
+def test_complement_memory_follows_its_edges():
+    # 1,997,000 edges: 32 MB of edge ends and 16 MB of weights, beside a
+    # 4 MB boolean mask; an n x n float matrix alone would take 32 MB more
+    base = cycle(2000)
+    tracemalloc.start()
+    try:
+        comp = complement(base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert comp.edge_count == 2000 * 1999 // 2 - 2000
+    assert peak < 128 << 20
+
+
+def _random_weighted(rng, n):
+    """A weighted graph with loops, its edges and loops given in random
+    order with their ends either way round."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+    weights = rng.choice([1.0, -0.0, 0.5, -3.0, 1e-300, 1e300, 1.0000000000000002], len(pairs))
+    edges = [(v, u, w) if rng.random() < 0.5 else (u, v, w) for (u, v), w in zip(pairs, weights.tolist())]
+    edges = [e[:2] if e[2] == 1.0 and rng.random() < 0.5 else e for e in edges]  # (u, v) means weight 1
+    loops = [(v, float(rng.choice([1.0, 2.5, -1.0]))) for v in range(n) if rng.random() < 0.3]
+    order, loop_order = rng.permutation(len(edges)), rng.permutation(len(loops))
+    return make_graph(n, [edges[i] for i in order], [loops[i] for i in loop_order])
+
+
+def test_weighted_looped_graphs_round_trip_byte_for_byte():
+    rng = np.random.default_rng(37)
+    for n in [0, 1, 2, 5, 9, 16] * 3:
+        g = _random_weighted(rng, n)
+        for write, read in ((lio.graph_to_json, lio.graph_from_json), (lio.graph_to_edgelist, lio.graph_from_edgelist)):
+            text = write(g)
+            back = read(text)
+            assert back == g and hash(back) == hash(g)
+            assert write(back) == text
+            assert back.edges == g.edges and back.loops == g.loops
+
+
+def test_equality_and_hash():
+    g = make_graph(4, [(0, 1), (2, 1, 2.5), (3, 0)], loops=[(2, 1.5)])
+    shuffled = make_graph(4, [(0, 3, 1.0), (1, 2, 2.5), (1, 0)], loops=[(2, 1.5)])
+    assert g == shuffled and hash(g) == hash(shuffled) and len({g, shuffled}) == 1
+    assert g != make_graph(4, [(0, 1), (1, 2, 2.5), (0, 3)], loops=[(2, 1.0)])
+    assert g != make_graph(4, [(0, 1), (1, 2, 2.5), (0, 3)])
+    assert g != make_graph(5, [(0, 1), (1, 2, 2.5), (0, 3)], loops=[(2, 1.5)])
+    assert g != make_graph(4, [(0, 1), (1, 2, 2.5), (0, 2)], loops=[(2, 1.5)])
+    # -0.0 == 0.0, so the two graphs are equal and must hash alike
+    zero, negative_zero = make_graph(2, [(0, 1, 0.0)]), make_graph(2, [(0, 1, -0.0)])
+    assert zero == negative_zero and hash(zero) == hash(negative_zero)
+    assert g != g.edges and (g == "graph") is False
+    assert path(3) == make_graph(3, [(1, 2), (0, 1)]) and {path(3): 1}[make_graph(3, [(0, 1), (1, 2)])] == 1
+    assert repr(path(3)) == "Graph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)), loops=())"
+
+
+def test_graph_checks_its_arrays():
+    from lapwalk.graphs import Graph
+
+    none, no_weights = np.empty(0, dtype=np.intp), np.empty(0)
+
+    def graph(n, ends, weights=None, loop_v=none, loop_w=no_weights):
+        weights = np.ones(len(ends)) if weights is None else np.array(weights)
+        return Graph(n, np.array(ends, dtype=np.intp).reshape(-1, 2), weights, np.array(loop_v), np.array(loop_w))
+
+    g = graph(3, [[0, 1], [1, 2]], loop_v=[1], loop_w=[0.5])
+    assert g.edges == ((0, 1, 1.0), (1, 2, 1.0)) and g.loops == ((1, 0.5),)
+    for array in g._arrays:
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        g.ends[0, 0] = 2
+    cases = [
+        (lambda: graph(-1, []), "nonnegative"),
+        (lambda: graph(2**62, []), "too large"),
+        (lambda: graph(3, [[0, 1], [1, 3]]), "edge (1,3) out of range"),
+        (lambda: graph(3, [[0, 1], [-1, 2]]), "edge (-1,2) out of range"),
+        (lambda: graph(3, [[0, 1], [2, 1]]), "edge (2,1) out of range or not canonical"),
+        (lambda: graph(3, [[0, 1], [1, 1]]), "edge (1,1) out of range or not canonical"),
+        (lambda: graph(3, [[1, 2], [0, 1]]), "sorted and duplicate-free"),
+        (lambda: graph(3, [[0, 1], [0, 1]]), "sorted and duplicate-free"),
+        (lambda: graph(3, [[0, 1], [1, 2]], [1.0, np.nan]), "edge (1,2) has non-finite weight nan"),
+        (lambda: graph(3, [[0, 2], [0, 1]], [np.inf, 1.0]), "edge (0,2) has non-finite weight inf"),
+        (lambda: graph(3, [[0, 1]], [1.0, 1.0]), "(m, 2) array beside m weights"),
+        (lambda: graph(3, [], loop_v=[2, 1], loop_w=[1.0, 1.0]), "loops must be sorted"),
+        (lambda: graph(3, [], loop_v=[3], loop_w=[1.0]), "loop vertex 3 out of range"),
+        (lambda: graph(3, [], loop_v=[-1], loop_w=[1.0]), "loop vertex -1 out of range"),
+        (lambda: graph(3, [], loop_v=[0], loop_w=[-np.inf]), "loop at 0 has non-finite weight -inf"),
+        (lambda: graph(3, [], loop_v=[0], loop_w=[1.0, 2.0]), "one length"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build()
+
+
+def test_make_graph_names_the_first_offending_entry():
+    cases = [
+        ([(0, 1), (2, 2), (1, 0)], "(2,2) is a loop"),
+        ([(0, 1), (1, 0), (2, 2)], "duplicate edge (0, 1)"),
+        ([(2, 1), (0, 1), (1, 2, 3.0)], "duplicate edge (1, 2)"),
+        ([(0, 1), (1,)], "edge (1,) must be (u, v) or (u, v, w)"),
+        ([(0, 1), (1, 2**65)], "is out of range"),
+        ([(0, 1, 1.0), (1, 2, 10**400)], "is out of range"),
+    ]
+    for edges, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_graph(3, edges)
+    with pytest.raises(ValueError, match="duplicate loop at 2"):
+        make_graph(3, loops=[(1, 1.0), (2, 1.0), (2, 3.0)])
+    with pytest.raises(ValueError, match="must be a permutation"):
+        path(3).relabel([0, 1, 1])
+    with pytest.raises(ValueError, match="must be a permutation"):
+        path(3).relabel([0.0, 1.0, 2.0])

@@ -10,6 +10,7 @@ import oracle  # noqa: E402
 from oracle import walk_oracle  # noqa: E402
 
 from lapwalk.graphs import complement, disjoint_union, empty, join, make_graph, path  # noqa: E402
+from lapwalk.graphs import _check_edges, _few_edges_ok  # noqa: E402
 from lapwalk.operators import operator, standard_laplacian  # noqa: E402
 from lapwalk.partitions import (  # noqa: E402
     check_almost_equitable,
@@ -147,3 +148,63 @@ def test_traversal_matches_the_loop_reference(data, g, tail, dense):
     want_color, want_clash = oracle.two_coloring(union.n, union.edges)
     assert np.array_equal(color, want_color) and clash == want_clash
     assert union.is_connected() == oracle.is_connected(union.n, union.edges)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_few_edge_pass_accepts_what_the_vectorized_check_accepts(data):
+    """A graph of few edges is accepted by a Python pass over its rows, and
+    otherwise by the vectorized check that names the fault: both accept the
+    same arrays. Valid rows get at most one fault: a repeated, swapped or
+    reversed row, a row with u == v, an extreme vertex, or a non-finite
+    weight."""
+    n = data.draw(st.integers(0, 6))
+    pairs = [[u, v] for u in range(n) for v in range(u + 1, n)]
+    rows = sorted(data.draw(st.lists(st.sampled_from(pairs), unique_by=tuple, max_size=6))) if pairs else []
+    weights = [1.0] * len(rows)
+    fault = data.draw(st.sampled_from(["none", "repeat", "swap", "reverse", "loop", "vertex", "weight"]))
+    if rows and fault != "none":
+        i = data.draw(st.integers(0, len(rows) - 1))
+        if fault == "repeat":
+            rows.insert(i, rows[i])
+            weights.append(1.0)
+        elif fault == "swap":
+            j = data.draw(st.integers(0, len(rows) - 1))
+            rows[i], rows[j] = rows[j], rows[i]
+        elif fault == "reverse":
+            rows[i] = rows[i][::-1]
+        elif fault == "loop":
+            rows[i] = [rows[i][0]] * 2
+        elif fault == "vertex":
+            rows[i][data.draw(st.integers(0, 1))] = data.draw(st.sampled_from([-1, n, -(2**63), 2**63 - 1]))
+        else:
+            weights[i] = data.draw(st.sampled_from([float("inf"), float("-inf"), float("nan")]))
+    ends, weights = np.array(rows, dtype=np.intp).reshape(-1, 2), np.array(weights)
+    try:
+        _check_edges(ends, weights, n)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    assert _few_edges_ok(ends, weights, n) == accepted
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_make_graph_matches_the_row_by_row_reference(data):
+    """Loose rows in any order, with repeats, loops, vertices out of range
+    and non-finite weights mixed in: the graph, or the first fault's
+    message, is the one the row-by-row reference gives."""
+    n = data.draw(st.integers(-1, 7))
+    vertex = st.integers(-2, 8)
+    weight = st.sampled_from([1.0, 2.5, -0.0, float("inf"), float("nan")])
+    edge = st.one_of(st.tuples(vertex, vertex), st.tuples(vertex, vertex, weight))
+    edges = data.draw(st.lists(edge, max_size=12))
+    loops = data.draw(st.lists(st.tuples(vertex, weight), max_size=4))
+    want = oracle.make_graph(n, edges, loops)
+    try:
+        g = make_graph(n, edges, loops)
+    except ValueError as exc:
+        assert str(exc) == want
+    else:
+        assert (g.n, g.edges, g.loops) == want
