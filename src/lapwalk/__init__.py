@@ -9,10 +9,8 @@ __version__ = "0.1.0"
 from .control import (
     UnicyclicReport,
     WalkMatrix,
-    eigenvector_chase_check,
     exact_rank,
     is_controllable,
-    spectral_controllability_count,
     unicyclic_no_pst_pipeline,
     walk_matrix,
 )

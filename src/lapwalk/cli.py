@@ -20,6 +20,7 @@ import json
 import math
 import re
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +269,7 @@ def _cmd_verify_suite(args) -> int:
     return 0 if all_ok else 1
 
 
+@cache  # parse_args leaves the parser as it found it, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lapwalk",

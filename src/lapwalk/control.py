@@ -25,31 +25,19 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graphs import Graph, _require_unweighted, cone_p4_with_pendant, line_graph, odd_unicyclic
+from .graphs import Graph, _require_unweighted, line_graph, odd_unicyclic
 from .linegraph import _pendant_edge_index
-from .operators import adjacency, signless_laplacian
+from .operators import signless_laplacian
 from .pst import PstCertificate, search_pst
-from .spectral import eigendecompose
 
 __all__ = [
     "WalkMatrix",
     "walk_matrix",
     "exact_rank",
     "is_controllable",
-    "spectral_controllability_count",
-    "eigenvector_chase_check",
     "unicyclic_no_pst_pipeline",
     "UnicyclicReport",
 ]
-
-# a cluster's projected weight sqrt(E[u, u]) below this counts as vanishing
-VANISH_TOL = 1e-8
-
-
-def _vanishing(weights: np.ndarray) -> np.ndarray:
-    """Which clusters' projected weights sqrt(E[u, u]) vanish."""
-    return np.sqrt(np.maximum(weights, 0.0)) < VANISH_TOL
-
 
 _BUILT = object()  # held by walk_matrix, the only constructor of a WalkMatrix
 
@@ -80,7 +68,7 @@ def walk_matrix(g: Graph, subset: Iterable[int]) -> WalkMatrix:
     for v in s:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    src, dst = g._arrays[0].T
+    src, dst = g.ends.T
     columns = np.zeros((g.n, g.n), dtype=object)  # Python ints: no overflow
     columns[list(s), :1] = 1  # e_S; a slice, so that n = 0 works too
     for k in range(1, g.n):
@@ -199,34 +187,21 @@ def exact_rank(w: WalkMatrix) -> int:
 
 
 def is_controllable(g: Graph, subset: Iterable[int]) -> bool:
-    return exact_rank(walk_matrix(g, subset)) == g.n
+    """Whether the walk matrix of e_S has full rank n.
 
-
-def spectral_controllability_count(g: Graph, u: int) -> int:
-    """Number of eigenvalue clusters whose eigenspace is not orthogonal to
-    e_u (the projection of e_u onto a cluster has squared norm E[u, u]).
-    In exact arithmetic this is the walk-matrix rank; in floating point a
-    true weight below VANISH_TOL**2 = 1e-16 counts as zero. The first miss
-    over the vertices of ``cone_p4_with_pendant(m)`` is m = 19, vertex 23,
-    whose smallest weight is about 2e-17: the count reads 23 where
-    ``exact_rank`` reads 24."""
-    dec = eigendecompose(adjacency(g))
-    return int(np.count_nonzero(~_vanishing(dec.pair_weights(u, u))))
-
-
-def eigenvector_chase_check(m: int) -> bool:
-    """True when the cone-over-P4 with an m-edge pendant path admits an
-    eigenvector vanishing at the probe vertex.
-
-    A repeated eigenvalue always admits such an eigenvector (one linear
-    condition inside a >= 2 dimensional eigenspace), so clusters are checked
-    by multiplicity first and by the projected weight sqrt(E[u, u]) otherwise.
-    The expected pattern is m = 2 (mod 3).
+    For S = {u} this is the negation of "some eigenvector of A vanishes at
+    u". Write A = sum_theta theta E_theta over its distinct eigenvalues.
+    Then A^k e_u = sum_theta theta^k E_theta e_u, and the Vandermonde matrix
+    of distinct eigenvalues is invertible, so the columns span exactly the
+    nonzero E_theta e_u: the rank is the number of eigenvalues theta with
+    E_theta e_u != 0. It is n exactly when every eigenvalue is simple and
+    every E_theta e_u = x_theta x_theta[u] (x_theta a unit eigenvector) is
+    nonzero. So the rank falls below n exactly when
+    - some eigenvalue is repeated: its eigenspace, of dimension >= 2, holds
+      a nonzero vector orthogonal to e_u, which vanishes at u; or
+    - the eigenvector x_theta of some simple eigenvalue has x_theta[u] = 0.
     """
-    g, probe, _ = cone_p4_with_pendant(m)
-    dec = eigendecompose(adjacency(g))
-    repeated = np.array(dec.multiplicities) >= 2
-    return bool((repeated | _vanishing(dec.pair_weights(probe, probe))).any())
+    return exact_rank(walk_matrix(g, subset)) == g.n
 
 
 @dataclass(frozen=True)

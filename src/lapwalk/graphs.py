@@ -7,8 +7,8 @@ vertices (sorted) and the loop weights; a loop of weight w lands on the
 adjacency diagonal. One constructor checks all four: a Python pass over the
 rows of a graph with few edges, vectorized comparisons otherwise. ``edges`` and
 ``loops`` are tuple views of those arrays for printing, writing and tests;
-everything that reads a graph's structure reads the arrays
-(``Graph._arrays``), and there is no second adjacency structure.
+everything that reads a graph's structure reads the arrays, and
+there is no second adjacency structure.
 
 All combinators are pure and relabel vertices deterministically: in
 unions/joins the first argument keeps its labels and the second is shifted

@@ -56,7 +56,7 @@ class LineTransferReport:
 
 
 def _pendant_edge_index(g: Graph, u: int) -> int:
-    hits = np.flatnonzero((g._arrays[0] == u).any(axis=1))
+    hits = np.flatnonzero((g.ends == u).any(axis=1))
     if len(hits) != 1:
         raise ValueError(f"vertex {u} has degree {len(hits)}, expected 1")
     return int(hits[0])
@@ -83,7 +83,7 @@ def pst_transfer_to_line(g: Graph, u1: int, u2: int, t: float) -> LineTransferRe
     if degs[u1] != 1:
         raise ValueError(f"vertex {u1} must have degree one")
     e1 = _pendant_edge_index(g, u1)
-    if u2 in g._arrays[0][e1] and degs[u2] == 1:
+    if u2 in g.ends[e1] and degs[u2] == 1:
         raise ValueError(f"vertex {u2} ends the same pendant edge as vertex {u1}")
     source = verify_pst(signless_laplacian(g), (u1, u2), t)
     if not source.certifies():

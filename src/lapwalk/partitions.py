@@ -121,8 +121,7 @@ def _owner(n: int, cells) -> np.ndarray:
 def _neighbor_counts(g: Graph, owner: np.ndarray, m: int) -> np.ndarray:
     """counts[u, k] = number of neighbors of u inside cell k, counted from
     both ends of every edge with one bincount."""
-    ends = g._arrays[0]  # (edges, 2) vertex indices
-    u, v = ends.ravel(), ends[:, ::-1].ravel()  # both directions of every edge
+    u, v = g.ends.ravel(), g.ends[:, ::-1].ravel()  # both directions of every edge
     return np.bincount(u * m + owner[v], minlength=g.n * m).reshape(g.n, m)
 
 

@@ -197,6 +197,19 @@ def exact_rank(rows) -> int:
     return rank
 
 
+def float_controllability_count(adj: np.ndarray, u: int) -> int:
+    """The walk-matrix rank of e_u read off a float eigensolve: the number of
+    eigenvalue clusters (consecutive eigenvalues closer than 1e-8 times the
+    spectral range) whose projected weight sqrt(E[u, u]) is at least 1e-8.
+    Exact in exact arithmetic; a true weight below 1e-16 reads as zero."""
+    evals, evecs = np.linalg.eigh(np.asarray(adj, dtype=float))
+    if not len(evals):
+        return 0
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(evals) > 1e-8 * (evals[-1] - evals[0])) + 1))
+    weights = np.add.reduceat(evecs[u] * evecs[u], starts)
+    return int(np.count_nonzero(np.sqrt(np.maximum(weights, 0.0)) >= 1e-8))
+
+
 def is_connected(n: int, edges) -> bool:
     if n <= 1:
         return True

@@ -11,7 +11,6 @@ import numpy as np
 from oracle import walk_oracle
 
 from lapwalk.control import (
-    eigenvector_chase_check,
     exact_rank,
     is_controllable,
     unicyclic_no_pst_pipeline,
@@ -279,7 +278,6 @@ def test_criterion_5_controllability():
     for m in range(12):
         pc = cone_p4_with_pendant(m)
         assert is_controllable(pc.graph, (pc.probe,)) == (m % 3 != 2), m
-        assert eigenvector_chase_check(m) == (m % 3 == 2), m
     for m in (1, 2, 4, 5):
         u, ends = odd_unicyclic(m)
         lg = line_graph(u)

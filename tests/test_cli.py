@@ -245,6 +245,27 @@ def test_usage_errors(tmp_path, capsys):
     assert code == 2
 
 
+def test_one_parser_serves_every_call(tmp_path, monkeypatch):
+    # the parser is built once per process; no call's options leak into the next
+    gfile = tmp_path / "p3.json"
+    gfile.write_text(lio.graph_to_json(path(3)))
+    horizons = []
+
+    def recording_search(h, pair, t_max):
+        horizons.append(t_max)
+        return search_pst(h, pair, t_max)
+
+    monkeypatch.setattr(cli, "search_pst", recording_search)
+    search = ["pst", "search", "--graph", str(gfile), "--kind", "laplacian", "--pair", "0", "2"]
+    assert main(search + ["--t-max", "5"]) == 0
+    assert main(search) == 0
+    assert horizons == [5.0, 50.0]
+    assert cli._build_parser() is cli._build_parser()
+    assert main(search + ["--t-max"]) == 2
+    assert main(["frobnicate"]) == 2
+    assert main(search) == 0 and horizons[-1] == 50.0
+
+
 def test_ignored_flags_are_rejected(tmp_path):
     gfile = tmp_path / "p3.json"
     gfile.write_text(lio.graph_to_json(path(3)))
