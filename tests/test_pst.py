@@ -508,6 +508,85 @@ def test_search_peak_at_the_last_point_of_a_product(monkeypatch):
     assert cert == _with_reference_grid(monkeypatch, h, (0, 1), 3.0, grid_density=density)
 
 
+def _grid_arguments(monkeypatch, h, pair, t_max):
+    """The arguments search_pst passes to _grid_peaks, and what it returns."""
+    calls = []
+    grid_peaks = pst._grid_peaks
+
+    def spy(*args):
+        calls.append((args, grid_peaks(*args)))
+        return calls[-1][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(pst, "_grid_peaks", spy)
+        search_pst(h, pair, t_max)
+    return calls[0]
+
+
+TABLE_FACTOR = 64  # F for a whole block's 2050 rows
+
+
+@pytest.mark.parametrize("block", [pst.SCAN_BLOCK, 7])
+@pytest.mark.parametrize(
+    "count",
+    [1, 2, TABLE_FACTOR - 1, TABLE_FACTOR, TABLE_FACTOR + 1]
+    + [pst.SCAN_BLOCK - 1, pst.SCAN_BLOCK, pst.SCAN_POINTS],
+)
+@pytest.mark.parametrize(
+    "g, kind, pair", [(path(100), "standard", (0, 99)), (hypercube(6), "signless", (0, 63))]
+)
+def test_factored_phase_table_matches_direct_exponentials(monkeypatch, block, count, g, kind, pair):
+    # the table _grid_peaks multiplies by, against one np.exp per offset and
+    # cluster, within the bound _phase_table's docstring states
+    (values, _, step, _, _), _ = _grid_arguments(monkeypatch, operator(g, kind), pair, 200.0)
+    tables = []
+    phase_table = pst._phase_table
+
+    def spy(*args):
+        tables.append(phase_table(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(pst, "SCAN_BLOCK", block)
+    monkeypatch.setattr(pst, "_phase_table", spy)
+    weights = np.full(len(values), 1.0 / len(values))
+    pst._grid_peaks(values, weights, step, count, count * step)
+    rows = min(block, count) + 2
+    direct = np.exp(-1j * np.outer(np.arange(-1, rows - 1) * step, values))
+    bound = 2 * np.finfo(float).eps * (rows * step * np.abs(values).max() + 4)
+    assert len(tables) == 1 and tables[0].shape == direct.shape
+    assert np.abs(tables[0] - direct).max() <= bound
+
+
+class _CountingNumpy:
+    """numpy, counting the values np.exp evaluates."""
+
+    def __init__(self):
+        self.exponentials = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x):
+        out = np.exp(x)
+        self.exponentials += out.size
+        return out
+
+
+def test_grid_builds_its_phase_table_from_about_two_square_roots_of_exponentials(monkeypatch):
+    # P100's end pair at t_max = 2000 is a grid of about 1.6e5 points: one
+    # exponential per cluster for each block start, and a phase table of
+    # SCAN_BLOCK + 2 = 2050 rows built from 98 rows of them, not 2050
+    args, peaks = _grid_arguments(monkeypatch, standard_laplacian(path(100)), (0, 99), 2000.0)
+    values, _, _, count, _ = args
+    counting = _CountingNumpy()
+    monkeypatch.setattr(pst, "np", counting)
+    assert np.array_equal(pst._grid_peaks(*args), peaks)
+    k, block_starts = len(values), math.ceil(count / pst.SCAN_BLOCK)
+    table = counting.exponentials - block_starts * k
+    assert count > 1e5 and k == 100
+    assert table <= (3 / math.sqrt(2) * math.sqrt(pst.SCAN_BLOCK + 2) + 2) * k
+
+
 def test_long_horizons_are_refused_where_rounding_decides():
     # K2 under the standard Laplacian: values 0 and 2, weights 1/2 and -1/2,
     # so the rounding bound eps * t * 2 * 1 reaches 1e-6 at t = 1e-6 / (2 eps)
