@@ -18,7 +18,6 @@ from lapwalk import (
     signless_laplacian,
     standard_laplacian,
     verify_pst,
-    walk,
 )
 
 
@@ -26,14 +25,15 @@ def main():
     # A two-vertex graph transfers under the standard Laplacian at pi/2:
     # the (0,1) entry of exp(-itL(K2)) has magnitude |sin t|.
     k2 = complete(2)
-    h = standard_laplacian(k2)
+    dec = eigendecompose(standard_laplacian(k2))
     print("|U(t)_{10}| for L(K2):")
     ts = np.linspace(0, math.pi, 5)
-    for t, amp in zip(ts, eigendecompose(h).amplitude(0, 1, ts)):
+    for t, amp in zip(ts, dec.amplitude(0, 1, ts)):
         print(f"  t = {t:5.3f}   magnitude = {abs(amp):.6f}   (sin t = {math.sin(t):.6f})")
 
-    # The walk operator itself is unitary and is the identity at t = 0.
-    u = walk(h, 0.8)
+    # The walk operator itself, read from the same decomposition, is unitary
+    # and is the identity at t = 0.
+    u = dec.matrix_at(0.8)
     print("\nunitarity check at t=0.8:", np.abs(u @ u.conj().T - np.eye(2)).max())
 
     # Three small graphs with transfer, each under a different operator.

@@ -23,11 +23,14 @@ def main():
     # Complement closure: K2 plus six isolated vertices transfers at pi/2
     # (only the edge does anything), and 8 * pi/2 = 4pi is a multiple of
     # 2pi, so the complement transfers too. That complement is exactly the
-    # double cone over K6.
+    # double cone over K6. At pi/3 the condition fails and so does the
+    # identity; one call checks both times from one eigensolve per Laplacian.
     g = disjoint_union(complete(2), empty(6))
     t = math.pi / 2
-    condition, deviation = complement_closure_check(g, t)
-    print(f"closure condition nt in 2piZ: {condition}, identity deviation {deviation:.2e}")
+    checks = complement_closure_check(g, (t, math.pi / 3))
+    for label, (condition, deviation) in zip(("pi/2", "pi/3"), checks):
+        print(f"t = {label}: closure condition nt in 2piZ: {condition}, "
+              f"identity deviation {deviation:.2e}")
     before = verify_pst(standard_laplacian(g), (0, 1), t)
     after = verify_pst(standard_laplacian(complement(g)), (0, 1), t)
     print(f"K2 + isolated vertices at pi/2: {before.magnitude:.9f}")

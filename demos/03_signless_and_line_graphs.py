@@ -45,9 +45,10 @@ def main():
     print("  ||B B^T - Q/2||        =", np.abs(b @ b.T - q / 2).max())
     print("  ||B^T B - A(l)/2 - I|| =", np.abs(b.T @ b - lg.adjacency() / 2 - np.eye(lg.n)).max())
 
-    # The same bridge intertwines the walks themselves.
-    devs = intertwine_check(u2, 1.7)
-    print("  walk intertwining deviations at t=1.7:", [f"{d:.2e}" for d in devs])
+    # The same bridge intertwines the walks themselves, at every time.
+    times = (0.3, 1.7, 10.0)
+    for t, devs in zip(times, intertwine_check(u2, times)):
+        print(f"  walk intertwining deviations at t={t:g}:", [f"{d:.2e}" for d in devs])
 
     # Consequence one: no endpoint transfer on paths with >= 5 vertices
     # (their line graphs are shorter paths, already known not to transfer).

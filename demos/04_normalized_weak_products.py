@@ -27,10 +27,11 @@ from lapwalk import (
 def main():
     # The normalized Laplacian of a weak product is not a Kronecker sum;
     # it picks up a cross term: L(GxH) = L(G)(x)I + I(x)L(H) - L(G)(x)L(H).
-    chk = normalized_weak_product_walk_check(path(3), complete(4), 3 * math.pi)
-    print("P3 x K4 at t = 3pi:")
-    print(f"  operator identity deviation {chk.operator_deviation:.2e}")
-    print(f"  spectral walk formula deviation {chk.walk_deviation:.2e}")
+    checks = normalized_weak_product_walk_check(path(3), complete(4), (math.pi, 3 * math.pi))
+    print("P3 x K4:")
+    print(f"  operator identity deviation {checks[0].operator_deviation:.2e}")
+    for label, chk in zip(("pi", "3pi"), checks):
+        print(f"  spectral walk formula deviation at t = {label}: {chk.walk_deviation:.2e}")
 
     # Closure: P3 transfers at pi; multiplying by a graph H keeps transfer
     # at time t whenever t * mu * (lambda - 1) is a multiple of 2pi for all

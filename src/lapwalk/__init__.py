@@ -84,6 +84,5 @@ from .spectral import (
     join_walk_entry,
     p3_alpha_fidelity,
     p3_alpha_pst_condition,
-    walk,
 )
 from .suites import SUITES, SuiteReport, available_suites, run_suite

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .graphs import Graph, line_graph, path
 from .operators import adjacency, incidence, signless_laplacian
 from .pst import PstCertificate, search_pst, verify_pst
-from .spectral import walk
+from .spectral import eigendecompose, per_time
 
 __all__ = [
     "intertwine_check",
@@ -32,17 +32,26 @@ __all__ = [
 ]
 
 
-def intertwine_check(g: Graph, t: float) -> tuple[float, float, float]:
-    """Max-norm deviations of the three intertwining identities at time t."""
+def intertwine_check(
+    g: Graph, times: float | Sequence[float]
+) -> tuple[float, float, float] | list[tuple[float, float, float]]:
+    """Max-norm deviations of the three intertwining identities at each time
+    (see ``spectral.per_time``). The signless Laplacian and the line graph's
+    adjacency matrix are each decomposed once per call."""
     b = incidence(g)
-    lg = line_graph(g)
-    uq = walk(signless_laplacian(g), t)
-    ua = walk(adjacency(lg), t)
-    phase = cmath.exp(-2j * t)
-    dev_a = float(np.abs(b.T @ uq - phase * ua @ b.T).max(initial=0.0))
-    dev_b = float(np.abs(uq @ b - phase * b @ ua).max(initial=0.0))
-    dev_c = float(np.abs(b.T @ uq @ b - phase * ua @ (b.T @ b)).max(initial=0.0))
-    return dev_a, dev_b, dev_c
+    btb = b.T @ b
+    dq = eigendecompose(signless_laplacian(g))
+    da = eigendecompose(adjacency(line_graph(g)))
+
+    def check(t: float) -> tuple[float, float, float]:
+        uq, ua = dq.matrix_at(t), da.matrix_at(t)
+        phase = cmath.exp(-2j * t)
+        dev_a = float(np.abs(b.T @ uq - phase * ua @ b.T).max(initial=0.0))
+        dev_b = float(np.abs(uq @ b - phase * b @ ua).max(initial=0.0))
+        dev_c = float(np.abs(b.T @ uq @ b - phase * ua @ btb).max(initial=0.0))
+        return dev_a, dev_b, dev_c
+
+    return per_time(times, check)
 
 
 @dataclass(frozen=True)

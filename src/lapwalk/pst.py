@@ -26,7 +26,7 @@ from .operators import (
     normalized_laplacian,
     standard_laplacian,
 )
-from .spectral import eigendecompose, entry_sum, walk, walk_sum
+from .spectral import eigendecompose, entry_sum, per_time, walk_sum
 
 __all__ = [
     "PST_TOL",
@@ -379,15 +379,22 @@ def _near_integers(x, tol: float) -> bool:
     return bool((np.abs(x - np.round(x)) < tol).all())
 
 
-def complement_closure_check(g: Graph, t: float) -> tuple[bool, float]:
+def complement_closure_check(
+    g: Graph, times: float | Sequence[float]
+) -> tuple[bool, float] | list[tuple[bool, float]]:
     """Condition |V| t in 2 pi Z together with the max-norm deviation of
-    exp(-itL(complement)) from exp(+itL(g)); the deviation is reported whether
-    or not the condition holds."""
-    condition = _near_integers(g.n * t / (2.0 * math.pi), INTEGER_TOL)
-    u_comp = walk(standard_laplacian(complement(g)), t)
-    u_back = walk(standard_laplacian(g), t).conjugate()  # exp(+itL) for real L
-    deviation = float(np.abs(u_comp - u_back).max())
-    return condition, deviation
+    exp(-itL(complement)) from exp(+itL(g)), at each time (see
+    ``spectral.per_time``); the deviation is reported whether or not the
+    condition holds. Both Laplacians are decomposed once per call."""
+    d_comp = eigendecompose(standard_laplacian(complement(g)))
+    d_back = eigendecompose(standard_laplacian(g))
+
+    def check(t: float) -> tuple[bool, float]:
+        condition = _near_integers(g.n * t / (2.0 * math.pi), INTEGER_TOL)
+        u_back = d_back.matrix_at(t).conjugate()  # exp(+itL) for real L
+        return condition, float(np.abs(d_comp.matrix_at(t) - u_back).max())
+
+    return per_time(times, check)
 
 
 def join_necessary_condition(m: int, n: int, t: float) -> bool:
@@ -478,7 +485,9 @@ class WeakProductCheck:
         return max(self.operator_deviation, self.walk_deviation)
 
 
-def normalized_weak_product_walk_check(g: Graph, h: Graph, t: float) -> WeakProductCheck:
+def normalized_weak_product_walk_check(
+    g: Graph, h: Graph, times: float | Sequence[float]
+) -> WeakProductCheck | list[WeakProductCheck]:
     """Check both halves of the weak-product story for the normalized
     Laplacian: the operator identity
 
@@ -486,8 +495,11 @@ def normalized_weak_product_walk_check(g: Graph, h: Graph, t: float) -> WeakProd
 
     entrywise, and the walk formula
     sum_{k,l} exp(-it(lambda_k + mu_l - lambda_k mu_l)) E_k (x) F_l against
-    the directly exponentiated product operator. The formula is evaluated on
-    the eigenvector pairs, as W diag(phase) W^T with W = V_G (x) V_H."""
+    the directly exponentiated product operator, at each time (see
+    ``spectral.per_time``). The formula is evaluated on the eigenvector
+    pairs, as W diag(phase) W^T with W = V_G (x) V_H. The three operators
+    are each decomposed once per call, and the operator deviation and W are
+    computed once."""
     lg = normalized_laplacian(g)
     lh = normalized_laplacian(h)
     prod = weak_product(g, h)
@@ -502,14 +514,18 @@ def normalized_weak_product_walk_check(g: Graph, h: Graph, t: float) -> WeakProd
 
     dg = eigendecompose(lg)
     dh = eigendecompose(lh)
+    dp = eigendecompose(lp)
     lam = np.repeat(dg.values, dg.multiplicities)[:, None]
     mu = np.repeat(dh.values, dh.multiplicities)[None, :]
-    phase = np.exp(-1j * t * (lam + mu - lam * mu)).ravel()
+    exponent = (lam + mu - lam * mu).ravel()
     w = np.kron(dg.vectors, dh.vectors)
-    formula = (w * phase) @ w.T
-    direct = walk(lp, t)
-    walk_dev = float(np.abs(direct - formula).max())
-    return WeakProductCheck(op_dev, walk_dev)
+
+    def check(t: float) -> WeakProductCheck:
+        formula = (w * np.exp(-1j * t * exponent)) @ w.T
+        walk_dev = float(np.abs(dp.matrix_at(t) - formula).max())
+        return WeakProductCheck(op_dev, walk_dev)
+
+    return per_time(times, check)
 
 
 # -- path / cycle screen ------------------------------------------------------

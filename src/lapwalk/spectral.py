@@ -9,8 +9,10 @@ shares the cluster's mean eigenvalue theta_k, so degenerate spectra
 (hypercubes, products) stay stable. The spectral projector of cluster k is
 E_k = V_k V_k^T over the cluster's block of columns V_k; it is never stored.
 A walk entry U(t)[v, u] = sum_k E_k[v, u] exp(-i t theta_k) reads only the
-pair weights E_k[v, u], per-cluster sums of V[v, j] V[u, j] (``amplitude``);
-the whole matrix from ``walk`` serves the checks that compare whole matrices.
+pair weights E_k[v, u], per-cluster sums of V[v, j] V[u, j] (``amplitude``).
+The whole matrix U(t) (``matrix_at``) serves the checks that compare whole
+matrices; each of them decomposes its operators once per call and reads
+every one of its times from those decompositions.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -27,13 +30,23 @@ from .operators import Hamiltonian, OperatorKind, operator
 __all__ = [
     "EigenDecomposition",
     "eigendecompose",
-    "walk",
     "p3_alpha_fidelity",
     "p3_alpha_pst_condition",
     "join_walk_entry",
     "join_cross_entry",
     "cartesian_walk_check",
 ]
+
+
+T = TypeVar("T")
+
+
+def per_time(times: float | Sequence[float], check: Callable[[float], T]) -> T | list[T]:
+    """``check(t)`` at a single time, or the list of ``check(t)`` over a
+    sequence of times, in order."""
+    if np.ndim(times) == 0:
+        return check(float(times))
+    return [check(float(t)) for t in times]
 
 
 def walk_sum(values: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
@@ -92,10 +105,11 @@ class EigenDecomposition:
 
     def amplitude(self, source: int, target: int, times) -> np.ndarray:
         """Walk entry from ``source`` to ``target`` at every time; exactly
-        I[target, source] at t = 0, as ``walk`` is."""
+        I[target, source] at t = 0, as ``matrix_at`` is."""
         return entry_sum(self.values, self.pair_weights(source, target), times, float(source == target))
 
     def matrix_at(self, t: float) -> np.ndarray:
+        """exp(-i t M) as a dense matrix; exactly the identity at t = 0."""
         if t == 0.0:
             return np.eye(self.n, dtype=complex)
         phases = np.exp(-1j * t * np.repeat(self.values, self.multiplicities))
@@ -131,11 +145,6 @@ def eigendecompose(source: Hamiltonian | np.ndarray) -> EigenDecomposition:
         vectors=evecs,
         multiplicities=tuple(sizes.tolist()),
     )
-
-
-def walk(source: Hamiltonian | np.ndarray, t: float) -> np.ndarray:
-    """exp(-i t M) as a dense matrix; exactly the identity at t = 0."""
-    return eigendecompose(source).matrix_at(float(t))
 
 
 # -- closed forms -----------------------------------------------------------
@@ -183,9 +192,13 @@ def join_cross_entry(m: int, n: int, t: float) -> complex:
     return (1.0 - cmath.exp(-1j * t * (m + n))) / (m + n)
 
 
-def cartesian_walk_check(h_g: Hamiltonian, h_h: Hamiltonian, t: float) -> float:
+def cartesian_walk_check(
+    h_g: Hamiltonian, h_h: Hamiltonian, times: float | Sequence[float]
+) -> float | list[float]:
     """Max-norm deviation between the walk on the box product and the
-    Kronecker product of the factor walks, for standard/signless Laplacians."""
+    Kronecker product of the factor walks, for standard/signless Laplacians,
+    at each time (see ``per_time``). The product and both factors are each
+    decomposed once per call."""
     if h_g.kind != h_h.kind:
         raise ValueError("factors must use the same operator kind")
     if h_g.kind not in (OperatorKind.STANDARD, OperatorKind.SIGNLESS):
@@ -193,6 +206,11 @@ def cartesian_walk_check(h_g: Hamiltonian, h_h: Hamiltonian, t: float) -> float:
     if h_g.graph is None or h_h.graph is None:
         raise ValueError("both Hamiltonians must carry their source graph")
     product = cartesian_product(h_g.graph, h_h.graph)
-    direct = walk(operator(product, h_g.kind), t)
-    factored = np.kron(walk(h_g, t), walk(h_h, t))
-    return float(np.abs(direct - factored).max())
+    d_product = eigendecompose(operator(product, h_g.kind))
+    d_g, d_h = eigendecompose(h_g), eigendecompose(h_h)
+
+    def deviation(t: float) -> float:
+        factored = np.kron(d_g.matrix_at(t), d_h.matrix_at(t))
+        return float(np.abs(d_product.matrix_at(t) - factored).max())
+
+    return per_time(times, deviation)

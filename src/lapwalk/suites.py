@@ -68,10 +68,10 @@ def suite_complement_closure() -> SuiteReport:
     of 2 pi, across the named gallery."""
 
     def check(label, g):
+        ks = (1, 2)
+        results = pst.complement_closure_check(g, [2.0 * math.pi * k / g.n for k in ks])
         rows = []
-        for k in (1, 2):
-            t = 2.0 * math.pi * k / g.n
-            condition, deviation = pst.complement_closure_check(g, t)
+        for k, (condition, deviation) in zip(ks, results):
             ok = condition and deviation < IDENTITY_TOL
             rows.append((ok, f"complement-closure {label} t=2pi*{k}/{g.n} dev={deviation:.2e}"))
         return rows
@@ -141,8 +141,7 @@ def suite_weak_product() -> SuiteReport:
         rows.append((cond, f"weak-product {label} closure condition holds"))
     pairs = [("P3", path(3), "K4", complete(4)), ("P4", path(4), "K3", complete(3))]
     for gl, g, hl, h in pairs:
-        for t in TIMES:
-            chk = pst.normalized_weak_product_walk_check(g, h, t)
+        for t, chk in zip(TIMES, pst.normalized_weak_product_walk_check(g, h, TIMES)):
             ok = chk.max_deviation < IDENTITY_TOL
             rows.append(
                 (
@@ -159,9 +158,7 @@ def suite_line_intertwine() -> SuiteReport:
     graphs += [(f"rand{i}", g) for i, g in enumerate(random_connected_graphs(6, seed=7))]
 
     def check(label, g):
-        worst = 0.0
-        for t in TIMES:
-            worst = max(worst, max(linegraph.intertwine_check(g, t)))
+        worst = max(max(devs) for devs in linegraph.intertwine_check(g, TIMES))
         return (worst < IDENTITY_TOL, f"line-intertwine {label} max-dev={worst:.2e}")
 
     return _report("line-intertwine", [check(label, g) for label, g in graphs])

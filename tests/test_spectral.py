@@ -11,11 +11,14 @@ from lapwalk.graphs import (
     cartesian_product,
     complete,
     cycle,
+    disjoint_union,
     empty,
     hypercube,
     join,
+    odd_unicyclic,
     path,
 )
+from lapwalk.linegraph import intertwine_check
 from lapwalk.operators import (
     OperatorKind,
     adjacency,
@@ -25,6 +28,7 @@ from lapwalk.operators import (
     standard_laplacian,
     weighted_p3,
 )
+from lapwalk.pst import complement_closure_check, normalized_weak_product_walk_check
 from lapwalk.spectral import (
     cartesian_walk_check,
     eigendecompose,
@@ -32,7 +36,6 @@ from lapwalk.spectral import (
     join_walk_entry,
     p3_alpha_fidelity,
     p3_alpha_pst_condition,
-    walk,
 )
 
 
@@ -113,7 +116,7 @@ def test_eigendecompose_rejects_asymmetric_array():
 
 def test_walk_identity_at_zero():
     for h in (standard_laplacian(path(4)), adjacency(cycle(5))):
-        assert np.array_equal(walk(h, 0.0), np.eye(h.n, dtype=complex))
+        assert np.array_equal(eigendecompose(h).matrix_at(0.0), np.eye(h.n, dtype=complex))
 
 
 def test_walk_k2_pst():
@@ -162,17 +165,18 @@ def test_walk_matches_series_oracle():
     for label, g in named_small_graphs()[:8]:
         h = standard_laplacian(g)
         for t in (0.3, 1.7, math.pi):
-            assert np.abs(walk(h, t) - walk_oracle(h.matrix, t)).max() < 1e-10, label
+            assert np.abs(eigendecompose(h).matrix_at(t) - walk_oracle(h.matrix, t)).max() < 1e-10, label
 
 
 def test_regular_equivalence():
     for g, k in [(cycle(6), 2), (complete(5), 4), (hypercube(3), 3)]:
         t = 1.3
-        ua = np.abs(walk(adjacency(g), t))
-        ul = np.abs(walk(standard_laplacian(g), t))
-        uq = np.abs(walk(signless_laplacian(g), t))
-        un = np.abs(walk(normalized_laplacian(g), t))
-        ua_dilated = np.abs(walk(adjacency(g), t / k))
+        da = eigendecompose(adjacency(g))
+        ua = np.abs(da.matrix_at(t))
+        ul = np.abs(eigendecompose(standard_laplacian(g)).matrix_at(t))
+        uq = np.abs(eigendecompose(signless_laplacian(g)).matrix_at(t))
+        un = np.abs(eigendecompose(normalized_laplacian(g)).matrix_at(t))
+        ua_dilated = np.abs(da.matrix_at(t / k))
         assert np.abs(ul - ua).max() < 1e-9
         assert np.abs(uq - ua).max() < 1e-9
         assert np.abs(un - ua_dilated).max() < 1e-9
@@ -180,9 +184,11 @@ def test_regular_equivalence():
 
 def test_bipartite_equivalence():
     for g in (path(5), hypercube(3), cycle(6)):
+        dl = eigendecompose(standard_laplacian(g))
+        dq = eigendecompose(signless_laplacian(g))
         for t in (0.4, math.pi, 7.0):
-            ul = np.abs(walk(standard_laplacian(g), t))
-            uq = np.abs(walk(signless_laplacian(g), t))
+            ul = np.abs(dl.matrix_at(t))
+            uq = np.abs(dq.matrix_at(t))
             assert np.abs(ul - uq).max() < 1e-9
 
 
@@ -263,3 +269,35 @@ def test_cartesian_walk_check():
         cartesian_walk_check(hk, signless_laplacian(dc), 1.0)
     with pytest.raises(ValueError):
         cartesian_walk_check(adjacency(complete(2)), adjacency(dc), 1.0)
+
+
+# each whole-matrix check on one input, with the number of operators it decomposes
+WHOLE_MATRIX_CHECKS = {
+    "complement-closure": (
+        lambda times: complement_closure_check(disjoint_union(complete(2), empty(6)), times),
+        2,
+    ),
+    "line-intertwine": (lambda times: intertwine_check(odd_unicyclic(2)[0], times), 2),
+    "weak-product": (lambda times: normalized_weak_product_walk_check(path(3), complete(4), times), 3),
+    "cartesian": (
+        lambda times: cartesian_walk_check(standard_laplacian(path(3)), standard_laplacian(cycle(4)), times),
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WHOLE_MATRIX_CHECKS))
+def test_whole_matrix_check_reads_every_time_from_one_eigensolve(name, eigh_calls):
+    check, operators = WHOLE_MATRIX_CHECKS[name]
+    times = (0.0, 0.1, 1.0, math.pi / 2, math.pi, 10.0, 3 * math.pi)
+    singles = [check(t) for t in times]
+    assert not any(isinstance(result, list) for result in singles)
+    assert len(eigh_calls) == operators * len(times)
+    del eigh_calls[:]
+    # a sequence of times gives exactly the single-time results, in order
+    assert check(times) == singles
+    assert check(list(reversed(times))) == singles[::-1]
+    assert check(np.array(times)) == singles
+    assert check(()) == []
+    # one eigensolve per operator per call, whatever the number of times
+    assert len(eigh_calls) == 4 * operators

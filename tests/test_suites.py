@@ -1,5 +1,6 @@
 import pytest
 
+from lapwalk.corpus import named_small_graphs, random_connected_graphs
 from lapwalk.suites import available_suites, run_suite
 
 
@@ -45,3 +46,11 @@ def test_options_a_suite_does_not_take_are_rejected():
         run_suite("complement-closure", t_max=5.0)
     with pytest.raises(ValueError, match="n_max"):
         run_suite("weak-product", n_max=2)
+
+
+def test_line_intertwine_suite_decomposes_two_operators_per_graph(eigh_calls):
+    graphs = [g for _, g in named_small_graphs() if g.edge_count >= 2] + random_connected_graphs(6, seed=7)
+    report = run_suite("line-intertwine")
+    assert report.passed and len(report.lines) == len(graphs)
+    # Q(g) and A(line(g)), once each, for all four times
+    assert len(eigh_calls) == 2 * len(graphs)
