@@ -7,20 +7,23 @@ pattern matters; rank is therefore exact.
 
 A walk matrix W = [e_S, A e_S, ..., A^{n-1} e_S] is a Krylov matrix, so its
 rank is the degree d of the minimal polynomial mu of A relative to e_S, and
-it is found without elimination. Berlekamp-Massey modulo a prime p gives the
-linear complexity L_p of s_k = e_S^T A^k e_S (k <= 2n - 2, read off the
-columns because A is symmetric); mu annihilates s, so L_p <= d. L_p = n
-settles full rank. Otherwise the connection polynomials of the primes that
-share the largest L are combined by the Chinese remainder theorem into
-integer coefficients a_i (mu is monic and integral by Gauss's lemma), and
-the exact relation c_L = sum a_i c_i on the columns proves d <= L. Primes
-come lazily, descending from ``RANK_PRIME``; only finitely many fall short of
-d, so the loop ends.
+it is found without elimination and without W. Berlekamp-Massey modulo a
+prime p gives the linear complexity L_p of s_k = e_S^T A^k e_S
+(k <= 2n - 2), whose residues come from int64 matvecs over the edge arrays
+starting at e_S; mu annihilates s, so L_p <= d. L_p = n settles full rank.
+Otherwise the connection polynomials of the primes that share the largest L
+are combined by the Chinese remainder theorem into integer coefficients a_i
+(mu is monic and integral by Gauss's lemma), and the exact relation
+(A^L - sum a_i A^i) e_S = 0, evaluated by Horner in Python ints, proves
+d <= L. Primes come lazily, descending from ``RANK_PRIME``; only finitely
+many fall short of d, so the loop ends. The big-integer columns themselves
+are built only when ``WalkMatrix.rows`` is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -44,12 +47,14 @@ _BUILT = object()  # held by walk_matrix, the only constructor of a WalkMatrix
 
 @dataclass(frozen=True)
 class WalkMatrix:
-    """Columns e_S, A e_S, ..., A^{n-1} e_S as exact integers (rows indexed by
-    vertex, columns by power). Only walk_matrix builds one (a direct call
-    raises TypeError), so its columns are Krylov columns of a symmetric 0/1
-    matrix, which ``exact_rank`` relies on."""
+    """The walk matrix of e_S in the graph: columns e_S, A e_S, ...,
+    A^{n-1} e_S as exact integers (rows indexed by vertex, columns by power).
+    It holds the graph and the sorted subset; ``rows`` is built when first
+    read and kept. Only walk_matrix builds one (a direct call raises
+    TypeError), so its columns are Krylov columns of a symmetric 0/1 matrix,
+    which ``exact_rank`` relies on."""
 
-    rows: tuple[tuple[int, ...], ...]
+    _graph: Graph
     subset: tuple[int, ...]
     _proof: InitVar[object] = None
 
@@ -59,7 +64,16 @@ class WalkMatrix:
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return self._graph.n
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        ends = _both_ends(self._graph)
+        columns = np.zeros((self.n, self.n), dtype=object)  # Python ints: no overflow
+        columns[list(self.subset), :1] = 1  # e_S; a slice, so that n = 0 works too
+        for k in range(1, self.n):
+            columns[:, k] = _adjacency_times(ends, columns[:, k - 1])
+        return tuple(map(tuple, columns.tolist()))
 
 
 def walk_matrix(g: Graph, subset: Iterable[int]) -> WalkMatrix:
@@ -68,14 +82,7 @@ def walk_matrix(g: Graph, subset: Iterable[int]) -> WalkMatrix:
     for v in s:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
-    src, dst = g.ends.T
-    columns = np.zeros((g.n, g.n), dtype=object)  # Python ints: no overflow
-    columns[list(s), :1] = 1  # e_S; a slice, so that n = 0 works too
-    for k in range(1, g.n):
-        # (A x)[v] sums x over the neighbours of v: both ends of every edge
-        np.add.at(columns[:, k], src, columns[dst, k - 1])
-        np.add.at(columns[:, k], dst, columns[src, k - 1])
-    return WalkMatrix(tuple(map(tuple, columns.tolist())), s, _BUILT)
+    return WalkMatrix(g, s, _BUILT)
 
 
 # below 2^31, so a product of two residues stays inside int64
@@ -107,24 +114,58 @@ def _primes() -> Iterator[int]:
     return (q for q in range(RANK_PRIME, 1, -1) if _is_prime(q))
 
 
+# A product of a residue below 2^31 and a 16-bit half is below 2^47, so a sum
+# of at most 2^16 of them stays below 2^63: longer dot products are split.
+_SPLIT_TERMS = 2**16
+_HALF_SHIFTS = np.array([[16], [0]])
+
+
+def _halves(x: np.ndarray) -> np.ndarray:
+    """The high and low 16 bits of residues below 2^31, as the two rows of
+    one array."""
+    return x >> _HALF_SHIFTS & 0xFFFF
+
+
+def _dot(x: np.ndarray, halves: np.ndarray, p: int) -> int:
+    """sum_i x[i] y[i] mod p, for residues x and the ``_halves`` of residues y."""
+    total = 0
+    for start in range(0, len(x), _SPLIT_TERMS):
+        part = slice(start, start + _SPLIT_TERMS)
+        # each of the two sums has at most _SPLIT_TERMS products below 2^47
+        high, low = halves[:, part].dot(x[part]).tolist()
+        total += (high % p << 16) + low
+    return total % p
+
+
 def _berlekamp_massey(s: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     """Linear complexity L of the residues s mod p and the connection
     polynomial c (length L + 1, c[0] = 1) of a shortest recurrence:
-    sum_i c[i] s[k - i] = 0 mod p for L <= k < len(s)."""
-    c, b = np.zeros(len(s) + 1, dtype=np.int64), np.zeros(len(s) + 1, dtype=np.int64)
-    c[0] = b[0] = 1
-    length, shift, b_discrepancy = 0, 1, 1
+    sum_i c[i] s[k - i] = 0 mod p for L <= k < len(s).
+
+    c never reaches past its length L, so only the live prefix is updated:
+    c[shift : shift + len(b)] with b the connection before the last length
+    change, and b is copied only when the length grows."""
+    c = np.zeros(len(s) + 1, dtype=np.int64)
+    c[0] = 1
+    b = c[:1].copy()
+    # reversed, so that s[k - i] for i = 0 ... L is the forward slice ending at len(s) - k + L
+    halves = _halves(s[::-1])
+    length, shift, b_inverse = 0, 1, 1  # b_inverse: 1 / b's discrepancy mod p
     for k in range(len(s)):
-        # residues below 2^31: every product fits int64, and so does their sum mod p
-        discrepancy = int((c[: length + 1] * s[k - length : k + 1][::-1] % p).sum() % p)
+        window = slice(len(s) - 1 - k, len(s) - k + length)
+        discrepancy = _dot(c[: length + 1], halves[:, window], p)
         if discrepancy == 0:
             shift += 1
             continue
-        scale = discrepancy * pow(b_discrepancy, -1, p) % p
-        previous = c.copy()
-        c[shift:] = (c[shift:] - scale * b[: len(c) - shift] % p) % p
-        if 2 * length <= k:
-            length, b, b_discrepancy, shift = k + 1 - length, previous, discrepancy, 1
+        scale = discrepancy * b_inverse % p
+        grows = 2 * length <= k
+        if grows:
+            previous = c[: length + 1].copy()
+        live = c[shift : shift + len(b)]
+        live -= scale * b  # products below 2^62, so differences above -2^62
+        live %= p
+        if grows:
+            length, b, b_inverse, shift = k + 1 - length, previous, pow(discrepancy, -1, p), 1
         else:
             shift += 1
     return length, c[: length + 1]
@@ -135,28 +176,66 @@ def _symmetric(residues: list[int], modulus: int) -> tuple[int, ...]:
     return tuple(r - modulus if 2 * r > modulus else r for r in residues)
 
 
+def _both_ends(g: Graph) -> np.ndarray:
+    """Tails and heads of every edge in both directions, as two rows."""
+    return np.concatenate((g.ends, g.ends[:, ::-1])).T
+
+
+def _adjacency_times(ends: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x, in the dtype of x: (A x)[v] sums x over the neighbours of v."""
+    tails, heads = ends
+    y = np.zeros(len(x), dtype=x.dtype)
+    np.add.at(y, tails, x[heads])
+    return y
+
+
+def _walk_residues(w: WalkMatrix, p: int) -> np.ndarray:
+    """s_k = e_S^T A^k e_S mod p for k <= 2n - 2, from x_j = A^j e_S mod p:
+    s_2j = x_j.x_j and s_2j+1 = x_j.x_j+1, A being symmetric."""
+    n, ends = w.n, _both_ends(w._graph)
+    s = np.empty(max(2 * n - 1, 0), dtype=np.int64)
+    x = np.zeros(n, dtype=np.int64)
+    x[list(w.subset)] = 1
+    s[:1] = _dot(x, _halves(x), p)  # a slice, so that n = 0 works too
+    for j in range(1, n):
+        # (A x)[v] sums deg(v) residues below 2^31, and deg(v) <= m < 2^32 for
+        # any edge array that fits in memory: below 2^63
+        previous, x = x, _adjacency_times(ends, x) % p
+        halves = _halves(x)
+        s[2 * j - 1] = _dot(previous, halves, p)
+        s[2 * j] = _dot(x, halves, p)
+    return s
+
+
+def _annihilates(w: WalkMatrix, relation: tuple[int, ...]) -> bool:
+    """Whether (A^L - sum_i a_i A^i) e_S = 0 exactly, by Horner in Python
+    ints: v <- A v - a_i e_S from v = e_S, for i = L - 1 down to 0."""
+    ends, subset = _both_ends(w._graph), list(w.subset)
+    v = np.zeros(w.n, dtype=object)  # Python ints: no overflow
+    v[subset] = 1
+    for a in reversed(relation):
+        v = _adjacency_times(ends, v)
+        v[subset] -= a
+    return not v.any()
+
+
 def _krylov_relation(w: WalkMatrix) -> tuple[int, ...] | None:
     """The integer coefficients a_0 ... a_{L-1} of the first dependent
-    column of the walk matrix, c_L = sum_i a_i c_i, proven exactly on the
-    columns; x^L - sum_i a_i x^i is then the minimal polynomial of A relative
-    to e_S. None when the n columns are independent.
+    column of the walk matrix, c_L = sum_i a_i c_i, proven exactly as
+    (A^L - sum_i a_i A^i) e_S = 0; x^L - sum_i a_i x^i is then the minimal
+    polynomial of A relative to e_S. None when the n columns are
+    independent. The columns themselves are never built.
 
-    Each prime's Berlekamp-Massey complexity L_p is a lower bound on the
-    rank. The primes sharing the largest L_p seen so far are combined by the
+    Each prime's Berlekamp-Massey complexity L_p of the residues
+    e_S^T A^k e_S mod p (``_walk_residues``) is a lower bound on the rank.
+    The primes sharing the largest L_p seen so far are combined by the
     Chinese remainder theorem; once one more prime leaves the symmetric lift
-    unchanged, the relation is checked exactly, and its truth bounds the rank
-    above by L."""
+    unchanged, the relation is checked exactly (``_annihilates``), and its
+    truth bounds the rank above by L."""
     n = w.n
-    columns = np.array(w.rows, dtype=object).reshape(n, n)
     best, modulus, residues, lift = -1, 1, [], ()
     for p in _primes():
-        reduced = (columns % p).astype(np.int64)
-        s = np.empty(max(2 * n - 1, 0), dtype=np.int64)
-        # s_2j = c_j.c_j and s_2j+1 = c_j.c_j+1 are e_S^T A^k e_S, A being symmetric;
-        # each product is below 2^62 and each column sum below n p
-        s[0::2] = (reduced * reduced % p).sum(axis=0) % p
-        s[1::2] = (reduced[:, :-1] * reduced[:, 1:] % p).sum(axis=0) % p
-        length, connection = _berlekamp_massey(s, p)
+        length, connection = _berlekamp_massey(_walk_residues(w, p), p)
         if length == n:  # L_p <= rank <= n
             return None
         if length < best:
@@ -170,7 +249,7 @@ def _krylov_relation(w: WalkMatrix) -> tuple[int, ...] | None:
         residues = [r + modulus * ((x - r) * inverse % p) for r, x in zip(residues, coefficients)]
         modulus *= p
         previous, lift = lift, _symmetric(residues, modulus)
-        if lift == previous and (columns[:, :best].dot(np.array(lift, dtype=object)) == columns[:, best]).all():
+        if lift == previous and _annihilates(w, lift):
             return lift
     # only finitely many primes fall short of the rank, far fewer than lie below 2^31
     raise RuntimeError("the primes below 2^31 ran out before the Krylov relation was proven")
@@ -179,7 +258,8 @@ def _krylov_relation(w: WalkMatrix) -> tuple[int, ...] | None:
 def exact_rank(w: WalkMatrix) -> int:
     """Rank over the rationals of a walk matrix: the degree of its Krylov
     relation (see ``_krylov_relation``), a Berlekamp-Massey lower bound
-    modulo primes and an exact column relation as the upper bound."""
+    modulo primes and an exact Horner relation as the upper bound. It never
+    reads ``w.rows``."""
     if not isinstance(w, WalkMatrix):
         raise TypeError("exact_rank takes a WalkMatrix from walk_matrix")
     relation = _krylov_relation(w)

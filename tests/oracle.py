@@ -197,6 +197,31 @@ def exact_rank(rows) -> int:
     return rank
 
 
+def berlekamp_massey(s, p: int) -> tuple[int, list[int]]:
+    """Massey's algorithm over GF(p) on lists of plain ints: the linear
+    complexity L of s and the connection polynomial [1, c_1, ..., c_L] of a
+    shortest recurrence, sum_i c_i s[k - i] = 0 mod p for L <= k < len(s).
+    Inverses by Fermat's little theorem."""
+    s = [int(x) % p for x in s]
+    c, b = [1], [1]
+    length, shift, last = 0, 1, 1
+    for k in range(len(s)):
+        d = sum(ci * s[k - i] for i, ci in enumerate(c)) % p
+        if d == 0:
+            shift += 1
+            continue
+        scale = d * pow(last, p - 2, p) % p
+        before = list(c)
+        c += [0] * (shift + len(b) - len(c))
+        for i, bi in enumerate(b):
+            c[shift + i] = (c[shift + i] - scale * bi) % p
+        if 2 * length <= k:
+            length, b, last, shift = k + 1 - length, before, d, 1
+        else:
+            shift += 1
+    return length, (c + [0] * (length + 1))[: length + 1]
+
+
 def float_controllability_count(adj: np.ndarray, u: int) -> int:
     """The walk-matrix rank of e_u read off a float eigensolve: the number of
     eigenvalue clusters (consecutive eigenvalues closer than 1e-8 times the

@@ -225,3 +225,101 @@ def test_exact_rank_takes_only_walk_matrices():
     for rows in ([[1]], np.eye(2, dtype=int)):
         with pytest.raises(TypeError, match="WalkMatrix"):
             exact_rank(rows)
+
+
+def _recurrent(rng, p: int, length: int) -> list[int]:
+    """A sequence mod p obeying a random recurrence of order at most 8."""
+    order = int(rng.integers(0, 9))
+    taps = [int(x) for x in rng.integers(0, p, order)]
+    s = [int(x) for x in rng.integers(0, p, order)]
+    while len(s) < length:
+        s.append(sum(a * x for a, x in zip(taps, s[::-1])) % p)
+    return s[:length]
+
+
+@pytest.mark.parametrize("split_terms", [control._SPLIT_TERMS, 3])
+def test_berlekamp_massey_matches_the_plain_int_oracle(monkeypatch, split_terms):
+    # at split size 3 every discrepancy of a recurrence longer than 2 sums in several parts
+    monkeypatch.setattr(control, "_SPLIT_TERMS", split_terms)
+    rng = np.random.default_rng(20261019)
+    for p in (2, 3, 5, 7, control.RANK_PRIME):
+        for length in range(61):
+            draws = [
+                [int(x) for x in rng.integers(0, p, length)],
+                _recurrent(rng, p, length),
+                [int(x) * int(rng.random() < 0.15) for x in rng.integers(0, p, length)],  # mostly zeros
+            ]
+            for s in draws:
+                got_length, connection = control._berlekamp_massey(np.array(s, dtype=np.int64), p)
+                want_length, want = oracle.berlekamp_massey(s, p)
+                assert (got_length, connection.tolist()) == (want_length, want), (p, s)
+                assert all(
+                    sum(c * s[k - i] for i, c in enumerate(want)) % p == 0 for k in range(want_length, length)
+                )
+
+
+@pytest.mark.parametrize("split_terms", [control._SPLIT_TERMS, 3])
+def test_walk_residues_are_the_walk_moments_mod_p(monkeypatch, split_terms):
+    monkeypatch.setattr(control, "_SPLIT_TERMS", split_terms)
+    rng = np.random.default_rng(8)
+    graphs = [empty(0), empty(4), disjoint_union(cycle(5), empty(3)), line_graph(odd_unicyclic(4).graph)]
+    graphs += [make_graph(n, edges) for n, edges in oracle.random_edge_lists(rng, 40)]
+    for g in graphs:
+        subsets = [(), (0,)] if g.n else [()]
+        if g.n:
+            subsets.append(tuple(int(v) for v in rng.choice(g.n, size=int(rng.integers(1, g.n + 1)), replace=False)))
+        for subset in subsets:
+            columns = list(zip(*oracle.walk_matrix_rows(g.n, g.edges, subset)))
+            # s_k = c_i . c_(k-i) for any split of k into powers below n, A being symmetric
+            splits = [(min(k, g.n - 1), k - min(k, g.n - 1)) for k in range(2 * g.n - 1)]
+            moments = [sum(map(int.__mul__, columns[i], columns[j])) for i, j in splits]
+            for p in (2, 7, control.RANK_PRIME):
+                s = control._walk_residues(walk_matrix(g, subset), p)
+                assert s.dtype == np.int64 and s.tolist() == [x % p for x in moments], (g, subset, p)
+
+
+def test_exact_rank_builds_no_walk_matrix():
+    cases = [(complete(3), (0,)), (path(9), (4,)), (empty(0), ()), (cone_p4_with_pendant(2).graph, (0, 5))]
+    u_graph, ends = odd_unicyclic(6)
+    cases.append((line_graph(u_graph), (_pendant_edge_index(u_graph, ends[0]),)))
+    for g, subset in cases:
+        w = walk_matrix(g, subset)
+        rank = exact_rank(w)
+        assert "rows" not in vars(w), (g, subset)
+        assert w.rows == oracle.walk_matrix_rows(g.n, g.edges, subset) and "rows" in vars(w)
+        assert rank == oracle.exact_rank(w.rows)
+
+
+def test_no_rank_path_reads_the_walk_rows(monkeypatch, capsys):
+    def unread(w):
+        raise AssertionError("WalkMatrix.rows was read")
+
+    monkeypatch.setattr(WalkMatrix, "rows", property(unread))
+    pc = cone_p4_with_pendant(2)
+    assert exact_rank(walk_matrix(pc.graph, (pc.probe,))) == 6
+    assert is_controllable(path(5), (0,)) and not is_controllable(complete(3), (1,))
+    assert unicyclic_no_pst_pipeline(3, t_max=1.0).ranks == (8, 8)
+
+
+def test_the_horner_check_rejects_every_near_miss_relation():
+    sympy = pytest.importorskip("sympy")
+    cases = [(complete(3), (0,)), (cycle(6), (0, 3)), (hypercube(3), (0,))]
+    pc = cone_p4_with_pendant(2)
+    cases.append((pc.graph, (pc.probe,)))
+    u_graph, ends = odd_unicyclic(6)
+    cases.append((line_graph(u_graph), (_pendant_edge_index(u_graph, ends[1]),)))
+    for g, subset in cases:
+        w = walk_matrix(g, subset)
+        columns = sympy.Matrix(oracle.walk_matrix_rows(g.n, g.edges, subset))
+        rank = columns.rank()
+        (kernel,) = columns[:, : rank + 1].nullspace()  # c_L = sum_i a_i c_i, read off by sympy
+        relation = tuple(int(-x / kernel[rank]) for x in kernel[:rank])
+        assert control._annihilates(w, relation), (g, subset)
+        assert control._annihilates(w, (0, *relation))  # x mu(x): a true relation one degree up
+        near_misses = [relation[:-1], relation[1:], (*relation, 0), (*relation, 1)]
+        for i in range(len(relation)):
+            for delta in (-1, 1):
+                near_misses.append(relation[:i] + (relation[i] + delta,) + relation[i + 1 :])
+        for lift in near_misses:
+            assert not control._annihilates(w, lift), (g, subset, lift)
+        assert control._krylov_relation(w) == relation

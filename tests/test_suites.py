@@ -54,3 +54,11 @@ def test_line_intertwine_suite_decomposes_two_operators_per_graph(eigh_calls):
     assert report.passed and len(report.lines) == len(graphs)
     # Q(g) and A(line(g)), once each, for all four times
     assert len(eigh_calls) == 2 * len(graphs)
+
+
+def test_weak_product_suite_decomposes_p3_once(eigh_calls):
+    report = run_suite("weak-product")
+    assert report.passed
+    # P3 once, each positive case's product and its factor H, then the six
+    # operators of the two normalized walk checks
+    assert len(eigh_calls) == 1 + 3 * 2 + 6
