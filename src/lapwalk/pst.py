@@ -135,7 +135,7 @@ SCAN_BLOCK = 2048  # grid points per block, one row of a scan product
 SCAN_POINTS = 1 << 16  # grid points per scan product: 32 blocks, 1 MiB of complex
 PEAK_CAP = 400  # most grid maxima refined per search
 PEAK_CUTOFF = 0.05  # grid maxima further than this below the best are not refined
-REFINE_TOL = 1e-12  # bracket width at which search_pst stops bisecting a peak
+REFINE_TOL = 1e-12  # bracket width at which search_pst stops refining a peak
 SUPPORT_TOL = 1e-13  # share of sum|w| at or below which a cluster leaves the scan
 
 
@@ -166,37 +166,72 @@ def _period(values, weights, t_max, bound):
     return 2.0 * math.pi / g, drift
 
 
+def _amp_and_slope(values, columns, ts):
+    """|a|, the slope f = Re(conj(a) a') and f' = |a'|^2 + Re(conj(a) a'')
+    at every time in ts, where a(t) = sum_k w_k exp(-i t theta_k) and
+    ``columns`` holds w, -i theta w and -theta^2 w; f is half of d|a|^2/dt.
+
+    One (1 x k)(k x 3) product per time: a single (times x k) product
+    rounds one row (matrix-vector) unlike several (matrix-matrix), and an
+    answer would depend on which other brackets are refined with it."""
+    phases = np.exp(-1j * np.outer(ts, values))[:, None, :]
+    a, da, dda = np.matmul(phases, columns)[:, 0, :].T
+    return np.abs(a), (a.conjugate() * da).real, (da.conjugate() * da).real + (a.conjugate() * dda).real
+
+
 def _refine_peak(values, weights, lo, hi):
     """Time of the magnitude maximum inside every bracket [lo[j], hi[j]].
 
-    Where d|a|^2/dt = 2 Re(conj(a) a') falls from >= 0 at lo to <= 0 at hi,
-    its sign is bisected, over all such brackets at once, until the bracket
-    is at most ``REFINE_TOL`` wide or holds no float strictly inside, and
-    the midpoint is returned. Any other bracket resolves to its end of
-    larger magnitude (lo on a tie)."""
+    Where the slope f = Re(conj(a) a'), half of d|a|^2/dt, falls from >= 0
+    at lo to <= 0 at hi, a safeguarded Newton iteration (after rtsafe)
+    finds its sign change, over all such brackets at once. Each step
+    evaluates f and f' at one new time, which replaces lo where f >= 0 and
+    hi where f < 0.
+    The step is Newton's from the end with the smaller |f| when f' < 0
+    there and it lands strictly inside the bracket; otherwise, and whenever
+    the bracket has halved less than once per two steps so far, the
+    bracket is bisected, so no bracket takes more than about twice
+    bisection's steps. A Newton step moves inward from its end, and the
+    iterates close in from one side; once a step is shorter than
+    ``REFINE_TOL`` it is carried on past the root by max(``REFINE_TOL`` / 4,
+    one float spacing), so the bracket closes from the other side too. The
+    iteration stops when the bracket is at most ``REFINE_TOL`` wide or
+    holds no float strictly inside, and the midpoint is returned. Any other
+    bracket resolves to its end of larger magnitude (lo on a tie)."""
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    a_and_da = np.column_stack([weights, -1j * values * weights])  # a and da/dt
-
-    def amp_and_slope(ts):
-        # one (1 x k)(k x 2) product per time: a single (times x k) product
-        # rounds one row (matrix-vector) unlike several (matrix-matrix), and
-        # an answer would depend on which other brackets are refined with it
-        phases = np.exp(-1j * np.outer(ts, values))[:, None, :]
-        a, da = np.matmul(phases, a_and_da)[:, 0, :].T
-        return np.abs(a), (a.conjugate() * da).real
-
-    mag_lo, slope_lo = amp_and_slope(lo)
-    mag_hi, slope_hi = amp_and_slope(hi)
-    rising = (slope_lo >= 0.0) & (slope_hi <= 0.0)
-    active = np.flatnonzero(rising & (hi - lo > REFINE_TOL))
+    n = len(lo)
+    columns = np.column_stack([weights, -1j * values * weights, -values * values * weights])
+    mag, f, df = _amp_and_slope(values, columns, np.concatenate([lo, hi]))
+    f_lo, f_hi, df_lo, df_hi = f[:n], f[n:], df[:n], df[n:]  # views, updated with the bracket
+    rising = (f_lo >= 0.0) & (f_hi <= 0.0)
+    start_width = hi - lo
+    active = np.flatnonzero(rising & (start_width > REFINE_TOL))
+    steps = 0
     while active.size:
-        mid = 0.5 * (lo[active] + hi[active])
-        up = amp_and_slope(mid)[1] >= 0.0
-        lo[active[up]] = mid[up]
-        hi[active[~up]] = mid[~up]
+        l, h = lo[active], hi[active]
+        from_lo = np.abs(f_lo[active]) <= np.abs(f_hi[active])
+        t = np.where(from_lo, l, h)
+        slope = np.where(from_lo, f_lo[active], f_hi[active])
+        dslope = np.where(from_lo, df_lo[active], df_hi[active])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = t - slope / dslope
+            push = np.where(from_lo, 1.0, -1.0) * np.maximum(REFINE_TOL / 4, np.spacing(np.abs(newton)))
+            newton = np.where(np.abs(newton - t) < REFINE_TOL, newton + push, newton)
+        # a Newton step only while the bracket has halved once per two steps:
+        # after n steps it has halved at least (n - 1) / 2 times, so at worst
+        # about twice bisection's steps
+        on_pace = h - l <= start_width[active] * 0.5 ** (steps / 2)
+        take = (dslope < 0.0) & (l < newton) & (newton < h) & on_pace
+        t = np.where(take, newton, 0.5 * (l + h))
+        _, slope, dslope = _amp_and_slope(values, columns, t)
+        rise = slope >= 0.0
+        up, down = active[rise], active[~rise]
+        lo[up], f_lo[up], df_lo[up] = t[rise], slope[rise], dslope[rise]
+        hi[down], f_hi[down], df_hi[down] = t[~rise], slope[~rise], dslope[~rise]
+        steps += 1
         # beyond t = 8192 adjacent floats lie more than 1e-12 apart
         active = active[hi[active] - lo[active] > np.maximum(REFINE_TOL, np.spacing(lo[active]))]
-    return np.where(rising, 0.5 * (lo + hi), np.where(mag_hi > mag_lo, hi, lo))
+    return np.where(rising, 0.5 * (lo + hi), np.where(mag[n:] > mag[:n], hi, lo))
 
 
 def _phase_table(values, step, rows):
@@ -323,14 +358,19 @@ def search_pst(
 
     Of the grid maxima (points no neighbour exceeds), the ``PEAK_CAP`` (400)
     largest, ties going to interior points before t = 0 and the grid's end,
-    are kept unless more than ``PEAK_CUTOFF`` (0.05) below the largest. One
-    bisection refines them all inside their neighbour brackets to
-    ``REFINE_TOL`` (1e-12); a bracket where the magnitude does not rise and
-    then fall resolves to its better end. Starting from t = 0 and in order
-    of grid magnitude, a refined peak becomes the result when it is larger
-    by more than the tie bound, the rounding bound at t_max plus the dropped
-    mass (plus the drift when the period caps the grid), or within it and
-    earlier, so of peaks equal up to the bound the earliest wins. The
+    are kept unless more than ``PEAK_CUTOFF`` (0.05) below the largest. They
+    are refined together inside their neighbour brackets by a safeguarded
+    Newton iteration on the sign of d|a|^2/dt (``_refine_peak``): Newton's
+    step where it lands inside the bracket, a bisection where it does not or
+    where the bracket falls behind one halving per two steps, and a push past
+    the root once the steps are shorter than ``REFINE_TOL`` (1e-12), until
+    the bracket is at most that wide or holds no float strictly inside; a
+    bracket where the magnitude does not rise and then fall resolves to its
+    better end. Starting from t = 0 and in order of grid magnitude, a
+    refined peak becomes the result when it is larger by more than the tie
+    bound, the rounding bound at t_max plus the dropped mass (plus the
+    drift when the period caps the grid), or within it and earlier, so of
+    peaks equal up to the bound the earliest wins. The
     certificate at the chosen time is evaluated on all weights, and it
     asserts transfer only through ``certifies``.
     """

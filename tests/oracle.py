@@ -7,6 +7,9 @@ engine (which diagonalizes), so agreement between the two is a real check.
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
 
@@ -321,6 +324,37 @@ def blockwise_grid_peaks(values, weights, step, count, t_max) -> np.ndarray:
         top = top[peak_mags[top] >= peak_mags.max(initial=-np.inf) - cutoff]
         peaks, peak_mags = peaks[top], peak_mags[top]
     return peaks
+
+
+# -- peak refinement: plain bisection on the slope ----------------------------
+#
+# Reference for lapwalk.pst._refine_peak: the slope Re(conj(a) a') from
+# Python complex sums, one term at a time, and its sign bisected down to the
+# engine's documented stop, a bracket at most 1e-12 wide or without a float
+# strictly inside.
+
+
+def slope(values, weights, t: float) -> float:
+    """Re(conj(a) a') at t, a(t) = sum_k w_k exp(-i t theta_k): half of
+    d|a|^2/dt."""
+    a = da = 0j
+    for theta, w in zip(values.tolist(), weights.tolist()):
+        term = w * cmath.exp(-1j * theta * t)
+        a += term
+        da += -1j * theta * term
+    return (a.conjugate() * da).real
+
+
+def bisect_peak(values, weights, lo: float, hi: float) -> float:
+    """Midpoint of the bracket left by bisecting the slope's sign from
+    [lo, hi], where it falls from >= 0 to <= 0."""
+    while hi - lo > max(1e-12, math.ulp(lo)):
+        mid = 0.5 * (lo + hi)
+        if slope(values, weights, mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # -- the search: direct exponentials over the whole horizon -------------------

@@ -6,6 +6,7 @@ import pytest
 
 import oracle
 from lapwalk import pst
+from lapwalk.corpus import random_connected_graphs
 from lapwalk.graphs import (
     cartesian_product,
     circulant_family,
@@ -40,7 +41,7 @@ from lapwalk.pst import (
     weak_product_closure_1,
     weak_product_closure_2,
 )
-from lapwalk.spectral import eigendecompose, p3_alpha_pst_condition
+from lapwalk.spectral import eigendecompose, p3_alpha_pst_condition, walk_sum
 
 
 def test_verify_weak_product_p3_k4():
@@ -697,17 +698,144 @@ def test_equal_peaks_over_many_periods_go_to_the_first():
     assert abs(cert.magnitude - math.sqrt(3) / 2) < 1e-12
 
 
-@pytest.mark.parametrize("n, pair", [(7, (0, 1)), (7, (1, 3)), (8, (0, 1)), (8, (2, 5))])
-def test_refined_time_does_not_depend_on_the_other_brackets(n, pair):
+def _signless_complete_peaks(n, pair):
     # the peaks of the signless K_n entry (e^{-i(2n-2)t} - e^{-i(n-2)t})/n
     # are flat to rounding: a product that rounds one row differently from
     # several moves the refined pi/n by about 5e-13
     dec = eigendecompose(signless_laplacian(complete(n)))
     step = math.pi / float(dec.values[-1] - dec.values[0]) / 64  # search_pst's grid
     peaks = 64 + 128 * np.arange(5)  # pi/n and the next four periods
-    lo, hi = (peaks - 1) * step, (peaks + 1) * step
-    weights = dec.pair_weights(*pair)
-    together = pst._refine_peak(dec.values, weights, lo, hi)
-    for j in range(5):
-        assert pst._refine_peak(dec.values, weights, lo[j : j + 1], hi[j : j + 1])[0] == together[j]
-        assert pst._refine_peak(dec.values, weights, lo[j:], hi[j:])[0] == together[j]
+    return dec.values, dec.pair_weights(*pair), (peaks - 1) * step, (peaks + 1) * step
+
+
+def _flat_peak(t0):
+    """Values and weights of a(t) = 1 + 1.5 e^{-is} - 0.1 e^{-3is}, s = t - t0:
+    |a|^2 = 3.26 + 3 cos s - 0.3 cos 2s - 0.2 cos 3s has its maximum 2.4^2 at
+    s = 0, where its second derivative vanishes, so the slope has a triple
+    root there and each Newton step closes only a third of the distance."""
+    values = np.array([0.0, 1.0, 3.0])
+    return values, np.array([1.0, 1.5, -0.1]) * np.exp(1j * values * t0)
+
+
+def _flat_peak_among_others():
+    # the flat bracket, the same peak a period later from other offsets, a
+    # wide bracket around it and two on the flanks, which rise or fall
+    # throughout and resolve to an end
+    values, weights = _flat_peak(2.0)
+    lo = 2.0 + np.array([-0.004, -1.01, 2 * math.pi - 0.0091, -3.0, 1.0])
+    hi = 2.0 + np.array([0.006, -1.0, 2 * math.pi + 0.0013, 0.5, 1.01])
+    return values, weights, lo, hi
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param(lambda: _signless_complete_peaks(7, (0, 1)), id="7-pair0"),
+        pytest.param(lambda: _signless_complete_peaks(7, (1, 3)), id="7-pair1"),
+        pytest.param(lambda: _signless_complete_peaks(8, (0, 1)), id="8-pair2"),
+        pytest.param(lambda: _signless_complete_peaks(8, (2, 5)), id="8-pair3"),
+        pytest.param(_flat_peak_among_others, id="flat-peak"),
+    ],
+)
+def test_refined_time_does_not_depend_on_the_other_brackets(case):
+    values, weights, lo, hi = case()
+    together = pst._refine_peak(values, weights, lo, hi)
+    for j in range(len(lo)):
+        assert pst._refine_peak(values, weights, lo[j : j + 1], hi[j : j + 1])[0] == together[j]
+        assert pst._refine_peak(values, weights, lo[j:], hi[j:])[0] == together[j]
+
+
+def _count_slope_evaluations(monkeypatch):
+    calls = []
+    evaluate = pst._amp_and_slope
+
+    def spy(values, columns, ts):
+        calls.append(len(ts))
+        return evaluate(values, columns, ts)
+
+    monkeypatch.setattr(pst, "_amp_and_slope", spy)
+    return calls
+
+
+def _twice_bisection(lo, hi):
+    return 2 * math.ceil(math.log2((hi - lo) / pst.REFINE_TOL)) + 2
+
+
+@pytest.mark.parametrize("t0, below, above", [(2.0, 0.004, 0.006), (0.7, 0.0091, 0.0013), (9000.3, 0.01, 0.01)])
+def test_a_flat_peak_takes_at_most_twice_the_bisection_steps(monkeypatch, t0, below, above):
+    # Newton alone converges only linearly on the triple root; the halving
+    # guard bisects whenever the bracket falls behind one halving per two steps
+    values, weights = _flat_peak(t0)
+    lo, hi = t0 - below, t0 + above
+    calls = _count_slope_evaluations(monkeypatch)
+    t = pst._refine_peak(values, weights, [lo], [hi])
+    assert len(calls) <= _twice_bisection(lo, hi)
+    peak = abs(walk_sum(values, weights, [t0])[0])
+    assert abs(abs(walk_sum(values, weights, t)[0]) - peak) < 1e-14
+
+
+@pytest.mark.parametrize("power", [3, 9, 15])
+def test_the_halving_guard_bounds_newton_on_a_root_of_high_order(monkeypatch, power):
+    # on the slope -(t - r)^power Newton closes only 1/power of the distance
+    # per step: unguarded it takes 58, 185 and 307 evaluations here
+    r, lo, hi = 1.0 + 1e-3 / 3, 1.0 - 0.004, 1.0 + 0.006
+    calls = []
+
+    def slope(values, columns, ts):
+        calls.append(len(ts))
+        return np.ones(len(ts)), -((ts - r) ** power), -power * (ts - r) ** (power - 1)
+
+    monkeypatch.setattr(pst, "_amp_and_slope", slope)
+    t = pst._refine_peak(np.zeros(2), np.ones(2), [lo], [hi])[0]
+    assert len(calls) <= _twice_bisection(lo, hi)
+    assert abs(t - r) <= pst.REFINE_TOL
+
+
+@pytest.mark.parametrize("turns", [3000, 318309, 10**7])
+def test_refinement_ends_where_floats_are_coarser_than_the_push(monkeypatch, turns):
+    # |a| = |sin t| for the ends of K2 under the standard Laplacian, peaking
+    # at pi/2 + k pi; near 9.4e3, 1e6 and 3e7 adjacent floats lie 1.8e-12,
+    # 1.2e-10 and 3.7e-9 apart, more than the push of REFINE_TOL / 4, so the
+    # push is one float spacing
+    dec = eigendecompose(standard_laplacian(complete(2)))
+    values, weights = dec.values, dec.pair_weights(0, 1)
+    peak = math.pi / 2 + turns * math.pi
+    lo, hi = peak - 0.013, peak + 0.007
+    calls = _count_slope_evaluations(monkeypatch)
+    t = float(pst._refine_peak(values, weights, [lo], [hi])[0])
+    assert len(calls) <= _twice_bisection(lo, hi)
+    gap = max(pst.REFINE_TOL, math.ulp(t))
+    assert oracle.slope(values, weights, t - gap) >= 0.0 >= oracle.slope(values, weights, t + gap)
+    assert abs(t - oracle.bisect_peak(values, weights, lo, hi)) <= gap
+
+
+@pytest.mark.parametrize("kind", ["adjacency", "standard", "signless", "normalized"])
+def test_refined_peaks_match_plain_bisection(monkeypatch, kind):
+    # brackets of search_pst's grid maxima over [0, 20], widened by up to a
+    # grid step on either side so the peak sits anywhere inside
+    rng = np.random.default_rng(23)
+    calls = _count_slope_evaluations(monkeypatch)
+    checked = 0
+    for g in random_connected_graphs(4, seed=23):
+        dec = eigendecompose(operator(g, OperatorKind(kind)))
+        for u, v in rng.choice(g.n, size=(2, 2), replace=False):
+            values, weights, _ = pst._support(dec.values, dec.pair_weights(u, v))
+            if len(values) < 2:
+                continue
+            step = (math.pi / float(values[-1] - values[0])) / 64
+            times = np.arange(math.ceil(20.0 / step)) * step
+            mags = np.abs(walk_sum(values, weights, times))
+            peaks = 1 + np.flatnonzero((mags[1:-1] >= mags[:-2]) & (mags[1:-1] >= mags[2:]))
+            lo = times[peaks - 1] - rng.uniform(0.0, step, len(peaks))
+            hi = times[peaks + 1] + rng.uniform(0.0, step, len(peaks))
+            rising = [oracle.slope(values, weights, a) >= 0.0 >= oracle.slope(values, weights, b) for a, b in zip(lo, hi)]
+            lo, hi = lo[rising], hi[rising]
+            calls.clear()
+            refined = pst._refine_peak(values, weights, lo, hi)
+            assert len(calls) <= 10  # bisection takes about 37 here
+            for t, a, b in zip(refined, lo, hi):
+                gap = max(pst.REFINE_TOL, math.ulp(t))
+                assert abs(t - oracle.bisect_peak(values, weights, a, b)) <= gap
+                assert oracle.slope(values, weights, t - gap) >= 0.0 >= oracle.slope(values, weights, t + gap)
+                checked += 1
+    assert checked >= 20
