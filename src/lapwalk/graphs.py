@@ -34,7 +34,6 @@ Rows that do not come out sorted are sorted once, by ``np.lexsort``.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -124,8 +123,7 @@ class Graph:
             raise ValueError("edge ends must be an (m, 2) array beside m weights")
         if loop_v.ndim != 1 or loop_v.shape != loop_w.shape:
             raise ValueError("loop vertices and loop weights must be arrays of one length")
-        if len(ends) > _FEW_EDGES or not _few_edges_ok(ends, weights, n):
-            _check_edges(ends, weights, n)
+        _check_edges(ends, weights, n)
         if len(loop_v):
             fault = (loop_v.view(np.uint64) >= n) | ~np.isfinite(loop_w)
             fault[1:] |= loop_v[1:] <= loop_v[:-1]
@@ -258,22 +256,6 @@ class Graph:
         loop_order = np.argsort(loop_vertices)
         loop_weights = self.loop_weights[loop_order]
         return Graph(self.n, ends[order], self.weights[order], loop_vertices[loop_order], loop_weights)
-
-
-# Up to this many edges, one Python pass over the rows accepts a valid
-# graph sooner than the dozen numpy calls of the vectorized check
-_FEW_EDGES = 16
-
-
-def _few_edges_ok(ends: np.ndarray, weights: np.ndarray, n: int) -> bool:
-    """Whether every row is in range with u < v, comes strictly after the
-    row before it, and has a finite weight."""
-    rows = ends.tolist()
-    return (
-        all(0 <= u < v < n for u, v in rows)
-        and all(map(operator.lt, rows, rows[1:]))
-        and all(map(math.isfinite, weights.tolist()))
-    )
 
 
 def _check_edges(ends: np.ndarray, weights: np.ndarray, n: int) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .graphs import Graph, line_graph, path
 from .operators import adjacency, incidence, signless_laplacian
-from .pst import PstCertificate, search_pst, verify_pst
+from .pst import PstCertificate, _vertex_check, search_pst, verify_pst
 from .spectral import eigendecompose, per_time
 
 __all__ = [
@@ -77,15 +77,18 @@ def pst_transfer_to_line(g: Graph, u1: int, u2: int, t: float) -> LineTransferRe
     that the line graph transfers between the two pendant edges at the same
     time under the adjacency matrix.
 
-    Single-edge graphs are rejected: their line graph is a single vertex and
-    the statement degenerates. So are targets on u1's own pendant edge of
-    degree one (u1 itself, or the far end of an isolated edge): both ends
-    would be the same line-graph vertex.
+    A vertex outside 0..n-1 raises ValueError, as ``pst.walk_entries``
+    raises it, before anything is read. Single-edge graphs are rejected:
+    their line graph is a single vertex and the statement degenerates. So
+    are targets on u1's own pendant edge of degree one (u1 itself, or the
+    far end of an isolated edge): both ends would be the same line-graph
+    vertex.
 
     The certified branch (the pendant check on u2 and the line-graph
     verification) has no known non-degenerate input, and no test exercises
     it: every input known to certify is one of the degenerate cases above.
     """
+    _vertex_check(g.n, u1, u2)
     if g.edge_count < 2:
         raise ValueError("transfer to the line graph needs at least two edges")
     degs = g.degrees()

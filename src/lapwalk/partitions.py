@@ -21,8 +21,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graphs import Graph, _require_unweighted, cycle, path
-from .operators import OperatorKind, normalized_laplacian, operator
-from .spectral import eigendecompose
+from .operators import Hamiltonian, OperatorKind, normalized_laplacian, operator
+from .pst import _vertex_check, walk_entries
 
 __all__ = [
     "Partition",
@@ -228,13 +228,17 @@ def lift_check(
 ) -> float:
     """|walk entry in the graph| minus |walk entry in the quotient| for a pair
     of singleton-cell vertices; zero (to roundoff) whenever the quotient is
-    valid for the kind."""
+    valid for the kind. Both entries are read through ``pst.walk_entries``,
+    the quotient's as a CUSTOM Hamiltonian, so both pairs are checked and
+    read in one place under one horizon rule: a vertex outside 0..n-1 or a
+    time lost to rounding raises ValueError."""
+    _vertex_check(p.n, u, v)
     cu, cv = p.cell_of[u], p.cell_of[v]
     if len(p.cells[cu]) != 1 or len(p.cells[cv]) != 1:
         raise ValueError("lifting needs singleton cells at both endpoints")
-    b = quotient(p, kind)
-    big = abs(eigendecompose(operator(g, kind)).amplitude(u, v, [t])[0])
-    small = abs(eigendecompose(b).amplitude(cu, cv, [t])[0])
+    b = Hamiltonian(OperatorKind.CUSTOM, quotient(p, kind))
+    big = abs(walk_entries(operator(g, kind), (u, v), [t])[0])
+    small = abs(walk_entries(b, (cu, cv), [t])[0])
     return float(abs(big - small))
 
 
@@ -280,15 +284,15 @@ def path_cycle_correspondence(n: int) -> PathCycleReport:
         quotient_dev = float(np.abs(a_quot - expected).max())
         a_cycle = c.adjacency()
 
-    norm_p = normalized_laplacian(path(n)).matrix
-    identity_dev = float(np.abs(norm_p - (np.eye(n) - a_quot / 2.0)).max())
+    norm_p = normalized_laplacian(path(n))
+    identity_dev = float(np.abs(norm_p.matrix - (np.eye(n) - a_quot / 2.0)).max())
 
-    dec_path = eigendecompose(normalized_laplacian(path(n)))
-    dec_cycle = eigendecompose(a_cycle)
+    h_cycle = Hamiltonian(OperatorKind.CUSTOM, a_cycle)
     walk_dev = 0.0
+    # one time per call, as a product over several times rounds each differently
     for t in PATH_CYCLE_TIMES:
-        lhs = abs(dec_path.amplitude(0, n - 1, [t])[0])
+        lhs = abs(walk_entries(norm_p, (0, n - 1), [t])[0])
         # exp(+i(t/2)A) entries have the magnitudes of exp(-i(t/2)A) ones
-        rhs = abs(dec_cycle.amplitude(0, m, [t / 2.0])[0])
+        rhs = abs(walk_entries(h_cycle, (0, m), [t / 2.0])[0])
         walk_dev = max(walk_dev, abs(lhs - rhs))
     return PathCycleReport(n, quotient_dev, identity_dev, walk_dev)

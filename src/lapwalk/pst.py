@@ -88,17 +88,33 @@ class PstCertificate:
         }
 
 
-def walk_entries(h: Hamiltonian, pair: tuple[int, int], times) -> np.ndarray:
-    """U(t)[pair[1], pair[0]] at every time, as ``EigenDecomposition.amplitude``
-    gives it, from the pair's cluster weights computed once. Raises
-    ValueError where rounding could move the magnitude across the gap
-    between the two thresholds at the largest |t| (``_rounding_bound`` over
-    the pair's support)."""
+def _vertex_check(n: int, *vertices: int) -> None:
+    """Raise ValueError naming the first vertex outside 0..n-1, so that no
+    negative vertex is read from the end of an array."""
+    for v in vertices:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range")
+
+
+def _pair_spectrum(h: Hamiltonian, pair: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The one place a pair is read from a Hamiltonian: a vertex outside
+    0..n-1 raises ValueError before any eigensolve, then the cluster values
+    of ``h`` and the pair's weights, from one decomposition."""
+    _vertex_check(len(h.matrix), *pair)
     dec = eigendecompose(h)
-    pair_weights = dec.pair_weights(*pair)
-    values, weights, _ = _support(dec.values, pair_weights)
+    return dec.values, dec.pair_weights(*pair)
+
+
+def walk_entries(h: Hamiltonian, pair: tuple[int, int], times) -> np.ndarray:
+    """U(t)[pair[1], pair[0]] at every time, exactly the identity's entry
+    at t = 0, from the pair's cluster weights as ``_pair_spectrum`` checks
+    and reads them. Raises ValueError where rounding could move the
+    magnitude across the gap between the two thresholds at the largest |t|
+    (``_rounding_bound`` over the pair's support)."""
+    all_values, pair_weights = _pair_spectrum(h, pair)
+    values, weights, _ = _support(all_values, pair_weights)
     _rounding_bound(values, weights, float(np.abs(times).max(initial=0.0)))
-    return entry_sum(dec.values, pair_weights, times, float(pair[0] == pair[1]))
+    return entry_sum(all_values, pair_weights, times, float(pair[0] == pair[1]))
 
 
 def verify_pst(
@@ -330,7 +346,9 @@ def search_pst(
     """Best walk-entry magnitude over [0, t_max]; a candidate certificate.
 
     The walk entry is sum_k w_k exp(-i t theta_k) over the eigenvalue
-    clusters theta_k with pair weights w_k. The scan reads only the pair's
+    clusters theta_k with pair weights w_k, read once by ``_pair_spectrum``
+    as ``walk_entries`` reads them: a vertex outside 0..n-1 raises
+    ValueError before any eigensolve. The scan reads only the pair's
     support, the clusters with |w_k| > ``SUPPORT_TOL`` (1e-13) * sum|w|;
     the others move any magnitude by at most their dropped mass sum|w_k|.
     The magnitude is sampled on a uniform grid with ``grid_density`` points
@@ -376,12 +394,11 @@ def search_pst(
     """
     if t_max <= 0:
         raise ValueError("t_max must be positive")
-    dec = eigendecompose(h)
-    pair_weights = dec.pair_weights(*pair)
-    values, weights, dropped = _support(dec.values, pair_weights)
+    all_values, pair_weights = _pair_spectrum(h, pair)
+    values, weights, dropped = _support(all_values, pair_weights)
 
     def certificate(t):
-        amp = entry_sum(dec.values, pair_weights, [t], float(pair[0] == pair[1]))[0]
+        amp = entry_sum(all_values, pair_weights, [t], float(pair[0] == pair[1]))[0]
         return _certificate(h, pair, t, amp, METHOD_GRID)
 
     if len(values) < 2:  # the magnitude changes by at most the dropped mass

@@ -424,3 +424,18 @@ def make_graph(n: int, edges, loops):
     except ValueError as exc:
         return str(exc)
     return n, rows, looped
+
+
+def edge_rows_fault(n: int, rows, weights) -> str | None:
+    """The ValueError message for Graph's edge arrays, row by row: the first
+    row, in order, that is out of range or has u >= v, has a non-finite
+    weight, or does not come strictly after the row before it; None when no
+    row does."""
+    for i, ((u, v), w) in enumerate(zip(rows, weights)):
+        if not 0 <= u < v < n:
+            return f"edge ({u},{v}) out of range or not canonical"
+        if not math.isfinite(w):
+            return f"edge ({u},{v}) has non-finite weight {w}"
+        if i and not tuple(rows[i - 1]) < (u, v):
+            return "edges must be sorted and duplicate-free"
+    return None

@@ -208,6 +208,13 @@ def test_lift_check_trivial_and_cycle():
         assert lift_check(c6, p, OperatorKind.ADJACENCY, 0, 3, float(t)) < 1e-9
     with pytest.raises(ValueError):
         lift_check(c6, p, OperatorKind.ADJACENCY, 1, 3, 1.0)
+    # both entries pass walk_entries' horizon rule, and within it keep the
+    # values read straight off the two decompositions
+    with pytest.raises(ValueError, match="too long"):
+        lift_check(c6, p, OperatorKind.ADJACENCY, 0, 3, 1e15)
+    big = abs(eigendecompose(c6.adjacency()).amplitude(0, 3, [1.0])[0])
+    small = abs(eigendecompose(quotient(p, OperatorKind.ADJACENCY)).amplitude(0, 3, [1.0])[0])
+    assert lift_check(c6, p, OperatorKind.ADJACENCY, 0, 3, 1.0) == abs(big - small)
 
 
 def test_lift_against_series_oracle():

@@ -10,7 +10,7 @@ import oracle  # noqa: E402
 from oracle import walk_oracle  # noqa: E402
 
 from lapwalk.graphs import complement, disjoint_union, empty, join, make_graph, path  # noqa: E402
-from lapwalk.graphs import _check_edges, _few_edges_ok  # noqa: E402
+from lapwalk.graphs import Graph  # noqa: E402
 from lapwalk.operators import operator, standard_laplacian  # noqa: E402
 from lapwalk.partitions import (  # noqa: E402
     check_almost_equitable,
@@ -152,12 +152,11 @@ def test_traversal_matches_the_loop_reference(data, g, tail, dense):
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.data())
-def test_few_edge_pass_accepts_what_the_vectorized_check_accepts(data):
-    """A graph of few edges is accepted by a Python pass over its rows, and
-    otherwise by the vectorized check that names the fault: both accept the
-    same arrays. Valid rows get at most one fault: a repeated, swapped or
-    reversed row, a row with u == v, an extreme vertex, or a non-finite
-    weight."""
+def test_graph_rejects_exactly_the_rows_the_reference_rejects(data):
+    """``Graph`` raises on its edge arrays exactly when the row-by-row
+    reference finds a fault, with the reference's message. Valid rows get
+    at most one fault: a repeated, swapped or reversed row, a row with
+    u == v, an extreme vertex, or a non-finite weight."""
     n = data.draw(st.integers(0, 6))
     pairs = [[u, v] for u in range(n) for v in range(u + 1, n)]
     rows = sorted(data.draw(st.lists(st.sampled_from(pairs), unique_by=tuple, max_size=6))) if pairs else []
@@ -179,14 +178,14 @@ def test_few_edge_pass_accepts_what_the_vectorized_check_accepts(data):
             rows[i][data.draw(st.integers(0, 1))] = data.draw(st.sampled_from([-1, n, -(2**63), 2**63 - 1]))
         else:
             weights[i] = data.draw(st.sampled_from([float("inf"), float("-inf"), float("nan")]))
+    expected = oracle.edge_rows_fault(n, rows, weights)
     ends, weights = np.array(rows, dtype=np.intp).reshape(-1, 2), np.array(weights)
     try:
-        _check_edges(ends, weights, n)
-    except ValueError:
-        accepted = False
+        Graph(n, ends, weights, np.empty(0, np.intp), np.empty(0))
+    except ValueError as exc:
+        assert str(exc) == expected
     else:
-        accepted = True
-    assert _few_edges_ok(ends, weights, n) == accepted
+        assert expected is None
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)

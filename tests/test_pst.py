@@ -20,6 +20,7 @@ from lapwalk.graphs import (
     path,
     weak_product,
 )
+from lapwalk.linegraph import pst_transfer_to_line
 from lapwalk.operators import (
     Hamiltonian,
     OperatorKind,
@@ -28,6 +29,7 @@ from lapwalk.operators import (
     signless_laplacian,
     standard_laplacian,
 )
+from lapwalk.partitions import check_equitable, lift_check
 from lapwalk.pst import (
     PstCertificate,
     complement_closure_check,
@@ -262,6 +264,35 @@ def test_verify_pst_tolerance_boundary():
     res = verify_pst(h, (0, 1), math.pi / 2 + 1e-3)
     assert not res.certifies()
     assert 0.9 < res.magnitude < 1 - 1e-9
+
+
+@pytest.mark.parametrize("bad", [-1, "n", 2**63 - 1])
+def test_every_pair_reader_rejects_a_vertex_out_of_range_before_the_eigensolve(monkeypatch, bad):
+    """A vertex outside 0..n-1 raises ValueError naming it, before any
+    eigensolve, wherever a walk entry is read; -1 is never read as the last
+    vertex."""
+
+    def no_eigensolve(h):
+        raise AssertionError("eigensolve before the vertex check")
+
+    monkeypatch.setattr(pst, "eigendecompose", no_eigensolve)
+    g = cycle(6)
+    bad = g.n if bad == "n" else bad
+    folded = check_equitable(g, [(0,), (1, 5), (2, 4), (3,)])
+    h = standard_laplacian(g)
+    readers = [
+        lambda: pst.walk_entries(h, (0, bad), [1.0]),
+        lambda: pst.walk_entries(h, (bad, 0), [1.0]),
+        lambda: verify_pst(h, (bad, 3), 1.0),
+        lambda: search_pst(h, (0, bad), 50.0),
+        lambda: lift_check(g, folded, OperatorKind.ADJACENCY, bad, 3, 1.0),
+        lambda: lift_check(g, folded, OperatorKind.ADJACENCY, 0, bad, 1.0),
+        lambda: pst_transfer_to_line(path(5), bad, 4, 1.0),
+        lambda: pst_transfer_to_line(path(5), 0, bad, 1.0),
+    ]
+    for read in readers:
+        with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
+            read()
 
 
 def test_search_k2_ends_on_rising_edge():
