@@ -9,15 +9,24 @@ A walk matrix W = [e_S, A e_S, ..., A^{n-1} e_S] is a Krylov matrix, so its
 rank is the degree d of the minimal polynomial mu of A relative to e_S, and
 it is found without elimination and without W. Berlekamp-Massey modulo a
 prime p gives the linear complexity L_p of s_k = e_S^T A^k e_S
-(k <= 2n - 2), whose residues come from int64 matvecs over the edge arrays
-starting at e_S; mu annihilates s, so L_p <= d. L_p = n settles full rank.
-Otherwise the connection polynomials of the primes that share the largest L
-are combined by the Chinese remainder theorem into integer coefficients a_i
-(mu is monic and integral by Gauss's lemma), and the exact relation
+(k <= 2n - 2), whose residues come from int64 matvecs starting at e_S;
+mu annihilates s, so L_p <= d. L_p = n settles full rank. Otherwise the
+connection polynomials of the primes that share the largest L are combined
+by the Chinese remainder theorem into integer coefficients a_i (mu is monic
+and integral by Gauss's lemma), and the exact relation
 (A^L - sum a_i A^i) e_S = 0, evaluated by Horner in Python ints, proves
-d <= L. Primes come lazily, descending from ``RANK_PRIME``; only finitely
-many fall short of d, so the loop ends. The big-integer columns themselves
-are built only when ``WalkMatrix.rows`` is read.
+d <= L. Horner is tried as soon as the longest lifted coefficient is
+``_HEADROOM`` (8) bits shorter than the CRT modulus. A coefficient that
+wrapped lands about uniformly in (-M/2, M/2], so a wrong lift passes that
+gate with probability about 2^-8 per wrapped coefficient, and a false pass
+costs only one failed Horner check before the next prime: both bounds stay
+exact. Primes come lazily, descending from ``RANK_PRIME``; only finitely
+many fall short of d, so the loop ends.
+
+Every matvec, int64 residues and Python-int Horner alike, reads the edges
+from the graph's one cached CSR (``Graph._csr``, which its breadth-first
+search shares). The big-integer columns themselves are built only when
+``WalkMatrix.rows`` is read.
 """
 
 from __future__ import annotations
@@ -171,14 +180,23 @@ def _berlekamp_massey(s: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     return length, c[: length + 1]
 
 
+# A lift is checked once its longest coefficient is this many bits shorter
+# than the CRT modulus. A coefficient that wrapped lands about uniformly in
+# (-M/2, M/2], so a wrong lift passes with probability about 2^-8 per wrapped
+# coefficient, and then costs one failed Horner check.
+_HEADROOM = 8
+
+
 def _symmetric(residues: list[int], modulus: int) -> tuple[int, ...]:
     """Residues lifted to (-modulus/2, modulus/2]."""
     return tuple(r - modulus if 2 * r > modulus else r for r in residues)
 
 
 def _both_ends(g: Graph) -> np.ndarray:
-    """Tails and heads of every edge in both directions, as two rows."""
-    return np.concatenate((g.ends, g.ends[:, ::-1])).T
+    """Tails and heads of every edge in both directions, as two rows, read
+    from the graph's CSR: ordered by tail."""
+    heads, _, degree = g._csr
+    return np.stack((np.repeat(np.arange(g.n), degree), heads))
 
 
 def _adjacency_times(ends: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -229,11 +247,12 @@ def _krylov_relation(w: WalkMatrix) -> tuple[int, ...] | None:
     Each prime's Berlekamp-Massey complexity L_p of the residues
     e_S^T A^k e_S mod p (``_walk_residues``) is a lower bound on the rank.
     The primes sharing the largest L_p seen so far are combined by the
-    Chinese remainder theorem; once one more prime leaves the symmetric lift
-    unchanged, the relation is checked exactly (``_annihilates``), and its
-    truth bounds the rank above by L."""
+    Chinese remainder theorem; once the longest coefficient of the symmetric
+    lift is ``_HEADROOM`` bits shorter than the modulus, the relation is
+    checked exactly (``_annihilates``), and its truth bounds the rank above
+    by L. A false check only sends the loop on to the next prime."""
     n = w.n
-    best, modulus, residues, lift = -1, 1, [], ()
+    best, modulus, residues = -1, 1, []
     for p in _primes():
         length, connection = _berlekamp_massey(_walk_residues(w, p), p)
         if length == n:  # L_p <= rank <= n
@@ -243,13 +262,13 @@ def _krylov_relation(w: WalkMatrix) -> tuple[int, ...] | None:
         coefficients = [int(-x) % p for x in connection[:0:-1]]  # a_0 ... a_{L-1} mod p
         if length > best:
             best, modulus, residues = length, p, coefficients
-            lift = _symmetric(residues, modulus)
-            continue
-        inverse = pow(modulus, -1, p)
-        residues = [r + modulus * ((x - r) * inverse % p) for r, x in zip(residues, coefficients)]
-        modulus *= p
-        previous, lift = lift, _symmetric(residues, modulus)
-        if lift == previous and _annihilates(w, lift):
+        else:
+            inverse = pow(modulus, -1, p)
+            residues = [r + modulus * ((x - r) * inverse % p) for r, x in zip(residues, coefficients)]
+            modulus *= p
+        lift = _symmetric(residues, modulus)
+        longest = max(map(abs, lift), default=0).bit_length()
+        if longest + _HEADROOM <= modulus.bit_length() and _annihilates(w, lift):
             return lift
     # only finitely many primes fall short of the rank, far fewer than lie below 2^31
     raise RuntimeError("the primes below 2^31 ran out before the Krylov relation was proven")

@@ -4,11 +4,12 @@ Vertices are always 0..n-1. A ``Graph`` is its vertex count and four
 read-only arrays: the edge ends (an m x 2 index array, each row u < v, rows
 sorted), the edge weights (1.0 from the unweighted constructors), the loop
 vertices (sorted) and the loop weights; a loop of weight w lands on the
-adjacency diagonal. One constructor checks all four: a Python pass over the
-rows of a graph with few edges, vectorized comparisons otherwise. ``edges`` and
-``loops`` are tuple views of those arrays for printing, writing and tests;
-everything that reads a graph's structure reads the arrays, and
-there is no second adjacency structure.
+adjacency diagonal. One constructor checks all four, by vectorized
+comparisons. ``edges`` and ``loops`` are tuple views of those arrays for
+printing, writing and tests; everything that reads a graph's structure reads
+the arrays, or the one neighbour structure derived from them: a CSR
+(compressed sparse rows) built once per graph and kept, which the
+breadth-first search and the exact-rank matvecs share.
 
 All combinators are pure and relabel vertices deterministically: in
 unions/joins the first argument keeps its labels and the second is shifted
@@ -86,6 +87,15 @@ def _frozen(values, dtype: np.dtype) -> np.ndarray:
     if out.flags.writeable:
         out.setflags(write=False)
     return out
+
+
+class _Csr(NamedTuple):
+    """Compressed sparse rows of a graph's adjacency structure: the
+    neighbours of v are ``heads[start[v] : start[v] + degree[v]]``."""
+
+    heads: np.ndarray
+    start: np.ndarray
+    degree: np.ndarray
 
 
 _NO_LOOP_VERTICES = _frozen(np.empty(0), _INDEX)
@@ -197,16 +207,24 @@ class Graph:
         return d
 
     @cached_property
+    def _csr(self) -> _Csr:
+        """The neighbour rows of every vertex, built once per graph and shared
+        by the breadth-first search and the exact-rank matvecs. Both
+        directions of every edge, (v, u) rows first, are ordered by tail
+        with one stable sort; the edge rows are sorted, so every row comes
+        out ascending. Edge weights are not read."""
+        tails, heads = np.concatenate([self.ends[:, ::-1], self.ends]).T
+        degree = np.bincount(tails, minlength=self.n)
+        heads = heads[np.argsort(tails, kind="stable")]
+        return _Csr(*(_frozen(a, _INDEX) for a in (heads, np.cumsum(degree) - degree, degree)))
+
+    @cached_property
     def _levels(self) -> np.ndarray:
         """Breadth-first depth of every vertex, each component searched from
         its smallest vertex in turn; those starts are the vertices at level 0.
-        Each level reads only its frontier's rows of a CSR neighbour array,
-        so the whole search reads every edge twice."""
-        src, dst = self.ends.T
-        tails = np.concatenate([src, dst])
-        heads = np.concatenate([dst, src])[np.argsort(tails, kind="stable")]
-        degree = np.bincount(tails, minlength=self.n)
-        row_start = np.cumsum(degree) - degree
+        Each level reads only its frontier's rows of the graph's CSR, so the
+        whole search reads every edge twice."""
+        heads, row_start, degree = self._csr
         level = np.where(degree == 0, 0, -1)  # an isolated vertex is its own component
         for start in np.flatnonzero(level < 0).tolist():
             if level[start] >= 0:

@@ -231,7 +231,18 @@ def lift_check(
     valid for the kind. Both entries are read through ``pst.walk_entries``,
     the quotient's as a CUSTOM Hamiltonian, so both pairs are checked and
     read in one place under one horizon rule: a vertex outside 0..n-1 or a
-    time lost to rounding raises ValueError."""
+    time lost to rounding raises ValueError. So does a partition that was
+    not checked against ``g``: one of another order, or whose neighbour
+    counts g's edges do not reproduce (a different graph of the same
+    order), both caught before any eigensolve."""
+    _require_unweighted(g, "lift_check")
+    if p.n != g.n:
+        raise ValueError(f"the partition covers {p.n} vertices, the graph has {g.n}")
+    owner = _owner(g.n, p.cells)
+    expected = p.degree_counts[owner]
+    checked = ~np.isnan(expected)  # an almost-equitable partition has no diagonal counts
+    if (_neighbor_counts(g, owner, p.size)[checked] != expected[checked]).any():
+        raise ValueError("the partition's neighbour counts do not hold in this graph")
     _vertex_check(p.n, u, v)
     cu, cv = p.cell_of[u], p.cell_of[v]
     if len(p.cells[cu]) != 1 or len(p.cells[cv]) != 1:
@@ -288,11 +299,10 @@ def path_cycle_correspondence(n: int) -> PathCycleReport:
     identity_dev = float(np.abs(norm_p.matrix - (np.eye(n) - a_quot / 2.0)).max())
 
     h_cycle = Hamiltonian(OperatorKind.CUSTOM, a_cycle)
+    path_entries = walk_entries(norm_p, (0, n - 1), PATH_CYCLE_TIMES)
+    # exp(+i(t/2)A) entries have the magnitudes of exp(-i(t/2)A) ones
+    cycle_entries = walk_entries(h_cycle, (0, m), [t / 2.0 for t in PATH_CYCLE_TIMES])
     walk_dev = 0.0
-    # one time per call, as a product over several times rounds each differently
-    for t in PATH_CYCLE_TIMES:
-        lhs = abs(walk_entries(norm_p, (0, n - 1), [t])[0])
-        # exp(+i(t/2)A) entries have the magnitudes of exp(-i(t/2)A) ones
-        rhs = abs(walk_entries(h_cycle, (0, m), [t / 2.0])[0])
-        walk_dev = max(walk_dev, abs(lhs - rhs))
+    for lhs, rhs in zip(path_entries, cycle_entries):
+        walk_dev = max(walk_dev, abs(abs(lhs) - abs(rhs)))
     return PathCycleReport(n, quotient_dev, identity_dev, walk_dev)

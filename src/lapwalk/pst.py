@@ -110,7 +110,8 @@ def walk_entries(h: Hamiltonian, pair: tuple[int, int], times) -> np.ndarray:
     at t = 0, from the pair's cluster weights as ``_pair_spectrum`` checks
     and reads them. Raises ValueError where rounding could move the
     magnitude across the gap between the two thresholds at the largest |t|
-    (``_rounding_bound`` over the pair's support)."""
+    (``_rounding_bound`` over the pair's support). Each entry has the bits
+    its time gets alone (``entry_sum``)."""
     all_values, pair_weights = _pair_spectrum(h, pair)
     values, weights, _ = _support(all_values, pair_weights)
     _rounding_bound(values, weights, float(np.abs(times).max(initial=0.0)))

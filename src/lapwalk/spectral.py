@@ -56,9 +56,15 @@ def walk_sum(values: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
 
 
 def entry_sum(values: np.ndarray, weights: np.ndarray, times, start: float) -> np.ndarray:
-    """``walk_sum`` for one walk entry, which is exactly ``start``, the
-    identity's entry, at t = 0."""
-    return np.where(np.equal(times, 0.0), start, walk_sum(values, weights, times))
+    """``walk_sum`` for one walk entry (``weights`` one column), which is
+    exactly ``start``, the identity's entry, at t = 0.
+
+    Each time is its own (1 x k)(k x 1) product: one (times x k) product
+    rounds its rows unlike one-row products, so an entry would depend on
+    which other times are asked with it. Here each gets the bits it gets
+    alone."""
+    phases = np.exp(-1j * np.outer(times, values))[:, None, :]
+    return np.where(np.equal(times, 0.0), start, (phases @ weights[:, None])[:, 0, 0])
 
 
 @dataclass(frozen=True)

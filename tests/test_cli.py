@@ -15,7 +15,7 @@ from lapwalk.cli import main, parse_time
 from lapwalk import io as lio
 from lapwalk.graphs import cycle, empty, hypercube, join, make_graph, path
 from lapwalk.operators import operator, standard_laplacian
-from lapwalk.pst import search_pst, verify_pst
+from lapwalk.pst import search_pst, verify_pst, walk_entries
 from lapwalk.spectral import eigendecompose
 from oracle import walk_oracle
 
@@ -676,6 +676,24 @@ def _random_graph_file(rng, tmp_path, i):
     gfile = tmp_path / f"g{i}.json"
     lio.save_graph(make_graph(n, edges), gfile)
     return n, str(gfile)
+
+
+@pytest.mark.parametrize("kind", ["adjacency", "standard", "signless", "normalized"])
+def test_fidelity_curve_rows_are_the_single_time_walk_entries(tmp_path, capsys, kind):
+    # every row has the bits its time gets alone, whatever the other times
+    rng = random.Random(25)
+    for i in range(6):
+        n, gfile = _random_graph_file(rng, tmp_path, i)
+        h = operator(lio.load_graph(gfile), kind)
+        pair = (rng.randrange(n), rng.randrange(n))
+        argv = ["fidelity-curve", "--graph", gfile, "--kind", kind, "--pair", *map(str, pair)]
+        assert main(argv + ["--t-max", "25", "--samples", "37"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 37
+        for row in rows:
+            t, re, im, mag = row.split(",")
+            amp = complex(walk_entries(h, pair, [float(t)])[0])
+            assert [re, im, mag] == [repr(amp.real), repr(amp.imag), repr(abs(amp))], (gfile, pair, t)
 
 
 @pytest.mark.parametrize("kind", ["adjacency", "standard", "signless", "normalized"])

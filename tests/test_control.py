@@ -168,6 +168,78 @@ def test_unlucky_primes_first_leave_every_walk_rank_unchanged(monkeypatch):
     _loop_reference_sweep()
 
 
+def _counting(monkeypatch) -> dict:
+    """Count the primes (Berlekamp-Massey runs) and the Horner checks, in
+    all and per walk matrix."""
+    counts = {}
+    bm, annihilates = control._berlekamp_massey, control._annihilates
+
+    def counted_bm(s, p):
+        counts["primes"] = counts.get("primes", 0) + 1
+        return bm(s, p)
+
+    def counted_annihilates(w, relation):
+        counts["horner"] = counts.get("horner", 0) + 1
+        counts[w] = counts.get(w, 0) + 1
+        return annihilates(w, relation)
+
+    monkeypatch.setattr(control, "_berlekamp_massey", counted_bm)
+    monkeypatch.setattr(control, "_annihilates", counted_annihilates)
+    return counts
+
+
+def test_a_failed_horner_check_sends_the_loop_on_to_the_next_prime(monkeypatch):
+    # with no headroom asked for, every prime's lift is checked, wrapped or not
+    monkeypatch.setattr(control, "_HEADROOM", -(2**64))
+    counts = _counting(monkeypatch)
+    _loop_reference_sweep()
+    checks = [c for w, c in counts.items() if isinstance(w, WalkMatrix)]
+    assert max(checks) > 1  # a false relation was refuted, and the rank still came out exact
+
+
+def test_the_headroom_gate_proves_m81_after_four_primes_and_one_horner_check(monkeypatch):
+    # a rank-deficient walk matrix whose coefficients need four primes:
+    # without the headroom gate a fifth only confirmed that the lift repeats
+    u_graph, ends = odd_unicyclic(81)
+    w = walk_matrix(line_graph(u_graph), (_pendant_edge_index(u_graph, ends[0]),))
+    counts = _counting(monkeypatch)
+    relation = control._krylov_relation(w)
+    assert len(relation) == 164 == w.n - 1
+    longest = max(map(abs, relation)).bit_length()
+    assert 3 * 31 < longest + control._HEADROOM <= 4 * 31
+    assert (counts["primes"], counts["horner"]) == (4, 1)
+
+
+def test_an_empty_subset_is_proven_after_one_prime(monkeypatch):
+    counts = _counting(monkeypatch)
+    assert control._krylov_relation(walk_matrix(empty(3), ())) == ()
+    assert (counts["primes"], counts["horner"]) == (1, 1)
+
+
+def test_the_csr_matvec_matches_an_edge_list_reference():
+    rng = np.random.default_rng(25)
+    graphs = [empty(0), empty(4), path(1), disjoint_union(cycle(5), empty(3)), disjoint_union(empty(2), path(3))]
+    graphs += [make_graph(7, [(1, 2), (2, 5), (1, 5)]), line_graph(odd_unicyclic(4).graph)]
+    graphs += [make_graph(n, edges) for n, edges in oracle.random_edge_lists(rng, 30)]
+    assert any(0 < g.n and g._csr.degree[-1] == 0 for g in graphs)  # a trailing isolated vertex
+    for g in graphs:
+        csr = g._csr
+        for v in range(g.n):  # each row holds v's neighbours in ascending order
+            row = csr.heads[csr.start[v] : csr.start[v] + csr.degree[v]].tolist()
+            assert row == sorted(b if a == v else a for a, b, _ in g.edges if v in (a, b)), (g, v)
+        ends = control._both_ends(g)
+        tails, heads = np.concatenate([g.ends, g.ends[:, ::-1]]).T
+        for x in (
+            rng.integers(0, 2**31, g.n),
+            np.array([int(v) << 100 for v in rng.integers(-(2**40), 2**40, g.n)], dtype=object),
+        ):
+            want = np.zeros(g.n, dtype=x.dtype)
+            np.add.at(want, tails, x[heads])
+            got = control._adjacency_times(ends, x)
+            assert got.dtype == x.dtype and got.tolist() == want.tolist(), g
+            assert all(type(v) is int for v in got.tolist())
+
+
 def test_primes_descend_from_rank_prime_and_are_prime():
     sympy = pytest.importorskip("sympy")
     first = list(islice(control._primes(), 64))

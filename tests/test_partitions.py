@@ -17,6 +17,7 @@ from lapwalk.graphs import (
     odd_unicyclic,
     path,
 )
+from lapwalk import pst
 from lapwalk.operators import OperatorKind, operator
 from lapwalk.partitions import (
     NotAlmostEquitableError,
@@ -215,6 +216,31 @@ def test_lift_check_trivial_and_cycle():
     big = abs(eigendecompose(c6.adjacency()).amplitude(0, 3, [1.0])[0])
     small = abs(eigendecompose(quotient(p, OperatorKind.ADJACENCY)).amplitude(0, 3, [1.0])[0])
     assert lift_check(c6, p, OperatorKind.ADJACENCY, 0, 3, 1.0) == abs(big - small)
+
+
+def test_lift_check_rejects_a_partition_of_another_graph(monkeypatch):
+    def no_eigensolve(h):
+        raise AssertionError("eigensolve before the partition check")
+
+    monkeypatch.setattr(pst, "eigendecompose", no_eigensolve)
+    folded = check_equitable(cycle(6), [(0,), (1, 5), (2, 4), (3,)])
+    with pytest.raises(ValueError, match="covers 6 vertices, the graph has 8"):
+        lift_check(cycle(8), folded, OperatorKind.ADJACENCY, 0, 3, 1.0)
+    # the same order, another graph: vertex 5 of P6 has no neighbour in {0}
+    with pytest.raises(ValueError, match="neighbour counts"):
+        lift_check(path(6), folded, OperatorKind.ADJACENCY, 0, 3, 1.0)
+    with pytest.raises(ValueError, match="unweighted"):
+        lift_check(make_graph(6, [(u, v, 2.0) for u, v, _ in cycle(6).edges]), folded, "adjacency", 0, 3, 1.0)
+    # an almost-equitable partition checks no count inside a cell: C6 with
+    # the chord (1, 5) inside a cell passes as C6, and the standard quotient
+    # holds for both
+    chorded = make_graph(6, cycle(6).edges + ((1, 5),))
+    almost = check_almost_equitable(chorded, [(0,), (1, 5), (2, 4), (3,)])
+    with pytest.raises(ValueError, match="neighbour counts"):
+        lift_check(path(6), almost, OperatorKind.STANDARD, 0, 3, 1.0)
+    monkeypatch.undo()
+    for g in (chorded, cycle(6)):
+        assert lift_check(g, almost, OperatorKind.STANDARD, 0, 3, 1.0) < 1e-9
 
 
 def test_lift_against_series_oracle():
