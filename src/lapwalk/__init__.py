@@ -37,17 +37,14 @@ from .io import graph_from_json, graph_to_json, load_graph, save_graph
 from .linegraph import intertwine_check, path_signless_refutation, pst_transfer_to_line
 from .operators import (
     Hamiltonian,
-    NotBipartiteError,
     OperatorKind,
     adjacency,
-    bipartite_signing,
     degree_matrix,
     incidence,
     normalized_laplacian,
     operator,
     signless_laplacian,
     standard_laplacian,
-    weighted_p3,
 )
 from .partitions import (
     NotAlmostEquitableError,
@@ -80,9 +77,6 @@ from .spectral import (
     EigenDecomposition,
     cartesian_walk_check,
     eigendecompose,
-    join_cross_entry,
     join_walk_entry,
-    p3_alpha_fidelity,
-    p3_alpha_pst_condition,
 )
 from .suites import SUITES, SuiteReport, available_suites, run_suite

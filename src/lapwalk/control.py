@@ -24,9 +24,9 @@ exact. Primes come lazily, descending from ``RANK_PRIME``; only finitely
 many fall short of d, so the loop ends.
 
 Every matvec, int64 residues and Python-int Horner alike, reads the edges
-from the graph's one cached CSR (``Graph._csr``, which its breadth-first
-search shares). The big-integer columns themselves are built only when
-``WalkMatrix.rows`` is read.
+from the graph's one cached arc array (``Graph._arcs``: tails and heads,
+both directions of every edge). The big-integer columns themselves are
+built only when ``WalkMatrix.rows`` is read.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graphs import Graph, _require_unweighted, line_graph, odd_unicyclic
+from .graphs import Graph, _require_unweighted, _vertex_check, line_graph, odd_unicyclic
 from .linegraph import _pendant_edge_index
 from .operators import signless_laplacian
 from .pst import PstCertificate, search_pst
@@ -77,20 +77,18 @@ class WalkMatrix:
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        ends = _both_ends(self._graph)
+        arcs = self._graph._arcs
         columns = np.zeros((self.n, self.n), dtype=object)  # Python ints: no overflow
         columns[list(self.subset), :1] = 1  # e_S; a slice, so that n = 0 works too
         for k in range(1, self.n):
-            columns[:, k] = _adjacency_times(ends, columns[:, k - 1])
+            columns[:, k] = _adjacency_times(arcs, columns[:, k - 1])
         return tuple(map(tuple, columns.tolist()))
 
 
 def walk_matrix(g: Graph, subset: Iterable[int]) -> WalkMatrix:
     _require_unweighted(g, "walk_matrix")
     s = tuple(sorted({int(v) for v in subset}))
-    for v in s:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
+    _vertex_check(g.n, *s)
     return WalkMatrix(g, s, _BUILT)
 
 
@@ -192,16 +190,10 @@ def _symmetric(residues: list[int], modulus: int) -> tuple[int, ...]:
     return tuple(r - modulus if 2 * r > modulus else r for r in residues)
 
 
-def _both_ends(g: Graph) -> np.ndarray:
-    """Tails and heads of every edge in both directions, as two rows, read
-    from the graph's CSR: ordered by tail."""
-    heads, _, degree = g._csr
-    return np.stack((np.repeat(np.arange(g.n), degree), heads))
-
-
-def _adjacency_times(ends: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A x, in the dtype of x: (A x)[v] sums x over the neighbours of v."""
-    tails, heads = ends
+def _adjacency_times(arcs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x, in the dtype of x, over a graph's ``_arcs``: (A x)[v] sums x over
+    the neighbours of v."""
+    tails, heads = arcs
     y = np.zeros(len(x), dtype=x.dtype)
     np.add.at(y, tails, x[heads])
     return y
@@ -210,7 +202,7 @@ def _adjacency_times(ends: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _walk_residues(w: WalkMatrix, p: int) -> np.ndarray:
     """s_k = e_S^T A^k e_S mod p for k <= 2n - 2, from x_j = A^j e_S mod p:
     s_2j = x_j.x_j and s_2j+1 = x_j.x_j+1, A being symmetric."""
-    n, ends = w.n, _both_ends(w._graph)
+    n, arcs = w.n, w._graph._arcs
     s = np.empty(max(2 * n - 1, 0), dtype=np.int64)
     x = np.zeros(n, dtype=np.int64)
     x[list(w.subset)] = 1
@@ -218,7 +210,7 @@ def _walk_residues(w: WalkMatrix, p: int) -> np.ndarray:
     for j in range(1, n):
         # (A x)[v] sums deg(v) residues below 2^31, and deg(v) <= m < 2^32 for
         # any edge array that fits in memory: below 2^63
-        previous, x = x, _adjacency_times(ends, x) % p
+        previous, x = x, _adjacency_times(arcs, x) % p
         halves = _halves(x)
         s[2 * j - 1] = _dot(previous, halves, p)
         s[2 * j] = _dot(x, halves, p)
@@ -228,11 +220,11 @@ def _walk_residues(w: WalkMatrix, p: int) -> np.ndarray:
 def _annihilates(w: WalkMatrix, relation: tuple[int, ...]) -> bool:
     """Whether (A^L - sum_i a_i A^i) e_S = 0 exactly, by Horner in Python
     ints: v <- A v - a_i e_S from v = e_S, for i = L - 1 down to 0."""
-    ends, subset = _both_ends(w._graph), list(w.subset)
+    arcs, subset = w._graph._arcs, list(w.subset)
     v = np.zeros(w.n, dtype=object)  # Python ints: no overflow
     v[subset] = 1
     for a in reversed(relation):
-        v = _adjacency_times(ends, v)
+        v = _adjacency_times(arcs, v)
         v[subset] -= a
     return not v.any()
 

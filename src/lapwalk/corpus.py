@@ -20,7 +20,7 @@ from .graphs import (
     path,
 )
 
-__all__ = ["named_small_graphs", "random_connected_graphs", "random_trees"]
+__all__ = ["named_small_graphs", "random_connected_graphs"]
 
 DEFAULT_SEED = 20240911
 
@@ -79,13 +79,3 @@ def random_connected_graphs(
         out.append(_random_connected(rng, n, extra_prob=float(rng.uniform(0.15, 0.5))))
     return out
 
-
-def random_trees(
-    count: int, n_min: int = 4, n_max: int = 10, seed: int = DEFAULT_SEED + 1
-) -> list[Graph]:
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        n = int(rng.integers(n_min, n_max + 1))
-        out.append(_random_connected(rng, n, extra_prob=0.0))
-    return out

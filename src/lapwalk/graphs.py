@@ -7,9 +7,9 @@ vertices (sorted) and the loop weights; a loop of weight w lands on the
 adjacency diagonal. One constructor checks all four, by vectorized
 comparisons. ``edges`` and ``loops`` are tuple views of those arrays for
 printing, writing and tests; everything that reads a graph's structure reads
-the arrays, or the one neighbour structure derived from them: a CSR
-(compressed sparse rows) built once per graph and kept, which the
-breadth-first search and the exact-rank matvecs share.
+the arrays, or the one neighbour structure derived from them: the arcs (both
+directions of every edge, as tails and heads) built once per graph and kept,
+which the exact-rank matvecs and the partition counts share.
 
 All combinators are pure and relabel vertices deterministically: in
 unions/joins the first argument keeps its labels and the second is shifted
@@ -87,15 +87,6 @@ def _frozen(values, dtype: np.dtype) -> np.ndarray:
     if out.flags.writeable:
         out.setflags(write=False)
     return out
-
-
-class _Csr(NamedTuple):
-    """Compressed sparse rows of a graph's adjacency structure: the
-    neighbours of v are ``heads[start[v] : start[v] + degree[v]]``."""
-
-    heads: np.ndarray
-    start: np.ndarray
-    degree: np.ndarray
 
 
 _NO_LOOP_VERTICES = _frozen(np.empty(0), _INDEX)
@@ -180,10 +171,6 @@ class Graph:
         """True when every edge weight is 1 and there are no loops."""
         return not len(self.loop_vertices) and not np.count_nonzero(self.weights != 1.0)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        ends = self.ends
-        return bool(((ends[:, 0] == min(u, v)) & (ends[:, 1] == max(u, v))).any())
-
     @property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Edge ends, edge weights, loop vertices and loop weights."""
@@ -207,57 +194,12 @@ class Graph:
         return d
 
     @cached_property
-    def _csr(self) -> _Csr:
-        """The neighbour rows of every vertex, built once per graph and shared
-        by the breadth-first search and the exact-rank matvecs. Both
-        directions of every edge, (v, u) rows first, are ordered by tail
-        with one stable sort; the edge rows are sorted, so every row comes
-        out ascending. Edge weights are not read."""
-        tails, heads = np.concatenate([self.ends[:, ::-1], self.ends]).T
-        degree = np.bincount(tails, minlength=self.n)
-        heads = heads[np.argsort(tails, kind="stable")]
-        return _Csr(*(_frozen(a, _INDEX) for a in (heads, np.cumsum(degree) - degree, degree)))
-
-    @cached_property
-    def _levels(self) -> np.ndarray:
-        """Breadth-first depth of every vertex, each component searched from
-        its smallest vertex in turn; those starts are the vertices at level 0.
-        Each level reads only its frontier's rows of the graph's CSR, so the
-        whole search reads every edge twice."""
-        heads, row_start, degree = self._csr
-        level = np.where(degree == 0, 0, -1)  # an isolated vertex is its own component
-        for start in np.flatnonzero(level < 0).tolist():
-            if level[start] >= 0:
-                continue
-            level[start], depth = 0, 0
-            frontier = np.array([start])
-            while frontier.size:
-                depth += 1
-                span = degree[frontier]
-                # the CSR positions row_start[v] ... of every frontier vertex v
-                first = np.repeat(row_start[frontier] - span.cumsum() + span, span)
-                reached = heads[first + np.arange(span.sum())]
-                reached = reached[level[reached] < 0]
-                level[reached] = depth
-                frontier = np.unique(reached)
-        return level
-
-    def is_connected(self) -> bool:
-        return not (self._levels[1:] == 0).any()
-
-    def two_coloring(self) -> tuple[np.ndarray, tuple[int, int] | None]:
-        """Breadth-first two-coloring that never fails, plus the first edge
-        (in ``edges`` order) whose ends got the same color, or None when
-        there is none. Such an edge closes an odd cycle."""
-        color = self._levels % 2
-        ends = self.ends
-        clash = np.flatnonzero(color[ends[:, 0]] == color[ends[:, 1]])
-        return color, tuple(ends[clash[0]].tolist()) if clash.size else None
-
-    def bipartition(self) -> np.ndarray | None:
-        """Two-coloring by breadth-first traversal, or None on an odd cycle."""
-        color, clash = self.two_coloring()
-        return None if clash is not None else color
+    def _arcs(self) -> np.ndarray:
+        """Both directions of every edge, built once per graph: the read-only
+        (2, 2m) array of tails (row 0) and heads (row 1). Edge weights are not
+        read."""
+        u, v = self.ends.T
+        return _frozen([np.concatenate([u, v]), np.concatenate([v, u])], _INDEX)
 
     def relabel(self, perm: Iterable[int]) -> "Graph":
         """New graph with vertex u renamed to perm[u]."""
@@ -375,6 +317,14 @@ def make_graph(
 def _require_unweighted(g: Graph, what: str) -> None:
     if not g.is_unweighted:
         raise ValueError(f"{what} requires an unweighted, loop-free graph")
+
+
+def _vertex_check(n: int, *vertices: int) -> None:
+    """Raise ValueError naming the first vertex outside 0..n-1, so that no
+    negative vertex is read from the end of an array."""
+    for v in vertices:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range")
 
 
 # -- elementary constructors ----------------------------------------------

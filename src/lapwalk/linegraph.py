@@ -19,9 +19,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, line_graph, path
+from .graphs import Graph, _vertex_check, line_graph, path
 from .operators import adjacency, incidence, signless_laplacian
-from .pst import PstCertificate, _vertex_check, search_pst, verify_pst
+from .pst import PstCertificate, search_pst, verify_pst
 from .spectral import eigendecompose, per_time
 
 __all__ = [

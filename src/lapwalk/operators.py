@@ -1,5 +1,5 @@
-"""Symmetric matrices attached to a graph: adjacency, the three Laplacians,
-the normalized incidence matrix, and the bipartite sign change.
+"""Symmetric matrices attached to a graph: adjacency, the three Laplacians
+and the normalized incidence matrix.
 
 All constructors build their matrices symmetrically entry by entry, so
 ``matrix == matrix.T`` holds exactly (no after-the-fact symmetrization).
@@ -20,16 +20,13 @@ from .graphs import Graph, _require_unweighted
 __all__ = [
     "OperatorKind",
     "Hamiltonian",
-    "NotBipartiteError",
     "adjacency",
     "degree_matrix",
     "standard_laplacian",
     "signless_laplacian",
     "normalized_laplacian",
     "operator",
-    "weighted_p3",
     "incidence",
-    "bipartite_signing",
 ]
 
 
@@ -135,16 +132,6 @@ def operator(g: Graph, kind: OperatorKind | str) -> Hamiltonian:
     return _BUILDERS[k](g)
 
 
-def weighted_p3(alpha: float) -> Hamiltonian:
-    """Three-vertex path with a self-loop of weight alpha on the middle vertex,
-    handed over as a custom matrix: [[0,1,0],[1,alpha,1],[0,1,0]]."""
-    a = float(alpha)
-    if not math.isfinite(a):
-        raise ValueError("alpha must be finite")
-    m = np.array([[0.0, 1.0, 0.0], [1.0, a, 1.0], [0.0, 1.0, 0.0]])
-    return Hamiltonian(OperatorKind.CUSTOM, m)
-
-
 def incidence(g: Graph) -> np.ndarray:
     """Normalized n x m vertex-edge incidence: entry 1/sqrt(2) where the
     vertex lies on the edge. Column i is edge i of ``g.edges``, which is
@@ -154,21 +141,3 @@ def incidence(g: Graph) -> np.ndarray:
     b[g.ends, np.arange(g.edge_count)[:, None]] = 1.0 / math.sqrt(2.0)
     return b
 
-
-class NotBipartiteError(ValueError):
-    """Raised when a two-coloring is requested but an odd cycle exists."""
-
-    def __init__(self, edge: tuple[int, int]):
-        self.edge = edge
-        super().__init__(f"graph is not bipartite: edge {edge} closes an odd cycle")
-
-
-def bipartite_signing(g: Graph) -> np.ndarray:
-    """Diagonal of the +-1 matrix S with S A S^{-1} = -A, from a BFS
-    two-coloring. Requires a connected graph."""
-    if not g.is_connected():
-        raise ValueError("bipartite signing requires a connected graph")
-    colors, clash = g.two_coloring()
-    if clash is not None:
-        raise NotBipartiteError(clash)
-    return np.where(colors == 0, 1.0, -1.0)

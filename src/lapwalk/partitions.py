@@ -20,9 +20,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, _require_unweighted, cycle, path
+from .graphs import Graph, _require_unweighted, _vertex_check, cycle, path
 from .operators import Hamiltonian, OperatorKind, normalized_laplacian, operator
-from .pst import _vertex_check, walk_entries
+from .pst import walk_entries
 
 __all__ = [
     "Partition",
@@ -99,8 +99,7 @@ def _validated_cells(n: int, cells: Sequence[Iterable[int]]) -> tuple[tuple[int,
         if not cell:
             raise ValueError("cells must be nonempty")
         for v in cell:
-            if not 0 <= v < n:
-                raise ValueError(f"vertex {v} out of range")
+            _vertex_check(n, v)
             if v in seen:
                 raise ValueError(f"vertex {v} appears in two cells")
             seen.add(v)
@@ -119,10 +118,10 @@ def _owner(n: int, cells) -> np.ndarray:
 
 
 def _neighbor_counts(g: Graph, owner: np.ndarray, m: int) -> np.ndarray:
-    """counts[u, k] = number of neighbors of u inside cell k, counted from
-    both ends of every edge with one bincount."""
-    u, v = g.ends.ravel(), g.ends[:, ::-1].ravel()  # both directions of every edge
-    return np.bincount(u * m + owner[v], minlength=g.n * m).reshape(g.n, m)
+    """counts[u, k] = number of neighbors of u inside cell k, counted over
+    the graph's arcs with one bincount."""
+    tails, heads = g._arcs
+    return np.bincount(tails * m + owner[heads], minlength=g.n * m).reshape(g.n, m)
 
 
 def _cells_of(owner: np.ndarray, m: int) -> tuple[tuple[int, ...], ...]:

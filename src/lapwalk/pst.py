@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, complement, complete, cycle, empty, join, path, weak_product
+from .graphs import Graph, _vertex_check, complement, complete, cycle, empty, join, path, weak_product
 from .operators import (
     Hamiltonian,
     OperatorKind,
@@ -86,14 +86,6 @@ class PstCertificate:
             "phase": self.phase,
             "method": self.method,
         }
-
-
-def _vertex_check(n: int, *vertices: int) -> None:
-    """Raise ValueError naming the first vertex outside 0..n-1, so that no
-    negative vertex is read from the end of an array."""
-    for v in vertices:
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} out of range")
 
 
 def _pair_spectrum(h: Hamiltonian, pair: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -385,11 +377,11 @@ def search_pst(
     the root once the steps are shorter than ``REFINE_TOL`` (1e-12), until
     the bracket is at most that wide or holds no float strictly inside; a
     bracket where the magnitude does not rise and then fall resolves to its
-    better end. Starting from t = 0 and in order of grid magnitude, a
-    refined peak becomes the result when it is larger by more than the tie
-    bound, the rounding bound at t_max plus the dropped mass (plus the
-    drift when the period caps the grid), or within it and earlier, so of
-    peaks equal up to the bound the earliest wins. The
+    better end. The result is the earliest of t = 0 and the refined peaks
+    whose magnitude is at least the largest minus the tie bound: the
+    rounding bound at t_max plus the dropped mass (plus the drift when the
+    period caps the grid). Every candidate is compared with the largest, so
+    a run of near-equal peaks cannot lead the pick down tie by tie. The
     certificate at the chosen time is evaluated on all weights, and it
     asserts transfer only through ``certifies``.
     """
@@ -417,11 +409,11 @@ def search_pst(
     lo = times(np.maximum(peaks - 1, 0))
     hi = times(np.minimum(peaks + 1, count - 1))
     refined = _refine_peak(values, weights, lo, hi)
-    best_t, best_mag = 0.0, abs(walk_sum(values, weights, [0.0])[0])
-    for t, mag in zip(refined, np.abs(walk_sum(values, weights, refined))):
-        if mag > best_mag + tie or (abs(mag - best_mag) <= tie and t < best_t):
-            best_t, best_mag = t, mag
-    return certificate(best_t)
+    candidates = np.concatenate([[0.0], refined])
+    # t = 0 alone: a product over several times rounds each row unlike a one-row product
+    first = abs(walk_sum(values, weights, [0.0])[0])
+    mags = np.concatenate([[first], np.abs(walk_sum(values, weights, refined))])
+    return certificate(candidates[mags >= mags.max() - tie].min())
 
 
 # -- standard Laplacian closures ---------------------------------------------

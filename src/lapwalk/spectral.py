@@ -1,5 +1,5 @@
 """Eigendecomposition with eigenvalue clustering, walk operator evaluation,
-and closed-form walk entries for joins and the weighted three-vertex path.
+and the closed-form walk entry inside one side of a join.
 
 The walk is always evaluated through the spectral decomposition
 U(t) = V diag(exp(-i t theta)) V^T, never by series summation: unitarity is
@@ -18,22 +18,18 @@ every one of its times from those decompositions.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .graphs import cartesian_product
+from .graphs import _vertex_check, cartesian_product
 from .operators import Hamiltonian, OperatorKind, operator
 
 __all__ = [
     "EigenDecomposition",
     "eigendecompose",
-    "p3_alpha_fidelity",
-    "p3_alpha_pst_condition",
     "join_walk_entry",
-    "join_cross_entry",
     "cartesian_walk_check",
 ]
 
@@ -153,49 +149,26 @@ def eigendecompose(source: Hamiltonian | np.ndarray) -> EigenDecomposition:
     )
 
 
-# -- closed forms -----------------------------------------------------------
+# -- closed form ------------------------------------------------------------
 
 
-def p3_alpha_fidelity(alpha: float, t: float) -> complex:
-    """Antipodal walk entry of the weighted three-vertex path, in closed form:
-    -1/2 + (exp(-i t a/2)/2) (cos(D t) + i (a/2)/D sin(D t)), D^2 = (a/2)^2 + 2.
-    """
-    half = alpha / 2.0
-    delta = math.sqrt(half * half + 2.0)
-    osc = math.cos(delta * t) + 1j * (half / delta) * math.sin(delta * t)
-    return -0.5 + 0.5 * cmath.exp(-1j * t * half) * osc
-
-
-def p3_alpha_pst_condition(alpha: float, t: float, tol: float = 1e-9) -> bool:
-    """Exact transfer condition for the weighted path:
-    exp(-i t alpha/2) cos(D t) = -1."""
-    half = alpha / 2.0
-    delta = math.sqrt(half * half + 2.0)
-    return abs(cmath.exp(-1j * t * half) * math.cos(delta * t) + 1.0) < tol
-
-
-def join_walk_entry(
-    g_dec: EigenDecomposition, m: int, n: int, pair: tuple[int, int], t: float
-) -> complex:
-    """Walk entry inside the m-vertex factor of a join with an n-vertex graph,
-    relative to the standard Laplacian:
+def join_walk_entry(g_dec: EigenDecomposition, n: int, pair: tuple[int, int], t: float) -> complex:
+    """Walk entry inside the m-vertex factor G of a join with an n-vertex
+    graph, relative to the standard Laplacian:
 
         e^{-itn} <u|e^{-itL(G)}|v> + (e^{-it(m+n)} - e^{-itn})/m
                                    + (1 - e^{-it(m+n)})/(m+n).
 
-    ``g_dec`` is the decomposition of L(G) alone.
+    ``g_dec`` is the decomposition of L(G) alone, so m is its order; a
+    vertex of ``pair`` outside 0..m-1 raises ValueError.
     """
+    m = g_dec.n
+    _vertex_check(m, *pair)
     u, v = pair
     inner = complex(g_dec.amplitude(u, v, [t])[0])
     e_n = cmath.exp(-1j * t * n)
     e_mn = cmath.exp(-1j * t * (m + n))
     return e_n * inner + (e_mn - e_n) / m + (1.0 - e_mn) / (m + n)
-
-
-def join_cross_entry(m: int, n: int, t: float) -> complex:
-    """Walk entry between the two sides of a join under the standard
-    Laplacian: (1 - e^{-it(m+n)})/(m+n), independent of the vertices."""
-    return (1.0 - cmath.exp(-1j * t * (m + n))) / (m + n)
 
 
 def cartesian_walk_check(

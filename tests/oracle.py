@@ -48,6 +48,21 @@ def dense_scan_max(matrix: np.ndarray, pair: tuple[int, int], t_max: float, samp
     return best
 
 
+def weighted_p3(alpha: float) -> list[list[float]]:
+    """The three-vertex path with a loop of weight alpha on its middle vertex."""
+    return [[0.0, 1.0, 0.0], [1.0, alpha, 1.0], [0.0, 1.0, 0.0]]
+
+
+def p3_alpha_fidelity(alpha: float, t: float) -> complex:
+    """Antipodal walk entry of ``weighted_p3(alpha)`` in closed form:
+    -1/2 + (exp(-i t a/2)/2) (cos(D t) + i (a/2)/D sin(D t)),
+    D^2 = (a/2)^2 + 2."""
+    half = alpha / 2.0
+    delta = math.sqrt(half * half + 2.0)
+    osc = math.cos(delta * t) + 1j * (half / delta) * math.sin(delta * t)
+    return -0.5 + 0.5 * cmath.exp(-1j * t * half) * osc
+
+
 # -- partitions: the loop-based check and refinement ------------------------
 #
 # Reference for lapwalk.partitions: one dense count matrix, one Python loop
@@ -135,10 +150,10 @@ def refine_partition(adj: np.ndarray, initial_cells):
 
 # -- walk matrices, exact rank, traversal: the loop-based references --------
 #
-# Reference for lapwalk.control, Graph.is_connected, Graph.two_coloring,
-# hypercube and incidence: Python lists and sorted neighbour lists, one loop
-# per vertex, neighbour, edge, row and column. Graphs come in as the vertex
-# count and the (u, v, ...) edge tuples.
+# Reference for lapwalk.control, hypercube and incidence, and the traversals
+# the tests filter their graphs with: Python lists and sorted neighbour
+# lists, one loop per vertex, neighbour, edge, row and column. Graphs come in
+# as the vertex count and the (u, v, ...) edge tuples.
 
 
 def random_edge_lists(rng: np.random.Generator, count: int, n_max: int = 12):

@@ -173,7 +173,7 @@ def test_criterion_3_identity_suites():
         joined = join(g, h)
         dec_join = eigendecompose(standard_laplacian(joined))
         for t in TIMES:
-            closed = join_walk_entry(dec_g, g.n, h.n, (0, min(1, g.n - 1)), t)
+            closed = join_walk_entry(dec_g, h.n, (0, min(1, g.n - 1)), t)
             direct = complex(dec_join.amplitude(0, min(1, g.n - 1), [t])[0])
             dev = max(dev, abs(closed - direct))
     assert dev < IDENTITY_TOL

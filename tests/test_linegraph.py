@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from lapwalk.graphs import complete, empty, line_graph, make_graph, odd_unicyclic, path
 from lapwalk.linegraph import (
     intertwine_check,
@@ -38,14 +39,17 @@ def test_intertwine_p5():
 
 
 def test_incidence_gram_nonsingularity():
-    from lapwalk.corpus import random_connected_graphs, random_trees
+    from lapwalk.corpus import random_connected_graphs
 
     for g in random_connected_graphs(10, seed=13):
-        if g.bipartition() is None:  # connected and nonbipartite
+        if oracle.two_coloring(g.n, g.edges)[1] is not None:  # connected and nonbipartite
             b = incidence(g)
             assert np.linalg.eigvalsh(b @ b.T).min() > 1e-10
-    for g in random_trees(10, seed=29):
-        b = incidence(g)
+    rng = np.random.default_rng(29)
+    for n in rng.integers(4, 11, 10).tolist():
+        # a tree: every vertex after the first hangs from an earlier one
+        tree = make_graph(n, [(int(rng.integers(0, v)), v) for v in range(1, n)])
+        b = incidence(tree)
         assert np.linalg.eigvalsh(b.T @ b).min() > 1e-10
 
 

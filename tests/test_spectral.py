@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracle import walk_oracle
+from oracle import p3_alpha_fidelity, walk_oracle, weighted_p3
 
 from lapwalk.corpus import named_small_graphs
 from lapwalk.graphs import (
@@ -20,23 +20,16 @@ from lapwalk.graphs import (
 )
 from lapwalk.linegraph import intertwine_check
 from lapwalk.operators import (
+    Hamiltonian,
     OperatorKind,
     adjacency,
     normalized_laplacian,
     operator,
     signless_laplacian,
     standard_laplacian,
-    weighted_p3,
 )
-from lapwalk.pst import complement_closure_check, normalized_weak_product_walk_check
-from lapwalk.spectral import (
-    cartesian_walk_check,
-    eigendecompose,
-    join_cross_entry,
-    join_walk_entry,
-    p3_alpha_fidelity,
-    p3_alpha_pst_condition,
-)
+from lapwalk.pst import complement_closure_check, normalized_weak_product_walk_check, walk_entries
+from lapwalk.spectral import cartesian_walk_check, eigendecompose, join_walk_entry
 
 
 def test_eigendecompose_k2():
@@ -194,29 +187,10 @@ def test_bipartite_equivalence():
 
 def test_p3_alpha_closed_form_matches_walk():
     for alpha in np.linspace(-5, 5, 11):
-        dec = eigendecompose(weighted_p3(float(alpha)))
-        for t in np.linspace(0, 20, 21):
-            closed = p3_alpha_fidelity(float(alpha), float(t))
-            generic = complex(dec.amplitude(0, 2, [float(t)])[0])
-            assert abs(closed - generic) < 1e-10
-
-
-def test_p3_alpha_pst_examples():
-    assert abs(p3_alpha_fidelity(0.0, math.pi / math.sqrt(2)) + 1.0) < 1e-12
-    assert p3_alpha_fidelity(1.0, 0.0) == 0.0
-    assert p3_alpha_pst_condition(0.0, math.pi / math.sqrt(2))
-    assert not p3_alpha_pst_condition(0.0, math.pi / (2 * math.sqrt(2)))
-
-
-def test_p3_alpha_condition_agrees_with_magnitude():
-    for alpha in (-2.0, 0.0, 0.7, 3.0):
-        for t in np.linspace(0.1, 15, 60):
-            cond = p3_alpha_pst_condition(float(alpha), float(t), tol=1e-7)
-            mag = abs(p3_alpha_fidelity(float(alpha), float(t)))
-            if cond:
-                assert mag > 1 - 1e-7
-            if mag > 1 - 1e-14:
-                assert p3_alpha_pst_condition(float(alpha), float(t), tol=1e-6)
+        h = Hamiltonian(OperatorKind.CUSTOM, weighted_p3(float(alpha)))
+        ts = np.linspace(0, 20, 21)
+        for t, generic in zip(ts, walk_entries(h, (0, 2), ts)):
+            assert abs(p3_alpha_fidelity(float(alpha), float(t)) - generic) < 1e-10
 
 
 def test_p3_alpha_one_has_no_pst_scan():
@@ -236,23 +210,40 @@ def test_join_walk_entry_matches_direct():
     dec_join = eigendecompose(standard_laplacian(joined))
     rng = np.random.default_rng(23)
     for t in rng.uniform(0, 25, 20):
-        closed = join_walk_entry(dec_g, g.n, h.n, (0, 1), float(t))
+        closed = join_walk_entry(dec_g, h.n, (0, 1), float(t))
         direct = complex(dec_join.amplitude(0, 1, [float(t)])[0])
         assert abs(closed - direct) < 1e-9
+    assert join_walk_entry(dec_g, 3, (0, 0), 0.0) == pytest.approx(1.0)
+
+
+def test_join_walk_entry_reads_the_order_of_its_factor_and_checks_the_pair():
+    # the factor's order is the decomposition's: a 3-vertex factor beside 2
+    # vertices is the 5-vertex join, whichever pair of the factor is read
+    g, h = path(3), empty(2)
+    dec_g = eigendecompose(standard_laplacian(g))
+    dec_join = eigendecompose(standard_laplacian(join(g, h)))
+    for pair in [(0, 2), (1, 1), (2, 1)]:
+        for t in (0.4, 1.3, 5.0):
+            direct = complex(dec_join.amplitude(*pair, [t])[0])
+            assert abs(join_walk_entry(dec_g, h.n, pair, t) - direct) < 1e-9
+    # a vertex outside the factor raises, whether it would wrap or overrun
+    for pair, vertex in [((-1, 0), -1), ((0, -1), -1), ((3, 0), 3), ((0, 3), 3)]:
+        with pytest.raises(ValueError, match=f"^vertex {vertex} out of range$"):
+            join_walk_entry(dec_g, h.n, pair, 0.7)
 
 
 def test_join_cross_entry():
+    # between the two sides of a join the standard-Laplacian walk entry is
+    # (1 - e^{-it(m+n)})/(m+n), whichever vertices are read
     g, h = complete(2), path(3)
-    joined = join(g, h)
-    dec = eigendecompose(standard_laplacian(joined))
+    dec = eigendecompose(standard_laplacian(join(g, h)))
     m, n = g.n, h.n
-    for t in (0.3, 1.1, 2.9):
-        direct = complex(dec.amplitude(0, m + 1, [t])[0])
-        assert abs(direct - join_cross_entry(m, n, t)) < 1e-10
+    for t in (0.3, 1.1, 2.9, 2 * math.pi / 5):
+        closed = (1.0 - cmath.exp(-1j * t * (m + n))) / (m + n)
+        for u, v in [(0, m), (1, m + 1), (0, m + 2)]:
+            assert abs(complex(dec.amplitude(u, v, [t])[0]) - closed) < 1e-10
     # zero exactly when t(m+n) is a multiple of 2 pi
-    assert abs(join_cross_entry(2, 3, 2 * math.pi / 5)) < 1e-12
-    assert abs(join_cross_entry(2, 3, 0.7)) > 1e-3
-    assert join_walk_entry(eigendecompose(standard_laplacian(g)), 2, 3, (0, 0), 0.0) == pytest.approx(1.0)
+    assert abs(complex(dec.amplitude(0, m + 1, [2 * math.pi / 5])[0])) < 1e-12
 
 
 def test_cartesian_walk_check():
