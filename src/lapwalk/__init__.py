@@ -39,7 +39,6 @@ from .operators import (
     Hamiltonian,
     OperatorKind,
     adjacency,
-    degree_matrix,
     incidence,
     normalized_laplacian,
     operator,
@@ -66,6 +65,7 @@ from .pst import (
     cycle_pst_screen,
     double_cone_characterization,
     join_necessary_condition,
+    join_walk_entry,
     normalized_weak_product_walk_check,
     search_pst,
     verify_pst,
@@ -77,6 +77,5 @@ from .spectral import (
     EigenDecomposition,
     cartesian_walk_check,
     eigendecompose,
-    join_walk_entry,
 )
 from .suites import SUITES, SuiteReport, available_suites, run_suite

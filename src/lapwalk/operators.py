@@ -4,7 +4,9 @@ and the normalized incidence matrix.
 All constructors build their matrices symmetrically entry by entry, so
 ``matrix == matrix.T`` holds exactly (no after-the-fact symmetrization).
 A loop of weight w contributes w to the adjacency diagonal and w to that
-vertex's degree.
+vertex's degree. The four operator formulas are written once, in
+``_operator_matrix``, which a graph's operators and the quotients of
+``partitions.quotient`` share.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ __all__ = [
     "OperatorKind",
     "Hamiltonian",
     "adjacency",
-    "degree_matrix",
     "standard_laplacian",
     "signless_laplacian",
     "normalized_laplacian",
@@ -86,50 +87,54 @@ class Hamiltonian:
         return self.matrix.shape[0]
 
 
-def adjacency(g: Graph) -> Hamiltonian:
-    return Hamiltonian(OperatorKind.ADJACENCY, g.adjacency(), g)
-
-
-def degree_matrix(g: Graph) -> np.ndarray:
-    """Diagonal degree matrix; plain array since it is never walked on."""
-    return np.diag(g.degrees())
-
-
-def standard_laplacian(g: Graph) -> Hamiltonian:
-    return Hamiltonian(OperatorKind.STANDARD, degree_matrix(g) - g.adjacency(), g)
-
-
-def signless_laplacian(g: Graph) -> Hamiltonian:
-    return Hamiltonian(OperatorKind.SIGNLESS, degree_matrix(g) + g.adjacency(), g)
-
-
-def normalized_laplacian(g: Graph) -> Hamiltonian:
-    """I - D^{-1/2} A D^{-1/2}; defined here for unweighted loop-free graphs
-    with minimum degree one."""
-    _require_unweighted(g, "normalized_laplacian")
-    d = g.degrees()
-    if g.n and d.min() < 1:
-        v = int(np.argmin(d))
-        raise ValueError(f"normalized Laplacian undefined: vertex {v} is isolated")
-    scale = 1.0 / np.sqrt(d)
-    m = np.eye(g.n) - g.adjacency() * np.outer(scale, scale)
-    return Hamiltonian(OperatorKind.NORMALIZED, m, g)
-
-
-_BUILDERS = {
-    OperatorKind.ADJACENCY: adjacency,
-    OperatorKind.STANDARD: standard_laplacian,
-    OperatorKind.SIGNLESS: signless_laplacian,
-    OperatorKind.NORMALIZED: normalized_laplacian,
-}
+def _operator_matrix(
+    kind: OperatorKind, a: np.ndarray, degrees: np.ndarray, row: str = "vertex"
+) -> np.ndarray:
+    """The one place the operator formulas live: A, diag(d) - A,
+    diag(d) + A or I - D^{-1/2} A D^{-1/2} for the symmetric matrix ``a``
+    and the row degrees d. ``operator`` passes a graph's adjacency and
+    degrees; ``partitions.quotient`` passes an equitable quotient's, and
+    ``row`` names what a row stands for in the error of a normalized
+    Laplacian with a row of degree zero."""
+    if kind == OperatorKind.ADJACENCY:
+        return a
+    if kind == OperatorKind.STANDARD:
+        return np.diag(degrees) - a
+    if kind == OperatorKind.SIGNLESS:
+        return np.diag(degrees) + a
+    if kind == OperatorKind.NORMALIZED:
+        if len(degrees) and degrees.min() < 1:
+            v = int(np.argmin(degrees))
+            raise ValueError(f"normalized Laplacian undefined: {row} {v} is isolated")
+        scale = 1.0 / np.sqrt(degrees)
+        return np.eye(len(a)) - a * np.outer(scale, scale)
+    raise ValueError(f"no graph operator for kind {kind}")
 
 
 def operator(g: Graph, kind: OperatorKind | str) -> Hamiltonian:
-    """Dispatch to the operator constructor for ``kind``."""
+    """The operator of ``kind`` on ``g`` (``_operator_matrix``); the
+    normalized Laplacian is defined here for unweighted loop-free graphs
+    with minimum degree one."""
     k = kind if isinstance(kind, OperatorKind) else OperatorKind.from_name(kind)
-    if k not in _BUILDERS:
-        raise ValueError(f"no graph operator for kind {k}")
-    return _BUILDERS[k](g)
+    if k == OperatorKind.NORMALIZED:
+        _require_unweighted(g, "normalized_laplacian")
+    return Hamiltonian(k, _operator_matrix(k, g.adjacency(), g.degrees()), g)
+
+
+def adjacency(g: Graph) -> Hamiltonian:
+    return operator(g, OperatorKind.ADJACENCY)
+
+
+def standard_laplacian(g: Graph) -> Hamiltonian:
+    return operator(g, OperatorKind.STANDARD)
+
+
+def signless_laplacian(g: Graph) -> Hamiltonian:
+    return operator(g, OperatorKind.SIGNLESS)
+
+
+def normalized_laplacian(g: Graph) -> Hamiltonian:
+    return operator(g, OperatorKind.NORMALIZED)
 
 
 def incidence(g: Graph) -> np.ndarray:

@@ -3,9 +3,9 @@ matrix, quotient operators, and walk lifting between a graph and its quotient.
 
 A partition is equitable when every vertex of cell j has the same number
 d[j,k] of neighbors in cell k, for all j and k; almost equitable only
-requires this for j != k. Quotient matrices follow the displayed formulas
-for each operator kind; the sign of the off-diagonal entries is fixed by the
-kind (negative square roots for the standard Laplacian, positive otherwise)
+requires this for j != k. A quotient matrix is the operator formula of its
+kind applied to the symmetrized counts and the cell degrees, the same
+formula a graph's operator is built by, so its signs are fixed by the kind
 and never inferred from data. A partition exists only once its counts are
 verified, so a quotient is read from the partition alone, with no graph.
 """
@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graphs import Graph, _require_unweighted, _vertex_check, cycle, path
-from .operators import Hamiltonian, OperatorKind, normalized_laplacian, operator
+from .operators import Hamiltonian, OperatorKind, _operator_matrix, normalized_laplacian, operator
 from .pst import walk_entries
 
 __all__ = [
@@ -199,27 +199,20 @@ def quotient(p: Partition, kind: OperatorKind | str) -> np.ndarray:
     partition matrix P, read from the partition's checked counts in O(k^2);
     no operator is built.
 
-    Off-diagonal entries are sqrt(d[j,k] d[k,j]) with a minus sign for the
-    standard Laplacian; diagonals are d[j,j] (adjacency),
-    sum_{l != j} d[j,l] (standard), and 2 d[j,j] + sum_{l != j} d[j,l]
-    (signless). Adjacency and signless quotients need a fully equitable
-    partition; the standard Laplacian accepts an almost-equitable one.
+    The symmetrized count matrix S, sqrt(d[j,k] d[k,j]) off the diagonal
+    and d[j,j] on it, is P^T A P, and every cell's vertices share the degree
+    sum_k d[j,k]; B is the operator formula of ``kind`` (the one
+    ``operators.operator`` uses) applied to S and those cell degrees. An
+    almost-equitable partition leaves d[j,j] unknown: the standard Laplacian
+    subtracts it again and accepts one, with S's diagonal 0, while the other
+    kinds need a fully equitable partition.
     """
     k = kind if isinstance(kind, OperatorKind) else OperatorKind.from_name(kind)
-    if k not in (OperatorKind.ADJACENCY, OperatorKind.STANDARD, OperatorKind.SIGNLESS):
-        raise ValueError(f"no quotient defined for operator kind {k.value}")
-    if k in (OperatorKind.ADJACENCY, OperatorKind.SIGNLESS) and not p.is_equitable:
+    if k != OperatorKind.STANDARD and not p.is_equitable:
         raise ValueError(f"{k.value} quotient needs a fully equitable partition")
     d = p.degree_counts
-    offsums = np.where(np.eye(p.size, dtype=bool), 0.0, d).sum(axis=1)
-    b = (-1.0 if k == OperatorKind.STANDARD else 1.0) * np.sqrt(d * d.T)
-    if k == OperatorKind.ADJACENCY:
-        np.fill_diagonal(b, np.diag(d))
-    elif k == OperatorKind.STANDARD:
-        np.fill_diagonal(b, offsums)
-    else:
-        np.fill_diagonal(b, 2 * np.diag(d) + offsums)
-    return b
+    s = np.nan_to_num(np.sqrt(d * d.T))  # sqrt(d[j,j]^2) is d[j,j] exactly; nan only there
+    return _operator_matrix(k, s, np.nansum(d, axis=1), row="cell")
 
 
 def lift_check(

@@ -42,6 +42,7 @@ __all__ = [
     "double_cone_characterization",
     "DoubleConeResult",
     "join_necessary_condition",
+    "join_walk_entry",
     "connected_double_cone_refutation",
     "weak_product_closure_1",
     "weak_product_closure_2",
@@ -450,6 +451,24 @@ def complement_closure_check(
 def join_necessary_condition(m: int, n: int, t: float) -> bool:
     """Transfer inside a join forces t(m+n) in 2 pi Z."""
     return _near_integers(t * (m + n) / (2.0 * math.pi), INTEGER_TOL)
+
+
+def join_walk_entry(h_g: Hamiltonian, n: int, pair: tuple[int, int], t: float) -> complex:
+    """Walk entry inside the m-vertex factor G of a join with an n-vertex
+    graph, relative to the standard Laplacian:
+
+        e^{-itn} <u|e^{-itL(G)}|v> + (e^{-it(m+n)} - e^{-itn})/m
+                                   + (1 - e^{-it(m+n)})/(m+n).
+
+    ``h_g`` is L(G) alone, so m is its order, and the factor's entry is read
+    through ``walk_entries``: a vertex of ``pair`` outside 0..m-1, or a time
+    too long for the factor's entry, raises ValueError.
+    """
+    m = h_g.n
+    inner = complex(walk_entries(h_g, pair, [t])[0])
+    e_n = cmath.exp(-1j * t * n)
+    e_mn = cmath.exp(-1j * t * (m + n))
+    return e_n * inner + (e_mn - e_n) / m + (1.0 - e_mn) / (m + n)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Eigendecomposition with eigenvalue clustering, walk operator evaluation,
-and the closed-form walk entry inside one side of a join.
+"""Eigendecomposition with eigenvalue clustering, walk operator evaluation
+and the Cartesian product check.
 
 The walk is always evaluated through the spectral decomposition
 U(t) = V diag(exp(-i t theta)) V^T, never by series summation: unitarity is
@@ -17,19 +17,17 @@ every one of its times from those decompositions.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .graphs import _vertex_check, cartesian_product
+from .graphs import cartesian_product
 from .operators import Hamiltonian, OperatorKind, operator
 
 __all__ = [
     "EigenDecomposition",
     "eigendecompose",
-    "join_walk_entry",
     "cartesian_walk_check",
 ]
 
@@ -147,28 +145,6 @@ def eigendecompose(source: Hamiltonian | np.ndarray) -> EigenDecomposition:
         vectors=evecs,
         multiplicities=tuple(sizes.tolist()),
     )
-
-
-# -- closed form ------------------------------------------------------------
-
-
-def join_walk_entry(g_dec: EigenDecomposition, n: int, pair: tuple[int, int], t: float) -> complex:
-    """Walk entry inside the m-vertex factor G of a join with an n-vertex
-    graph, relative to the standard Laplacian:
-
-        e^{-itn} <u|e^{-itL(G)}|v> + (e^{-it(m+n)} - e^{-itn})/m
-                                   + (1 - e^{-it(m+n)})/(m+n).
-
-    ``g_dec`` is the decomposition of L(G) alone, so m is its order; a
-    vertex of ``pair`` outside 0..m-1 raises ValueError.
-    """
-    m = g_dec.n
-    _vertex_check(m, *pair)
-    u, v = pair
-    inner = complex(g_dec.amplitude(u, v, [t])[0])
-    e_n = cmath.exp(-1j * t * n)
-    e_mn = cmath.exp(-1j * t * (m + n))
-    return e_n * inner + (e_mn - e_n) / m + (1.0 - e_mn) / (m + n)
 
 
 def cartesian_walk_check(

@@ -214,6 +214,22 @@ def test_quotient_command(tmp_path, capsys):
     assert out.startswith("4.0,2.0,0.0")
 
 
+def test_quotient_command_prints_the_normalized_quotient(tmp_path, capsys):
+    from lapwalk.graphs import complete
+
+    gfile = tmp_path / "dc.json"
+    pfile = tmp_path / "cells.json"
+    lio.save_graph(join(empty(2), complete(4)), gfile)
+    pfile.write_text(lio.cells_to_json([[0], [2, 3, 4, 5], [1]]))
+    argv = ["quotient", "--graph", str(gfile), "--partition", str(pfile), "--kind"]
+    # apexes of degree 4, the K4 cell of degree 5: -2/sqrt(4 * 5) = -1/sqrt(5)
+    assert main([*argv, "normalized"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "1.0,-0.4472135954999579,0.0"
+    assert main([*argv, "custom"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_controllable_command(tmp_path, capsys):
     gfile = tmp_path / "cone.json"
     from lapwalk.graphs import cone_p4_with_pendant

@@ -18,7 +18,6 @@ from lapwalk.operators import (
     Hamiltonian,
     OperatorKind,
     adjacency,
-    degree_matrix,
     incidence,
     normalized_laplacian,
     signless_laplacian,
@@ -63,8 +62,8 @@ def test_normalized_rejects_isolated_and_weighted():
 def test_loop_contributes_to_adjacency_and_degree():
     g = make_graph(2, [(0, 1)], loops=[(0, 3.0)])
     assert adjacency(g).matrix[0, 0] == 3.0
-    assert degree_matrix(g)[0, 0] == 4.0
-    assert standard_laplacian(g).matrix[0, 0] == 1.0  # degree minus loop weight
+    assert g.degrees()[0] == 4.0
+    assert standard_laplacian(g).matrix[0, 0] == 4.0 - 3.0  # degree minus loop weight
     assert signless_laplacian(g).matrix[0, 0] == 7.0
 
 

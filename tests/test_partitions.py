@@ -7,15 +7,18 @@ import pytest
 import oracle
 from oracle import walk_oracle
 
+from lapwalk.corpus import named_small_graphs, random_connected_graphs
 from lapwalk.graphs import (
     complete,
     cycle,
     disjoint_union,
     empty,
+    hypercube,
     join,
     make_graph,
     odd_unicyclic,
     path,
+    weak_product,
 )
 from lapwalk import pst
 from lapwalk.operators import OperatorKind, operator
@@ -147,6 +150,59 @@ def test_quotient_requires_matching_partition():
     with pytest.raises(ValueError):
         quotient(p, OperatorKind.NORMALIZED)
     quotient(p, OperatorKind.STANDARD)  # almost-equitable suffices here
+
+
+KINDS = (OperatorKind.ADJACENCY, OperatorKind.STANDARD, OperatorKind.SIGNLESS, OperatorKind.NORMALIZED)
+
+
+def test_all_singleton_quotient_is_the_operator_bit_for_bit():
+    # one formula serves both: the quotient of the all-singleton partition is
+    # the graph's operator itself, the sign of every zero included
+    graphs = [g for _, g in named_small_graphs()] + random_connected_graphs(20, seed=11)
+    for g in graphs:
+        p = check_equitable(g, [[v] for v in range(g.n)])
+        for kind in KINDS:
+            b = quotient(p, kind)
+            assert b.tobytes() == operator(g, kind).matrix.tobytes()
+
+
+def test_normalized_quotient_intertwines():
+    graphs = random_connected_graphs(20, seed=12) + [weak_product(path(3), hypercube(d)) for d in range(1, 5)]
+    worst = 0.0
+    for g in graphs:
+        n_mat = operator(g, OperatorKind.NORMALIZED).matrix
+        rest = range(1, g.n - 1)
+        for cells in ([range(g.n)], [[0], [g.n - 1], rest] if len(rest) else [[0], [g.n - 1]]):
+            p = coarsest_equitable_refinement(g, cells)
+            pm = partition_matrix(p)
+            worst = max(worst, np.abs(n_mat @ pm - pm @ quotient(p, OperatorKind.NORMALIZED)).max())
+    assert worst < 1e-12
+    # P3 x Q3 transfers 0 -> 16 at 3 pi under the normalized Laplacian, and
+    # its 5-cell quotient carries the pair's walk
+    g = weak_product(path(3), hypercube(3))
+    p = coarsest_equitable_refinement(g, [[0], [16], [v for v in range(g.n) if v not in (0, 16)]])
+    assert lift_check(g, p, OperatorKind.NORMALIZED, 0, 16, 3 * math.pi) < 1e-9
+
+
+def test_normalized_quotient_rejects_an_isolated_cell():
+    g = disjoint_union(complete(2), empty(2))
+    p = check_equitable(g, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="cell 1 is isolated"):
+        quotient(p, OperatorKind.NORMALIZED)
+    with pytest.raises(ValueError, match="vertex 2 is isolated"):
+        operator(g, OperatorKind.NORMALIZED)
+
+
+def test_double_cone_quotient_is_the_matrix_the_tie_test_searches():
+    # the 3 x 3 matrix test_pst::test_near_equal_peaks_cannot_lead_the_pick_below_the_largest
+    # searches is this quotient bit for bit, so it and the n = 100000 search
+    # decide the same bits
+    m = 99998
+    r = math.sqrt(m)
+    g = join(empty(2), cycle(m))
+    p = check_equitable(g, [(0,), (1,), range(2, g.n)])
+    expected = np.array([[m, 0.0, -r], [0.0, m, -r], [-r, -r, 2.0]])
+    assert quotient(p, OperatorKind.STANDARD).tobytes() == expected.tobytes()
 
 
 def test_only_the_checks_build_a_partition():

@@ -28,8 +28,13 @@ from lapwalk.operators import (
     signless_laplacian,
     standard_laplacian,
 )
-from lapwalk.pst import complement_closure_check, normalized_weak_product_walk_check, walk_entries
-from lapwalk.spectral import cartesian_walk_check, eigendecompose, join_walk_entry
+from lapwalk.pst import (
+    complement_closure_check,
+    join_walk_entry,
+    normalized_weak_product_walk_check,
+    walk_entries,
+)
+from lapwalk.spectral import cartesian_walk_check, eigendecompose
 
 
 def test_eigendecompose_k2():
@@ -205,31 +210,45 @@ def test_p3_alpha_one_has_no_pst_scan():
 
 def test_join_walk_entry_matches_direct():
     g, h = complete(2), path(3)
-    dec_g = eigendecompose(standard_laplacian(g))
+    l_g = standard_laplacian(g)
     joined = join(g, h)
     dec_join = eigendecompose(standard_laplacian(joined))
     rng = np.random.default_rng(23)
     for t in rng.uniform(0, 25, 20):
-        closed = join_walk_entry(dec_g, h.n, (0, 1), float(t))
+        closed = join_walk_entry(l_g, h.n, (0, 1), float(t))
         direct = complex(dec_join.amplitude(0, 1, [float(t)])[0])
         assert abs(closed - direct) < 1e-9
-    assert join_walk_entry(dec_g, 3, (0, 0), 0.0) == pytest.approx(1.0)
+    assert join_walk_entry(l_g, 3, (0, 0), 0.0) == pytest.approx(1.0)
 
 
 def test_join_walk_entry_reads_the_order_of_its_factor_and_checks_the_pair():
-    # the factor's order is the decomposition's: a 3-vertex factor beside 2
+    # the factor's order is its Laplacian's: a 3-vertex factor beside 2
     # vertices is the 5-vertex join, whichever pair of the factor is read
     g, h = path(3), empty(2)
-    dec_g = eigendecompose(standard_laplacian(g))
+    l_g = standard_laplacian(g)
     dec_join = eigendecompose(standard_laplacian(join(g, h)))
     for pair in [(0, 2), (1, 1), (2, 1)]:
         for t in (0.4, 1.3, 5.0):
             direct = complex(dec_join.amplitude(*pair, [t])[0])
-            assert abs(join_walk_entry(dec_g, h.n, pair, t) - direct) < 1e-9
+            assert abs(join_walk_entry(l_g, h.n, pair, t) - direct) < 1e-9
     # a vertex outside the factor raises, whether it would wrap or overrun
     for pair, vertex in [((-1, 0), -1), ((0, -1), -1), ((3, 0), 3), ((0, 3), 3)]:
         with pytest.raises(ValueError, match=f"^vertex {vertex} out of range$"):
-            join_walk_entry(dec_g, h.n, pair, 0.7)
+            join_walk_entry(l_g, h.n, pair, 0.7)
+
+
+def test_join_walk_entry_obeys_the_horizon_rule():
+    # at t = 1e15 rounding alone could move the factor's entry by far more
+    # than the gap between the thresholds, as walk_entries on the join says
+    l_c5 = standard_laplacian(cycle(5))
+    with pytest.raises(ValueError, match="too long"):
+        walk_entries(standard_laplacian(join(cycle(5), empty(2))), (0, 2), [1e15])
+    with pytest.raises(ValueError, match="too long"):
+        join_walk_entry(l_c5, 2, (0, 2), 1e15)
+    # inside the horizon the factor's entry is the one walk_entries reads
+    inner = walk_entries(l_c5, (0, 2), [3.0])[0]
+    e_n, e_mn = cmath.exp(-6j), cmath.exp(-21j)
+    assert join_walk_entry(l_c5, 2, (0, 2), 3.0) == e_n * inner + (e_mn - e_n) / 5 + (1.0 - e_mn) / 7
 
 
 def test_join_cross_entry():
