@@ -10,8 +10,25 @@ rank is the degree d of the minimal polynomial mu of A relative to e_S, and
 it is found without elimination and without W. Berlekamp-Massey modulo a
 prime p gives the linear complexity L_p of s_k = e_S^T A^k e_S
 (k <= 2n - 2), whose residues come from int64 matvecs starting at e_S;
-mu annihilates s, so L_p <= d. L_p = n settles full rank. Otherwise the
-connection polynomials of the primes that share the largest L are combined
+mu annihilates s, so L_p <= d. L_p = n settles full rank.
+
+A deficient rank is proven first with eigenvector witnesses, at the first
+prime (Godsil, "Controllable subsets in graphs", Ann. Comb. 16, 2012): an
+integer y != 0 with A y = lambda y and e_S^T y = 0 is orthogonal to every
+column, since y^T A^k e_S = lambda^k y^T e_S = 0. For every integer root
+lambda of mu_p with |lambda| <= max degree (one vectorised Horner over all
+candidates), q = mu_p / (x - lambda) maps a random z and e_S into the
+lambda-eigenspace mod p whenever mu_p is the minimal polynomial of A, and
+a combination of the two is orthogonal to e_S; scaled to a leading 1 and
+lifted symmetrically, it is kept only if both A y = lambda y and
+e_S^T y = 0 hold exactly in int64. Witnesses of distinct eigenvalues are
+independent, so n - L_p of them prove d <= L_p. A lift that is wrong only
+fails its check.
+
+When they fall short (an irrational eigenvalue, large eigenvector entries,
+an eigenvalue whose whole eigenspace is orthogonal to e_S, or too few
+witnesses), the loop goes on from the first prime's run: the connection
+polynomials of the primes that share the largest L are combined
 by the Chinese remainder theorem into integer coefficients a_i (mu is monic
 and integral by Gauss's lemma), and the exact relation
 (A^L - sum a_i A^i) e_S = 0, evaluated by Horner in Python ints, proves
@@ -21,18 +38,21 @@ wrapped lands about uniformly in (-M/2, M/2], so a wrong lift passes that
 gate with probability about 2^-8 per wrapped coefficient, and a false pass
 costs only one failed Horner check before the next prime: both bounds stay
 exact. Primes come lazily, descending from ``RANK_PRIME``; only finitely
-many fall short of d, so the loop ends.
+many fall short of d, so the loop ends. No prime's residues or
+Berlekamp-Massey run is computed twice.
 
-Every matvec, int64 residues and Python-int Horner alike, reads the edges
-from the graph's one cached arc array (``Graph._arcs``: tails and heads,
-both directions of every edge). The big-integer columns themselves are
-built only when ``WalkMatrix.rows`` is read.
+Every matvec, int64 residues, witness stacks (``_stacked``) and Python-int
+Horner alike, reads the edges from the graph's one cached arc array
+(``Graph._arcs``: tails and heads, both directions of every edge). The
+big-integer columns themselves are built only when ``WalkMatrix.rows`` is
+read.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -229,7 +249,16 @@ def _annihilates(w: WalkMatrix, relation: tuple[int, ...]) -> bool:
     return not v.any()
 
 
-def _krylov_relation(w: WalkMatrix) -> tuple[int, ...] | None:
+def _prime_runs(w: WalkMatrix) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Each prime p, descending, with the Berlekamp-Massey complexity L_p and
+    connection polynomial of the walk residues mod p, run lazily."""
+    for p in _primes():
+        yield (p, *_berlekamp_massey(_walk_residues(w, p), p))
+
+
+def _krylov_relation(
+    w: WalkMatrix, runs: Iterator[tuple[int, int, np.ndarray]] | None = None
+) -> tuple[int, ...] | None:
     """The integer coefficients a_0 ... a_{L-1} of the first dependent
     column of the walk matrix, c_L = sum_i a_i c_i, proven exactly as
     (A^L - sum_i a_i A^i) e_S = 0; x^L - sum_i a_i x^i is then the minimal
@@ -242,11 +271,11 @@ def _krylov_relation(w: WalkMatrix) -> tuple[int, ...] | None:
     Chinese remainder theorem; once the longest coefficient of the symmetric
     lift is ``_HEADROOM`` bits shorter than the modulus, the relation is
     checked exactly (``_annihilates``), and its truth bounds the rank above
-    by L. A false check only sends the loop on to the next prime."""
+    by L. A false check only sends the loop on to the next prime. ``runs``
+    continues the primes a caller has already run (``_prime_runs``)."""
     n = w.n
     best, modulus, residues = -1, 1, []
-    for p in _primes():
-        length, connection = _berlekamp_massey(_walk_residues(w, p), p)
+    for p, length, connection in _prime_runs(w) if runs is None else runs:
         if length == n:  # L_p <= rank <= n
             return None
         if length < best:
@@ -266,14 +295,86 @@ def _krylov_relation(w: WalkMatrix) -> tuple[int, ...] | None:
     raise RuntimeError("the primes below 2^31 ran out before the Krylov relation was proven")
 
 
+def _stacked(arcs: np.ndarray, k: int) -> np.ndarray:
+    """The arcs of k disjoint copies of the graph, vertex v of copy j
+    numbered v k + j: ``_adjacency_times`` over them multiplies every column
+    of a raveled (n, k) stack by A."""
+    return (arcs[..., None] * k + np.arange(k)).reshape(2, -1)
+
+
+def _eigenvector_candidates(w: WalkMatrix, p: int, connection: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integers lambda with |lambda| <= max degree that are roots of
+    mu_p = x^L + c[1] x^(L-1) + ... + c[L] (the connection polynomial
+    reversed), and for each one a column y: a vector of the lambda-eigenspace
+    orthogonal to e_S, if mu_p is the minimal polynomial of A and the
+    eigenvector has small integer entries. No column is trusted
+    (``_is_witness`` checks them). None are built when fewer roots than
+    n - L exist.
+
+    With q = mu_p / (x - lambda), q(A) maps every vector into the
+    lambda-eigenspace when mu_p(A) = 0, and for a random z
+    y = (e_S^T q(A) e_S) q(A) z - (e_S^T q(A) z) q(A) e_S has e_S^T y = 0.
+    The stack [e_S, z] of every root is evaluated at once by Horner mod p
+    (L - 1 matvecs), q's coefficients coming from synthetic division as it
+    goes. Each column is scaled so that its first nonzero entry is 1 and
+    lifted to (-p/2, p/2]."""
+    n, length = w.n, len(connection) - 1
+    arcs, subset = w._graph._arcs, list(w.subset)
+    degree = int(w._graph.degrees().max())
+    candidates = np.arange(-degree, degree + 1)
+    values = np.zeros(len(candidates), dtype=np.int64)
+    for c in connection.tolist():  # Horner over every candidate at once
+        values = (values * (candidates % p) + c) % p
+    roots = candidates[values == 0]
+    r = len(roots)
+    if r < n - length:
+        return roots[:0], np.zeros((n, 0), dtype=np.int64)
+    # z of 16 bits: z q_i < 2^47, so one reduction per step keeps A u + stack q below 2^63
+    stack = np.zeros((n, 1, 2), dtype=np.int64)
+    stack[subset, 0, 0] = 1
+    stack[:, 0, 1] = np.random.default_rng(0).integers(0, 2**16, n)
+    stacked, lam = _stacked(arcs, 2 * r), roots % p
+    q = np.ones(r, dtype=np.int64)  # q's leading coefficient, c[0] = 1
+    u = np.repeat(stack, r, axis=1)  # column pair i holds [q(A) e_S, q(A) z] for root i
+    for c in connection[1:length].tolist():
+        q = (c + lam * q) % p
+        u = (_adjacency_times(stacked, u.ravel()).reshape(n, r, 2) + stack * q[:, None]) % p
+    qe, qz = u[..., 0], u[..., 1]
+    y = (qe[subset].sum(axis=0) % p * qz % p - qz[subset].sum(axis=0) % p * qe % p) % p
+    first = y[(y != 0).argmax(axis=0), np.arange(r)]  # 0 for a zero column, which stays zero
+    y = y * np.array([pow(int(f), -1, p) if f else 0 for f in first], dtype=np.int64) % p
+    return roots, y - p * (2 * y > p)
+
+
+def _is_witness(w: WalkMatrix, roots: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """For each column y_i, whether it is nonzero, A y_i = lambda_i y_i and
+    e_S^T y_i = 0, exactly in int64 (entries below 2^30 in size). Such a y_i
+    is orthogonal to every column A^k e_S of the walk matrix, as
+    y_i^T A^k e_S = lambda_i^k y_i^T e_S = 0."""
+    n, r = y.shape
+    ay = _adjacency_times(_stacked(w._graph._arcs, r), y.ravel()).reshape(n, r)
+    return y.any(axis=0) & (ay == y * roots).all(axis=0) & (y[list(w.subset)].sum(axis=0) == 0)
+
+
 def exact_rank(w: WalkMatrix) -> int:
-    """Rank over the rationals of a walk matrix: the degree of its Krylov
-    relation (see ``_krylov_relation``), a Berlekamp-Massey lower bound
-    modulo primes and an exact Horner relation as the upper bound. It never
+    """Rank over the rationals of a walk matrix. The first prime's
+    Berlekamp-Massey complexity L is a lower bound; L = n settles it.
+    Otherwise n - L exactly checked integer eigenvectors orthogonal to e_S
+    (``_eigenvector_candidates``, ``_is_witness``) bound it above by L:
+    they belong to distinct eigenvalues, so they are independent. Failing
+    that, the Krylov relation (``_krylov_relation``) is lifted over further
+    primes, continuing from the first, and its degree is the rank. It never
     reads ``w.rows``."""
     if not isinstance(w, WalkMatrix):
         raise TypeError("exact_rank takes a WalkMatrix from walk_matrix")
-    relation = _krylov_relation(w)
+    runs = _prime_runs(w)
+    first = next(runs)
+    p, length, connection = first
+    if length < w.n:
+        roots, y = _eigenvector_candidates(w, p, connection)
+        if _is_witness(w, roots, y).sum() >= w.n - length:
+            return length
+    relation = _krylov_relation(w, chain([first], runs))
     return w.n if relation is None else len(relation)
 
 
@@ -291,6 +392,11 @@ def is_controllable(g: Graph, subset: Iterable[int]) -> bool:
     - some eigenvalue is repeated: its eigenspace, of dimension >= 2, holds
       a nonzero vector orthogonal to e_u, which vanishes at u; or
     - the eigenvector x_theta of some simple eigenvalue has x_theta[u] = 0.
+    ``exact_rank``'s eigenvector witness covers the first case when theta
+    is an integer with a small integer eigenvector orthogonal to e_u (the
+    odd unicyclic line graphs' -1). It does not cover the second: there the
+    whole eigenspace is orthogonal to e_u, theta is no root of the relative
+    minimal polynomial, and the CRT relation proves the rank instead.
     """
     return exact_rank(walk_matrix(g, subset)) == g.n
 

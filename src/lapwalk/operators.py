@@ -108,7 +108,7 @@ def _operator_matrix(
             raise ValueError(f"normalized Laplacian undefined: {row} {v} is isolated")
         scale = 1.0 / np.sqrt(degrees)
         return np.eye(len(a)) - a * np.outer(scale, scale)
-    raise ValueError(f"no graph operator for kind {kind}")
+    raise ValueError(f"no graph operator for kind {kind.value}")
 
 
 def operator(g: Graph, kind: OperatorKind | str) -> Hamiltonian:

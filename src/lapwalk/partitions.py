@@ -94,16 +94,24 @@ def _validated_cells(n: int, cells: Sequence[Iterable[int]]) -> tuple[tuple[int,
     ascending order, the first empty cell, out-of-range vertex or repeated
     vertex raises ValueError."""
     tup = tuple(tuple(sorted(map(int, cell))) for cell in cells)
-    seen = set()
-    for cell in tup:
-        if not cell:
-            raise ValueError("cells must be nonempty")
-        for v in cell:
-            _vertex_check(n, v)
-            if v in seen:
-                raise ValueError(f"vertex {v} appears in two cells")
-            seen.add(v)
-    if len(seen) != n:
+    sizes = np.fromiter(map(len, tup), np.intp, len(tup))
+    read = np.fromiter(chain.from_iterable(tup), object, int(sizes.sum()))  # Python ints, any size
+    # each fault's place is the number of vertices read before it, so an
+    # empty cell comes before the vertex read right after it
+    outside = np.flatnonzero((read < 0) | (read >= n))
+    stop = int(outside[0]) if outside.size else len(read)
+    inside = read[:stop].astype(np.intp)
+    repeated = np.ones(stop, dtype=bool)
+    repeated[np.unique(inside, return_index=True)[1]] = False  # each vertex's first reading
+    repeat = int(np.argmax(repeated)) if repeated.any() else stop
+    empty = np.flatnonzero(sizes == 0)
+    if empty.size and (np.cumsum(sizes) - sizes)[empty[0]] <= repeat:
+        raise ValueError("cells must be nonempty")
+    if repeat < stop:
+        raise ValueError(f"vertex {inside[repeat]} appears in two cells")
+    if stop < len(read):
+        _vertex_check(n, read[stop])  # raises: the first vertex out of range
+    if len(read) != n:
         raise ValueError("cells must cover every vertex")
     return tup
 

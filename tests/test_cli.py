@@ -230,6 +230,17 @@ def test_quotient_command_prints_the_normalized_quotient(tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+def test_the_custom_kind_is_named_by_its_value(tmp_path, capsys):
+    # a str-mixin Enum formats as OperatorKind.CUSTOM under Python 3.11
+    gfile, pfile = tmp_path / "p3.json", tmp_path / "cells.json"
+    lio.save_graph(path(3), gfile)
+    pfile.write_text(lio.cells_to_json([[0, 2], [1]]))
+    quotient = ["quotient", "--graph", str(gfile), "--partition", str(pfile)]
+    for argv in (["matrix", "--graph", str(gfile)], quotient):
+        assert main([*argv, "--kind", "custom"]) == 2
+        assert capsys.readouterr() == ("", "error: no graph operator for kind custom\n")
+
+
 def test_controllable_command(tmp_path, capsys):
     gfile = tmp_path / "cone.json"
     from lapwalk.graphs import cone_p4_with_pendant

@@ -393,3 +393,137 @@ def test_the_horner_check_rejects_every_near_miss_relation():
         for lift in near_misses:
             assert not control._annihilates(w, lift), (g, subset, lift)
         assert control._krylov_relation(w) == relation
+
+
+def _pendant_walk(m: int, side: int = 0) -> WalkMatrix:
+    u_graph, ends = odd_unicyclic(m)
+    return walk_matrix(line_graph(u_graph), (_pendant_edge_index(u_graph, ends[side]),))
+
+
+def test_the_odd_unicyclic_deficiency_is_witnessed_after_one_prime_and_no_horner_check(monkeypatch):
+    # the repeated eigenvalue -1 has an integer eigenvector orthogonal to the pendant edge
+    counts = _counting(monkeypatch)
+    for m in (3, 6, 81):
+        for side in (0, 1):
+            w = _pendant_walk(m, side)
+            before = counts.get("primes", 0)
+            assert exact_rank(w) == w.n - 1 == oracle.exact_rank(w.rows), (m, side)
+            assert counts["primes"] - before == 1
+    assert "horner" not in counts
+
+
+def _eigenvector_witnesses(w: WalkMatrix) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The first prime's length L, the candidate roots and columns, and
+    which columns pass the exact check."""
+    p, length, connection = next(control._prime_runs(w))
+    roots, y = control._eigenvector_candidates(w, p, connection)
+    return length, roots, y, control._is_witness(w, roots, y)
+
+
+def test_witnesses_are_exact_eigenvectors_orthogonal_to_e_s():
+    cases = [(complete(3), (0, 1)), (cycle(6), (0,)), (cycle(6), (0, 2)), (_pendant_walk(6)._graph, (0,))]
+    for g, subset in cases:
+        w = walk_matrix(g, subset)
+        length, roots, y, passed = _eigenvector_witnesses(w)
+        a = g.adjacency().astype(int)
+        for root, column in zip(roots[passed], y[:, passed].T):
+            assert column.any() and (a @ column == root * column).all()
+            assert column[list(subset)].sum() == 0
+        rank = exact_rank(w)
+        assert passed.sum() == g.n - length == g.n - rank and rank == oracle.exact_rank(w.rows), (g, subset)
+    # C6 at 0 has deficiency 2: two witnesses, of the eigenvalues -1 and 1
+    length, roots, y, passed = _eigenvector_witnesses(walk_matrix(cycle(6), (0,)))
+    assert (length, roots[passed].tolist()) == (4, [-1, 1])
+
+
+def test_a_subset_witness_need_not_vanish_on_the_subset():
+    # e_S^T y = 0, not y_S = 0: on K3 at {0, 1} the witness of -1 is +-(1, -1, 0)
+    for g, subset in ((complete(3), (0, 1)), (cycle(6), (0, 2))):
+        w = walk_matrix(g, subset)
+        length, roots, y, passed = _eigenvector_witnesses(w)
+        witnesses = y[:, passed]
+        assert passed.sum() == g.n - length and witnesses[list(subset)].any(), (g, subset)
+        assert exact_rank(w) == length == oracle.exact_rank(w.rows)
+    length, roots, y, passed = _eigenvector_witnesses(walk_matrix(complete(3), (0, 1)))
+    assert roots[passed].tolist() == [-1] and abs(y[:, passed].ravel()).tolist() == [1, 1, 0]
+
+
+def test_a_tampered_witness_fails_its_exact_check_and_the_rank_stands(monkeypatch):
+    w = _pendant_walk(6)
+    length, roots, y, passed = _eigenvector_witnesses(w)
+    assert passed.tolist() == [True] and roots.tolist() == [-1]
+    vertex = int(np.flatnonzero(y[:, 0])[-1])
+    off_by_one = y.copy()
+    off_by_one[vertex] += 1
+    assert not control._is_witness(w, roots, off_by_one).any()
+    assert not control._is_witness(w, roots + 1, y).any()  # the wrong eigenvalue
+    assert not control._is_witness(w, roots, 0 * y).any()  # the zero vector is no witness
+    # an exact eigenvector of -1 that is not orthogonal to e_S
+    k3 = walk_matrix(complete(3), (0,))
+    assert not control._is_witness(k3, np.array([-1]), np.array([[1], [-1], [0]])).any()
+    assert control._is_witness(k3, np.array([-1]), np.array([[0], [1], [-1]])).all()
+
+    candidates = control._eigenvector_candidates
+
+    def tampered(w, p, connection):
+        roots, y = candidates(w, p, connection)
+        y = y.copy()
+        y[0] += 1
+        return roots, y
+
+    monkeypatch.setattr(control, "_eigenvector_candidates", tampered)
+    counts = _counting(monkeypatch)
+    for m in (3, 6, 81):
+        w = _pendant_walk(m)
+        assert exact_rank(w) == w.n - 1 == oracle.exact_rank(w.rows)
+        assert counts[w] == 1  # proven by the CRT relation's Horner check instead
+
+
+def test_the_fallback_reuses_the_first_prime_and_runs_no_prime_twice(monkeypatch):
+    cases = [
+        (disjoint_union(path(3), path(3)), (0,)),  # the other P3's eigenspaces are orthogonal to e_S
+        (cycle(5), (0,)),  # the repeated eigenvalues (-1 +- sqrt 5) / 2 are irrational
+        (cycle(8), (0,)),  # deficiency 3 from +-sqrt 2 and 0: integer roots tried, too few witnesses
+        (complete(4), (0,)),  # deficiency 2 from -1 of multiplicity 3: one witness per eigenvalue
+        (empty(3), ()),  # no root at all
+        (disjoint_union(complete(3), cycle(5)), (0, 4)),
+    ]
+    primes = []
+    bm = control._berlekamp_massey
+
+    def recording_bm(s, p):
+        primes.append(p)
+        return bm(s, p)
+
+    monkeypatch.setattr(control, "_berlekamp_massey", recording_bm)
+    for g, subset in cases:
+        w = walk_matrix(g, subset)
+        primes.clear()
+        relation = control._krylov_relation(w)
+        direct = list(primes)
+        primes.clear()
+        rank = exact_rank(w)
+        assert rank == len(relation) == oracle.exact_rank(w.rows) <= g.n - 2, (g, subset)
+        assert primes == direct and len(set(primes)) == len(primes), (g, subset)
+
+
+def test_witnesses_bound_the_rank_only_when_n_minus_l_of_them_pass(monkeypatch):
+    # an unlucky first prime whose length falls one short of the rank: the two
+    # true witnesses of C6 at 0 are one too few for n - L = 3, and the
+    # relation, lifted over the primes after it, proves the rank instead
+    w = walk_matrix(cycle(6), (0,))
+    length, roots, y, passed = _eigenvector_witnesses(w)
+    assert (length, passed.sum()) == (4, 2)
+    runs = control._prime_runs
+
+    def short_first(w):
+        later = runs(w)
+        p, length, connection = next(later)
+        yield p, length - 1, connection[:-1]
+        yield from later
+
+    monkeypatch.setattr(control, "_prime_runs", short_first)
+    monkeypatch.setattr(control, "_eigenvector_candidates", lambda w, p, connection: (roots, y))
+    counts = _counting(monkeypatch)
+    assert exact_rank(w) == 4 == oracle.exact_rank(w.rows)
+    assert counts["horner"] >= 1

@@ -20,7 +20,7 @@ from lapwalk.graphs import (
     path,
     weak_product,
 )
-from lapwalk import pst
+from lapwalk import partitions, pst
 from lapwalk.operators import OperatorKind, operator
 from lapwalk.partitions import (
     NotAlmostEquitableError,
@@ -476,3 +476,32 @@ def test_validation_reports_the_first_fault_in_cell_order():
         check_equitable(g, [(0, 1), (), (1, 9)])
     with pytest.raises(ValueError, match=f"vertex {10**30} out of range"):
         check_equitable(g, [(0, 1, 2, 3, 10**30)])
+
+
+def test_the_first_of_several_faults_wins_as_in_the_loop_reference():
+    g = path(4)
+    for cells, message in (
+        ([(5, 2), (2,), (), (-1,)], "vertex 5 out of range"),  # before a repeat, an empty cell and -1
+        ([(1, 0), (0, 7), (), (2, 3)], "vertex 0 appears in two cells"),  # before 7 and the empty cell
+        ([(0,), (), (0, 9)], "cells must be nonempty"),  # read before the repeated 0 right after it
+        ([(3, 10**30, -(10**25))], f"vertex {-(10**25)} out of range"),  # the cell is read sorted
+        ([(0, 1), (2,)], "cells must cover every vertex"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_equitable(g, cells)
+    rng = np.random.default_rng(28)
+    for _ in range(300):
+        n = int(rng.integers(0, 9))
+        cells = [list(c) for c in _random_cells(rng, n)]
+        for _ in range(int(rng.integers(1, 4))):  # up to three more faults, anywhere
+            at = int(rng.integers(0, len(cells) + 1))
+            cells.insert(at, [] if rng.random() < 0.3 else [int(rng.integers(-2, n + 2))])
+        try:
+            want = ("ok", oracle.validated_cells(n, cells))
+        except ValueError as exc:
+            want = ("invalid", str(exc))
+        try:
+            got = ("ok", partitions._validated_cells(n, cells))
+        except ValueError as exc:
+            got = ("invalid", str(exc))
+        assert got == want, (n, cells)
