@@ -322,10 +322,11 @@ def _eigenvector_candidates(w: WalkMatrix, p: int, connection: np.ndarray) -> tu
     arcs, subset = w._graph._arcs, list(w.subset)
     degree = int(w._graph.degrees().max())
     candidates = np.arange(-degree, degree + 1)
+    residues = candidates % p
     values = np.zeros(len(candidates), dtype=np.int64)
     for c in connection.tolist():  # Horner over every candidate at once
-        values = (values * (candidates % p) + c) % p
-    roots = candidates[values == 0]
+        values = (values * residues + c) % p
+    roots, lam = candidates[values == 0], residues[values == 0]
     r = len(roots)
     if r < n - length:
         return roots[:0], np.zeros((n, 0), dtype=np.int64)
@@ -333,7 +334,7 @@ def _eigenvector_candidates(w: WalkMatrix, p: int, connection: np.ndarray) -> tu
     stack = np.zeros((n, 1, 2), dtype=np.int64)
     stack[subset, 0, 0] = 1
     stack[:, 0, 1] = np.random.default_rng(0).integers(0, 2**16, n)
-    stacked, lam = _stacked(arcs, 2 * r), roots % p
+    stacked = _stacked(arcs, 2 * r)
     q = np.ones(r, dtype=np.int64)  # q's leading coefficient, c[0] = 1
     u = np.repeat(stack, r, axis=1)  # column pair i holds [q(A) e_S, q(A) z] for root i
     for c in connection[1:length].tolist():
