@@ -78,4 +78,4 @@ from .spectral import (
     cartesian_walk_check,
     eigendecompose,
 )
-from .suites import SUITES, SuiteReport, available_suites, run_suite
+from .suites import SUITES, SuiteReport

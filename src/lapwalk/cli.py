@@ -7,7 +7,9 @@ pst search leave the pair's range check to the library, which raises before
 any eigensolve. Exit codes: 0
 when the command succeeded and any assertion held, 1 when an assertion
 failed (refuted transfer, failing suite), 2 on usage or input errors, input
-too large for memory or for a 64-bit index included.
+too large for memory or for a 64-bit index included. A verdict has one
+meaning: pst verify certifies at ``pst.PST_TOL``, and unicyclic and
+verify-suite run at the library's fixed horizons and orders.
 
 Times are accepted either as decimals or as symbolic expressions over pi and
 sqrt ("pi/2", "3pi", "pi/sqrt(8)"), parsed exactly and converted to float
@@ -43,7 +45,7 @@ from .graphs import (
 from .operators import OperatorKind, operator
 from .partitions import check_almost_equitable, check_equitable, quotient
 from .pst import search_pst, verify_pst, walk_entries
-from .suites import available_suites, suite_for
+from .suites import SUITES
 
 __all__ = ["main", "parse_time"]
 
@@ -192,12 +194,9 @@ def _cmd_pst(args) -> int:
     g = lio.load_graph(args.graph)
     h = operator(g, args.kind)
     if args.action == "verify":
-        if not 0.0 <= args.tol < 1.0:  # also false for nan
-            raise ValueError(f"--tol must be a number in [0, 1), got {args.tol!r}")
-        t = parse_time(args.time)
-        res = verify_pst(h, args.pair, t, pst_tol=args.tol)
+        res = verify_pst(h, args.pair, parse_time(args.time))
         _emit(json.dumps(res.payload()) + "\n", args.out)
-        return 0 if res.certifies(args.tol) else 1
+        return 0 if res.certifies() else 1
     t_max = parse_time(args.t_max)
     cert = search_pst(h, args.pair, t_max)
     _emit(json.dumps(cert.payload()) + "\n", args.out)
@@ -228,7 +227,7 @@ def _cmd_controllable(args) -> int:
 
 
 def _cmd_unicyclic(args) -> int:
-    rep = unicyclic_no_pst_pipeline(args.m, t_max=parse_time(args.t_max))
+    rep = unicyclic_no_pst_pipeline(args.m)
     lines = [
         f"m {rep.m}",
         f"line-graph order {rep.line_order}",
@@ -243,16 +242,10 @@ def _cmd_unicyclic(args) -> int:
 
 
 def _cmd_verify_suite(args) -> int:
-    names = available_suites() if args.name == "all" else [args.name]
-    options = {}
-    if args.n_max is not None:
-        options["n_max"] = args.n_max
-    if args.t_max is not None:
-        options["t_max"] = parse_time(args.t_max)
-    suites = [suite_for(name, options) for name in names]  # all checked before any prints
+    names = sorted(SUITES) if args.name == "all" else [args.name]
     all_ok = True
-    for suite in suites:
-        report = suite(**options)
+    for name in names:
+        report = SUITES[name]()
         for line in report.lines:
             print(line)
         print(f"suite {report.name}: {'PASS' if report.passed else 'FAIL'}")
@@ -320,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--kind", required=True)
     p_verify.add_argument("--pair", nargs=2, type=int, required=True)
     p_verify.add_argument("--time", required=True)
-    p_verify.add_argument("--tol", type=float, default=1e-9)
     add_common(p_verify)
     p_verify.set_defaults(func=_cmd_pst)
     p_search = pst_sub.add_parser("search")
@@ -345,13 +337,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_uni = sub.add_parser("unicyclic", help="odd-unicyclic no-transfer pipeline")
     p_uni.add_argument("--m", type=int, required=True)
-    add_common(p_uni, t_max="200")
+    add_common(p_uni)
     p_uni.set_defaults(func=_cmd_unicyclic)
 
     p_suite = sub.add_parser("verify-suite", help="run a named verification suite")
-    p_suite.add_argument("name", choices=available_suites() + ["all"])
-    p_suite.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p_suite.add_argument("--t-max", dest="t_max", default=None)
+    p_suite.add_argument("name", choices=sorted(SUITES) + ["all"])
     p_suite.set_defaults(func=_cmd_verify_suite)
 
     return parser

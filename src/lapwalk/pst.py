@@ -26,7 +26,7 @@ from .operators import (
     normalized_laplacian,
     standard_laplacian,
 )
-from .spectral import eigendecompose, entry_sum, per_time, walk_sum
+from .spectral import eigendecompose, entry_sum, per_time
 
 __all__ = [
     "PST_TOL",
@@ -72,8 +72,8 @@ class PstCertificate:
     phase: float
     method: str
 
-    def certifies(self, pst_tol: float = PST_TOL) -> bool:
-        return self.magnitude >= 1.0 - pst_tol
+    def certifies(self) -> bool:
+        return self.magnitude >= 1.0 - PST_TOL
 
     def refutes(self) -> bool:
         return self.magnitude < REFUTE_THRESHOLD
@@ -111,14 +111,11 @@ def walk_entries(h: Hamiltonian, pair: tuple[int, int], times) -> np.ndarray:
     return entry_sum(all_values, pair_weights, times, float(pair[0] == pair[1]))
 
 
-def verify_pst(
-    h: Hamiltonian, pair: tuple[int, int], t: float, pst_tol: float = PST_TOL
-) -> PstCertificate:
+def verify_pst(h: Hamiltonian, pair: tuple[int, int], t: float) -> PstCertificate:
     """The walk entry at the given time (see ``walk_entries``), with method
-    METHOD_VERIFIED when it certifies under ``pst_tol`` and METHOD_REFUTED
-    otherwise."""
+    METHOD_VERIFIED when it certifies and METHOD_REFUTED otherwise."""
     cert = _certificate(h, pair, t, walk_entries(h, pair, [t])[0], METHOD_VERIFIED)
-    return cert if cert.certifies(pst_tol) else replace(cert, method=METHOD_REFUTED)
+    return cert if cert.certifies() else replace(cert, method=METHOD_REFUTED)
 
 
 def _rounding_bound(values, weights, t) -> float:
@@ -284,7 +281,8 @@ def _grid_peaks(values, weights, step, count, t_max):
     to ``SCAN_POINTS`` / ``SCAN_BLOCK`` such rows with the table evaluates
     that many blocks at once, each with its own neighbour on either side,
     so memory does not grow with count. The last point is off that lattice
-    and evaluated directly.
+    and evaluated directly; it lies after t = 0 (count >= 2), so the start
+    ``entry_sum`` answers at t = 0 is never read.
 
     Rounding: a table entry is within 2 eps (rows * step * max|theta| + 4)
     of a direct exponential, rows = min(SCAN_BLOCK, count) + 2 and
@@ -302,7 +300,7 @@ def _grid_peaks(values, weights, step, count, t_max):
     points or more) ran in half the time on BLAS."""
     offsets = np.arange(-1, min(SCAN_BLOCK, count) + 1)
     table = _phase_table(values, step, len(offsets))
-    last_mag = abs(walk_sum(values, weights, [min((count - 1) * step, t_max)])[0])
+    last_mag = abs(entry_sum(values, weights, [min((count - 1) * step, t_max)], 0.0)[0])
     peaks = np.empty(0, dtype=int)
     peak_mags = np.empty(0)
     stride = max(SCAN_POINTS // SCAN_BLOCK, 1) * SCAN_BLOCK
@@ -381,7 +379,9 @@ def search_pst(
     better end. The result is the earliest of t = 0 and the refined peaks
     whose magnitude is at least the largest minus the tie bound: the
     rounding bound at t_max plus the dropped mass (plus the drift when the
-    period caps the grid). Every candidate is compared with the largest, so
+    period caps the grid). Each candidate's magnitude is read on the support
+    with the bits its time gets alone (``entry_sum``), and t = 0's is exactly
+    the identity's entry. Every candidate is compared with the largest, so
     a run of near-equal peaks cannot lead the pick down tie by tie. The
     certificate at the chosen time is evaluated on all weights, and it
     asserts transfer only through ``certifies``.
@@ -390,10 +390,10 @@ def search_pst(
         raise ValueError("t_max must be positive")
     all_values, pair_weights = _pair_spectrum(h, pair)
     values, weights, dropped = _support(all_values, pair_weights)
+    start = float(pair[0] == pair[1])
 
     def certificate(t):
-        amp = entry_sum(all_values, pair_weights, [t], float(pair[0] == pair[1]))[0]
-        return _certificate(h, pair, t, amp, METHOD_GRID)
+        return _certificate(h, pair, t, entry_sum(all_values, pair_weights, [t], start)[0], METHOD_GRID)
 
     if len(values) < 2:  # the magnitude changes by at most the dropped mass
         return certificate(0.0)
@@ -411,9 +411,7 @@ def search_pst(
     hi = times(np.minimum(peaks + 1, count - 1))
     refined = _refine_peak(values, weights, lo, hi)
     candidates = np.concatenate([[0.0], refined])
-    # t = 0 alone: a product over several times rounds each row unlike a one-row product
-    first = abs(walk_sum(values, weights, [0.0])[0])
-    mags = np.concatenate([[first], np.abs(walk_sum(values, weights, refined))])
+    mags = np.abs(entry_sum(values, weights, candidates, start))
     return certificate(candidates[mags >= mags.max() - tie].min())
 
 

@@ -43,14 +43,8 @@ def per_time(times: float | Sequence[float], check: Callable[[float], T]) -> T |
     return [check(float(t)) for t in times]
 
 
-def walk_sum(values: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
-    """sum_k weights[k] exp(-i t values[k]) at every time t (one row per
-    time). ``weights`` may carry several columns, each summed on its own."""
-    return np.exp(-1j * np.outer(times, values)) @ weights
-
-
 def entry_sum(values: np.ndarray, weights: np.ndarray, times, start: float) -> np.ndarray:
-    """``walk_sum`` for one walk entry (``weights`` one column), which is
+    """sum_k weights[k] exp(-i t values[k]) at every time t: one walk entry,
     exactly ``start``, the identity's entry, at t = 0.
 
     Each time is its own (1 x k)(k x 1) product: one (times x k) product
@@ -116,18 +110,15 @@ class EigenDecomposition:
         return (self.vectors * phases) @ self.vectors.T
 
 
-def eigendecompose(source: Hamiltonian | np.ndarray) -> EigenDecomposition:
+def eigendecompose(h: Hamiltonian) -> EigenDecomposition:
     """Symmetric eigensolve with eigenvalue clustering.
 
     Consecutive eigenvalues closer than 1e-8 times the spectral range fall
     into one cluster, whose eigenvectors then share the cluster mean; this
     keeps the cluster projectors well defined on degenerate spectra.
     """
-    if not isinstance(source, Hamiltonian):
-        source = Hamiltonian(OperatorKind.CUSTOM, source)
-    m = source.matrix
     try:
-        evals, evecs = np.linalg.eigh(m)
+        evals, evecs = np.linalg.eigh(h.matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
         raise RuntimeError(f"eigensolver failed: {exc}") from exc
 

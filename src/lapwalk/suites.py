@@ -1,12 +1,12 @@
 """Named verification suites behind `lapwalk verify-suite`.
 
-Each suite re-checks one block of claims at fixed tolerances and returns a
-SuiteReport with one line per check. Suites are deterministic.
+Each suite re-checks one block of claims at fixed orders, horizons and
+tolerances, takes no arguments and returns a SuiteReport with one line per
+check. Suites are deterministic.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -35,10 +35,14 @@ from .partitions import check_equitable, path_cycle_correspondence, quotient
 from .pst import search_pst, verify_pst
 from .spectral import eigendecompose
 
-__all__ = ["SuiteReport", "SUITES", "run_suite", "suite_for", "available_suites"]
+__all__ = ["SuiteReport", "SUITES"]
 
 IDENTITY_TOL = 1e-9
 TIMES = (0.1, 1.0, math.pi, 10.0)
+DOUBLE_CONE_ORDERS = range(1, 11)  # orders of the base graphs of the standard double cones
+DOUBLE_CONE_T_MAX = 50.0  # search horizon of the double-cone apexes
+PATH_CYCLE_ORDERS = range(2, 9)  # orders n of the path-cycle correspondences
+SCAN_T_MAX = 200.0  # search horizon of the unicyclic and path-refutation scans
 SIGNLESS_CONE_MS = (2, 3, 4)  # signless double cones over circulant_family(m)
 UNICYCLIC_MS = (1, 2, 3, 4, 5)  # pendant path lengths of the odd unicyclic graphs
 REFUTED_PATH_ORDERS = (4, 5, 6, 7, 8)  # paths whose end-to-end transfer is refuted
@@ -53,8 +57,6 @@ class SuiteReport:
 
 def _report(name: str, rows: Iterable[tuple[bool, str]]) -> SuiteReport:
     rows = list(rows)
-    if not rows:  # a run that checks nothing proves nothing
-        raise ValueError(f"suite {name} checks nothing with these options")
     passed = all(ok for ok, _ in rows)
     lines = tuple(f"{'ok  ' if ok else 'FAIL'} {text}" for ok, text in rows)
     return SuiteReport(name, passed, lines)
@@ -80,8 +82,8 @@ def suite_complement_closure() -> SuiteReport:
     return _report("complement-closure", rows)
 
 
-def suite_double_cone(n_max: int = 10, t_max: float = 50.0) -> SuiteReport:
-    results = pst.double_cone_characterization(range(1, n_max + 1), t_max=t_max)
+def suite_double_cone() -> SuiteReport:
+    results = pst.double_cone_characterization(DOUBLE_CONE_ORDERS, t_max=DOUBLE_CONE_T_MAX)
     rows = []
     for res in results:
         expected = res.n % 4 == 2
@@ -165,9 +167,9 @@ def suite_line_intertwine() -> SuiteReport:
     return _report("line-intertwine", [check(label, g) for label, g in graphs])
 
 
-def suite_path_cycle(n_max: int = 8) -> SuiteReport:
+def suite_path_cycle() -> SuiteReport:
     rows = []
-    for n in range(2, n_max + 1):
+    for n in PATH_CYCLE_ORDERS:
         rep = path_cycle_correspondence(n)
         ok = (
             rep.quotient_deviation < 1e-12
@@ -184,9 +186,9 @@ def suite_path_cycle(n_max: int = 8) -> SuiteReport:
     return _report("path-cycle", rows)
 
 
-def suite_unicyclic(t_max: float = 200.0) -> SuiteReport:
+def suite_unicyclic() -> SuiteReport:
     def check(m):
-        rep = unicyclic_no_pst_pipeline(m, t_max=t_max)
+        rep = unicyclic_no_pst_pipeline(m, t_max=SCAN_T_MAX)
         return (
             rep.scan.refutes(),
             f"unicyclic m={m} verdict={rep.verdict} ranks={rep.ranks[0]},{rep.ranks[1]}/"
@@ -196,11 +198,11 @@ def suite_unicyclic(t_max: float = 200.0) -> SuiteReport:
     return _report("unicyclic", [check(m) for m in UNICYCLIC_MS])
 
 
-def suite_path_refutation(t_max: float = 200.0) -> SuiteReport:
+def suite_path_refutation() -> SuiteReport:
     kinds = (OperatorKind.STANDARD, OperatorKind.SIGNLESS, OperatorKind.NORMALIZED)
 
     def check(n, kind):
-        cert = search_pst(operator(path(n), kind), (0, n - 1), t_max)
+        cert = search_pst(operator(path(n), kind), (0, n - 1), SCAN_T_MAX)
         return (
             cert.refutes(),
             f"path-refutation P{n} {kind.value} max-magnitude={cert.magnitude:.9f} "
@@ -210,7 +212,7 @@ def suite_path_refutation(t_max: float = 200.0) -> SuiteReport:
     return _report("path-refutation", [check(n, kind) for kind in kinds for n in REFUTED_PATH_ORDERS])
 
 
-SUITES: dict[str, Callable[..., SuiteReport]] = {
+SUITES: dict[str, Callable[[], SuiteReport]] = {
     "complement-closure": suite_complement_closure,
     "double-cone": suite_double_cone,
     "signless-double-cone": suite_signless_double_cone,
@@ -220,22 +222,3 @@ SUITES: dict[str, Callable[..., SuiteReport]] = {
     "unicyclic": suite_unicyclic,
     "path-refutation": suite_path_refutation,
 }
-
-
-def available_suites() -> list[str]:
-    return sorted(SUITES)
-
-
-def suite_for(name: str, options: dict) -> Callable[..., SuiteReport]:
-    """The suite called ``name``; ValueError when there is none or when it
-    does not take every one of ``options``."""
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; available: {', '.join(available_suites())}")
-    unknown = sorted(set(options) - set(inspect.signature(SUITES[name]).parameters))
-    if unknown:
-        raise ValueError(f"suite {name!r} does not take {', '.join(unknown)}")
-    return SUITES[name]
-
-
-def run_suite(name: str, **options) -> SuiteReport:
-    return suite_for(name, options)(**options)

@@ -75,31 +75,6 @@ def test_pst_verify_normalized_p3(tmp_path, capsys):
     assert payload2["method"] == "Refuted"
 
 
-@pytest.mark.parametrize(
-    "tol, code, method", [(None, 1, "Refuted"), ("0.5", 0, "VerifiedAtGivenTime")]
-)
-def test_pst_verify_tol_sets_exit_code_and_method(tmp_path, capsys, tol, code, method):
-    # standard P3 carries 0 -> 2 at pi with magnitude 2/3
-    gfile = tmp_path / "p3.json"
-    lio.save_graph(path(3), gfile)
-    argv = ["pst", "verify", "--graph", str(gfile), "--kind", "standard", "--pair", "0", "2", "--time", "pi"]
-    assert main(argv + (["--tol", tol] if tol else [])) == code
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["method"] == method
-    assert abs(payload["magnitude"] - 2.0 / 3.0) < 1e-12
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "1", "5"])
-def test_pst_verify_rejects_a_tol_outside_the_unit_interval(tmp_path, capsys, tol):
-    # read as a tolerance, each would certify every magnitude (>= 1) or none (< 0, nan)
-    gfile = tmp_path / "p3.json"
-    lio.save_graph(path(3), gfile)
-    argv = ["pst", "verify", "--graph", str(gfile), "--kind", "standard", "--pair", "0", "2", "--time", "pi"]
-    assert main(argv + [f"--tol={tol}"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: --tol")
-
-
 def test_pst_search(tmp_path, capsys):
     gfile = tmp_path / "dc.json"
     from lapwalk.graphs import complete, empty, join
@@ -251,10 +226,33 @@ def test_controllable_command(tmp_path, capsys):
 
 
 def test_unicyclic_command(capsys):
-    code = main(["unicyclic", "--m", "1", "--t-max", "30"])
+    code = main(["unicyclic", "--m", "1"])
     out = capsys.readouterr().out
     assert code == 0
     assert "verdict no-pst" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pst", "verify", "--kind", "standard", "--pair", "0", "4", "--time", "3", "--tol", "0.9"],
+        ["verify-suite", "double-cone", "--t-max", "1"],
+        ["verify-suite", "path-cycle", "--n-max", "3"],
+        ["unicyclic", "--m", "1", "--t-max", "30"],
+    ],
+)
+def test_verdicts_take_no_tolerance_horizon_or_order(tmp_path, capsys, argv):
+    # each option would change what a verdict means: a magnitude of 0.73 that
+    # certifies, a theorem that fails at a short horizon, a suite that checks
+    # less than its claim
+    gfile = tmp_path / "p5.json"
+    lio.save_graph(path(5), gfile)
+    if argv[0] == "pst":
+        argv = argv[:2] + ["--graph", str(gfile)] + argv[2:]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err and "Traceback" not in captured.err
 
 
 def test_verify_suite_path_cycle(capsys):
@@ -327,13 +325,6 @@ def test_refuted_reports_the_walk_phase(tmp_path, capsys):
     assert abs(payload["magnitude"] - abs(entry)) < 1e-12
 
 
-def test_suite_options_are_checked_before_any_suite_runs(capsys):
-    assert main(["verify-suite", "complement-closure", "--t-max", "5"]) == 2
-    assert main(["verify-suite", "weak-product", "--n-max", "2"]) == 2
-    assert main(["verify-suite", "all", "--n-max", "3"]) == 2
-    assert capsys.readouterr().out == ""
-
-
 @pytest.mark.parametrize(
     "kind",
     [
@@ -388,22 +379,6 @@ def test_fidelity_curve_needs_two_samples(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --samples must be at least 2\n"
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["double-cone", "--n-max", "0"],
-        ["double-cone", "--n-max", "-3"],
-        ["path-cycle", "--n-max", "1"],
-        ["path-cycle", "--n-max", "-3"],
-    ],
-)
-def test_suite_that_checks_nothing_is_rejected(argv, capsys):
-    assert main(["verify-suite", *argv]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "checks nothing" in captured.err
 
 
 def test_bad_vertices_and_times_are_rejected(tmp_path, capsys):

@@ -21,7 +21,7 @@ from lapwalk.graphs import (
     weak_product,
 )
 from lapwalk import partitions, pst
-from lapwalk.operators import OperatorKind, operator
+from lapwalk.operators import Hamiltonian, OperatorKind, adjacency, operator
 from lapwalk.partitions import (
     NotAlmostEquitableError,
     NotEquitableError,
@@ -269,8 +269,9 @@ def test_lift_check_trivial_and_cycle():
     # values read straight off the two decompositions
     with pytest.raises(ValueError, match="too long"):
         lift_check(c6, p, OperatorKind.ADJACENCY, 0, 3, 1e15)
-    big = abs(eigendecompose(c6.adjacency()).amplitude(0, 3, [1.0])[0])
-    small = abs(eigendecompose(quotient(p, OperatorKind.ADJACENCY)).amplitude(0, 3, [1.0])[0])
+    big = abs(eigendecompose(adjacency(c6)).amplitude(0, 3, [1.0])[0])
+    quotient_h = Hamiltonian(OperatorKind.CUSTOM, quotient(p, OperatorKind.ADJACENCY))
+    small = abs(eigendecompose(quotient_h).amplitude(0, 3, [1.0])[0])
     assert lift_check(c6, p, OperatorKind.ADJACENCY, 0, 3, 1.0) == abs(big - small)
 
 

@@ -64,7 +64,7 @@ def test_cluster_values_are_the_means_of_their_eigenvalues():
         cases += [adjacency(g).matrix, standard_laplacian(g).matrix]
     cases += [standard_laplacian(join(empty(2), cycle(98))).matrix, adjacency(hypercube(6)).matrix]
     for m in cases:
-        dec = eigendecompose(m)
+        dec = eigendecompose(Hamiltonian(OperatorKind.CUSTOM, m))
         evals = dec.eigenvalues
         cuts = np.flatnonzero(np.diff(evals) > 1e-8 * (evals[-1] - evals[0])) + 1
         clusters = np.split(evals, cuts)
@@ -109,7 +109,7 @@ def test_eigenvector_blocks_match_projectors():
 def test_eigendecompose_rejects_asymmetric_array():
     # within np.allclose's default rtol, but not symmetric
     with pytest.raises(ValueError, match="exactly symmetric"):
-        eigendecompose(np.array([[0.0, 1.0], [1.000001, 0.0]]))
+        eigendecompose(Hamiltonian(OperatorKind.CUSTOM, np.array([[0.0, 1.0], [1.000001, 0.0]])))
 
 
 def test_walk_identity_at_zero():

@@ -1,11 +1,12 @@
-import pytest
+import inspect
 
+from lapwalk.cli import main
 from lapwalk.corpus import named_small_graphs, random_connected_graphs
-from lapwalk.suites import available_suites, run_suite
+from lapwalk.suites import SUITES
 
 
 def test_registry_names():
-    assert available_suites() == sorted(
+    assert sorted(SUITES) == sorted(
         [
             "complement-closure",
             "double-cone",
@@ -19,45 +20,57 @@ def test_registry_names():
     )
 
 
-def test_unknown_suite():
-    with pytest.raises(ValueError):
-        run_suite("nope")
+def test_unknown_suite(capsys):
+    assert main(["verify-suite", "nope"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_complement_closure_suite_passes():
-    report = run_suite("complement-closure")
+    report = SUITES["complement-closure"]()
     assert report.passed
     assert len(report.lines) >= 20
 
 
 def test_signless_double_cone_suite():
-    report = run_suite("signless-double-cone")
+    report = SUITES["signless-double-cone"]()
     assert report.passed
 
 
 def test_double_cone_suite_small():
-    report = run_suite("double-cone", n_max=6, t_max=50.0)
+    # transfer between the apexes exactly when the base order is 2 mod 4
+    report = SUITES["double-cone"]()
     assert report.passed
-    assert len(report.lines) == 6
+    assert [line.split()[2] for line in report.lines] == [f"n={n}" for n in range(1, 11)]
+    assert [n for n in range(1, 11) if "pst=yes" in report.lines[n - 1]] == [2, 6, 10]
 
 
-def test_options_a_suite_does_not_take_are_rejected():
-    with pytest.raises(ValueError, match="t_max"):
-        run_suite("complement-closure", t_max=5.0)
-    with pytest.raises(ValueError, match="n_max"):
-        run_suite("weak-product", n_max=2)
+def test_every_suite_runs_at_its_fixed_sizes():
+    # a suite takes no arguments, and writes one row per check at the orders
+    # and horizons it fixes
+    assert all(not inspect.signature(suite).parameters for suite in SUITES.values())
+    counts = {name: len(suite().lines) for name, suite in SUITES.items()}
+    assert counts == {
+        "complement-closure": 44,
+        "double-cone": 10,
+        "signless-double-cone": 9,
+        "weak-product": 14,
+        "line-intertwine": 27,
+        "path-cycle": 7,
+        "unicyclic": 5,
+        "path-refutation": 15,
+    }
 
 
 def test_line_intertwine_suite_decomposes_two_operators_per_graph(eigh_calls):
     graphs = [g for _, g in named_small_graphs() if g.edge_count >= 2] + random_connected_graphs(6, seed=7)
-    report = run_suite("line-intertwine")
+    report = SUITES["line-intertwine"]()
     assert report.passed and len(report.lines) == len(graphs)
     # Q(g) and A(line(g)), once each, for all four times
     assert len(eigh_calls) == 2 * len(graphs)
 
 
 def test_weak_product_suite_decomposes_p3_once(eigh_calls):
-    report = run_suite("weak-product")
+    report = SUITES["weak-product"]()
     assert report.passed
     # P3 once, each positive case's product and its factor H, then the six
     # operators of the two normalized walk checks
