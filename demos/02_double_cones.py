@@ -17,6 +17,7 @@ from lapwalk import (
     standard_laplacian,
     verify_pst,
 )
+from lapwalk.pst import DOUBLE_CONE_T_MAX, SCAN_T_MAX
 
 
 def main():
@@ -43,14 +44,14 @@ def main():
 
     # The full characterization: the double cone over any base of order n
     # transfers iff n = 2 (mod 4), independent of which base is used.
-    print("\ndouble-cone characterization (search up to t=50):")
+    print(f"\ndouble-cone characterization (search up to t={DOUBLE_CONE_T_MAX:g}):")
     for res in double_cone_characterization(range(1, 11)):
         best = max(cert.magnitude for _, cert in res.witnesses)
         note = "transfer at pi/2" if res.has_pst else f"best magnitude {best:.6f}"
         print(f"  n = {res.n:2d}  (n mod 4 = {res.n % 4}): {note}")
 
     # Making the two apexes adjacent kills the effect entirely.
-    print("\nconnected double cones K2 + G (apexes adjacent), scan to t=50:")
+    print(f"\nconnected double cones K2 + G (apexes adjacent), scan to t={SCAN_T_MAX:g}:")
     for label, base in [("K2", complete(2)), ("2 isolated", empty(2))]:
         best = connected_double_cone_refutation(base)
         print(f"  base {label}: max apex-pair magnitude {best.magnitude:.6f}")

@@ -17,12 +17,12 @@ from lapwalk import (
     line_graph,
     odd_unicyclic,
     path,
-    path_signless_refutation,
     search_pst,
     signless_laplacian,
     unicyclic_no_pst_pipeline,
     verify_pst,
 )
+from lapwalk.pst import SCAN_T_MAX
 
 
 def main():
@@ -52,8 +52,9 @@ def main():
 
     # Consequence one: no endpoint transfer on paths with >= 5 vertices
     # (their line graphs are shorter paths, already known not to transfer).
-    print("\nendpoint scans on paths under the signless Laplacian (t <= 200):")
-    for n, best in path_signless_refutation((5, 6, 7)).items():
+    print(f"\nendpoint scans on paths under the signless Laplacian (t <= {SCAN_T_MAX:g}):")
+    for n in (5, 6, 7):
+        best = search_pst(signless_laplacian(path(n)), (0, n - 1), SCAN_T_MAX)
         print(f"  P{n}: max magnitude {best.magnitude:.6f} at t = {best.time:.2f}")
 
     # Consequence two: the odd unicyclic family. For m not divisible by 3
@@ -61,7 +62,7 @@ def main():
     # rank), which rules transfer out; the scan agrees.
     print("\nodd unicyclic pipeline:")
     for m in (1, 2, 3, 4):
-        rep = unicyclic_no_pst_pipeline(m, t_max=100.0)
+        rep = unicyclic_no_pst_pipeline(m)
         print(
             f"  m = {m}: verdict {rep.verdict:13s} ranks {rep.ranks[0]},{rep.ranks[1]} of "
             f"{rep.line_order}, scan max {rep.scan.magnitude:.6f}"

@@ -22,6 +22,7 @@ from lapwalk import (
     weak_product,
     weak_product_closure_1,
 )
+from lapwalk.pst import SCAN_T_MAX
 
 
 def main():
@@ -76,9 +77,9 @@ def main():
         print(f"  n = {n} (cycle C{s.cycle_order}): possible={s.possible} via {s.reason}{extra}")
 
     # Scan evidence for the antipodal negative result on P4 and P5.
-    print("\nantipodal scans under the normalized Laplacian (t <= 200):")
+    print(f"\nantipodal scans under the normalized Laplacian (t <= {SCAN_T_MAX:g}):")
     for n in (4, 5):
-        cert = search_pst(normalized_laplacian(path(n)), (0, n - 1), 200.0)
+        cert = search_pst(normalized_laplacian(path(n)), (0, n - 1), SCAN_T_MAX)
         print(f"  P{n}: max magnitude {cert.magnitude:.6f}")
 
 

@@ -34,7 +34,7 @@ from .graphs import (
     weak_product,
 )
 from .io import graph_from_json, graph_to_json, load_graph, save_graph
-from .linegraph import intertwine_check, path_signless_refutation, pst_transfer_to_line
+from .linegraph import intertwine_check, pst_transfer_to_line
 from .operators import (
     Hamiltonian,
     OperatorKind,

@@ -107,7 +107,7 @@ def _generators(text: str | None) -> list[int]:
 
 
 # graph type -> (its size option, builder from that size and the arguments);
-# --n stands in for a missing --d or --m, and only circulant reads --gens
+# only circulant also reads --gens
 _BUILDERS = {
     "path": ("n", lambda k, a: path(k)),
     "cycle": ("n", lambda k, a: cycle(k)),
@@ -124,13 +124,10 @@ _BUILDERS = {
 def _cmd_graph(args) -> int:
     if args.action == "build":
         option, build = _BUILDERS[args.type]
-        size = args.n if getattr(args, option) is None else getattr(args, option)
+        size = getattr(args, option)
         if size is None:
-            alias = "" if option == "n" else " (or --n)"
-            raise ValueError(f"graph type {args.type} needs --{option}{alias}")
-        read = {option if getattr(args, option) is not None else "n"}
-        if args.type == "circulant":
-            read.add("gens")
+            raise ValueError(f"graph type {args.type} needs --{option}")
+        read = {option, "gens"} if args.type == "circulant" else {option}
         for flag in ("n", "d", "m", "gens"):
             if flag not in read and getattr(args, flag) is not None:
                 raise ValueError(f"graph type {args.type} does not take --{flag}")

@@ -60,7 +60,7 @@ import numpy as np
 from .graphs import Graph, _require_unweighted, _vertex_check, line_graph, odd_unicyclic
 from .linegraph import _pendant_edge_index
 from .operators import signless_laplacian
-from .pst import PstCertificate, search_pst
+from .pst import SCAN_T_MAX, PstCertificate, search_pst
 
 __all__ = [
     "WalkMatrix",
@@ -415,9 +415,10 @@ class UnicyclicReport:
     scan: PstCertificate  # best signless walk entry between the endpoints
 
 
-def unicyclic_no_pst_pipeline(m: int, t_max: float = 200.0) -> UnicyclicReport:
+def unicyclic_no_pst_pipeline(m: int) -> UnicyclicReport:
     """Refute endpoint transfer on the odd unicyclic graph via line-graph
-    controllability, cross-checked by a bounded scan of the signless walk.
+    controllability, cross-checked by a scan of the signless walk up to
+    SCAN_T_MAX.
 
     The controllability route works whenever m is not divisible by 3, and
     the pipeline raises if it fails there; the m = 0 (mod 3) cases are
@@ -433,7 +434,7 @@ def unicyclic_no_pst_pipeline(m: int, t_max: float = 200.0) -> UnicyclicReport:
     r1 = exact_rank(walk_matrix(lg, (e1,)))
     r2 = exact_rank(walk_matrix(lg, (e2,)))
 
-    scan = search_pst(signless_laplacian(u_graph), (end1, end2), t_max)
+    scan = search_pst(signless_laplacian(u_graph), (end1, end2), SCAN_T_MAX)
 
     if m % 3 == 0:
         verdict = "inconclusive"

@@ -1,6 +1,5 @@
 """Intertwining between the signless-Laplacian walk on a graph and the
-adjacency walk on its line graph, plus the transfer and refutation tooling
-built on it.
+adjacency walk on its line graph, plus the transfer tooling built on it.
 
 With the normalized incidence matrix B (entries 1/sqrt(2) on incidences) the
 products satisfy B B^T = Q/2 and B^T B = A(line)/2 + I, which gives
@@ -15,20 +14,19 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, _vertex_check, line_graph, path
+from .graphs import Graph, _vertex_check, line_graph
 from .operators import adjacency, incidence, signless_laplacian
-from .pst import PstCertificate, search_pst, verify_pst
+from .pst import PstCertificate, verify_pst
 from .spectral import eigendecompose, per_time
 
 __all__ = [
     "intertwine_check",
     "pst_transfer_to_line",
     "LineTransferReport",
-    "path_signless_refutation",
 ]
 
 
@@ -107,15 +105,3 @@ def pst_transfer_to_line(g: Graph, u1: int, u2: int, t: float) -> LineTransferRe
         )
     e2 = _pendant_edge_index(g, u2)
     return LineTransferReport(source, verify_pst(adjacency(line_graph(g)), (e1, e2), t))
-
-
-def path_signless_refutation(
-    ns: Iterable[int], t_max: float = 200.0
-) -> dict[int, PstCertificate]:
-    """The best endpoint-to-endpoint signless walk entry on each path P_n,
-    by n; the known negative result starts at five vertices, so smaller n is
-    rejected before any scan."""
-    ns = list(ns)
-    if min(ns, default=5) < 5:
-        raise ValueError("the endpoint refutation applies to paths on >= 5 vertices")
-    return {n: search_pst(signless_laplacian(path(n)), (0, n - 1), t_max) for n in ns}

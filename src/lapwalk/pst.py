@@ -31,6 +31,8 @@ from .spectral import eigendecompose, entry_sum, per_time
 __all__ = [
     "PST_TOL",
     "REFUTE_THRESHOLD",
+    "DOUBLE_CONE_T_MAX",
+    "SCAN_T_MAX",
     "METHOD_VERIFIED",
     "METHOD_GRID",
     "METHOD_REFUTED",
@@ -54,6 +56,8 @@ __all__ = [
 
 PST_TOL = 1e-9
 REFUTE_THRESHOLD = 1.0 - 1e-6
+DOUBLE_CONE_T_MAX = 50.0  # search horizon of the double-cone apexes
+SCAN_T_MAX = 200.0  # search horizon of every refutation scan
 
 METHOD_VERIFIED = "VerifiedAtGivenTime"
 METHOD_GRID = "GridSearchRefined"
@@ -492,21 +496,21 @@ def _cone_bases(n: int) -> list[tuple[str, Graph]]:
     return out
 
 
-def double_cone_characterization(
-    ns: Iterable[int], t_max: float = 50.0
-) -> list[DoubleConeResult]:
+def double_cone_characterization(ns: Iterable[int]) -> list[DoubleConeResult]:
     """Search for transfer between the two apexes of the double cone over
-    several base graphs of each order, under the standard Laplacian. The
-    verdict must agree across base graphs of the same order (it only depends
-    on the order); a disagreement raises."""
+    several base graphs of each order, under the standard Laplacian, up to
+    DOUBLE_CONE_T_MAX. The verdict must agree across base graphs of the same
+    order (it only depends on the order); a disagreement raises. Every order
+    is checked before the first search."""
+    ns = list(ns)
+    if min(ns, default=1) < 1:
+        raise ValueError("base order must be at least 1")
     results = []
     for n in ns:
-        if n < 1:
-            raise ValueError("base order must be at least 1")
         witnesses = []
         for label, base in _cone_bases(n):
             g = join(empty(2), base)
-            cert = search_pst(standard_laplacian(g), (0, 1), t_max)
+            cert = search_pst(standard_laplacian(g), (0, 1), DOUBLE_CONE_T_MAX)
             if not cert.certifies() and not cert.refutes():
                 raise RuntimeError(
                     f"ambiguous double-cone magnitude {cert.magnitude!r} for n={n} ({label})"
@@ -518,12 +522,12 @@ def double_cone_characterization(
     return results
 
 
-def connected_double_cone_refutation(base: Graph, t_max: float = 50.0) -> PstCertificate:
+def connected_double_cone_refutation(base: Graph) -> PstCertificate:
     """The best walk entry found between the two adjacent apexes of K2 + G
-    under the standard Laplacian. No such cone ever reaches magnitude one;
-    the scan documents the bounded-horizon evidence."""
+    under the standard Laplacian, up to SCAN_T_MAX. No such cone ever
+    reaches magnitude one; the scan documents the bounded-horizon evidence."""
     g = join(complete(2), base)
-    return search_pst(standard_laplacian(g), (0, 1), t_max)
+    return search_pst(standard_laplacian(g), (0, 1), SCAN_T_MAX)
 
 
 # -- normalized Laplacian weak products --------------------------------------

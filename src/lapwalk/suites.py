@@ -32,7 +32,7 @@ from .operators import (
     signless_laplacian,
 )
 from .partitions import check_equitable, path_cycle_correspondence, quotient
-from .pst import search_pst, verify_pst
+from .pst import SCAN_T_MAX, search_pst, verify_pst
 from .spectral import eigendecompose
 
 __all__ = ["SuiteReport", "SUITES"]
@@ -40,9 +40,7 @@ __all__ = ["SuiteReport", "SUITES"]
 IDENTITY_TOL = 1e-9
 TIMES = (0.1, 1.0, math.pi, 10.0)
 DOUBLE_CONE_ORDERS = range(1, 11)  # orders of the base graphs of the standard double cones
-DOUBLE_CONE_T_MAX = 50.0  # search horizon of the double-cone apexes
 PATH_CYCLE_ORDERS = range(2, 9)  # orders n of the path-cycle correspondences
-SCAN_T_MAX = 200.0  # search horizon of the unicyclic and path-refutation scans
 SIGNLESS_CONE_MS = (2, 3, 4)  # signless double cones over circulant_family(m)
 UNICYCLIC_MS = (1, 2, 3, 4, 5)  # pendant path lengths of the odd unicyclic graphs
 REFUTED_PATH_ORDERS = (4, 5, 6, 7, 8)  # paths whose end-to-end transfer is refuted
@@ -83,7 +81,7 @@ def suite_complement_closure() -> SuiteReport:
 
 
 def suite_double_cone() -> SuiteReport:
-    results = pst.double_cone_characterization(DOUBLE_CONE_ORDERS, t_max=DOUBLE_CONE_T_MAX)
+    results = pst.double_cone_characterization(DOUBLE_CONE_ORDERS)
     rows = []
     for res in results:
         expected = res.n % 4 == 2
@@ -188,7 +186,7 @@ def suite_path_cycle() -> SuiteReport:
 
 def suite_unicyclic() -> SuiteReport:
     def check(m):
-        rep = unicyclic_no_pst_pipeline(m, t_max=SCAN_T_MAX)
+        rep = unicyclic_no_pst_pipeline(m)
         return (
             rep.scan.refutes(),
             f"unicyclic m={m} verdict={rep.verdict} ranks={rep.ranks[0]},{rep.ranks[1]}/"

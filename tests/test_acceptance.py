@@ -123,7 +123,7 @@ def test_criterion_1_pst_positives():
 
 
 def test_criterion_2_double_cone_characterization():
-    results = double_cone_characterization(range(1, 11), t_max=50.0)
+    results = double_cone_characterization(range(1, 11))
     ok = True
     for res in results:
         expected = res.n % 4 == 2
@@ -260,7 +260,7 @@ def test_criterion_4_negative_scans():
         assert cert.magnitude < SCAN_THRESHOLD, f"U{m}"
         rows.append(cert.magnitude)
     for base in (complete(2), empty(2), path(3), cycle(3), complete(3)):
-        cert = connected_double_cone_refutation(base, t_max=200.0)
+        cert = connected_double_cone_refutation(base)
         assert cert.magnitude < SCAN_THRESHOLD
         rows.append(cert.magnitude)
     _announce("4 (negative scans)", ok, f"{len(rows)} scans, max magnitude {max(rows):.6f}")
@@ -276,7 +276,7 @@ def test_criterion_5_controllability():
         for end in ends:
             idx = next(i for i, e in enumerate(u.edges) if end in e[:2])
             assert exact_rank(walk_matrix(lg, (idx,))) == lg.n, (m, end)
-        rep = unicyclic_no_pst_pipeline(m, t_max=50.0)
+        rep = unicyclic_no_pst_pipeline(m)
         assert rep.verdict == "no-pst"
     _announce("5 (controllability)", True, "mod-3 law m=0..11; line-graph endpoints m=1,2,4,5")
 

@@ -325,25 +325,35 @@ def test_refuted_reports_the_walk_phase(tmp_path, capsys):
     assert abs(payload["magnitude"] - abs(entry)) < 1e-12
 
 
+# graph type -> the size option it needs
+SIZE_OPTIONS = {
+    "path": "n",
+    "cycle": "n",
+    "complete": "n",
+    "empty": "n",
+    "hypercube": "d",
+    "circulant": "n",
+    "circulant-family": "m",
+    "odd-unicyclic": "m",
+    "cone-p4-pendant": "m",
+}
+
+
 @pytest.mark.parametrize(
-    "kind",
-    [
-        "path",
-        "cycle",
-        "complete",
-        "empty",
-        "hypercube",
-        "circulant",
-        "circulant-family",
-        "odd-unicyclic",
-        "cone-p4-pendant",
+    "kind, given",
+    [pytest.param(kind, ["--gens", "1"], id=kind) for kind in SIZE_OPTIONS]
+    # --n is a vertex count, and stands in for no other type's size
+    + [
+        pytest.param(kind, ["--n", "5"], id=f"{kind}-by-n")
+        for kind, option in SIZE_OPTIONS.items()
+        if option != "n"
     ],
 )
-def test_graph_build_needs_its_size_option(kind, capsys):
-    assert main(["graph", "build", "--type", kind, "--gens", "1"]) == 2
+def test_graph_build_needs_its_size_option(kind, given, capsys):
+    assert main(["graph", "build", "--type", kind, *given]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"graph type {kind} needs --" in captured.err
+    assert captured.err == f"error: graph type {kind} needs --{SIZE_OPTIONS[kind]}\n"
 
 
 @pytest.mark.parametrize(

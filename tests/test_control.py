@@ -108,14 +108,14 @@ def test_exact_rank_invariances():
 
 def test_unicyclic_pipeline_controllable_cases():
     for m in (1, 2, 4, 5):
-        rep = unicyclic_no_pst_pipeline(m, t_max=100.0)
+        rep = unicyclic_no_pst_pipeline(m)
         assert rep.verdict == "no-pst"
         assert rep.ranks == (rep.line_order, rep.line_order)
         assert rep.scan.refutes()
 
 
 def test_unicyclic_pipeline_inconclusive():
-    rep = unicyclic_no_pst_pipeline(3, t_max=50.0)
+    rep = unicyclic_no_pst_pipeline(3)
     assert rep.verdict == "inconclusive"
     # the pendant-path chase fails here: ranks fall short of full
     assert any(r != rep.line_order for r in rep.ranks)
@@ -274,7 +274,7 @@ def test_krylov_relation_divides_the_characteristic_polynomial():
 
 
 def test_pipeline_and_deficient_walk_ranks_match_the_loop_reference():
-    rep = unicyclic_no_pst_pipeline(10, t_max=1.0)  # both pendant edges of the line graph
+    rep = unicyclic_no_pst_pipeline(10)  # both pendant edges of the line graph
     assert rep.ranks == (rep.line_order, rep.line_order) == (23, 23)
     cases = [(complete(3), (0,)), (empty(0), ()), (empty(3), ()), (path(4), ())]
     for m in (3, 6):  # rank deficient at both pendant edges
@@ -368,7 +368,7 @@ def test_no_rank_path_reads_the_walk_rows(monkeypatch, capsys):
     pc = cone_p4_with_pendant(2)
     assert exact_rank(walk_matrix(pc.graph, (pc.probe,))) == 6
     assert is_controllable(path(5), (0,)) and not is_controllable(complete(3), (1,))
-    assert unicyclic_no_pst_pipeline(3, t_max=1.0).ranks == (8, 8)
+    assert unicyclic_no_pst_pipeline(3).ranks == (8, 8)
 
 
 def test_the_horner_check_rejects_every_near_miss_relation():

@@ -7,7 +7,6 @@ import oracle
 from lapwalk.graphs import complete, empty, line_graph, make_graph, odd_unicyclic, path
 from lapwalk.linegraph import (
     intertwine_check,
-    path_signless_refutation,
     pst_transfer_to_line,
 )
 from lapwalk.operators import adjacency, incidence, signless_laplacian
@@ -85,17 +84,6 @@ def test_contrapositive_p5():
     assert line_best.magnitude < 1 - 1e-6
     source_best = search_pst(signless_laplacian(path(5)), (0, 4), 200.0)
     assert source_best.magnitude < 1 - 1e-6
-
-
-def test_path_signless_refutation_rows():
-    scans = path_signless_refutation((5, 6), t_max=200.0)
-    assert sorted(scans) == [5, 6]
-    for n, cert in scans.items():
-        assert cert.pair == (0, n - 1)
-        assert cert.refutes()
-        assert cert.magnitude < 1 - 1e-6
-    with pytest.raises(ValueError):
-        path_signless_refutation((4,), t_max=10.0)
 
 
 def test_sanity_p2_has_signless_pst():

@@ -172,7 +172,7 @@ def test_complement_closure_transfers_certificates():
 
 
 def test_double_cone_characterization_small():
-    results = double_cone_characterization(range(1, 7), t_max=50.0)
+    results = double_cone_characterization(range(1, 7))
     for res in results:
         assert res.has_pst == (res.n % 4 == 2)
     r6 = next(r for r in results if r.n == 6)
@@ -180,6 +180,15 @@ def test_double_cone_characterization_small():
     # the apexes walk like the ends of the weighted path at time sqrt(6) t
     alpha = (6 - 2) / math.sqrt(6)
     assert abs(oracle.p3_alpha_fidelity(alpha, math.sqrt(6) * t_found) + 1.0) < 1e-6
+
+
+def test_double_cone_characterization_checks_every_order_before_searching(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("search_pst was called")
+
+    monkeypatch.setattr(pst, "search_pst", no_search)
+    with pytest.raises(ValueError, match="base order"):
+        double_cone_characterization([1, 2, 0])
 
 
 def test_join_necessary_condition():
@@ -190,7 +199,7 @@ def test_join_necessary_condition():
 
 def test_connected_double_cone_refutation():
     for base in (complete(2), empty(2)):
-        assert connected_double_cone_refutation(base, t_max=50.0).refutes()
+        assert connected_double_cone_refutation(base).refutes()
     # off-diagonal of the identity at t=0
     g = join(complete(2), complete(2))
     assert abs(eigendecompose(standard_laplacian(g)).matrix_at(0.0)[1, 0]) == 0.0

@@ -1,7 +1,9 @@
 import inspect
 
 from lapwalk.cli import main
+from lapwalk.control import unicyclic_no_pst_pipeline
 from lapwalk.corpus import named_small_graphs, random_connected_graphs
+from lapwalk.pst import connected_double_cone_refutation, double_cone_characterization
 from lapwalk.suites import SUITES
 
 
@@ -48,6 +50,9 @@ def test_every_suite_runs_at_its_fixed_sizes():
     # a suite takes no arguments, and writes one row per check at the orders
     # and horizons it fixes
     assert all(not inspect.signature(suite).parameters for suite in SUITES.values())
+    # nor do the library checks behind them take a horizon of their own
+    checks = (double_cone_characterization, connected_double_cone_refutation, unicyclic_no_pst_pipeline)
+    assert all("t_max" not in inspect.signature(check).parameters for check in checks)
     counts = {name: len(suite().lines) for name, suite in SUITES.items()}
     assert counts == {
         "complement-closure": 44,
