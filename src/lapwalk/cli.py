@@ -135,11 +135,8 @@ def _cmd_graph(args) -> int:
         _emit(lio.graph_to_json(g), args.out)
         return 0
     g = lio.load_graph(args.graph)
-    lines = [f"n {g.n}", f"edges {g.edge_count}", f"loops {len(g.loops)}"]
-    lines.append("degrees " + " ".join(map("{:g}".format, g.degrees().tolist())))
-    lines += lio.edge_lines(g)
-    for v, w in g.loops:
-        lines.append(f"loop {v} {w!r}")
+    degrees = " ".join(map("{:g}".format, g.degrees().tolist()))
+    lines = [f"n {g.n}", f"edges {g.edge_count}", f"degrees {degrees}", *lio.edge_lines(g)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

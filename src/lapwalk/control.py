@@ -57,7 +57,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graphs import Graph, _require_unweighted, _vertex_check, line_graph, odd_unicyclic
+from .graphs import Graph, _vertex_check, line_graph, odd_unicyclic
 from .linegraph import _pendant_edge_index
 from .operators import signless_laplacian
 from .pst import SCAN_T_MAX, PstCertificate, search_pst
@@ -106,7 +106,6 @@ class WalkMatrix:
 
 
 def walk_matrix(g: Graph, subset: Iterable[int]) -> WalkMatrix:
-    _require_unweighted(g, "walk_matrix")
     s = tuple(sorted({int(v) for v in subset}))
     _vertex_check(g.n, *s)
     return WalkMatrix(g, s, _BUILT)

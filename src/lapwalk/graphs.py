@@ -1,20 +1,20 @@
-"""Immutable graphs and the constructors/combinators the walk machinery runs on.
+"""Immutable simple graphs and the constructors/combinators the walk machinery runs on.
 
-Vertices are always 0..n-1. A ``Graph`` is its vertex count and four
-read-only arrays: the edge ends (an m x 2 index array, each row u < v, rows
-sorted), the edge weights (1.0 from the unweighted constructors), the loop
-vertices (sorted) and the loop weights; a loop of weight w lands on the
-adjacency diagonal. One constructor checks all four, by vectorized
-comparisons. ``edges`` and ``loops`` are tuple views of those arrays for
-printing, writing and tests; everything that reads a graph's structure reads
-the arrays, or the one neighbour structure derived from them: the arcs (both
-directions of every edge, as tails and heads) built once per graph and kept,
-which the exact-rank matvecs and the partition counts share.
+Vertices are always 0..n-1. A ``Graph`` is its vertex count and one
+read-only array, the edge ends: an m x 2 index array, each row u < v, rows
+sorted. Graphs are simple, with no edge weights and no loops, so every
+operator of a graph (A, L and Q) has integer entries; any other symmetric
+matrix is a CUSTOM ``operators.Hamiltonian``. The constructor checks the
+array by vectorized comparisons. ``edges`` is a tuple view of it for
+printing, writing and tests; everything that reads a graph's structure
+reads the array, or the one neighbour structure derived from it: the arcs
+(both directions of every edge, as tails and heads) built once per graph
+and kept, which the exact-rank matvecs and the partition counts share.
 
 All combinators are pure and relabel vertices deterministically: in
 unions/joins the first argument keeps its labels and the second is shifted
 by ``|V(g)|``; in products the pair (a, b) becomes ``a * |V(h)| + b``. Each
-builds its edge arrays by index arithmetic, never a Python tuple per edge and
+builds its edge array by index arithmetic, never a Python tuple per edge and
 never an n x n float matrix:
 
 - ``path``, ``cycle``, ``hypercube`` and ``circulant`` list their edges in
@@ -34,7 +34,6 @@ Rows that do not come out sorted are sorted once, by ``np.lexsort``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -79,127 +78,72 @@ def _order(n: int) -> int:
     return n
 
 
-_INDEX, _WEIGHT = np.dtype(np.intp), np.dtype(float)
-
-
-def _frozen(values, dtype: np.dtype) -> np.ndarray:
-    out = np.asarray(values, dtype)
+def _frozen(values) -> np.ndarray:
+    out = np.asarray(values, np.intp)
     if out.flags.writeable:
         out.setflags(write=False)
     return out
 
 
-_NO_LOOP_VERTICES = _frozen(np.empty(0), _INDEX)
-_NO_LOOP_WEIGHTS = _frozen(np.empty(0), _WEIGHT)
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class Graph:
-    """Simple undirected weighted graph with optional loops.
+    """Simple undirected graph.
 
     ``ends`` is the (m, 2) index array of the edges, each row u < v and the
-    rows sorted and distinct, ``weights`` their m finite weights;
-    ``loop_vertices`` are the sorted distinct vertices carrying a loop and
-    ``loop_weights`` its finite weight. The graph keeps the arrays it is
-    given, made read-only. Use :func:`make_graph` to build instances from
-    unnormalized edge data.
+    rows sorted and distinct. The graph keeps the array it is given, made
+    read-only. Use :func:`make_graph` to build instances from unnormalized
+    edge data.
     """
 
     n: int
     ends: np.ndarray
-    weights: np.ndarray
-    loop_vertices: np.ndarray
-    loop_weights: np.ndarray
 
-    def __init__(self, n: int, ends, weights, loop_vertices, loop_weights) -> None:
-        n = _order(n)
-        ends, weights = _frozen(ends, _INDEX), _frozen(weights, _WEIGHT)
-        loop_v, loop_w = _frozen(loop_vertices, _INDEX), _frozen(loop_weights, _WEIGHT)
+    def __init__(self, n: int, ends) -> None:
+        n, ends = _order(n), _frozen(ends)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ends", ends)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "loop_vertices", loop_v)
-        object.__setattr__(self, "loop_weights", loop_w)
-        if weights.ndim != 1 or ends.shape != (len(weights), 2):
-            raise ValueError("edge ends must be an (m, 2) array beside m weights")
-        if loop_v.ndim != 1 or loop_v.shape != loop_w.shape:
-            raise ValueError("loop vertices and loop weights must be arrays of one length")
-        _check_edges(ends, weights, n)
-        if len(loop_v):
-            fault = (loop_v.view(np.uint64) >= n) | ~np.isfinite(loop_w)
-            fault[1:] |= loop_v[1:] <= loop_v[:-1]
-            if np.count_nonzero(fault):
-                i = int(fault.argmax())
-                if not 0 <= loop_v[i] < n:
-                    raise ValueError(f"loop vertex {loop_v[i]} out of range")
-                if not math.isfinite(loop_w[i]):
-                    raise ValueError(f"loop at {loop_v[i]} has non-finite weight {float(loop_w[i])}")
-                raise ValueError("loops must be sorted and duplicate-free")
+        if ends.ndim != 2 or ends.shape[1] != 2:
+            raise ValueError("edge ends must be an (m, 2) array")
+        _check_edges(ends, n)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.n == other.n and all(map(np.array_equal, self._arrays, other._arrays))
+        return self.n == other.n and np.array_equal(self.ends, other.ends)
 
     def __hash__(self) -> int:
-        # + 0.0 turns -0.0 into 0.0, which == already takes for equal
-        ends, weights, loop_v, loop_w = self._arrays
-        parts = (ends, weights + 0.0, loop_v, loop_w + 0.0)
-        return hash((self.n, *(a.tobytes() for a in parts)))
+        return hash((self.n, self.ends.tobytes()))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, edges={self.edges!r}, loops={self.loops!r})"
+        return f"Graph(n={self.n}, edges={self.edges!r})"
 
     # -- basic queries ---------------------------------------------------
 
     @cached_property
-    def edges(self) -> tuple[tuple[int, int, float], ...]:
-        """The edges as canonical (u, v, weight) triples, u < v, sorted."""
-        return tuple(zip(*self.ends.T.tolist(), self.weights.tolist()))
-
-    @cached_property
-    def loops(self) -> tuple[tuple[int, float], ...]:
-        """The loops as sorted (vertex, weight) pairs."""
-        return tuple(zip(self.loop_vertices.tolist(), self.loop_weights.tolist()))
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as canonical (u, v) pairs, u < v, sorted."""
+        return tuple(map(tuple, self.ends.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.weights)
-
-    @property
-    def is_unweighted(self) -> bool:
-        """True when every edge weight is 1 and there are no loops."""
-        return not len(self.loop_vertices) and not np.count_nonzero(self.weights != 1.0)
-
-    @property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Edge ends, edge weights, loop vertices and loop weights."""
-        return self.ends, self.weights, self.loop_vertices, self.loop_weights
+        return len(self.ends)
 
     def adjacency(self) -> np.ndarray:
-        ends, w, loop_v, loop_w = self._arrays
+        u, v = self.ends.T
         a = np.zeros((self.n, self.n))
-        a[ends[:, 0], ends[:, 1]] = w
-        a[ends[:, 1], ends[:, 0]] = w
-        a[loop_v, loop_v] = loop_w
+        a[u, v] = a[v, u] = 1.0
         return a
 
     def degrees(self) -> np.ndarray:
-        """Weighted degrees; a loop of weight w contributes w once."""
-        ends, w, loop_v, loop_w = self._arrays
-        d = np.zeros(self.n)
-        # unbuffered and in index order: each vertex sums its edges in edge order
-        np.add.at(d, ends.ravel(), np.repeat(w, 2))
-        d[loop_v] += loop_w  # at most one loop per vertex
-        return d
+        """The vertex degrees, as floats."""
+        return np.bincount(self.ends.ravel(), minlength=self.n).astype(float)
 
     @cached_property
     def _arcs(self) -> np.ndarray:
         """Both directions of every edge, built once per graph: the read-only
-        (2, 2m) array of tails (row 0) and heads (row 1). Edge weights are not
-        read."""
+        (2, 2m) array of tails (row 0) and heads (row 1)."""
         u, v = self.ends.T
-        return _frozen([np.concatenate([u, v]), np.concatenate([v, u])], _INDEX)
+        return _frozen([np.concatenate([u, v]), np.concatenate([v, u])])
 
     def relabel(self, perm: Iterable[int]) -> "Graph":
         """New graph with vertex u renamed to perm[u]."""
@@ -210,31 +154,23 @@ class Graph:
             or not np.array_equal(np.sort(p), np.arange(self.n))
         ):
             raise ValueError("perm must be a permutation of 0..n-1")
-        ends = _canonical(p[self.ends])
-        order = np.lexsort((ends[:, 1], ends[:, 0]))
-        loop_vertices = p[self.loop_vertices]
-        loop_order = np.argsort(loop_vertices)
-        loop_weights = self.loop_weights[loop_order]
-        return Graph(self.n, ends[order], self.weights[order], loop_vertices[loop_order], loop_weights)
+        return _sorted_graph(self.n, _canonical(p[self.ends]))
 
 
-def _check_edges(ends: np.ndarray, weights: np.ndarray, n: int) -> None:
+def _check_edges(ends: np.ndarray, n: int) -> None:
     """Raise on the first row in order that is out of range (as unsigned
-    integers a negative u exceeds v, and a negative v exceeds n), has a
-    non-finite weight, or does not come strictly after the row before it."""
+    integers a negative u exceeds v, and a negative v exceeds n) or does not
+    come strictly after the row before it."""
     unsigned = ends.view(np.uint64)
     wild = (unsigned[:, 0] >= unsigned[:, 1]) | (unsigned[:, 1] >= n)
-    fault = wild | ~np.isfinite(weights)
     later, earlier = ends[1:], ends[:-1]
     above, tied = later > earlier, later == earlier
+    fault = wild.copy()
     fault[1:] |= ~(above[:, 0] | (tied[:, 0] & above[:, 1]))
     if np.count_nonzero(fault):
         i = int(fault.argmax())
-        edge = f"edge ({ends[i, 0]},{ends[i, 1]})"
         if wild[i]:
-            raise ValueError(f"{edge} out of range or not canonical")
-        if not math.isfinite(weights[i]):
-            raise ValueError(f"{edge} has non-finite weight {float(weights[i])}")
+            raise ValueError(f"edge ({ends[i, 0]},{ends[i, 1]}) out of range or not canonical")
         raise ValueError("edges must be sorted and duplicate-free")
 
 
@@ -244,57 +180,34 @@ def _canonical(ends: np.ndarray) -> np.ndarray:
     return np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)
 
 
-def _graph(n: int, ends: np.ndarray) -> Graph:
-    """Unweighted, loop-free graph on the edge rows ``ends``, given sorted."""
-    return Graph(n, ends, np.ones(len(ends)), _NO_LOOP_VERTICES, _NO_LOOP_WEIGHTS)
-
-
 def _sorted_graph(n: int, ends: np.ndarray) -> Graph:
-    """Unweighted, loop-free graph on the edge rows ``ends``, each u < v,
-    given in any order."""
-    return _graph(n, ends[np.lexsort((ends[:, 1], ends[:, 0]))])
+    """Graph on the edge rows ``ends``, each u < v, given in any order."""
+    return Graph(n, ends[np.lexsort((ends[:, 1], ends[:, 0]))])
 
 
-def _rows(rows: list, ints: int, widths: tuple[int, ...], what: str, shape: str):
-    """Loose rows of ``ints`` vertices and, when a row is one longer, a
-    weight, each row's length one of ``widths``: the vertices as an int64
-    array with one row per row, and the weights as floats (1.0 when
-    absent). numpy converts every entry the way ``int`` and ``float`` do,
-    from one object array of all entries."""
-    sizes = list(map(len, rows))
-    if not set(sizes) <= set(widths):  # name the first row of another length
-        row = next(row for row in rows if len(row) not in widths)
-        raise ValueError(f"{what} {row!r} must be {shape}")
-    size = np.array(sizes, dtype=np.intp)
-    flat = np.fromiter(chain.from_iterable(rows), object, int(size.sum()))
-    first = np.cumsum(size) - size
-    weighted = size > ints
-    weights = np.ones(len(rows))
+def _rows(rows: list) -> np.ndarray:
+    """Loose (u, v) rows as an (m, 2) int64 array. numpy converts every
+    entry the way ``int`` does, from one object array of all entries."""
+    if set(map(len, rows)) - {2}:  # name the first row of another length
+        row = next(row for row in rows if len(row) != 2)
+        raise ValueError(f"edge {row!r} must be (u, v)")
+    flat = np.fromiter(chain.from_iterable(rows), object, 2 * len(rows))
     try:
-        weights[weighted] = flat[first[weighted] + ints].astype(float)
-        return flat[first[:, None] + np.arange(ints)].astype(np.int64), weights
+        return flat.astype(np.int64).reshape(-1, 2)
     except OverflowError:
         for row in rows:  # the error path: name the first row that does not convert
             try:
-                np.array(row[:ints], dtype=np.int64), [float(w) for w in row[ints:]]
+                np.array(row, dtype=np.int64)
             except OverflowError:
-                raise ValueError(f"{what} {row!r} is out of range") from None
+                raise ValueError(f"edge {row!r} is out of range") from None
         raise
 
 
-def make_graph(
-    n: int,
-    edges: Iterable[tuple] = (),
-    loops: Iterable[tuple[int, float]] = (),
-) -> Graph:
-    """Build a Graph from loose edge data: (u, v) or (u, v, w) per edge and
-    (v, w) per loop, in any order. The first edge in input order that is a
-    loop or repeats an earlier edge is an error, and so is the first loop
-    that repeats an earlier one."""
-    ends, weights = _rows(list(edges), 2, (2, 3), "edge", "(u, v) or (u, v, w)")
-    loop_vertices, loop_weights = _rows(list(loops), 1, (2,), "loop", "(v, w)")
-    loop_vertices = loop_vertices[:, 0]
-    ends = _canonical(ends)
+def make_graph(n: int, edges: Iterable[tuple] = ()) -> Graph:
+    """Build a Graph from loose (u, v) edge rows, in any order and either
+    way round. The first row in input order that is a loop or repeats an
+    earlier edge is an error."""
+    ends = _canonical(_rows(list(edges)))
     order = np.lexsort((ends[:, 1], ends[:, 0]))
     ranked = ends[order]
     # with a stable sort, the later of two equal rows is the repeat
@@ -304,19 +217,9 @@ def make_graph(
     if first < len(ends):
         u, v = ends[first].tolist()
         if u == v:
-            raise ValueError(f"({u},{v}) is a loop; pass it via loops=")
+            raise ValueError(f"edge ({u},{v}) is a loop")
         raise ValueError(f"duplicate edge {(u, v)}")
-    loop_order = np.argsort(loop_vertices, kind="stable")
-    ranked_loops = loop_vertices[loop_order]
-    repeats = loop_order[1:][ranked_loops[1:] == ranked_loops[:-1]]
-    if repeats.size:
-        raise ValueError(f"duplicate loop at {loop_vertices[repeats.min()]}")
-    return Graph(int(n), ranked, weights[order], ranked_loops, loop_weights[loop_order])
-
-
-def _require_unweighted(g: Graph, what: str) -> None:
-    if not g.is_unweighted:
-        raise ValueError(f"{what} requires an unweighted, loop-free graph")
+    return Graph(int(n), ranked)
 
 
 def _vertex_check(n: int, *vertices: int) -> None:
@@ -339,7 +242,7 @@ def path(n: int) -> Graph:
     """Path 0-1-...-(n-1); a single vertex for n = 1."""
     if n < 1:
         raise ValueError("path needs at least one vertex")
-    return _graph(n, _path_ends(_order(n)))
+    return Graph(n, _path_ends(_order(n)))
 
 
 def cycle(n: int) -> Graph:
@@ -348,15 +251,15 @@ def cycle(n: int) -> Graph:
         raise ValueError("cycle needs at least three vertices")
     ends = _path_ends(_order(n))
     # (0, n - 1) sorts second, after (0, 1)
-    return _graph(n, np.concatenate([ends[:1], [[0, n - 1]], ends[1:]]))
+    return Graph(n, np.concatenate([ends[:1], [[0, n - 1]], ends[1:]]))
 
 
 def complete(n: int) -> Graph:
-    return _graph(n, np.argwhere(_above_diagonal(_order(n))))
+    return Graph(n, np.argwhere(_above_diagonal(_order(n))))
 
 
 def empty(n: int) -> Graph:
-    return _graph(_order(n), np.empty((0, 2), np.intp))
+    return Graph(_order(n), np.empty((0, 2), np.intp))
 
 
 def hypercube(d: int) -> Graph:
@@ -367,7 +270,7 @@ def hypercube(d: int) -> Graph:
     x = np.arange(_order(1 << d))[:, None]
     bits = 1 << np.arange(d)
     unset = (x & bits) == 0
-    return _graph(1 << d, np.stack([np.broadcast_to(x, unset.shape)[unset], (x | bits)[unset]], axis=1))
+    return Graph(1 << d, np.stack([np.broadcast_to(x, unset.shape)[unset], (x | bits)[unset]], axis=1))
 
 
 def circulant(n: int, gens: Iterable[int]) -> Graph:
@@ -394,7 +297,7 @@ def _circulant(n: int, gens: np.ndarray) -> Graph:
     i = np.arange(_order(n))[:, None]
     ends = i + gens
     keep = ends < n
-    return _graph(n, np.stack([np.broadcast_to(i, keep.shape)[keep], ends[keep]], axis=1))
+    return Graph(n, np.stack([np.broadcast_to(i, keep.shape)[keep], ends[keep]], axis=1))
 
 
 def circulant_family(m: int) -> Graph:
@@ -426,24 +329,19 @@ def _above_diagonal(n: int) -> np.ndarray:
 
 def complement(g: Graph) -> Graph:
     """Adjacency 1 - I - A(g): the pairs above the diagonal that are not edges."""
-    _require_unweighted(g, "complement")
     mask = _above_diagonal(g.n)
     mask[g.ends[:, 0], g.ends[:, 1]] = False
-    return _graph(g.n, np.argwhere(mask))
+    return Graph(g.n, np.argwhere(mask))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Union with h's vertices shifted by |V(g)|."""
-    _require_unweighted(g, "disjoint_union")
-    _require_unweighted(h, "disjoint_union")
-    return _graph(_order(g.n + h.n), np.concatenate([g.ends, h.ends + g.n]))
+    return Graph(_order(g.n + h.n), np.concatenate([g.ends, h.ends + g.n]))
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """Join: the union plus every cross edge; equals the complement identity
     complement(union(complement(g), complement(h)))."""
-    _require_unweighted(g, "join")
-    _require_unweighted(h, "join")
     cross = np.argwhere(np.ones((g.n, h.n), dtype=bool)) + (0, g.n)
     return _sorted_graph(_order(g.n + h.n), np.concatenate([g.ends, cross, h.ends + g.n]))
 
@@ -452,8 +350,6 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Box product: adjacency A(g) (x) I + I (x) A(h) under (a,b) -> a*|V(h)|+b.
     Edge {a, a'} of g beside vertex b of h is the edge {(a, b), (a', b)},
     and vertex a of g beside edge {b, b'} of h is {(a, b), (a, b')}."""
-    _require_unweighted(g, "cartesian_product")
-    _require_unweighted(h, "cartesian_product")
     n = _order(g.n * h.n)
     along_g = g.ends[:, None, :] * h.n + np.arange(h.n)[:, None]
     along_h = h.ends + (np.arange(g.n) * h.n)[:, None, None]
@@ -464,8 +360,6 @@ def weak_product(g: Graph, h: Graph) -> Graph:
     """Tensor product: adjacency A(g) (x) A(h) under (a,b) -> a*|V(h)|+b.
     Edges {a, a'} of g and {b, b'} of h give the edges {(a, b), (a', b')}
     and {(a, b'), (a', b)}."""
-    _require_unweighted(g, "weak_product")
-    _require_unweighted(h, "weak_product")
     n = _order(g.n * h.n)
     a = g.ends[:, None, :] * h.n  # (edges of g, 1, 2)
     ends = np.concatenate([(a + h.ends).reshape(-1, 2), (a + h.ends[:, ::-1]).reshape(-1, 2)])
@@ -477,7 +371,6 @@ def line_graph(g: Graph) -> Graph:
     adjacent exactly when those source edges share one endpoint. Edges that
     meet at a vertex pair up there, and a simple graph's edges meet at one
     vertex at most."""
-    _require_unweighted(g, "line_graph")
     # the edges at each vertex, in edge order: a CSR array over both ends
     at = np.argsort(g.ends.ravel(), kind="stable") // 2
     degree = np.bincount(g.ends.ravel(), minlength=g.n)
@@ -521,4 +414,4 @@ def cone_p4_with_pendant(m: int) -> PendantCone:
         raise ValueError("pendant length must be nonnegative")
     cone = [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [2, 3], [3, 4]]
     pendant = _path_ends(_order(m + 1)) + 4  # (4 + k, 5 + k) for k < m
-    return PendantCone(_graph(5 + m, np.concatenate([cone, pendant])), 1, 4 + m)
+    return PendantCone(Graph(5 + m, np.concatenate([cone, pendant])), 1, 4 + m)

@@ -1,24 +1,22 @@
 """File formats: graph JSON, edge-list text, partition JSON, CSV dumps.
 
-Graph JSON is ``{"n": int, "edges": [[u,v] or [u,v,w]], "loops": [[v,w]]}``.
-Counts, vertices and cell entries must be JSON integers and weights JSON
-numbers; anything else (``3.7``, ``"3"``, ``true``) is a ValueError, never
-truncated, and so is an ``edges``, ``loops`` or ``cells`` entry that is not
-a list of the right length.
-The writer is canonical (sorted edges, weight omitted when it is exactly 1,
-compact separators, trailing newline) so that load -> save round-trips
-canonical files byte for byte. The edge-list format has a ``n <count>``
-header followed by ``u v [w]`` lines; a line with u == v denotes a loop. The
-count and the vertices must be plain decimal digits and a weight a decimal
-number.
+Graph JSON is ``{"n": int, "edges": [[u,v], ...], "loops": []}``; graphs have
+no loops, so ``loops`` must be empty when present. Counts, vertices and cell
+entries must be JSON integers; anything else (``3.7``, ``"3"``, ``true``) is
+a ValueError, never truncated, and so is an ``edges`` or ``cells`` entry
+that is not a list of the right length, a weighted ``[u, v, w]`` included.
+The writer is canonical (sorted edges, compact separators, trailing
+newline) so that load -> save round-trips canonical files byte for byte.
+The edge-list format has a ``n <count>`` header followed by ``u v`` lines.
+The count and the vertices must be plain decimal digits, and a line with
+u == v is a loop, an error.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from itertools import chain, compress
-from operator import itemgetter, not_
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -42,10 +40,7 @@ __all__ = [
 
 
 def graph_to_json(g: Graph) -> str:
-    edges, weights = g.ends.tolist(), g.weights.tolist()
-    for i in np.flatnonzero(g.weights != 1.0).tolist():  # a weight of exactly 1 is left out
-        edges[i].append(weights[i])
-    payload = {"n": g.n, "edges": edges, "loops": list(map(list, g.loops))}
+    payload = {"n": g.n, "edges": g.ends.tolist(), "loops": []}
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
@@ -54,12 +49,6 @@ def _integer(x, what: str) -> int:
     if type(x) is not int:
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return x
-
-
-def _weight(x) -> float:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValueError(f"weight must be a number, got {x!r}")
-    return float(x)
 
 
 def _lists(payload: dict, key: str, lengths: tuple[int, ...] | None, shape: str) -> list:
@@ -76,56 +65,31 @@ def _lists(payload: dict, key: str, lengths: tuple[int, ...] | None, shape: str)
     return items
 
 
-def _numbers(items: list, ints: int, what: str) -> None:
-    """Check that the first ``ints`` entries of every item are JSON integers
-    and any further entry a JSON number, by the types of all entries at
-    once, and when there are floats among them, of the leading entries;
-    on failure, name the first offending entry."""
-    kinds = set(map(type, chain.from_iterable(items)))
-    if kinds <= {int}:
-        return
-    leading = chain.from_iterable(map(itemgetter(slice(ints)), items))
-    if kinds <= {int, float} and set(map(type, leading)) <= {int}:
-        return
-    for item in items:
-        for x in item[:ints]:
+def _integers(items: list, what: str) -> list:
+    """``items``, checked to hold only JSON integers by the types of all
+    entries at once; on failure, name the first offending entry."""
+    if not set(map(type, chain.from_iterable(items))) <= {int}:
+        for x in chain.from_iterable(items):
             _integer(x, what)
-        for w in item[ints:]:
-            _weight(w)
+    return items
 
 
 def graph_from_json(text: str) -> Graph:
     payload = json.loads(text)
     if not isinstance(payload, dict) or "n" not in payload:
         raise ValueError("graph JSON must be an object with an 'n' field")
-    edges = _lists(payload, "edges", (2, 3), "[u, v] or [u, v, w]")
-    _numbers(edges, 2, "edge endpoint")
-    loops = _lists(payload, "loops", (2,), "[v, w]")
-    _numbers(loops, 1, "loop vertex")
-    return make_graph(_integer(payload["n"], "n"), edges, loops)
+    edges = _integers(_lists(payload, "edges", (2,), "[u, v]"), "edge endpoint")
+    _lists(payload, "loops", (), "absent (graphs have no loops)")  # any entry is an error
+    return make_graph(_integer(payload["n"], "n"), edges)
 
 
 def edge_lines(g: Graph) -> list[str]:
-    """One ``u v`` line per edge, in edge order, with `` w`` (the weight's
-    repr) appended when the weight is not exactly 1."""
-    lines = list(map("{} {}".format, *g.ends.T.tolist()))
-    weights = g.weights.tolist()
-    for i in np.flatnonzero(g.weights != 1.0).tolist():
-        lines[i] = f"{lines[i]} {weights[i]!r}"
-    return lines
+    """One ``u v`` line per edge, in edge order."""
+    return list(map("{} {}".format, *g.ends.T.tolist()))
 
 
 def graph_to_edgelist(g: Graph) -> str:
-    lines = [f"n {g.n}", *edge_lines(g)]
-    for v, w in g.loops:
-        lines.append(f"{v} {v}" if w == 1.0 else f"{v} {v} {w!r}")
-    return "\n".join(lines) + "\n"
-
-
-# decimal literals, which is how repr() writes a finite float; float() also
-# reads '1_0', 'inf' and the digits of other scripts. Each literal matches
-# one way only, so a failing match does not backtrack through digit splits.
-_DECIMAL_FLOAT = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
+    return "\n".join([f"n {g.n}", *edge_lines(g)]) + "\n"
 
 
 def _decimal(text: str, what: str) -> int:
@@ -144,26 +108,14 @@ def graph_from_edgelist(text: str) -> Graph:
     n = _decimal(header[1], "vertex count")
     rows = rows[1:]
     # all vertex tokens by one regular expression (split() leaves no empty
-    # token and no whitespace inside one), and the weight tokens one by one
-    vertex_text = "".join(chain.from_iterable(map(itemgetter(slice(2)), rows)))
-    weight_tokens = chain.from_iterable(map(itemgetter(slice(2, None)), rows))
-    if not (
-        set(map(len, rows)) <= {2, 3}
-        and re.fullmatch("[0-9]*", vertex_text)
-        and all(map(_DECIMAL_FLOAT.fullmatch, weight_tokens))
-    ):
+    # token and no whitespace inside one); make_graph reads the digits and
+    # rejects a line whose two vertices are the same number
+    if not (set(map(len, rows)) <= {2} and re.fullmatch("[0-9]*", "".join(chain.from_iterable(rows)))):
         for parts in rows:  # name the first offending line
-            if len(parts) not in (2, 3):
+            if len(parts) != 2:
                 raise ValueError(f"bad edge line: {' '.join(parts)!r}")
             _decimal(parts[0], "vertex"), _decimal(parts[1], "vertex")
-            if len(parts) == 3 and not _DECIMAL_FLOAT.fullmatch(parts[2]):
-                raise ValueError(f"weight must be a decimal number, got {parts[2]!r}")
-    # a line with u == v is a loop; decimal digits name the same vertex
-    # exactly when they agree without their leading zeros
-    loop = [parts[0].lstrip("0") == parts[1].lstrip("0") for parts in rows]
-    edges = list(compress(rows, map(not_, loop)))
-    loops = [[parts[0], parts[2] if len(parts) == 3 else 1.0] for parts in compress(rows, loop)]
-    return make_graph(n, edges, loops)
+    return make_graph(n, rows)
 
 
 def save_graph(g: Graph, path: str | Path) -> None:
@@ -184,8 +136,7 @@ def cells_from_json(text: str) -> list[list[int]]:
     payload = json.loads(text)
     if not isinstance(payload, dict) or "cells" not in payload:
         raise ValueError("partition JSON must be an object with a 'cells' field")
-    cells = _lists(payload, "cells", None, "a list of vertices")
-    return [[_integer(v, "cell entry") for v in cell] for cell in cells]
+    return _integers(_lists(payload, "cells", None, "a list of vertices"), "cell entry")
 
 
 def cells_to_json(cells: Iterable[Iterable[int]]) -> str:

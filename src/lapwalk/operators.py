@@ -3,8 +3,8 @@ and the normalized incidence matrix.
 
 All constructors build their matrices symmetrically entry by entry, so
 ``matrix == matrix.T`` holds exactly (no after-the-fact symmetrization).
-A loop of weight w contributes w to the adjacency diagonal and w to that
-vertex's degree. The four operator formulas are written once, in
+Graphs are simple, so A, L and Q of a graph have integer entries. The four
+operator formulas are written once, in
 ``_operator_matrix``, which a graph's operators and the quotients of
 ``partitions.quotient`` share.
 """
@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .graphs import Graph, _require_unweighted
+from .graphs import Graph
 
 __all__ = [
     "OperatorKind",
@@ -113,11 +113,8 @@ def _operator_matrix(
 
 def operator(g: Graph, kind: OperatorKind | str) -> Hamiltonian:
     """The operator of ``kind`` on ``g`` (``_operator_matrix``); the
-    normalized Laplacian is defined here for unweighted loop-free graphs
-    with minimum degree one."""
+    normalized Laplacian is defined for graphs with minimum degree one."""
     k = kind if isinstance(kind, OperatorKind) else OperatorKind.from_name(kind)
-    if k == OperatorKind.NORMALIZED:
-        _require_unweighted(g, "normalized_laplacian")
     return Hamiltonian(k, _operator_matrix(k, g.adjacency(), g.degrees()), g)
 
 
@@ -141,7 +138,6 @@ def incidence(g: Graph) -> np.ndarray:
     """Normalized n x m vertex-edge incidence: entry 1/sqrt(2) where the
     vertex lies on the edge. Column i is edge i of ``g.edges``, which is
     vertex i of ``line_graph(g)``."""
-    _require_unweighted(g, "incidence")
     b = np.zeros((g.n, g.edge_count))
     b[g.ends, np.arange(g.edge_count)[:, None]] = 1.0 / math.sqrt(2.0)
     return b

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, _require_unweighted, _vertex_check, cycle, path
+from .graphs import Graph, _vertex_check, cycle, path
 from .operators import Hamiltonian, OperatorKind, _operator_matrix, normalized_laplacian, operator
 from .pst import walk_entries
 
@@ -140,7 +140,6 @@ def _cells_of(owner: np.ndarray, m: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _check(g: Graph, cells, require_diagonal: bool) -> Partition:
-    _require_unweighted(g, "a partition check")
     tup = _validated_cells(g.n, cells)
     owner, m = _owner(g.n, tup), len(tup)
     counts = _neighbor_counts(g, owner, m)
@@ -180,7 +179,6 @@ def coarsest_equitable_refinement(g: Graph, initial_cells: Sequence[Iterable[int
     rows (parent cell, counts...) and numbers the distinct ones in order, so
     new cells are ordered by (parent cell, signature) lexicographically,
     which makes the result deterministic."""
-    _require_unweighted(g, "coarsest_equitable_refinement")
     tup = _validated_cells(g.n, initial_cells)
     owner, m = _owner(g.n, tup), len(tup)
     while True:
@@ -235,7 +233,6 @@ def lift_check(
     not checked against ``g``: one of another order, or whose neighbour
     counts g's edges do not reproduce (a different graph of the same
     order), both caught before any eigensolve."""
-    _require_unweighted(g, "lift_check")
     if p.n != g.n:
         raise ValueError(f"the partition covers {p.n} vertices, the graph has {g.n}")
     owner = _owner(g.n, p.cells)

@@ -422,14 +422,13 @@ def search_pst(
 # -- standard Laplacian closures ---------------------------------------------
 
 
-CLOSURE_TOL = 1e-8  # distance from an integer allowed in the weak-product closures
 INTEGER_TOL = 1e-9  # distance from an integer allowed to a value counted as one
 
 
-def _near_integers(x, tol: float) -> bool:
-    """Whether every entry of x lies within tol of an integer."""
+def _near_integers(x) -> bool:
+    """Whether every entry of x lies within INTEGER_TOL of an integer."""
     x = np.asarray(x, dtype=float)
-    return bool((np.abs(x - np.round(x)) < tol).all())
+    return bool((np.abs(x - np.round(x)) < INTEGER_TOL).all())
 
 
 def complement_closure_check(
@@ -443,7 +442,7 @@ def complement_closure_check(
     d_back = eigendecompose(standard_laplacian(g))
 
     def check(t: float) -> tuple[bool, float]:
-        condition = _near_integers(g.n * t / (2.0 * math.pi), INTEGER_TOL)
+        condition = _near_integers(g.n * t / (2.0 * math.pi))
         u_back = d_back.matrix_at(t).conjugate()  # exp(+itL) for real L
         return condition, float(np.abs(d_comp.matrix_at(t) - u_back).max())
 
@@ -452,7 +451,7 @@ def complement_closure_check(
 
 def join_necessary_condition(m: int, n: int, t: float) -> bool:
     """Transfer inside a join forces t(m+n) in 2 pi Z."""
-    return _near_integers(t * (m + n) / (2.0 * math.pi), INTEGER_TOL)
+    return _near_integers(t * (m + n) / (2.0 * math.pi))
 
 
 def join_walk_entry(h_g: Hamiltonian, n: int, pair: tuple[int, int], t: float) -> complex:
@@ -537,13 +536,13 @@ def weak_product_closure_1(spec_g: Sequence[float], spec_h: Sequence[float], t: 
     """True when t * mu * (lambda - 1) lies in 2 pi Z for every lambda in the
     first spectrum and mu in the second (both normalized-Laplacian spectra)."""
     angles = np.outer(t * np.asarray(spec_h, float), np.asarray(spec_g, float) - 1.0)
-    return _near_integers(angles / (2.0 * math.pi), CLOSURE_TOL)
+    return _near_integers(angles / (2.0 * math.pi))
 
 
 def weak_product_closure_2(spec_g: Sequence[float], spec_h: Sequence[float], t: float) -> bool:
     """True when t * lambda * mu lies in 2 pi Z for every pair of eigenvalues."""
     angles = np.outer(t * np.asarray(spec_g, float), np.asarray(spec_h, float))
-    return _near_integers(angles / (2.0 * math.pi), CLOSURE_TOL)
+    return _near_integers(angles / (2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -629,7 +628,7 @@ def cycle_pst_screen(n: int) -> CycleScreen:
     order = 2 * (n - 1)
     for k in range(order):
         ev = 2.0 * math.cos(2.0 * math.pi * k / order)
-        if not _near_integers(ev, INTEGER_TOL):
+        if not _near_integers(ev):
             return CycleScreen(n, order, False, "integrality", ev)
     if n in (2, 3):
         return CycleScreen(n, order, True, "integer-spectrum")

@@ -153,7 +153,7 @@ def refine_partition(adj: np.ndarray, initial_cells):
 # Reference for lapwalk.control, hypercube and incidence, and the traversals
 # the tests filter their graphs with: Python lists and sorted neighbour
 # lists, one loop per vertex, neighbour, edge, row and column. Graphs come in
-# as the vertex count and the (u, v, ...) edge tuples.
+# as the vertex count and the (u, v) edge pairs.
 
 
 def random_edge_lists(rng: np.random.Generator, count: int, n_max: int = 12):
@@ -170,7 +170,7 @@ def random_edge_lists(rng: np.random.Generator, count: int, n_max: int = 12):
 
 def neighbor_lists(n: int, edges) -> list[list[int]]:
     adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v, *_ in edges:
+    for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
     return [sorted(a) for a in adj]
@@ -284,17 +284,17 @@ def two_coloring(n: int, edges) -> tuple[np.ndarray, tuple[int, int] | None]:
                 if color[v] < 0:
                     color[v] = 1 - color[u]
                     queue.append(v)
-    clash = next(((u, v) for u, v, *_ in edges if color[u] == color[v]), None)
+    clash = next(((u, v) for u, v in edges if color[u] == color[v]), None)
     return color, clash
 
 
-def hypercube_edges(d: int) -> tuple[tuple[int, int, float], ...]:
+def hypercube_edges(d: int) -> tuple[tuple[int, int], ...]:
     edges = []
     for x in range(1 << d):
         for b in range(d):
             y = x ^ (1 << b)
             if x < y:
-                edges.append((x, y, 1.0))
+                edges.append((x, y))
     return tuple(sorted(edges))
 
 
@@ -302,7 +302,7 @@ def incidence(n: int, edges) -> np.ndarray:
     """Normalized vertex-edge incidence, 1/sqrt(2) where a vertex lies on an edge."""
     b = np.zeros((n, len(edges)))
     half = 1.0 / np.sqrt(2.0)
-    for i, (u, v, *_) in enumerate(edges):
+    for i, (u, v) in enumerate(edges):
         b[u, i] = half
         b[v, i] = half
     return b
@@ -397,60 +397,44 @@ def scan_max(matrix: np.ndarray, pair: tuple[int, int], t_max: float, density: i
 # -- graph construction: one Python step per row ------------------------------
 #
 # Reference for lapwalk.graphs' vectorized checks: make_graph reads the rows
-# one at a time (int and float per entry, loops and repeats rejected in input
-# order), then the canonical rows are checked in sorted order, each for its
-# range and weight and against the row before it, and the loops likewise.
+# one at a time (int per entry, loops and repeats rejected in input order),
+# then the canonical rows are checked in sorted order, each for its range and
+# against the row before it.
 
 
-def make_graph(n: int, edges, loops):
-    """(n, edges, loops) as sorted tuples, or the ValueError message of the
-    first fault."""
+def make_graph(n: int, edges):
+    """(n, edges) with the edges as sorted tuples, or the ValueError message
+    of the first fault."""
     try:
-        canon: dict[tuple[int, int], float] = {}
+        canon: set[tuple[int, int]] = set()
         for e in edges:
-            if len(e) not in (2, 3):
-                raise ValueError(f"edge {e!r} must be (u, v) or (u, v, w)")
-            u, v, w = int(e[0]), int(e[1]), float(e[2]) if len(e) == 3 else 1.0
+            if len(e) != 2:
+                raise ValueError(f"edge {e!r} must be (u, v)")
+            u, v = int(e[0]), int(e[1])
             if u == v:
-                raise ValueError(f"({u},{v}) is a loop; pass it via loops=")
+                raise ValueError(f"edge ({u},{v}) is a loop")
             key = (min(u, v), max(u, v))
             if key in canon:
                 raise ValueError(f"duplicate edge {key}")
-            canon[key] = w
-        loop_map: dict[int, float] = {}
-        for v, w in loops:
-            if int(v) in loop_map:
-                raise ValueError(f"duplicate loop at {int(v)}")
-            loop_map[int(v)] = float(w)
+            canon.add(key)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        rows = tuple((u, v, canon[(u, v)]) for u, v in sorted(canon))
-        for u, v, w in rows:
+        rows = tuple(sorted(canon))
+        for u, v in rows:
             if not 0 <= u < v < n:
                 raise ValueError(f"edge ({u},{v}) out of range or not canonical")
-            if not np.isfinite(w):
-                raise ValueError(f"edge ({u},{v}) has non-finite weight {w}")
-        looped = tuple(sorted(loop_map.items()))
-        for v, w in looped:
-            if not 0 <= v < n:
-                raise ValueError(f"loop vertex {v} out of range")
-            if not np.isfinite(w):
-                raise ValueError(f"loop at {v} has non-finite weight {w}")
     except ValueError as exc:
         return str(exc)
-    return n, rows, looped
+    return n, rows
 
 
-def edge_rows_fault(n: int, rows, weights) -> str | None:
-    """The ValueError message for Graph's edge arrays, row by row: the first
-    row, in order, that is out of range or has u >= v, has a non-finite
-    weight, or does not come strictly after the row before it; None when no
-    row does."""
-    for i, ((u, v), w) in enumerate(zip(rows, weights)):
+def edge_rows_fault(n: int, rows) -> str | None:
+    """The ValueError message for Graph's edge array, row by row: the first
+    row, in order, that is out of range or has u >= v, or does not come
+    strictly after the row before it; None when no row does."""
+    for i, (u, v) in enumerate(rows):
         if not 0 <= u < v < n:
             return f"edge ({u},{v}) out of range or not canonical"
-        if not math.isfinite(w):
-            return f"edge ({u},{v}) has non-finite weight {w}"
         if i and not tuple(rows[i - 1]) < (u, v):
             return "edges must be sorted and duplicate-free"
     return None

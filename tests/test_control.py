@@ -44,11 +44,6 @@ def test_walk_matrix_columns_recurrence():
         assert cols[k].max() <= g.n * cols[k - 1].max()
 
 
-def test_walk_matrix_rejects_weighted():
-    with pytest.raises(ValueError):
-        walk_matrix(make_graph(2, [(0, 1, 2.0)]), (0,))
-
-
 def test_only_walk_matrix_builds_a_walk_matrix():
     # exact_rank's upper bound holds only on Krylov columns
     with pytest.raises(TypeError):
@@ -226,7 +221,7 @@ def test_the_arc_matvec_matches_an_edge_list_reference():
         assert arcs.shape == (2, 2 * g.edge_count) and not arcs.flags.writeable
         assert arcs is g._arcs  # built once per graph
         # both directions of every edge, each once
-        assert sorted(zip(*arcs.tolist())) == sorted(chain.from_iterable(((u, v), (v, u)) for u, v, _ in g.edges))
+        assert sorted(zip(*arcs.tolist())) == sorted(chain.from_iterable(((u, v), (v, u)) for u, v in g.edges))
         neighbors = oracle.neighbor_lists(g.n, g.edges)
         for x in (
             rng.integers(0, 2**31, g.n),

@@ -30,7 +30,7 @@ def test_path_degenerate_and_small():
     p1 = path(1)
     assert p1.n == 1 and p1.edge_count == 0
     p3 = path(3)
-    assert [(u, v) for u, v, _ in p3.edges] == [(0, 1), (1, 2)]
+    assert p3.edges == ((0, 1), (1, 2))
     p5 = path(5)
     assert sorted(p5.degrees()) == [1, 1, 2, 2, 2]
 
@@ -61,7 +61,7 @@ def test_complete_empty_hypercube():
 def test_circulant():
     assert circulant(6, {1, 5}).edges == cycle(6).edges
     matching = circulant(4, {2})
-    assert [(u, v) for u, v, _ in matching.edges] == [(0, 2), (1, 3)]
+    assert matching.edges == ((0, 2), (1, 3))
     with pytest.raises(ValueError):
         circulant(7, {2})  # not closed under negation
     with pytest.raises(ValueError):
@@ -87,15 +87,13 @@ def test_complement():
     assert complement(complement(p5)) == p5
     two_k2 = disjoint_union(complete(2), complete(2))
     # enumerated by hand on 4 vertices: the complement is the 4-cycle 0-2-1-3
-    assert [(u, v) for u, v, _ in complement(two_k2).edges] == [(0, 2), (0, 3), (1, 2), (1, 3)]
-    with pytest.raises(ValueError):
-        complement(make_graph(2, [(0, 1, 2.0)]))
+    assert complement(two_k2).edges == ((0, 2), (0, 3), (1, 2), (1, 3))
 
 
 def test_join_and_union():
     g = join(empty(2), complete(2))  # K4 minus one edge
     assert g.n == 4
-    assert (0, 1) not in [(u, v) for u, v, _ in g.edges]
+    assert (0, 1) not in g.edges
     assert g.edge_count == 5
     p3 = join(empty(2), empty(1))
     assert p3.relabel([0, 2, 1]) == path(3)
@@ -146,20 +144,20 @@ def test_combinators_match_networkx():
     def to_nx(g):
         out = nx.Graph()
         out.add_nodes_from(range(g.n))
-        out.add_edges_from((u, v) for u, v, _ in g.edges)
+        out.add_edges_from(g.edges)
         return out
 
     def same(ours, theirs, label=lambda x: x):
         edges = [(label(u), label(v)) for u, v in theirs.edges()]
         assert ours == make_graph(theirs.number_of_nodes(), edges)
-        assert all(type(u) is type(v) is int and type(w) is float for u, v, w in ours.edges)
+        assert all(type(u) is type(v) is int for u, v in ours.edges)
 
     rng = np.random.default_rng(29)
     graphs = [empty(0), path(4), cycle(5), complete(4), empty(3), hypercube(3), empty(1), path(2)]
     graphs += [_random_graph(rng, int(rng.integers(1, 8))) for _ in range(14)]
     for g in graphs:
         same(complement(g), nx.complement(to_nx(g)))
-        index = {frozenset(e[:2]): i for i, e in enumerate(g.edges)}
+        index = {frozenset(e): i for i, e in enumerate(g.edges)}
         same(line_graph(g), nx.line_graph(to_nx(g)), lambda e: index[frozenset(e)])
         perm = rng.permutation(g.n).tolist()
         same(g.relabel(perm), nx.relabel_nodes(to_nx(g), dict(enumerate(perm))))
@@ -236,71 +234,56 @@ def test_graph_validation():
     with pytest.raises(ValueError):
         make_graph(2, [(0, 0)])
     with pytest.raises(ValueError):
-        make_graph(2, [(0, 1, float("inf"))])
-
-
-def test_loops_on_diagonal_and_degree():
-    g = make_graph(3, [(0, 1), (1, 2)], loops=[(1, 2.5)])
-    a = g.adjacency()
-    assert a[1, 1] == 2.5
-    assert g.degrees()[1] == 2 + 2.5
-    assert not g.is_unweighted
-
+        make_graph(2, [(0, 1, 1.0)])  # no weight column
 
 
 def test_matrix_helpers_match_edge_loops():
-    # reference: one Python addition per edge end, in edge order, then loops;
-    # the array helpers must give the same bits, degrees included
+    # reference: one Python addition per edge end, in edge order; the array
+    # helpers must give the same bits, degrees included
     rng = np.random.default_rng(5)
     for n in (0, 1, 2, 7, 30):
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
-        scale = 10.0 ** rng.integers(-8, 9, len(pairs))
-        g = make_graph(
-            n,
-            [(u, v, w) for (u, v), w in zip(pairs, rng.standard_normal(len(pairs)) * scale)],
-            loops=[(v, rng.standard_normal()) for v in range(n) if rng.random() < 0.3],
-        )
+        g = _random_graph(rng, n)
         a, d = np.zeros((n, n)), np.zeros(n)
-        for u, v, w in g.edges:
-            a[u, v] = a[v, u] = w
-            d[u] += w
-            d[v] += w
-        for v, w in g.loops:
-            a[v, v] = w
-            d[v] += w
+        for u, v in g.edges:
+            a[u, v] = a[v, u] = 1.0
+            d[u] += 1.0
+            d[v] += 1.0
         assert g.adjacency().tobytes() == a.tobytes()
         assert g.degrees().tobytes() == d.tobytes()
 
+
 def test_json_round_trip():
-    g = make_graph(4, [(0, 1), (1, 2, 2.5), (0, 3)], loops=[(2, 1.5)])
+    g = make_graph(4, [(0, 1), (2, 1), (3, 0)])
     text = lio.graph_to_json(g)
+    assert text == '{"n":4,"edges":[[0,1],[0,3],[1,2]],"loops":[]}\n'
     back = lio.graph_from_json(text)
     assert back == g
     assert lio.graph_to_json(back) == text  # canonical output is stable
 
 
 def test_edgelist_round_trip():
-    g = make_graph(4, [(0, 1), (1, 2, 2.5)], loops=[(3, 0.25)])
+    g = make_graph(4, [(2, 1), (0, 1)])
     text = lio.graph_to_edgelist(g)
+    assert text == "n 4\n0 1\n1 2\n"
     back = lio.graph_from_edgelist(text)
     assert back == g
     assert lio.graph_to_edgelist(back) == text
 
 
 def test_edgelist_reads_vertices_with_leading_zeros():
-    # a line names a loop when its two vertices are the same number, however
-    # written; a loop line without a weight has weight 1
-    g = lio.graph_from_edgelist("n 12\n010 10\n0 00\n2 01 0.5\n02 011\n")
-    assert g == make_graph(12, [(1, 2, 0.5), (2, 11)], loops=[(0, 1.0), (10, 1.0)])
-    with pytest.raises(ValueError, match=re.escape("duplicate loop at 3")):
-        lio.graph_from_edgelist("n 4\n3 3\n03 003 2\n")
+    # digits name the same vertex however many leading zeros they carry, so
+    # a line whose two vertices are the same number is a loop, however written
+    g = lio.graph_from_edgelist("n 12\n2 01\n02 011\n")
+    assert g == make_graph(12, [(1, 2), (2, 11)])
+    with pytest.raises(ValueError, match=re.escape("edge (10,10) is a loop")):
+        lio.graph_from_edgelist("n 12\n0 1\n010 10\n")
 
 
 def test_hypercube_matches_the_loop_reference():
     for d in range(9):
         q = hypercube(d)
         assert q.n == 1 << d and q.edges == oracle.hypercube_edges(d)
-        assert all(type(u) is type(v) is int and type(w) is float for u, v, w in q.edges)
+        assert all(type(u) is type(v) is int for u, v in q.edges)
 
 
 def test_hypercube_memory_follows_its_edges():
@@ -327,13 +310,13 @@ def test_join_memory_follows_its_edges():
     finally:
         tracemalloc.stop()
     assert cone.edge_count == 12000 and union.edge_count == 4000
-    assert cone.edges[:2] == ((0, 2, 1.0), (0, 3, 1.0)) and union.edges[0] == (2, 3, 1.0)
+    assert cone.edges[:2] == ((0, 2), (0, 3)) and union.edges[0] == (2, 3)
     assert peak < 16 << 20
 
 
 def test_complement_memory_follows_its_edges():
-    # 1,997,000 edges: 32 MB of edge ends and 16 MB of weights, beside a
-    # 4 MB boolean mask; an n x n float matrix alone would take 32 MB more
+    # 1,997,000 edges: 32 MB of edge ends beside a 4 MB boolean mask; an
+    # n x n float matrix alone would take 32 MB more
     base = cycle(2000)
     tracemalloc.start()
     try:
@@ -345,59 +328,26 @@ def test_complement_memory_follows_its_edges():
     assert peak < 128 << 20
 
 
-def _random_weighted(rng, n):
-    """A weighted graph with loops, its edges and loops given in random
-    order with their ends either way round."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
-    weights = rng.choice([1.0, -0.0, 0.5, -3.0, 1e-300, 1e300, 1.0000000000000002], len(pairs))
-    edges = [(v, u, w) if rng.random() < 0.5 else (u, v, w) for (u, v), w in zip(pairs, weights.tolist())]
-    edges = [e[:2] if e[2] == 1.0 and rng.random() < 0.5 else e for e in edges]  # (u, v) means weight 1
-    loops = [(v, float(rng.choice([1.0, 2.5, -1.0]))) for v in range(n) if rng.random() < 0.3]
-    order, loop_order = rng.permutation(len(edges)), rng.permutation(len(loops))
-    return make_graph(n, [edges[i] for i in order], [loops[i] for i in loop_order])
-
-
-def test_weighted_looped_graphs_round_trip_byte_for_byte():
-    rng = np.random.default_rng(37)
-    for n in [0, 1, 2, 5, 9, 16] * 3:
-        g = _random_weighted(rng, n)
-        for write, read in ((lio.graph_to_json, lio.graph_from_json), (lio.graph_to_edgelist, lio.graph_from_edgelist)):
-            text = write(g)
-            back = read(text)
-            assert back == g and hash(back) == hash(g)
-            assert write(back) == text
-            assert back.edges == g.edges and back.loops == g.loops
-
-
 def test_equality_and_hash():
-    g = make_graph(4, [(0, 1), (2, 1, 2.5), (3, 0)], loops=[(2, 1.5)])
-    shuffled = make_graph(4, [(0, 3, 1.0), (1, 2, 2.5), (1, 0)], loops=[(2, 1.5)])
+    g = make_graph(4, [(0, 1), (2, 1), (3, 0)])
+    shuffled = make_graph(4, [(0, 3), (1, 2), (1, 0)])
     assert g == shuffled and hash(g) == hash(shuffled) and len({g, shuffled}) == 1
-    assert g != make_graph(4, [(0, 1), (1, 2, 2.5), (0, 3)], loops=[(2, 1.0)])
-    assert g != make_graph(4, [(0, 1), (1, 2, 2.5), (0, 3)])
-    assert g != make_graph(5, [(0, 1), (1, 2, 2.5), (0, 3)], loops=[(2, 1.5)])
-    assert g != make_graph(4, [(0, 1), (1, 2, 2.5), (0, 2)], loops=[(2, 1.5)])
-    # -0.0 == 0.0, so the two graphs are equal and must hash alike
-    zero, negative_zero = make_graph(2, [(0, 1, 0.0)]), make_graph(2, [(0, 1, -0.0)])
-    assert zero == negative_zero and hash(zero) == hash(negative_zero)
+    assert g != make_graph(4, [(0, 1), (1, 2)])
+    assert g != make_graph(5, [(0, 1), (1, 2), (0, 3)])
+    assert g != make_graph(4, [(0, 1), (1, 2), (0, 2)])
     assert g != g.edges and (g == "graph") is False
     assert path(3) == make_graph(3, [(1, 2), (0, 1)]) and {path(3): 1}[make_graph(3, [(0, 1), (1, 2)])] == 1
-    assert repr(path(3)) == "Graph(n=3, edges=((0, 1, 1.0), (1, 2, 1.0)), loops=())"
+    assert repr(path(3)) == "Graph(n=3, edges=((0, 1), (1, 2)))"
 
 
 def test_graph_checks_its_arrays():
     from lapwalk.graphs import Graph
 
-    none, no_weights = np.empty(0, dtype=np.intp), np.empty(0)
+    def graph(n, ends):
+        return Graph(n, np.array(ends, dtype=np.intp).reshape(-1, 2))
 
-    def graph(n, ends, weights=None, loop_v=none, loop_w=no_weights):
-        weights = np.ones(len(ends)) if weights is None else np.array(weights)
-        return Graph(n, np.array(ends, dtype=np.intp).reshape(-1, 2), weights, np.array(loop_v), np.array(loop_w))
-
-    g = graph(3, [[0, 1], [1, 2]], loop_v=[1], loop_w=[0.5])
-    assert g.edges == ((0, 1, 1.0), (1, 2, 1.0)) and g.loops == ((1, 0.5),)
-    for array in g._arrays:
-        assert not array.flags.writeable
+    g = graph(3, [[0, 1], [1, 2]])
+    assert g.edges == ((0, 1), (1, 2)) and not g.ends.flags.writeable
     with pytest.raises(ValueError):
         g.ends[0, 0] = 2
     cases = [
@@ -409,14 +359,8 @@ def test_graph_checks_its_arrays():
         (lambda: graph(3, [[0, 1], [1, 1]]), "edge (1,1) out of range or not canonical"),
         (lambda: graph(3, [[1, 2], [0, 1]]), "sorted and duplicate-free"),
         (lambda: graph(3, [[0, 1], [0, 1]]), "sorted and duplicate-free"),
-        (lambda: graph(3, [[0, 1], [1, 2]], [1.0, np.nan]), "edge (1,2) has non-finite weight nan"),
-        (lambda: graph(3, [[0, 2], [0, 1]], [np.inf, 1.0]), "edge (0,2) has non-finite weight inf"),
-        (lambda: graph(3, [[0, 1]], [1.0, 1.0]), "(m, 2) array beside m weights"),
-        (lambda: graph(3, [], loop_v=[2, 1], loop_w=[1.0, 1.0]), "loops must be sorted"),
-        (lambda: graph(3, [], loop_v=[3], loop_w=[1.0]), "loop vertex 3 out of range"),
-        (lambda: graph(3, [], loop_v=[-1], loop_w=[1.0]), "loop vertex -1 out of range"),
-        (lambda: graph(3, [], loop_v=[0], loop_w=[-np.inf]), "loop at 0 has non-finite weight -inf"),
-        (lambda: graph(3, [], loop_v=[0], loop_w=[1.0, 2.0]), "one length"),
+        (lambda: Graph(3, [0, 1]), "(m, 2) array"),
+        (lambda: Graph(3, [[0, 1, 2]]), "(m, 2) array"),
     ]
     for build, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -425,18 +369,16 @@ def test_graph_checks_its_arrays():
 
 def test_make_graph_names_the_first_offending_entry():
     cases = [
-        ([(0, 1), (2, 2), (1, 0)], "(2,2) is a loop"),
+        ([(0, 1), (2, 2), (1, 0)], "edge (2,2) is a loop"),
         ([(0, 1), (1, 0), (2, 2)], "duplicate edge (0, 1)"),
-        ([(2, 1), (0, 1), (1, 2, 3.0)], "duplicate edge (1, 2)"),
-        ([(0, 1), (1,)], "edge (1,) must be (u, v) or (u, v, w)"),
+        ([(2, 1), (0, 1), (1, 2)], "duplicate edge (1, 2)"),
+        ([(0, 1), (1,)], "edge (1,) must be (u, v)"),
+        ([(0, 1), (1, 2, 3.0)], "edge (1, 2, 3.0) must be (u, v)"),
         ([(0, 1), (1, 2**65)], "is out of range"),
-        ([(0, 1, 1.0), (1, 2, 10**400)], "is out of range"),
     ]
     for edges, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
             make_graph(3, edges)
-    with pytest.raises(ValueError, match="duplicate loop at 2"):
-        make_graph(3, loops=[(1, 1.0), (2, 1.0), (2, 3.0)])
     with pytest.raises(ValueError, match="must be a permutation"):
         path(3).relabel([0, 1, 1])
     with pytest.raises(ValueError, match="must be a permutation"):

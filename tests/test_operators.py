@@ -52,19 +52,9 @@ def test_normalized_spectrum_k4():
     assert np.allclose(vals, [0, 4 / 3, 4 / 3, 4 / 3], atol=1e-12)
 
 
-def test_normalized_rejects_isolated_and_weighted():
+def test_normalized_rejects_isolated():
     with pytest.raises(ValueError):
         normalized_laplacian(make_graph(2))
-    with pytest.raises(ValueError):
-        normalized_laplacian(make_graph(2, [(0, 1, 2.0)]))
-
-
-def test_loop_contributes_to_adjacency_and_degree():
-    g = make_graph(2, [(0, 1)], loops=[(0, 3.0)])
-    assert adjacency(g).matrix[0, 0] == 3.0
-    assert g.degrees()[0] == 4.0
-    assert standard_laplacian(g).matrix[0, 0] == 4.0 - 3.0  # degree minus loop weight
-    assert signless_laplacian(g).matrix[0, 0] == 7.0
 
 
 def test_weighted_p3():

@@ -286,8 +286,6 @@ def test_lift_check_rejects_a_partition_of_another_graph(monkeypatch):
     # the same order, another graph: vertex 5 of P6 has no neighbour in {0}
     with pytest.raises(ValueError, match="neighbour counts"):
         lift_check(path(6), folded, OperatorKind.ADJACENCY, 0, 3, 1.0)
-    with pytest.raises(ValueError, match="unweighted"):
-        lift_check(make_graph(6, [(u, v, 2.0) for u, v, _ in cycle(6).edges]), folded, "adjacency", 0, 3, 1.0)
     # an almost-equitable partition checks no count inside a cell: C6 with
     # the chord (1, 5) inside a cell passes as C6, and the standard quotient
     # holds for both

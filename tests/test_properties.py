@@ -115,7 +115,7 @@ def test_transfer_magnitude_is_symmetric(g, kind, t):
 def test_relabelling_invariance(data, kind, t):
     g = data.draw(graphs(connected=True))
     perm = data.draw(st.permutations(range(g.n)))
-    h = make_graph(g.n, [(perm[u], perm[v]) for u, v, _ in g.edges])
+    h = make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
     u_g, u_h = _walk(g, kind, t), _walk(h, kind, t)
     assert np.abs(u_h[np.ix_(perm, perm)] - u_g).max() < 1e-9
 
@@ -139,20 +139,18 @@ def test_complement_walk_runs_backwards_when_n_t_is_a_multiple_of_2pi(g, k):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_graph_rejects_exactly_the_rows_the_reference_rejects(data):
-    """``Graph`` raises on its edge arrays exactly when the row-by-row
+    """``Graph`` raises on its edge array exactly when the row-by-row
     reference finds a fault, with the reference's message. Valid rows get
     at most one fault: a repeated, swapped or reversed row, a row with
-    u == v, an extreme vertex, or a non-finite weight."""
+    u == v, or an extreme vertex."""
     n = data.draw(st.integers(0, 6))
     pairs = [[u, v] for u in range(n) for v in range(u + 1, n)]
     rows = sorted(data.draw(st.lists(st.sampled_from(pairs), unique_by=tuple, max_size=6))) if pairs else []
-    weights = [1.0] * len(rows)
-    fault = data.draw(st.sampled_from(["none", "repeat", "swap", "reverse", "loop", "vertex", "weight"]))
+    fault = data.draw(st.sampled_from(["none", "repeat", "swap", "reverse", "loop", "vertex"]))
     if rows and fault != "none":
         i = data.draw(st.integers(0, len(rows) - 1))
         if fault == "repeat":
             rows.insert(i, rows[i])
-            weights.append(1.0)
         elif fault == "swap":
             j = data.draw(st.integers(0, len(rows) - 1))
             rows[i], rows[j] = rows[j], rows[i]
@@ -160,14 +158,11 @@ def test_graph_rejects_exactly_the_rows_the_reference_rejects(data):
             rows[i] = rows[i][::-1]
         elif fault == "loop":
             rows[i] = [rows[i][0]] * 2
-        elif fault == "vertex":
-            rows[i][data.draw(st.integers(0, 1))] = data.draw(st.sampled_from([-1, n, -(2**63), 2**63 - 1]))
         else:
-            weights[i] = data.draw(st.sampled_from([float("inf"), float("-inf"), float("nan")]))
-    expected = oracle.edge_rows_fault(n, rows, weights)
-    ends, weights = np.array(rows, dtype=np.intp).reshape(-1, 2), np.array(weights)
+            rows[i][data.draw(st.integers(0, 1))] = data.draw(st.sampled_from([-1, n, -(2**63), 2**63 - 1]))
+    expected = oracle.edge_rows_fault(n, rows)
     try:
-        Graph(n, ends, weights, np.empty(0, np.intp), np.empty(0))
+        Graph(n, np.array(rows, dtype=np.intp).reshape(-1, 2))
     except ValueError as exc:
         assert str(exc) == expected
     else:
@@ -177,19 +172,16 @@ def test_graph_rejects_exactly_the_rows_the_reference_rejects(data):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_make_graph_matches_the_row_by_row_reference(data):
-    """Loose rows in any order, with repeats, loops, vertices out of range
-    and non-finite weights mixed in: the graph, or the first fault's
-    message, is the one the row-by-row reference gives."""
+    """Loose rows in any order, with repeats, loops and vertices out of
+    range mixed in: the graph, or the first fault's message, is the one the
+    row-by-row reference gives."""
     n = data.draw(st.integers(-1, 7))
     vertex = st.integers(-2, 8)
-    weight = st.sampled_from([1.0, 2.5, -0.0, float("inf"), float("nan")])
-    edge = st.one_of(st.tuples(vertex, vertex), st.tuples(vertex, vertex, weight))
-    edges = data.draw(st.lists(edge, max_size=12))
-    loops = data.draw(st.lists(st.tuples(vertex, weight), max_size=4))
-    want = oracle.make_graph(n, edges, loops)
+    edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+    want = oracle.make_graph(n, edges)
     try:
-        g = make_graph(n, edges, loops)
+        g = make_graph(n, edges)
     except ValueError as exc:
         assert str(exc) == want
     else:
-        assert (g.n, g.edges, g.loops) == want
+        assert (g.n, g.edges) == want

@@ -75,7 +75,7 @@ def test_certifies_and_refutes_split_at_their_thresholds():
 
 def _closure_reference(spec_g, spec_h, t, angle):
     return all(
-        abs(x - round(x)) < pst.CLOSURE_TOL
+        abs(x - round(x)) < pst.INTEGER_TOL
         for lam in spec_g
         for mu in spec_h
         for x in [angle(t, lam, mu) / (2.0 * math.pi)]
@@ -84,12 +84,12 @@ def _closure_reference(spec_g, spec_h, t, angle):
 
 def test_weak_product_closures_match_the_scalar_loop():
     # eigenvalues k/3 and times 2 pi j land the angles on or near 2 pi Z;
-    # offsets around CLOSURE_TOL put them on both sides of the tolerance
+    # offsets around INTEGER_TOL put them on both sides of the tolerance
     rng = np.random.default_rng(5)
     for _ in range(300):
         spec_g = rng.integers(0, 7, size=rng.integers(0, 4)) / 3.0
         spec_h = rng.integers(0, 7, size=rng.integers(0, 4)) / 3.0
-        spec_h = spec_h + rng.choice([0.0, 1e-9, 3e-9, 1e-8], size=spec_h.shape)
+        spec_h = spec_h + rng.choice([0.0, 1e-10, 3e-10, 1e-9], size=spec_h.shape)
         t = 2.0 * math.pi * 3.0 * int(rng.integers(1, 4))
         first = _closure_reference(spec_g, spec_h, t, lambda t, lam, mu: t * mu * (lam - 1.0))
         second = _closure_reference(spec_g, spec_h, t, lambda t, lam, mu: t * lam * mu)
@@ -313,9 +313,22 @@ def test_search_k2_earliest_peak_across_blocks():
     assert cert.certifies()
 
 
-def _scaled(g, factor):
-    """g with every edge weight multiplied by factor."""
-    return make_graph(g.n, [(u, v, w * factor) for u, v, w in g.edges])
+def _scaled(g, kind, factor):
+    """The operator of ``kind`` on g, times factor: the operator of g with
+    every edge weighted by factor, as a CUSTOM matrix."""
+    return Hamiltonian(OperatorKind.CUSTOM, factor * operator(g, kind).matrix)
+
+
+def test_scaled_operators_are_the_edge_weighted_ones():
+    # factor * (integer entry) rounds once, as the weighted sums did
+    r = math.sqrt(2)
+    cases = [
+        (_scaled(complete(2), "standard", r), [[r, -r], [-r, r]]),
+        (_scaled(path(3), "standard", r), [[r, -r, 0], [-r, 2 * r, -r], [0, -r, r]]),
+        (_scaled(path(3), "signless", r), [[r, r, 0], [r, 2 * r, r], [0, r, r]]),
+    ]
+    for h, weighted in cases:
+        assert h.matrix.tobytes() == np.array(weighted).tobytes()
 
 
 def _scanned_horizon(monkeypatch, h, pair, t_max):
@@ -336,7 +349,7 @@ def _scanned_horizon(monkeypatch, h, pair, t_max):
 def test_search_earliest_peak_across_blocks_off_period(monkeypatch):
     # |U(t)[1, 0]| = |sin(sqrt(2) t)| on K2 with edge weight sqrt(2): the gap
     # 2 sqrt(2) is no integer, so every block up to t_max is scanned
-    h = standard_laplacian(_scaled(complete(2), math.sqrt(2)))
+    h = _scaled(complete(2), "standard", math.sqrt(2))
     cert, horizon = _scanned_horizon(monkeypatch, h, (0, 1), 1000.0)
     assert horizon == 1000.0
     assert abs(cert.time - math.pi / (2 * math.sqrt(2))) < 1e-9
@@ -355,7 +368,7 @@ def test_search_ties_go_to_the_earliest_peak_off_period(monkeypatch):
     # the same entry at time sqrt(2) t on P3 with edge weights sqrt(2): its
     # support 0, sqrt(2), 3 sqrt(2) is not integral, so the far peaks, equal
     # up to rounding, are all scanned and the first still wins
-    h = standard_laplacian(_scaled(path(3), math.sqrt(2)))
+    h = _scaled(path(3), "standard", math.sqrt(2))
     cert, horizon = _scanned_horizon(monkeypatch, h, (0, 2), 301.0)
     assert horizon == 301.0
     assert abs(cert.time - 2 * math.pi / (3 * math.sqrt(2))) < 1e-9
@@ -522,14 +535,14 @@ def test_search_matches_the_blockwise_reference_grid(monkeypatch, seed, kind):
 OFF_PERIOD_PAIRS = [
     (path(4), "adjacency", (0, 3)),
     (path(4), "standard", (0, 3)),
-    (_scaled(path(3), math.sqrt(2)), "signless", (0, 2)),
+    (_scaled(path(3), "signless", math.sqrt(2)), "signless", (0, 2)),
     (path(5), "normalized", (0, 4)),
 ]
 
 
 @pytest.mark.parametrize("g, kind, pair", OFF_PERIOD_PAIRS)
 def test_search_matches_the_blockwise_reference_grid_off_period(monkeypatch, g, kind, pair):
-    h = operator(g, kind)
+    h = g if isinstance(g, Hamiltonian) else operator(g, kind)
     dec = eigendecompose(h)
     values, weights, _ = pst._support(dec.values, dec.pair_weights(*pair))
     assert pst._period(values, weights, 1e6, 0.0) is None
