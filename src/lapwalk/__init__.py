@@ -10,7 +10,6 @@ from .control import (
     UnicyclicReport,
     WalkMatrix,
     exact_rank,
-    is_controllable,
     unicyclic_no_pst_pipeline,
     walk_matrix,
 )
@@ -71,7 +70,6 @@ from .pst import (
     verify_pst,
     walk_entries,
     weak_product_closure_1,
-    weak_product_closure_2,
 )
 from .spectral import (
     EigenDecomposition,

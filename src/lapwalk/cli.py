@@ -54,10 +54,6 @@ def parse_time(text: str) -> float:
     """Parse a finite time given as a decimal or a pi/sqrt expression."""
     # allow "3pi" and "2sqrt(2)" shorthand
     src = re.sub(r"(?<=[\d.)])\s*(?=pi|sqrt|\()", "*", text.strip())
-    try:
-        tree = ast.parse(src, mode="eval")
-    except SyntaxError:
-        raise ValueError(f"cannot parse time {text!r}") from None
 
     def ev(node) -> float:
         if isinstance(node, ast.Expression):
@@ -85,7 +81,9 @@ def parse_time(text: str) -> float:
         raise ValueError(f"cannot parse time {text!r}")
 
     try:
-        value = ev(tree)
+        value = ev(ast.parse(src, mode="eval"))
+    except (SyntaxError, RecursionError):  # nesting too deep for the parser or for ev
+        raise ValueError(f"cannot parse time {text!r}") from None
     except ArithmeticError:  # division by zero, or an integer too large for a float
         value = math.nan
     if not math.isfinite(value):
@@ -135,7 +133,7 @@ def _cmd_graph(args) -> int:
         _emit(lio.graph_to_json(g), args.out)
         return 0
     g = lio.load_graph(args.graph)
-    degrees = " ".join(map("{:g}".format, g.degrees().tolist()))
+    degrees = " ".join(map("{:.0f}".format, g.degrees().tolist()))  # exact below 2^53
     lines = [f"n {g.n}", f"edges {g.edge_count}", f"degrees {degrees}", *lio.edge_lines(g)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0

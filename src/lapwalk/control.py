@@ -57,7 +57,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graphs import Graph, _vertex_check, line_graph, odd_unicyclic
+from .graphs import Graph, _vertices, line_graph, odd_unicyclic
 from .linegraph import _pendant_edge_index
 from .operators import signless_laplacian
 from .pst import SCAN_T_MAX, PstCertificate, search_pst
@@ -66,7 +66,6 @@ __all__ = [
     "WalkMatrix",
     "walk_matrix",
     "exact_rank",
-    "is_controllable",
     "unicyclic_no_pst_pipeline",
     "UnicyclicReport",
 ]
@@ -106,9 +105,7 @@ class WalkMatrix:
 
 
 def walk_matrix(g: Graph, subset: Iterable[int]) -> WalkMatrix:
-    s = tuple(sorted({int(v) for v in subset}))
-    _vertex_check(g.n, *s)
-    return WalkMatrix(g, s, _BUILT)
+    return WalkMatrix(g, tuple(np.unique(_vertices(g.n, subset)).tolist()), _BUILT)
 
 
 # below 2^31, so a product of two residues stays inside int64
@@ -364,7 +361,25 @@ def exact_rank(w: WalkMatrix) -> int:
     they belong to distinct eigenvalues, so they are independent. Failing
     that, the Krylov relation (``_krylov_relation``) is lifted over further
     primes, continuing from the first, and its degree is the rank. It never
-    reads ``w.rows``."""
+    reads ``w.rows``.
+
+    For S = {u}, rank n (u controllable) is the negation of "some
+    eigenvector of A vanishes at u". Write A = sum_theta theta E_theta over
+    its distinct eigenvalues. Then A^k e_u = sum_theta theta^k E_theta e_u,
+    and the Vandermonde matrix of distinct eigenvalues is invertible, so the
+    columns span exactly the nonzero E_theta e_u: the rank is the number of
+    eigenvalues theta with E_theta e_u != 0. It is n exactly when every
+    eigenvalue is simple and every E_theta e_u = x_theta x_theta[u]
+    (x_theta a unit eigenvector) is nonzero. So the rank falls below n
+    exactly when
+    - some eigenvalue is repeated: its eigenspace, of dimension >= 2, holds
+      a nonzero vector orthogonal to e_u, which vanishes at u; or
+    - the eigenvector x_theta of some simple eigenvalue has x_theta[u] = 0.
+    The eigenvector witness covers the first case when theta is an integer
+    with a small integer eigenvector orthogonal to e_u (the odd unicyclic
+    line graphs' -1). It does not cover the second: there the whole
+    eigenspace is orthogonal to e_u, theta is no root of the relative
+    minimal polynomial, and the CRT relation proves the rank instead."""
     if not isinstance(w, WalkMatrix):
         raise TypeError("exact_rank takes a WalkMatrix from walk_matrix")
     runs = _prime_runs(w)
@@ -376,29 +391,6 @@ def exact_rank(w: WalkMatrix) -> int:
             return length
     relation = _krylov_relation(w, chain([first], runs))
     return w.n if relation is None else len(relation)
-
-
-def is_controllable(g: Graph, subset: Iterable[int]) -> bool:
-    """Whether the walk matrix of e_S has full rank n.
-
-    For S = {u} this is the negation of "some eigenvector of A vanishes at
-    u". Write A = sum_theta theta E_theta over its distinct eigenvalues.
-    Then A^k e_u = sum_theta theta^k E_theta e_u, and the Vandermonde matrix
-    of distinct eigenvalues is invertible, so the columns span exactly the
-    nonzero E_theta e_u: the rank is the number of eigenvalues theta with
-    E_theta e_u != 0. It is n exactly when every eigenvalue is simple and
-    every E_theta e_u = x_theta x_theta[u] (x_theta a unit eigenvector) is
-    nonzero. So the rank falls below n exactly when
-    - some eigenvalue is repeated: its eigenspace, of dimension >= 2, holds
-      a nonzero vector orthogonal to e_u, which vanishes at u; or
-    - the eigenvector x_theta of some simple eigenvalue has x_theta[u] = 0.
-    ``exact_rank``'s eigenvector witness covers the first case when theta
-    is an integer with a small integer eigenvector orthogonal to e_u (the
-    odd unicyclic line graphs' -1). It does not cover the second: there the
-    whole eigenspace is orthogonal to e_u, theta is no root of the relative
-    minimal polynomial, and the CRT relation proves the rank instead.
-    """
-    return exact_rank(walk_matrix(g, subset)) == g.n
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,6 @@ from .graphs import (
 
 __all__ = ["named_small_graphs", "random_connected_graphs"]
 
-DEFAULT_SEED = 20240911
-
 
 def named_small_graphs() -> list[tuple[str, Graph]]:
     """Fixed gallery of structurally varied graphs on at most 10 vertices."""
@@ -70,7 +68,7 @@ def _random_connected(rng: np.random.Generator, n: int, extra_prob: float) -> Gr
 
 
 def random_connected_graphs(
-    count: int, n_min: int = 4, n_max: int = 10, seed: int = DEFAULT_SEED
+    count: int, n_min: int = 4, n_max: int = 10, *, seed: int
 ) -> list[Graph]:
     rng = np.random.default_rng(seed)
     out = []

@@ -11,6 +11,14 @@ reads the array, or the one neighbour structure derived from it: the arcs
 (both directions of every edge, as tails and heads) built once per graph
 and kept, which the exact-rank matvecs and the partition counts share.
 
+Every count and vertex a caller gives passes one integer gate here, and
+nothing truncates: ``_order`` takes a count, ``_indices`` any array or
+loose collection of indices, and ``_vertices`` adds the range 0..n-1. Each
+accepts ints and np.integers, never a bool, and names the first other value
+as ``got <repr>``. An integer array passes by its dtype alone; loose values
+cost one pass over the set of their types. Edge rows, partition cells,
+walk-matrix subsets, pairs and circulant generators all come through it.
+
 All combinators are pure and relabel vertices deterministically: in
 unions/joins the first argument keeps its labels and the second is shifted
 by ``|V(g)|``; in products the pair (a, b) becomes ``a * |V(h)| + b``. Each
@@ -70,12 +78,58 @@ __all__ = [
 _ORDER_LIMIT = 1 << 62
 
 
-def _order(n: int) -> int:
+def _whole(t: type) -> bool:
+    """Whether values of type ``t`` count as integers: int and the numpy
+    integer types, never bool."""
+    return t is int or issubclass(t, np.integer)
+
+
+def _order(n, what: str = "vertex count") -> int:
+    """The integer gate for a count: an int or np.integer (never a bool)
+    in 0 .. 2^62 - 1, returned as an int."""
+    if not _whole(type(n)):
+        raise ValueError(f"{what} must be an integer, got {n!r}")
     if n < 0:
-        raise ValueError("vertex count must be nonnegative")
+        raise ValueError(f"{what} must be nonnegative")
     if n >= _ORDER_LIMIT:
-        raise ValueError(f"vertex count {n} is too large")
-    return n
+        raise ValueError(f"{what} {n} is too large")
+    return int(n)
+
+
+def _indices(values, what: str = "vertex") -> np.ndarray:
+    """The integer gate for vertices and other indices: ``values``, an array
+    or a flat iterable, as an array of exactly the integers given. An array
+    of an integer dtype that casts safely to intp passes by its dtype alone.
+    Anything else (loose values, an object, float or bool array, an empty
+    list) is checked by the set of its entries' types: every entry must be
+    an int or an np.integer, and the first other one, in order, raises
+    ValueError naming it. Entries that int64 holds come back as int64;
+    otherwise they stay exact in an object array, for the range checks to
+    name."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "iu" and np.can_cast(values.dtype, np.intp):
+            return values
+        a = values.astype(object, copy=False)
+    else:
+        a = np.fromiter(values, object)
+    entries = a.ravel().tolist()
+    if not all(map(_whole, set(map(type, entries)))):
+        bad = next(x for x in entries if not _whole(type(x)))
+        raise ValueError(f"{what} must be an integer, got {bad!r}")
+    fits = not entries or (-(1 << 63) <= min(entries) and max(entries) < 1 << 63)
+    return a.astype(np.int64) if fits else a
+
+
+def _vertices(n: int, values) -> np.ndarray:
+    """``values`` through ``_indices``, each a vertex of a graph on n
+    vertices, as an intp array. The first outside 0..n-1, in order, raises
+    ValueError, so that no negative vertex is read from the end of an
+    array."""
+    a = _indices(values)
+    outside = (a < 0) | (a >= n)
+    if outside.any():
+        raise ValueError(f"vertex {a.flat[outside.argmax()]} out of range")
+    return a.astype(np.intp)
 
 
 def _frozen(values) -> np.ndarray:
@@ -90,21 +144,23 @@ class Graph:
     """Simple undirected graph.
 
     ``ends`` is the (m, 2) index array of the edges, each row u < v and the
-    rows sorted and distinct. The graph keeps the array it is given, made
-    read-only. Use :func:`make_graph` to build instances from unnormalized
-    edge data.
+    rows sorted and distinct. The graph keeps an intp array it is given,
+    made read-only, and converts any other once the integer gate and the
+    row checks have passed. Use :func:`make_graph` to build instances from
+    unnormalized edge data.
     """
 
     n: int
     ends: np.ndarray
 
     def __init__(self, n: int, ends) -> None:
-        n, ends = _order(n), _frozen(ends)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ends", ends)
+        n = _order(n)
+        ends = _indices(ends if isinstance(ends, np.ndarray) else np.array(ends, dtype=object))
         if ends.ndim != 2 or ends.shape[1] != 2:
             raise ValueError("edge ends must be an (m, 2) array")
         _check_edges(ends, n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ends", _frozen(ends))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -145,24 +201,13 @@ class Graph:
         u, v = self.ends.T
         return _frozen([np.concatenate([u, v]), np.concatenate([v, u])])
 
-    def relabel(self, perm: Iterable[int]) -> "Graph":
-        """New graph with vertex u renamed to perm[u]."""
-        p = np.asarray(list(perm))
-        if (
-            p.shape != (self.n,)
-            or (self.n and p.dtype.kind not in "iu")
-            or not np.array_equal(np.sort(p), np.arange(self.n))
-        ):
-            raise ValueError("perm must be a permutation of 0..n-1")
-        return _sorted_graph(self.n, _canonical(p[self.ends]))
-
 
 def _check_edges(ends: np.ndarray, n: int) -> None:
-    """Raise on the first row in order that is out of range (as unsigned
-    integers a negative u exceeds v, and a negative v exceeds n) or does not
-    come strictly after the row before it."""
-    unsigned = ends.view(np.uint64)
-    wild = (unsigned[:, 0] >= unsigned[:, 1]) | (unsigned[:, 1] >= n)
+    """Raise on the first row in order that is out of range or has u >= v,
+    or does not come strictly after the row before it. ``ends`` is exact:
+    an integer array, or Python ints of any size in an object array."""
+    u, v = ends[:, 0], ends[:, 1]
+    wild = (u < 0) | (u >= v) | (v >= n)
     later, earlier = ends[1:], ends[:-1]
     above, tied = later > earlier, later == earlier
     fault = wild.copy()
@@ -185,29 +230,16 @@ def _sorted_graph(n: int, ends: np.ndarray) -> Graph:
     return Graph(n, ends[np.lexsort((ends[:, 1], ends[:, 0]))])
 
 
-def _rows(rows: list) -> np.ndarray:
-    """Loose (u, v) rows as an (m, 2) int64 array. numpy converts every
-    entry the way ``int`` does, from one object array of all entries."""
-    if set(map(len, rows)) - {2}:  # name the first row of another length
-        row = next(row for row in rows if len(row) != 2)
-        raise ValueError(f"edge {row!r} must be (u, v)")
-    flat = np.fromiter(chain.from_iterable(rows), object, 2 * len(rows))
-    try:
-        return flat.astype(np.int64).reshape(-1, 2)
-    except OverflowError:
-        for row in rows:  # the error path: name the first row that does not convert
-            try:
-                np.array(row, dtype=np.int64)
-            except OverflowError:
-                raise ValueError(f"edge {row!r} is out of range") from None
-        raise
-
-
 def make_graph(n: int, edges: Iterable[tuple] = ()) -> Graph:
     """Build a Graph from loose (u, v) edge rows, in any order and either
     way round. The first row in input order that is a loop or repeats an
     earlier edge is an error."""
-    ends = _canonical(_rows(list(edges)))
+    rows = list(edges)
+    if set(map(len, rows)) - {2}:  # name the first row of another length
+        row = next(row for row in rows if len(row) != 2)
+        raise ValueError(f"edge {row!r} must be (u, v)")
+    flat = np.fromiter(chain.from_iterable(rows), object, 2 * len(rows))
+    ends = _canonical(_indices(flat).reshape(-1, 2))
     order = np.lexsort((ends[:, 1], ends[:, 0]))
     ranked = ends[order]
     # with a stable sort, the later of two equal rows is the repeat
@@ -219,15 +251,7 @@ def make_graph(n: int, edges: Iterable[tuple] = ()) -> Graph:
         if u == v:
             raise ValueError(f"edge ({u},{v}) is a loop")
         raise ValueError(f"duplicate edge {(u, v)}")
-    return Graph(int(n), ranked)
-
-
-def _vertex_check(n: int, *vertices: int) -> None:
-    """Raise ValueError naming the first vertex outside 0..n-1, so that no
-    negative vertex is read from the end of an array."""
-    for v in vertices:
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} out of range")
+    return Graph(n, ranked)
 
 
 # -- elementary constructors ----------------------------------------------
@@ -240,16 +264,18 @@ def _path_ends(n: int) -> np.ndarray:
 
 def path(n: int) -> Graph:
     """Path 0-1-...-(n-1); a single vertex for n = 1."""
+    n = _order(n)
     if n < 1:
         raise ValueError("path needs at least one vertex")
-    return Graph(n, _path_ends(_order(n)))
+    return Graph(n, _path_ends(n))
 
 
 def cycle(n: int) -> Graph:
     """Cycle with j ~ k iff j - k = +-1 (mod n); needs n >= 3 to stay simple."""
+    n = _order(n)
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
-    ends = _path_ends(_order(n))
+    ends = _path_ends(n)
     # (0, n - 1) sorts second, after (0, 1)
     return Graph(n, np.concatenate([ends[:1], [[0, n - 1]], ends[1:]]))
 
@@ -264,8 +290,7 @@ def empty(n: int) -> Graph:
 
 def hypercube(d: int) -> Graph:
     """d-dimensional cube on 2^d vertices; x ~ y iff they differ in one bit."""
-    if d < 0:
-        raise ValueError("dimension must be nonnegative")
+    d = _order(d, "dimension")
     # edge (x, x | bit) for every bit not set in x; row-major order sorts them
     x = np.arange(_order(1 << d))[:, None]
     bits = 1 << np.arange(d)
@@ -278,9 +303,10 @@ def circulant(n: int, gens: Iterable[int]) -> Graph:
 
     The generator set must exclude 0 and be closed under negation mod n.
     """
+    n = _order(n)
     if n < 1:
         raise ValueError("circulant needs at least one vertex")
-    gset = {int(s) % n for s in gens}
+    gset = set((_indices(gens, "generator") % n).tolist())
     if 0 in gset:
         raise ValueError("generator 0 would create loops")
     for s in gset:
@@ -306,6 +332,7 @@ def circulant_family(m: int) -> Graph:
     Generators are +-1..+-(m-1)/2 when m-1 is even, and
     +-1..+-(m-2)/2 together with +-m when m-1 is odd.
     """
+    m = _order(m, "m")
     if m < 2:
         raise ValueError("family is defined for m >= 2")
     n = _order(2 * m)
@@ -394,6 +421,7 @@ def odd_unicyclic(m: int) -> OddUnicyclic:
     middle spine vertices m and m+1. The antipodal pair is the two spine
     endpoints (0, 2m+1).
     """
+    m = _order(m, "pendant length")
     if m < 1:
         raise ValueError("needs pendant paths with at least one edge")
     apex = 2 * m + 2
@@ -410,8 +438,7 @@ class PendantCone(NamedTuple):
 def cone_p4_with_pendant(m: int) -> PendantCone:
     """Cone over P4 (conical vertex 0, path 1-2-3-4) with a pendant path of m
     edges appended at vertex 4 using labels 4+1..4+m."""
-    if m < 0:
-        raise ValueError("pendant length must be nonnegative")
+    m = _order(m, "pendant length")
     cone = [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [2, 3], [3, 4]]
     pendant = _path_ends(_order(m + 1)) + 4  # (4 + k, 5 + k) for k < m
     return PendantCone(Graph(5 + m, np.concatenate([cone, pendant])), 1, 4 + m)

@@ -1,21 +1,22 @@
 """File formats: graph JSON, edge-list text, partition JSON, CSV dumps.
 
 Graph JSON is ``{"n": int, "edges": [[u,v], ...], "loops": []}``; graphs have
-no loops, so ``loops`` must be empty when present. Counts, vertices and cell
-entries must be JSON integers; anything else (``3.7``, ``"3"``, ``true``) is
-a ValueError, never truncated, and so is an ``edges`` or ``cells`` entry
-that is not a list of the right length, a weighted ``[u, v, w]`` included.
+no loops, so ``loops`` must be empty when present. The readers only parse
+text: an ``edges`` or ``cells`` entry that is not a list of the right length,
+a weighted ``[u, v, w]`` included, is a ValueError here, and the counts,
+vertices and cell entries go on as parsed to ``make_graph`` and the
+partition checks, whose integer gate (``graphs._indices``) rejects anything
+but an integer (``3.7``, ``"3"``, ``true``) by name, never truncating it.
 The writer is canonical (sorted edges, compact separators, trailing
 newline) so that load -> save round-trips canonical files byte for byte.
 The edge-list format has a ``n <count>`` header followed by ``u v`` lines.
-The count and the vertices must be plain decimal digits, and a line with
-u == v is a loop, an error.
+The count and the vertices must be plain decimal digits, which ``_decimal``
+turns into ints, and a line with u == v is a loop, an error.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
@@ -33,7 +34,6 @@ __all__ = [
     "save_graph",
     "load_graph",
     "cells_from_json",
-    "cells_to_json",
     "matrix_to_csv",
     "curve_to_csv",
 ]
@@ -42,13 +42,6 @@ __all__ = [
 def graph_to_json(g: Graph) -> str:
     payload = {"n": g.n, "edges": g.ends.tolist(), "loops": []}
     return json.dumps(payload, separators=(",", ":")) + "\n"
-
-
-def _integer(x, what: str) -> int:
-    """A JSON integer; floats, strings and booleans (an int subclass) are errors."""
-    if type(x) is not int:
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return x
 
 
 def _lists(payload: dict, key: str, lengths: tuple[int, ...] | None, shape: str) -> list:
@@ -65,22 +58,13 @@ def _lists(payload: dict, key: str, lengths: tuple[int, ...] | None, shape: str)
     return items
 
 
-def _integers(items: list, what: str) -> list:
-    """``items``, checked to hold only JSON integers by the types of all
-    entries at once; on failure, name the first offending entry."""
-    if not set(map(type, chain.from_iterable(items))) <= {int}:
-        for x in chain.from_iterable(items):
-            _integer(x, what)
-    return items
-
-
 def graph_from_json(text: str) -> Graph:
     payload = json.loads(text)
     if not isinstance(payload, dict) or "n" not in payload:
         raise ValueError("graph JSON must be an object with an 'n' field")
-    edges = _integers(_lists(payload, "edges", (2,), "[u, v]"), "edge endpoint")
+    edges = _lists(payload, "edges", (2,), "[u, v]")
     _lists(payload, "loops", (), "absent (graphs have no loops)")  # any entry is an error
-    return make_graph(_integer(payload["n"], "n"), edges)
+    return make_graph(payload["n"], edges)
 
 
 def edge_lines(g: Graph) -> list[str]:
@@ -93,9 +77,9 @@ def graph_to_edgelist(g: Graph) -> str:
 
 
 def _decimal(text: str, what: str) -> int:
-    """Plain decimal digits only; ``int`` also reads '1_0', '+1' and the
-    digits of other scripts."""
-    if not re.fullmatch("[0-9]+", text):
+    """Plain decimal digits only (ASCII digits are 0-9); ``int`` also reads
+    '1_0', '+1' and the digits of other scripts."""
+    if not (text.isascii() and text.isdigit()):
         raise ValueError(f"{what} must be written in decimal digits, got {text!r}")
     return int(text)
 
@@ -105,17 +89,18 @@ def graph_from_edgelist(text: str) -> Graph:
     header = rows[0] if rows else []
     if len(header) != 2 or header[0] != "n":
         raise ValueError("edge list must start with a 'n <count>' header")
-    n = _decimal(header[1], "vertex count")
-    rows = rows[1:]
-    # all vertex tokens by one regular expression (split() leaves no empty
-    # token and no whitespace inside one); make_graph reads the digits and
-    # rejects a line whose two vertices are the same number
-    if not (set(map(len, rows)) <= {2} and re.fullmatch("[0-9]*", "".join(chain.from_iterable(rows)))):
+    n, rows = _decimal(header[1], "vertex count"), rows[1:]
+    # every vertex token at once (split() leaves no empty token and no
+    # whitespace inside one); make_graph rejects a line whose two vertices
+    # are the same number
+    digits = "".join(chain.from_iterable(rows))
+    if set(map(len, rows)) - {2} or not (digits.isascii() and digits.isdigit() or not digits):
         for parts in rows:  # name the first offending line
             if len(parts) != 2:
                 raise ValueError(f"bad edge line: {' '.join(parts)!r}")
             _decimal(parts[0], "vertex"), _decimal(parts[1], "vertex")
-    return make_graph(n, rows)
+    vertices = list(map(int, chain.from_iterable(rows)))
+    return make_graph(n, zip(vertices[::2], vertices[1::2]))
 
 
 def save_graph(g: Graph, path: str | Path) -> None:
@@ -136,11 +121,7 @@ def cells_from_json(text: str) -> list[list[int]]:
     payload = json.loads(text)
     if not isinstance(payload, dict) or "cells" not in payload:
         raise ValueError("partition JSON must be an object with a 'cells' field")
-    return _integers(_lists(payload, "cells", None, "a list of vertices"), "cell entry")
-
-
-def cells_to_json(cells: Iterable[Iterable[int]]) -> str:
-    return json.dumps({"cells": [list(c) for c in cells]}, separators=(",", ":")) + "\n"
+    return _lists(payload, "cells", None, "a list of vertices")
 
 
 def matrix_to_csv(matrix: np.ndarray) -> str:

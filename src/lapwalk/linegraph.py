@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, _vertex_check, line_graph
+from .graphs import Graph, _vertices, line_graph
 from .operators import adjacency, incidence, signless_laplacian
 from .pst import PstCertificate, verify_pst
 from .spectral import eigendecompose, per_time
@@ -86,7 +86,7 @@ def pst_transfer_to_line(g: Graph, u1: int, u2: int, t: float) -> LineTransferRe
     verification) has no known non-degenerate input, and no test exercises
     it: every input known to certify is one of the degenerate cases above.
     """
-    _vertex_check(g.n, u1, u2)
+    _vertices(g.n, (u1, u2))
     if g.edge_count < 2:
         raise ValueError("transfer to the line graph needs at least two edges")
     degs = g.degrees()

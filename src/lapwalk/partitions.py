@@ -8,6 +8,8 @@ kind applied to the symmetrized counts and the cell degrees, the same
 formula a graph's operator is built by, so its signs are fixed by the kind
 and never inferred from data. A partition exists only once its counts are
 verified, so a quotient is read from the partition alone, with no graph.
+Cell entries pass the integer gate of ``graphs`` (``_indices``, then
+``_vertices``), so a non-integer vertex is named, never truncated.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, _vertex_check, cycle, path
+from .graphs import Graph, _indices, _order, _vertices, cycle, path
 from .operators import Hamiltonian, OperatorKind, _operator_matrix, normalized_laplacian, operator
 from .pst import walk_entries
 
@@ -90,30 +92,30 @@ class Partition:
 
 
 def _validated_cells(n: int, cells: Sequence[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    """The cells as sorted tuples. Reading cells in order and each cell in
-    ascending order, the first empty cell, out-of-range vertex or repeated
-    vertex raises ValueError."""
-    tup = tuple(tuple(sorted(map(int, cell))) for cell in cells)
+    """The cells as sorted tuples. Every entry passes the integer gate in
+    input order; then, reading cells in order and each cell in ascending
+    order, the first empty cell, out-of-range vertex or repeated vertex
+    raises ValueError."""
+    tup = tuple(map(tuple, cells))
     sizes = np.fromiter(map(len, tup), np.intp, len(tup))
-    read = np.fromiter(chain.from_iterable(tup), object, int(sizes.sum()))  # Python ints, any size
+    flat = _indices(chain.from_iterable(tup))
+    read = flat[np.lexsort((flat, np.repeat(np.arange(len(tup)), sizes)))]  # cell by cell, each ascending
     # each fault's place is the number of vertices read before it, so an
     # empty cell comes before the vertex read right after it
     outside = np.flatnonzero((read < 0) | (read >= n))
     stop = int(outside[0]) if outside.size else len(read)
-    inside = read[:stop].astype(np.intp)
     repeated = np.ones(stop, dtype=bool)
-    repeated[np.unique(inside, return_index=True)[1]] = False  # each vertex's first reading
+    repeated[np.unique(read[:stop], return_index=True)[1]] = False  # each vertex's first reading
     repeat = int(np.argmax(repeated)) if repeated.any() else stop
     empty = np.flatnonzero(sizes == 0)
     if empty.size and (np.cumsum(sizes) - sizes)[empty[0]] <= repeat:
         raise ValueError("cells must be nonempty")
     if repeat < stop:
-        raise ValueError(f"vertex {inside[repeat]} appears in two cells")
-    if stop < len(read):
-        _vertex_check(n, read[stop])  # raises: the first vertex out of range
+        raise ValueError(f"vertex {read[repeat]} appears in two cells")
+    vertices = _vertices(n, read)  # raises at read[stop], the first vertex out of range
     if len(read) != n:
         raise ValueError("cells must cover every vertex")
-    return tup
+    return tuple(tuple(cell.tolist()) for cell in np.split(vertices, np.cumsum(sizes))[:-1])
 
 
 def _owner(n: int, cells) -> np.ndarray:
@@ -240,7 +242,7 @@ def lift_check(
     checked = ~np.isnan(expected)  # an almost-equitable partition has no diagonal counts
     if (_neighbor_counts(g, owner, p.size)[checked] != expected[checked]).any():
         raise ValueError("the partition's neighbour counts do not hold in this graph")
-    _vertex_check(p.n, u, v)
+    _vertices(p.n, (u, v))
     cu, cv = p.cell_of[u], p.cell_of[v]
     if len(p.cells[cu]) != 1 or len(p.cells[cv]) != 1:
         raise ValueError("lifting needs singleton cells at both endpoints")
@@ -274,6 +276,7 @@ def path_cycle_correspondence(n: int) -> PathCycleReport:
     edge matrix [[0,2],[2,0]] standing in for the cycle, for which both
     identities hold verbatim.
     """
+    n = _order(n, "n")
     if n < 2:
         raise ValueError("needs a path on at least two vertices")
     m = n - 1

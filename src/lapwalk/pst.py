@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, _vertex_check, complement, complete, cycle, empty, join, path, weak_product
+from .graphs import Graph, _order, _vertices, complement, complete, cycle, empty, join, path, weak_product
 from .operators import (
     Hamiltonian,
     OperatorKind,
@@ -47,7 +47,6 @@ __all__ = [
     "join_walk_entry",
     "connected_double_cone_refutation",
     "weak_product_closure_1",
-    "weak_product_closure_2",
     "normalized_weak_product_walk_check",
     "WeakProductCheck",
     "cycle_pst_screen",
@@ -94,10 +93,11 @@ class PstCertificate:
 
 
 def _pair_spectrum(h: Hamiltonian, pair: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The one place a pair is read from a Hamiltonian: a vertex outside
-    0..n-1 raises ValueError before any eigensolve, then the cluster values
-    of ``h`` and the pair's weights, from one decomposition."""
-    _vertex_check(len(h.matrix), *pair)
+    """The one place a pair is read from a Hamiltonian: a vertex that is not
+    an integer in 0..n-1 (``graphs._vertices``) raises ValueError before any
+    eigensolve, then the cluster values of ``h`` and the pair's weights,
+    from one decomposition."""
+    _vertices(len(h.matrix), pair)
     dec = eigendecompose(h)
     return dec.values, dec.pair_weights(*pair)
 
@@ -539,12 +539,6 @@ def weak_product_closure_1(spec_g: Sequence[float], spec_h: Sequence[float], t: 
     return _near_integers(angles / (2.0 * math.pi))
 
 
-def weak_product_closure_2(spec_g: Sequence[float], spec_h: Sequence[float], t: float) -> bool:
-    """True when t * lambda * mu lies in 2 pi Z for every pair of eigenvalues."""
-    angles = np.outer(t * np.asarray(spec_g, float), np.asarray(spec_h, float))
-    return _near_integers(angles / (2.0 * math.pi))
-
-
 @dataclass(frozen=True)
 class WeakProductCheck:
     operator_deviation: float
@@ -623,6 +617,7 @@ def cycle_pst_screen(n: int) -> CycleScreen:
     conclusion (possible only for n in {2, 3}) is reported with reason
     "theorem" rather than re-derived.
     """
+    n = _order(n, "n")
     if n < 2:
         raise ValueError("needs n >= 2")
     order = 2 * (n - 1)

@@ -35,6 +35,26 @@ def test_parse_time_forms():
         parse_time("__import__('os')")
 
 
+@pytest.mark.parametrize("text", ["+".join(["1"] * 3000), "-" * 5000 + "1"], ids=["sum", "signs"])
+def test_time_nested_too_deep_is_an_input_error(tmp_path, capsys, text):
+    gfile = tmp_path / "p3.json"
+    lio.save_graph(path(3), gfile)
+    argv = ["walk", "--graph", str(gfile), "--kind", "adjacency", "--from", "0", "--to", "2"]
+    assert main([*argv, f"--time={text}"]) == 2  # "=": argparse reads a leading "-" as an option
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: cannot parse time")
+    assert captured.err.count("\n") == 1
+
+
+def test_graph_show_prints_exact_degrees(monkeypatch, capsys):
+    # {:g} printed the hub's degree 1000001 as 1e+06
+    star = join(empty(1), empty(1_000_001))
+    monkeypatch.setattr(lio, "load_graph", lambda path: star)
+    assert main(["graph", "show", "--graph", "star.json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "degrees 1000001" + " 1" * 1_000_001
+
+
 def test_graph_build_and_show(tmp_path, capsys):
     out = tmp_path / "p3.json"
     assert main(["graph", "build", "--type", "path", "--n", "3", "--out", str(out)]) == 0
@@ -180,7 +200,7 @@ def test_quotient_command(tmp_path, capsys):
     pfile = tmp_path / "cells.json"
     g = join(empty(2), complete(4))
     lio.save_graph(g, gfile)
-    pfile.write_text(lio.cells_to_json([[0], [2, 3, 4, 5], [1]]))
+    pfile.write_text(json.dumps({"cells": [[0], [2, 3, 4, 5], [1]]}))
     code = main(
         ["quotient", "--graph", str(gfile), "--partition", str(pfile), "--kind", "signless"]
     )
@@ -195,7 +215,7 @@ def test_quotient_command_prints_the_normalized_quotient(tmp_path, capsys):
     gfile = tmp_path / "dc.json"
     pfile = tmp_path / "cells.json"
     lio.save_graph(join(empty(2), complete(4)), gfile)
-    pfile.write_text(lio.cells_to_json([[0], [2, 3, 4, 5], [1]]))
+    pfile.write_text(json.dumps({"cells": [[0], [2, 3, 4, 5], [1]]}))
     argv = ["quotient", "--graph", str(gfile), "--partition", str(pfile), "--kind"]
     # apexes of degree 4, the K4 cell of degree 5: -2/sqrt(4 * 5) = -1/sqrt(5)
     assert main([*argv, "normalized"]) == 0
@@ -209,7 +229,7 @@ def test_the_custom_kind_is_named_by_its_value(tmp_path, capsys):
     # a str-mixin Enum formats as OperatorKind.CUSTOM under Python 3.11
     gfile, pfile = tmp_path / "p3.json", tmp_path / "cells.json"
     lio.save_graph(path(3), gfile)
-    pfile.write_text(lio.cells_to_json([[0, 2], [1]]))
+    pfile.write_text(json.dumps({"cells": [[0, 2], [1]]}))
     quotient = ["quotient", "--graph", str(gfile), "--partition", str(pfile)]
     for argv in (["matrix", "--graph", str(gfile)], quotient):
         assert main([*argv, "--kind", "custom"]) == 2

@@ -1,3 +1,4 @@
+import re
 from itertools import chain, islice
 
 import numpy as np
@@ -8,7 +9,6 @@ from lapwalk import control
 from lapwalk.control import (
     WalkMatrix,
     exact_rank,
-    is_controllable,
     unicyclic_no_pst_pipeline,
     walk_matrix,
 )
@@ -51,11 +51,18 @@ def test_only_walk_matrix_builds_a_walk_matrix():
     assert exact_rank(walk_matrix(path(2), (0,))) == 2
 
 
+def test_walk_matrix_subsets_are_never_truncated():
+    for subset, named in [([0.5], "got 0.5"), ([True], "got True"), ((0, "1"), "got '1'")]:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            walk_matrix(path(3), subset)
+    assert walk_matrix(path(3), [np.int64(2), np.int32(0), 2]).subset == (0, 2)
+
+
 def test_cone_rank_examples():
     g0 = cone_p4_with_pendant(0)
     assert exact_rank(walk_matrix(g0.graph, (g0.probe,))) == 5
     # vertex 4 of the bare cone is controllable too
-    assert is_controllable(g0.graph, (4,))
+    assert exact_rank(walk_matrix(g0.graph, (4,))) == g0.graph.n
     g2 = cone_p4_with_pendant(2)
     assert exact_rank(walk_matrix(g2.graph, (g2.probe,))) < 7
     g3 = cone_p4_with_pendant(3)
@@ -65,12 +72,12 @@ def test_cone_rank_examples():
 def test_mod3_controllability_law():
     for m in range(41):
         pc = cone_p4_with_pendant(m)
-        controllable = is_controllable(pc.graph, (pc.probe,))
+        controllable = exact_rank(walk_matrix(pc.graph, (pc.probe,))) == pc.graph.n
         assert controllable == (m % 3 != 2), m
 
 
 def test_k3_vertex_not_controllable():
-    assert not is_controllable(complete(3), (0,))
+    assert exact_rank(walk_matrix(complete(3), (0,))) < 3
 
 
 def test_exact_rank_matches_spectral_count():
@@ -96,7 +103,7 @@ def test_exact_rank_invariances():
     w = walk_matrix(g, (1,))
     base = exact_rank(w)
     perm = list(reversed(range(g.n)))
-    gp = g.relabel(perm)
+    gp = make_graph(g.n, np.array(perm)[g.ends])
     wp = walk_matrix(gp, (perm[1],))
     assert exact_rank(wp) == base
 
@@ -362,7 +369,7 @@ def test_no_rank_path_reads_the_walk_rows(monkeypatch, capsys):
     monkeypatch.setattr(WalkMatrix, "rows", property(unread))
     pc = cone_p4_with_pendant(2)
     assert exact_rank(walk_matrix(pc.graph, (pc.probe,))) == 6
-    assert is_controllable(path(5), (0,)) and not is_controllable(complete(3), (1,))
+    assert exact_rank(walk_matrix(path(5), (0,))) == 5 and exact_rank(walk_matrix(complete(3), (1,))) < 3
     assert unicyclic_no_pst_pipeline(3).ranks == (8, 8)
 
 

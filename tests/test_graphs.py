@@ -7,6 +7,7 @@ import pytest
 import oracle
 from lapwalk import io as lio
 from lapwalk.graphs import (
+    Graph,
     cartesian_product,
     circulant,
     circulant_family,
@@ -52,7 +53,7 @@ def test_cycle_eigenvalues():
 def test_complete_empty_hypercube():
     assert complete(2).edge_count == 1
     assert empty(4).edge_count == 0
-    assert hypercube(2).edges == cycle(4).relabel([0, 1, 3, 2]).edges
+    assert hypercube(2).edges == make_graph(4, np.array([0, 1, 3, 2])[cycle(4).ends]).edges
     q3 = hypercube(3)
     assert q3.n == 8
     assert all(d == 3 for d in q3.degrees())
@@ -96,7 +97,7 @@ def test_join_and_union():
     assert (0, 1) not in g.edges
     assert g.edge_count == 5
     p3 = join(empty(2), empty(1))
-    assert p3.relabel([0, 2, 1]) == path(3)
+    assert make_graph(3, np.array([0, 2, 1])[p3.ends]) == path(3)
     for a, b in [(path(3), complete(2)), (cycle(4), empty(3))]:
         assert join(a, b).n == a.n + b.n
 
@@ -159,8 +160,6 @@ def test_combinators_match_networkx():
         same(complement(g), nx.complement(to_nx(g)))
         index = {frozenset(e): i for i, e in enumerate(g.edges)}
         same(line_graph(g), nx.line_graph(to_nx(g)), lambda e: index[frozenset(e)])
-        perm = rng.permutation(g.n).tolist()
-        same(g.relabel(perm), nx.relabel_nodes(to_nx(g), dict(enumerate(perm))))
     for g, h in zip(graphs, graphs[5:] + graphs[:5]):
         big, small = to_nx(g), to_nx(h)
         shifted = nx.relabel_nodes(small, lambda b: b + g.n)
@@ -374,12 +373,41 @@ def test_make_graph_names_the_first_offending_entry():
         ([(2, 1), (0, 1), (1, 2)], "duplicate edge (1, 2)"),
         ([(0, 1), (1,)], "edge (1,) must be (u, v)"),
         ([(0, 1), (1, 2, 3.0)], "edge (1, 2, 3.0) must be (u, v)"),
-        ([(0, 1), (1, 2**65)], "is out of range"),
+        ([(0, 1), (1, 2**65)], f"edge (1,{2**65}) out of range"),
     ]
     for edges, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
             make_graph(3, edges)
-    with pytest.raises(ValueError, match="must be a permutation"):
-        path(3).relabel([0, 1, 1])
-    with pytest.raises(ValueError, match="must be a permutation"):
-        path(3).relabel([0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: path(3.5), "got 3.5"),
+        (lambda: complete(2.5), "got 2.5"),
+        (lambda: hypercube(2.0), "got 2.0"),
+        (lambda: Graph(3.0, [[0, 1]]), "got 3.0"),
+        (lambda: Graph(3, [[0, 1.7]]), "got 1.7"),
+        (lambda: make_graph(2.9, [(0, 1)]), "got 2.9"),
+        (lambda: make_graph(3, [(0, 1.9), (1, 2)]), "got 1.9"),
+        (lambda: make_graph(3, [(True, 2.5)]), "got True"),
+        (lambda: make_graph(3, [("0", "1")]), "got '0'"),
+        (lambda: circulant(6, [1.5, 5.2]), "got 1.5"),
+    ],
+    ids=["path", "complete", "hypercube", "Graph-n", "Graph-ends", "make_graph-n",
+         "make_graph-float", "make_graph-bool", "make_graph-str", "circulant"],
+)
+def test_counts_and_vertices_are_never_truncated(build, named):
+    """A count or vertex that is not an int or an np.integer (a bool is
+    neither) raises ValueError naming the first such value."""
+    with pytest.raises(ValueError, match=re.escape(named)):
+        build()
+
+
+def test_numpy_integers_are_counts_and_vertices():
+    i32, i64 = np.int32, np.int64
+    assert path(i64(3)) == path(3) and type(path(i64(3)).n) is int
+    assert make_graph(i64(3), [(i32(0), i64(1)), (i64(2), i32(1))]) == path(3)
+    assert Graph(i32(3), np.array([[0, 1], [1, 2]], np.int32)) == path(3)
+    assert circulant(i64(6), [i32(1), i64(5)]) == cycle(6)
+    assert Graph(3, np.empty((0, 2))) == empty(3)  # no entries, so no non-integer

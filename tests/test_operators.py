@@ -150,25 +150,6 @@ def test_non_finite_matrix_is_not_called_asymmetric():
             Hamiltonian(OperatorKind.CUSTOM, [[bad, 0.0], [0.0, 0.0]])
 
 
-def test_hamiltonian_equality_and_hash():
-    a, b = standard_laplacian(path(3)), standard_laplacian(path(3))
-    assert a == b and hash(a) == hash(b)
-    assert len({a, b, signless_laplacian(path(3))}) == 2
-    # same matrix, different kind or graph
-    assert a != signless_laplacian(path(3))
-    assert a != standard_laplacian(make_graph(3, [(0, 1), (0, 2)]))
-    assert a != Hamiltonian(OperatorKind.CUSTOM, a.matrix)
-    assert a != Hamiltonian(OperatorKind.STANDARD, a.matrix)  # no graph
-    assert adjacency(cycle(4)) != standard_laplacian(cycle(4))
-    # custom matrices without a graph compare by value; -0.0 equals 0.0
-    c = Hamiltonian(OperatorKind.CUSTOM, [[0.0, -0.0], [-0.0, 1.0]])
-    d = Hamiltonian(OperatorKind.CUSTOM, [[0.0, 0.0], [0.0, 1.0]])
-    assert c == d and hash(c) == hash(d)
-    assert c != Hamiltonian(OperatorKind.CUSTOM, [[0.0, 0.0], [0.0, 2.0]])
-    assert weighted_p3(0.5) == weighted_p3(0.5) != weighted_p3(1.5)
-    assert c != Hamiltonian(OperatorKind.CUSTOM, np.zeros((3, 3)))
-
-
 def test_kind_parsing():
     assert OperatorKind.from_name("laplacian") == OperatorKind.STANDARD
     assert OperatorKind.from_name("Signless") == OperatorKind.SIGNLESS

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -463,6 +464,21 @@ def test_edgeless_refinement_keeps_the_input_cells():
     assert p.cells == ((1, 6), (0, 2, 4), (3, 5))
     assert not p.degree_counts.any()
     assert p.cell_of == (1, 0, 1, 2, 1, 2, 0)
+
+
+def test_cell_entries_are_never_truncated():
+    for check, cells, named in [
+        (check_equitable, [[0, 2.7], [1]], "got 2.7"),
+        (coarsest_equitable_refinement, [[0, 2.0], [1]], "got 2.0"),
+        (check_equitable, [[0, 2], [True]], "got True"),
+        (check_almost_equitable, [["0", 2], [1]], "got '0'"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            check(path(3), cells)
+    with pytest.raises(ValueError, match="^n must be an integer, got 2.5$"):
+        path_cycle_correspondence(2.5)
+    p = check_equitable(path(3), [[np.int64(2), np.int32(0)], [np.int64(1)]])
+    assert p.cells == ((0, 2), (1,)) and {type(v) for cell in p.cells for v in cell} == {int}
 
 
 def test_validation_reports_the_first_fault_in_cell_order():

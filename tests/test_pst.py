@@ -41,7 +41,6 @@ from lapwalk.pst import (
     search_pst,
     verify_pst,
     weak_product_closure_1,
-    weak_product_closure_2,
 )
 from lapwalk.spectral import eigendecompose, entry_sum
 
@@ -92,9 +91,7 @@ def test_weak_product_closures_match_the_scalar_loop():
         spec_h = spec_h + rng.choice([0.0, 1e-10, 3e-10, 1e-9], size=spec_h.shape)
         t = 2.0 * math.pi * 3.0 * int(rng.integers(1, 4))
         first = _closure_reference(spec_g, spec_h, t, lambda t, lam, mu: t * mu * (lam - 1.0))
-        second = _closure_reference(spec_g, spec_h, t, lambda t, lam, mu: t * lam * mu)
         assert weak_product_closure_1(list(spec_g), list(spec_h), t) is first
-        assert weak_product_closure_2(list(spec_g), list(spec_h), t) is second
 
 
 def test_verify_refutes_standard_p3():
@@ -213,27 +210,6 @@ def test_weak_product_closure_conditions():
     assert weak_product_closure_1(spec_p3, spec_q3, 3 * math.pi)
     spec_k3 = [0.0, 3.0 / 2.0]
     assert not weak_product_closure_1(spec_p3, spec_k3, math.pi)
-    assert weak_product_closure_2([0.0, 0.0], [1.0, 2.0], 0.37)
-    assert weak_product_closure_2([0.0, 2.0], [0.0, 2.0], math.pi / 2)
-
-
-def test_weak_product_closure_2_small_scan():
-    # record pairs realizing the second closure among tiny transfer graphs
-    candidates = [
-        ("K2", complete(2), math.pi / 2),
-        ("P3", path(3), math.pi),
-    ]
-    found = []
-    for la, ga, ta in candidates:
-        for lb, gb, tb in candidates:
-            if ta != tb:
-                continue
-            sa = eigendecompose(normalized_laplacian(ga)).values
-            sb = eigendecompose(normalized_laplacian(gb)).values
-            if weak_product_closure_2(sa, sb, ta):
-                found.append((la, lb, ta))
-    # K2 x K2 at pi/2 satisfies the arithmetic condition
-    assert ("K2", "K2", math.pi / 2) in found
 
 
 def test_normalized_weak_product_walk_check():
@@ -296,6 +272,18 @@ def test_every_pair_reader_rejects_a_vertex_out_of_range_before_the_eigensolve(m
     for read in readers:
         with pytest.raises(ValueError, match=f"^vertex {bad} out of range$"):
             read()
+
+
+@pytest.mark.parametrize("pair, named", [((0, 1.5), "got 1.5"), ((True, 2), "got True")])
+def test_pair_vertices_are_never_truncated(monkeypatch, pair, named):
+    h = standard_laplacian(path(3))
+    assert verify_pst(h, (np.int64(0), np.int32(2)), 1.0).magnitude == verify_pst(h, (0, 2), 1.0).magnitude
+    monkeypatch.setattr(pst, "eigendecompose", lambda h: pytest.fail("eigensolve before the vertex check"))
+    for read in (lambda: verify_pst(h, pair, 1.0), lambda: search_pst(h, pair, 50.0)):
+        with pytest.raises(ValueError, match=f"^vertex must be an integer, {named}$"):
+            read()
+    with pytest.raises(ValueError, match="^n must be an integer, got 2.5$"):
+        cycle_pst_screen(2.5)
 
 
 def test_search_k2_ends_on_rising_edge():
