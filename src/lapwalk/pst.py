@@ -142,8 +142,9 @@ def _certificate(h, pair, t, amp, method) -> PstCertificate:
     return PstCertificate(tuple(pair), h.kind, float(t), abs(amp), cmath.phase(amp), method)
 
 
-SCAN_BLOCK = 2048  # grid points per block, one row of a scan product
-SCAN_POINTS = 1 << 16  # grid points per scan product: 32 blocks, 1 MiB of complex
+SCAN_CELL = 16  # grid points per cell: one coarse evaluation and its envelope
+SCAN_BLOCK = 64  # grid points per block the fine pass evaluates: 4 cells
+SCAN_POINTS = 1 << 16  # grid points per coarse product: 1024 blocks
 PEAK_CAP = 400  # most grid maxima refined per search
 PEAK_CUTOFF = 0.05  # grid maxima further than this below the best are not refined
 REFINE_TOL = 1e-12  # bracket width at which search_pst stops refining a peak
@@ -245,90 +246,124 @@ def _refine_peak(values, weights, lo, hi):
     return np.where(rising, 0.5 * (lo + hi), np.where(mag[n:] > mag[:n], hi, lo))
 
 
-def _phase_table(values, step, rows):
-    """exp(-i j step theta_k) for the offsets j = -1 .. rows - 2 (rows >= 3),
-    one row per offset, from at most (3 / sqrt 2) sqrt(rows) + 2 rows of
-    exponentials: 98 for a whole block's 2050 rows.
+def _lattice(phi, step, n):
+    """exp(-i j step phi_k) for j = 0 .. n - 1 (n >= 1) as two short tables
+    whose products give every row: row j is coarse[j // f] * fine[j % f],
+    with f = 2^floor(L/2), L the bit length of n, within a factor sqrt 2 of
+    sqrt(n). They take ceil(n / f) + f rows of exponentials, not n.
 
-    Offset j = F a + b (0 <= b < F) has exp(-i j step theta) =
-    exp(-i F a step theta) exp(-i b step theta): a coarse table over a and
-    a fine one over b, multiplied out by one broadcast product and sliced
-    to the rows wanted. F is the power of two 2^floor(L/2), L the bit
-    length of rows, within a factor sqrt 2 of sqrt(rows). Any F near
-    sqrt(rows) costs as little, but the choice moves answers: where more
-    than ``PEAK_CAP`` grid maxima are equal, rounding picks the ones kept.
-    Against a direct table, on two seeded corpora of about 3400 searches,
-    this F moved 5 answers in each and F = ceil(sqrt(rows)) 35 and 39.
+    coarse[a] = exp(-i (a f step) phi) and fine[b] = exp(-i (b step) phi),
+    each from its own rounded argument. The two arguments round by about
+    eps (a f + b) step |phi| <= eps n step max|phi| together, as much as
+    the direct argument j step phi rounds, and the two exponentials and
+    their product add a few eps: a product differs from np.exp of the
+    direct argument by at most 2 eps (n step max|phi| + 4)."""
+    f = 1 << (n.bit_length() // 2)
+    coarse = np.exp(-1j * np.outer(np.arange(-(-n // f)) * (f * step), phi))
+    fine = np.exp(-1j * np.outer(np.arange(f) * step, phi))
+    return coarse, fine
 
-    The two arguments round by about eps (|F a| + b) step |theta| <=
-    eps * rows * step * max|theta| together, as large as the direct
-    argument j step theta rounds, and the two exponentials and their
-    product add a few eps: an entry differs from np.exp of the direct
-    argument by at most 2 eps * (rows * step * max|theta| + 4)."""
-    f = 1 << (rows.bit_length() // 2)
-    coarse = np.exp(-1j * np.outer(np.arange(-1, (rows - 2) // f + 1) * f * step, values))
-    fine = np.exp(-1j * np.outer(np.arange(f) * step, values))
-    return (coarse[:, None, :] * fine).reshape(-1, len(values))[f - 1 : f - 1 + rows]
+
+def _envelope(b, db, phi, weights, h):
+    """|b(t_c)| + |b'(t_c)| h + M2 h^2 / 2, M2 = sum_k |w_k| phi_k^2, for b
+    and b' at every centre t_c: a bound on |b(t)| for |t - t_c| <= h, where
+    b(t) = sum_k w_k exp(-i t phi_k) (see ``_grid_peaks``)."""
+    return np.abs(b) + np.abs(db) * h + 0.5 * (np.abs(weights) @ phi**2) * h * h
 
 
 def _grid_peaks(values, weights, step, count, t_max):
-    """Grid indices of the maxima of |sum_k w_k exp(-i t theta_k)| on the
-    grid t = i * step, i < count, the last point clamped to t_max: the
-    ``PEAK_CAP`` largest of them, none more than ``PEAK_CUTOFF`` below the
-    largest, ordered by magnitude, then interior points before the two
-    ends, then index.
+    """Grid indices of the maxima of |a(t)|, a(t) = sum_k w_k exp(-i t
+    theta_k), on the grid t = i * step, i < count (count >= 2), the last
+    point clamped to t_max: at most ``PEAK_CAP`` of them, none more than
+    ``PEAK_CUTOFF`` below the largest. The cap keeps first the maxima within
+    ``margin`` (below) of the largest, by index, then the others by
+    magnitude, interior points before the two ends within each rank: where
+    more maxima than the cap are equal up to rounding, the earliest stay.
 
-    Grid point (s + j) * step has phases exp(-i s step theta) exp(-i j step
-    theta). The second factor, for j = -1 .. SCAN_BLOCK, is one table per
-    search (``_phase_table``, itself the product of two short tables); the
-    first, times the weights, is one row per block start s. A product of up
-    to ``SCAN_POINTS`` / ``SCAN_BLOCK`` such rows with the table evaluates
-    that many blocks at once, each with its own neighbour on either side,
-    so memory does not grow with count. The last point is off that lattice
-    and evaluated directly; it lies after t = 0 (count >= 2), so the start
-    ``entry_sum`` answers at t = 0 is never read.
+    Two levels. Cell j is the C = ``SCAN_CELL`` grid points j C .. j C + C
+    - 1, and its centre is the grid point j C + C // 2, at time t_c; every
+    point of the cell lies within h = (C // 2) step of t_c. With c the
+    middle of the support and phi_k = theta_k - c, the shifted entry
+    b(t) = exp(i t c) a(t) = sum_k w_k exp(-i t phi_k) has |b| = |a|, and
+    |b''| <= M2 = sum_k |w_k| phi_k^2 at every t, so Taylor's theorem with
+    integral remainder bounds the whole cell by its envelope
 
-    Rounding: a table entry is within 2 eps (rows * step * max|theta| + 4)
-    of a direct exponential, rows = min(SCAN_BLOCK, count) + 2 and
-    rows * step < t_max + 4 step; a block row's argument s step theta rounds
-    by about eps s step max|theta|. A grid magnitude is thus off by a few
-    eps * (t_max + 4 step) * max|theta| * sum|w|, a small multiple of
-    ``search_pst``'s rounding bound. Grid magnitudes only choose the maxima
-    that are refined, so this can only swap grid maxima equal within it.
+        |a(t)| <= |b(t_c)| + |b'(t_c)| h + M2 h^2 / 2   for |t - t_c| <= h.
 
-    A grid of at least one whole product runs its products through BLAS;
-    a shorter one contracts with einsum. A threaded BLAS call leaves its
-    worker threads spinning after it returns: over the verification
-    suites' short grids (at most about 2e4 points) that spin raised the
-    CPU time by half, while the long searches of the scan benchmark (8e4
-    points or more) ran in half the time on BLAS."""
-    offsets = np.arange(-1, min(SCAN_BLOCK, count) + 1)
-    table = _phase_table(values, step, len(offsets))
-    last_mag = abs(entry_sum(values, weights, [min((count - 1) * step, t_max)], 0.0)[0])
+    The coarse pass evaluates b and b' at the centres of up to
+    ``SCAN_POINTS`` / C cells at a time, as one product of short tables
+    (``_lattice``) with a row of weights per coarse product, so memory does
+    not grow with count. L is the largest coarse |b| seen so far at a
+    centre that is a grid point (index < count - 1: the last point is
+    clamped, off the lattice). A cell is kept where its envelope plus
+    ``margin`` reaches L - ``PEAK_CUTOFF``, and so is the cell of the last
+    point, which the clamp can put a step outside the cell's lattice span.
+    The fine pass evaluates every block of ``SCAN_BLOCK`` points (whole
+    cells) that holds a kept cell, at its points and one neighbour on
+    either side: one product of a fine table with the block's row
+    w_k exp(-i t phi_k) at its first centre, itself one product of two
+    coarse-pass rows. Where most cells are kept, as when the magnitude
+    stays small, blocks of several cells cost fewer rows and less memory
+    than one row per cell. The last point itself is evaluated directly,
+    after t = 0 (count >= 2), so the start ``entry_sum`` answers at t = 0
+    is never read.
+
+    A cell that is not kept holds no maximum the cutoff keeps. Let r =
+    eps * sum|w| (1 + h max|phi|)^2 (T max|theta| + k + 8), with k clusters
+    and T = (count + ``SCAN_BLOCK``) step past every time evaluated. By
+    ``_lattice``'s bound, every computed |b| (coarse or fine) is within r
+    of its exact value, and a computed envelope within 2r of its exact
+    value. L came from a grid point, so the largest computed grid
+    magnitude G is at least L - 2r, and a computed point of a cell not
+    kept is at most its envelope + 3r < L - PEAK_CUTOFF - margin + 3r <=
+    G - PEAK_CUTOFF + 5r - margin, below G - PEAK_CUTOFF for margin = 8r.
+    So the maxima kept, their order and their brackets are those of
+    evaluating every point, up to rounding; margin is a small multiple of
+    ``search_pst``'s rounding bound."""
+    cell = SCAN_CELL
+    half = cell // 2  # the centre's offset in its cell, and h in steps
+    group = max(SCAN_BLOCK // cell, 1)  # cells per block
+    block = group * cell
+    per = max(SCAN_POINTS // block, 1) * group  # cells per coarse product
+    cells = -(-count // block) * group  # whole blocks, past the grid's end
+    last = count - 1
+    phi = values - 0.5 * (values[0] + values[-1])
+    h_phi = half * step * np.abs(phi).max()
+    reach = (count + block) * step * np.abs(values).max() + len(values) + 8
+    margin = 8 * np.finfo(float).eps * np.abs(weights).sum() * (1 + h_phi) ** 2 * reach
+    coarse, fine = _lattice(phi, cell * step, min(per, cells))
+    f = len(fine)
+    slope = -1j * phi
+    table = np.exp(-1j * np.outer(np.arange(-half - 1, block - half + 1) * step, phi))
+    last_mag = abs(entry_sum(values, weights, [min(last * step, t_max)], 0.0)[0])
+    lower = -np.inf
     peaks = np.empty(0, dtype=int)
     peak_mags = np.empty(0)
-    stride = max(SCAN_POINTS // SCAN_BLOCK, 1) * SCAN_BLOCK
-    for first in range(0, count, stride):
-        starts = np.arange(first, min(first + stride, count), SCAN_BLOCK)[:, None]
-        shifted = weights * np.exp(-1j * (starts * step) * values)
-        if count >= SCAN_POINTS:
-            mags = np.abs(shifted @ table.T)  # one row per block
-        else:
-            mags = np.abs(np.einsum("bk,tk->bt", shifted, table))
-        index = starts + offsets
-        mags[index == count - 1] = last_mag
-        # outside the grid; the cutoff drops any maximum found there
-        mags[(index < 0) | (index >= count)] = -np.inf
+    for first in range(0, cells, per):
+        n = min(per, cells - first)
+        shifted = coarse[: -(-n // f)] * (weights * np.exp(-1j * ((first * cell + half) * step) * phi))
+        b, db = (np.concatenate([shifted, shifted * slope]) @ fine.T).reshape(2, -1)[:, :n]
+        starts = (first + np.arange(n)) * cell
+        lower = max(lower, np.abs(b)[starts + half < last].max(initial=-np.inf))
+        keep = _envelope(b, db, phi, weights, half * step) + margin >= lower - PEAK_CUTOFF
+        keep[starts == last - last % cell] = True
+        kept = np.flatnonzero(keep.reshape(-1, group).any(axis=1)) * group  # first cells
+        rows = shifted[kept // f] * fine[kept % f]
+        mags = np.abs(rows @ table.T)
+        index = starts[kept][:, None] + np.arange(-1, block + 1)
+        mags[index == last] = last_mag
+        mags[(index < 0) | (index > last)] = -np.inf
         mid, index = mags[:, 1:-1], index[:, 1:-1]
-        is_peak = (mid >= mags[:, :-2]) & (mid >= mags[:, 2:])
+        is_peak = (mid >= mags[:, :-2]) & (mid >= mags[:, 2:]) & (index <= last)
         peaks = np.concatenate([peaks, index[is_peak]])
         peak_mags = np.concatenate([peak_mags, mid[is_peak]])
-        # the cutoff only tightens as the largest grows, and the top
-        # PEAK_CAP of a union are the top of the parts' tops: merging once
-        # per product keeps the set that merging once per block keeps
-        near = peak_mags >= peak_mags.max(initial=-np.inf) - PEAK_CUTOFF
+        # the cutoff only tightens as the largest grows: filtering once per
+        # coarse product keeps what filtering at the end would
+        best = peak_mags.max(initial=-np.inf)
+        near = peak_mags >= best - PEAK_CUTOFF
         peaks, peak_mags = peaks[near], peak_mags[near]
-        top = np.lexsort((peaks, (peaks == 0) | (peaks == count - 1), -peak_mags))[:PEAK_CAP]
+        rank = np.where(peak_mags >= best - margin, -np.inf, -peak_mags)
+        top = np.lexsort((peaks, (peaks == 0) | (peaks == last), rank))[:PEAK_CAP]
         peaks, peak_mags = peaks[top], peak_mags[top]
     return peaks
 
@@ -348,14 +383,17 @@ def search_pst(
     support, the clusters with |w_k| > ``SUPPORT_TOL`` (1e-13) * sum|w|;
     the others move any magnitude by at most their dropped mass sum|w_k|.
     The magnitude is sampled on a uniform grid with ``grid_density`` points
-    per pi/(range of the support), evaluated as one matrix product per
-    ``SCAN_POINTS`` (2^16) grid points: a table of phases for the
-    ``SCAN_BLOCK`` (2048) offsets inside a block times one row of weights
-    per block start (see ``_grid_peaks``), the table itself the product of
-    two short ones. Grid magnitudes then differ from direct exponentials by
+    per pi/(range of the support), in two levels (see ``_grid_peaks``). A
+    coarse pass evaluates the entry and its derivative at the centre of
+    every cell of ``SCAN_CELL`` (16) grid points, ``SCAN_POINTS`` (2^16)
+    points per product, and bounds the whole cell by Taylor's theorem. Only
+    the blocks of ``SCAN_BLOCK`` (64) points that hold a cell whose bound
+    reaches the largest magnitude seen so far minus ``PEAK_CUTOFF`` are
+    evaluated point by point; the other cells hold no grid maximum the
+    cutoff would keep. Grid magnitudes differ from direct exponentials by
     rounding, a small multiple of eps * t_max * max|theta| * sum|w| over
-    the support; a horizon where that bound reaches 1 - ``REFUTE_THRESHOLD``
-    raises ValueError.
+    the support; a horizon where that bound reaches 1 -
+    ``REFUTE_THRESHOLD`` raises ValueError.
 
     An integral support is scanned over one period only. When every gap
     gamma_k = theta_k - theta_0 lies within ``INTEGER_TOL`` of an integer
@@ -370,9 +408,11 @@ def search_pst(
     not when every gap rounds to 0 or a gap reaches 2^53; otherwise, and
     for every other support, the grid runs to t_max.
 
-    Of the grid maxima (points no neighbour exceeds), the ``PEAK_CAP`` (400)
-    largest, ties going to interior points before t = 0 and the grid's end,
-    are kept unless more than ``PEAK_CUTOFF`` (0.05) below the largest. They
+    Of the grid maxima (points no neighbour exceeds), those more than
+    ``PEAK_CUTOFF`` (0.05) below the largest are dropped, and at most
+    ``PEAK_CAP`` (400) are kept: first the ones within rounding of the
+    largest, earliest first, then the others by magnitude, interior points
+    before t = 0 and the grid's end within each rank. They
     are refined together inside their neighbour brackets by a safeguarded
     Newton iteration on the sign of d|a|^2/dt (``_refine_peak``): Newton's
     step where it lands inside the bracket, a bisection where it does not or
@@ -450,7 +490,10 @@ def complement_closure_check(
 
 
 def join_necessary_condition(m: int, n: int, t: float) -> bool:
-    """Transfer inside a join forces t(m+n) in 2 pi Z."""
+    """Transfer inside a join of an m- and an n-vertex graph forces t(m+n)
+    in 2 pi Z. A count that is not an integer in 0 .. 2^62 - 1 raises
+    ValueError (``graphs._order``)."""
+    m, n = _order(m, "m"), _order(n, "n")
     return _near_integers(t * (m + n) / (2.0 * math.pi))
 
 
@@ -462,10 +505,11 @@ def join_walk_entry(h_g: Hamiltonian, n: int, pair: tuple[int, int], t: float) -
                                    + (1 - e^{-it(m+n)})/(m+n).
 
     ``h_g`` is L(G) alone, so m is its order, and the factor's entry is read
-    through ``walk_entries``: a vertex of ``pair`` outside 0..m-1, or a time
-    too long for the factor's entry, raises ValueError.
+    through ``walk_entries``: a vertex of ``pair`` outside 0..m-1, a time
+    too long for the factor's entry, or an n that is not an integer in
+    0 .. 2^62 - 1 (``graphs._order``) raises ValueError.
     """
-    m = h_g.n
+    m, n = h_g.n, _order(n, "n")
     inner = complex(walk_entries(h_g, pair, [t])[0])
     e_n = cmath.exp(-1j * t * n)
     e_mn = cmath.exp(-1j * t * (m + n))

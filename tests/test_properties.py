@@ -1,10 +1,12 @@
 """Property tests over small random graphs (hypothesis, from the test extra)."""
 
+import math
+
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import oracle  # noqa: E402
 from oracle import walk_oracle  # noqa: E402
@@ -20,6 +22,7 @@ from lapwalk.partitions import (  # noqa: E402
     partition_matrix,
     quotient,
 )
+from lapwalk import pst  # noqa: E402
 from lapwalk.pst import join_walk_entry  # noqa: E402
 from lapwalk.spectral import eigendecompose  # noqa: E402
 
@@ -134,6 +137,36 @@ def test_complement_walk_runs_backwards_when_n_t_is_a_multiple_of_2pi(g, k):
     t = 2.0 * np.pi * k / g.n
     u_comp = _walk(complement(g), "standard", t)
     assert np.abs(u_comp - _walk(g, "standard", -t)).max() < 1e-9
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(graphs(min_n=3, max_n=9, connected=True), st.sampled_from(KINDS), st.data())
+def test_grid_keeps_the_maxima_of_the_blockwise_reference(g, kind, data):
+    """The two-level grid keeps the maxima that evaluating every point
+    keeps (``oracle.blockwise_grid_peaks``), on grids from under one cell
+    to several coarse products, with t_max off the lattice. Only where more
+    than PEAK_CAP maxima lie within rounding of the largest may the two
+    keep different ones of those."""
+    u, v = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+    dec = eigendecompose(operator(g, kind))
+    values, weights, _ = pst._support(dec.values, dec.pair_weights(u, v))
+    assume(len(values) >= 2)
+    step = math.pi / float(values[-1] - values[0]) / 64  # search_pst's grid
+    within_blocks = st.integers(2, 2 * pst.SCAN_BLOCK)
+    about_one_product = st.integers(pst.SCAN_POINTS - 2 * pst.SCAN_BLOCK, pst.SCAN_POINTS + 2 * pst.SCAN_BLOCK)
+    several_products = st.integers(2 * pst.SCAN_POINTS, 3 * pst.SCAN_POINTS)
+    count = data.draw(st.one_of(within_blocks, st.integers(2, 1000), about_one_product, several_products))
+    t_max = (count - 1 - data.draw(st.floats(0.0, 0.99))) * step
+    got = pst._grid_peaks(values, weights, step, count, t_max)
+    want = oracle.blockwise_grid_peaks(values, weights, step, count, t_max)
+    assert len(got) == len(want) and len(set(got.tolist())) == len(got)
+    if len(want) < pst.PEAK_CAP:
+        assert sorted(got) == sorted(want)
+    else:
+        times = np.minimum(np.union1d(got, want) * step, t_max)
+        mags = np.abs(np.exp(-1j * np.outer(times, values)) @ weights)
+        tied = np.union1d(got, want)[mags >= mags.max() - 1e-9]
+        assert set(np.setxor1d(got, want)) <= set(tied)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)

@@ -37,6 +37,7 @@ from lapwalk.pst import (
     cycle_pst_screen,
     double_cone_characterization,
     join_necessary_condition,
+    join_walk_entry,
     normalized_weak_product_walk_check,
     search_pst,
     verify_pst,
@@ -192,6 +193,15 @@ def test_join_necessary_condition():
     assert join_necessary_condition(2, 2, math.pi / 2)
     assert not join_necessary_condition(2, 4, math.pi / 2)
     assert join_necessary_condition(2, 6, math.pi / 2)
+
+
+@pytest.mark.parametrize("m, n", [(1.5, 2), (2, 2.0), (True, 2), (2, -1)])
+def test_join_counts_pass_the_integer_gate(m, n):
+    with pytest.raises(ValueError):
+        join_necessary_condition(m, n, 3.14)
+    if m == 2:
+        with pytest.raises(ValueError):
+            join_walk_entry(standard_laplacian(path(2)), n, (0, 1), 3.14)
 
 
 def test_connected_double_cone_refutation():
@@ -381,7 +391,9 @@ def test_near_equal_peaks_cannot_lead_the_pick_below_the_largest():
 def test_search_block_size_does_not_change_certificate(monkeypatch):
     h = normalized_laplacian(path(7))
     default = search_pst(h, (0, 6), 200.0)
-    monkeypatch.setattr(pst, "SCAN_BLOCK", 7)
+    monkeypatch.setattr(pst, "SCAN_CELL", 7)
+    monkeypatch.setattr(pst, "SCAN_BLOCK", 21)
+    monkeypatch.setattr(pst, "SCAN_POINTS", 60)
     assert search_pst(h, (0, 6), 200.0) == default
 
 
@@ -412,16 +424,17 @@ def test_search_grid_matches_direct_exponentials(monkeypatch, block):
     # clamped to it. There |a| still rises and exceeds the point before it,
     # while at the lattice time past t_max it has fallen below: the grid
     # maximum is the last point only if that point is evaluated at t_max.
-    # Block sizes 1, 450 and 451 put the last point in a block of its own
-    # and in the halo of the block before it.
+    # Blocks (and cells) of 1, 450 and 451 points put the last point in a
+    # block of its own and in the halo of the block before it.
     _check_grid_brackets(monkeypatch, block, pst.SCAN_POINTS)
 
 
 @pytest.mark.parametrize("block, points", [(1, 5), (7, 20), (7, 448), (150, 300), (451, 451)])
 def test_search_grid_matches_direct_exponentials_across_products(monkeypatch, block, points):
-    # the same 452-point grid split over several products: products of 5
-    # blocks of 1, of 2 or 64 blocks of 7 and of 2 blocks of 150, the last
-    # product partial; (451, 451) leaves the last point alone in the second
+    # the same 452-point grid split over several coarse products: products
+    # of 5 blocks of 1, of 2 or 64 blocks of 7 and of 2 blocks of 150, the
+    # last product partial; (451, 451) leaves the last point alone in the
+    # second
     _check_grid_brackets(monkeypatch, block, points)
 
 
@@ -446,6 +459,7 @@ def _check_grid_brackets(monkeypatch, block, points):
         brackets.extend(zip(lo, hi))
         return refine(values, weights, lo, hi)
 
+    monkeypatch.setattr(pst, "SCAN_CELL", block)
     monkeypatch.setattr(pst, "SCAN_BLOCK", block)
     monkeypatch.setattr(pst, "SCAN_POINTS", points)
     monkeypatch.setattr(pst, "_refine_peak", spy)
@@ -495,12 +509,12 @@ def _with_reference_grid(monkeypatch, h, pair, t_max, **kwargs):
 
 
 SCAN_COUNTS = [
-    1000,  # below one block
-    pst.SCAN_BLOCK,
-    3 * pst.SCAN_BLOCK,
-    pst.SCAN_POINTS - 1,  # the longest grid contracted with einsum
-    pst.SCAN_POINTS,  # the shortest one multiplied through BLAS
-    pst.SCAN_POINTS + 1,
+    pst.SCAN_CELL - 6,  # within one cell
+    1000,  # within one coarse product
+    pst.SCAN_POINTS - 1,  # the longest grid in one coarse product
+    pst.SCAN_POINTS,
+    pst.SCAN_POINTS + 1,  # the last point alone in a second product
+    2 * pst.SCAN_POINTS + 5,
 ]
 
 
@@ -574,38 +588,37 @@ def _grid_arguments(monkeypatch, h, pair, t_max):
     return calls[0]
 
 
-TABLE_FACTOR = 64  # F for a whole block's 2050 rows
-
-
-@pytest.mark.parametrize("block", [pst.SCAN_BLOCK, 7])
-@pytest.mark.parametrize(
-    "count",
-    [1, 2, TABLE_FACTOR - 1, TABLE_FACTOR, TABLE_FACTOR + 1]
-    + [pst.SCAN_BLOCK - 1, pst.SCAN_BLOCK, pst.SCAN_POINTS],
-)
+@pytest.mark.parametrize("block", [2048, 7])  # grid points per coarse product: 32 blocks, 1 block
+@pytest.mark.parametrize("count", [1, 2, 63, 64, 65, 2047, 2048, pst.SCAN_POINTS])
 @pytest.mark.parametrize(
     "g, kind, pair", [(path(100), "standard", (0, 99)), (hypercube(6), "signless", (0, 63))]
 )
 def test_factored_phase_table_matches_direct_exponentials(monkeypatch, block, count, g, kind, pair):
-    # the table _grid_peaks multiplies by, against one np.exp per offset and
-    # cluster, within the bound _phase_table's docstring states
+    # every row the grid multiplies out of its two short tables, against
+    # one np.exp per row and cluster, within the bound _lattice's docstring
+    # states, for grids of one cell to many coarse products
     (values, _, step, _, _), _ = _grid_arguments(monkeypatch, operator(g, kind), pair, 200.0)
     tables = []
-    phase_table = pst._phase_table
+    lattice = pst._lattice
 
-    def spy(*args):
-        tables.append(phase_table(*args))
-        return tables[-1]
+    def spy(phi, spacing, n):
+        tables.append((phi, spacing, n, *lattice(phi, spacing, n)))
+        return tables[-1][3:]
 
-    monkeypatch.setattr(pst, "SCAN_BLOCK", block)
-    monkeypatch.setattr(pst, "_phase_table", spy)
+    monkeypatch.setattr(pst, "SCAN_POINTS", block)
+    monkeypatch.setattr(pst, "_lattice", spy)
     weights = np.full(len(values), 1.0 / len(values))
     pst._grid_peaks(values, weights, step, count, count * step)
-    rows = min(block, count) + 2
-    direct = np.exp(-1j * np.outer(np.arange(-1, rows - 1) * step, values))
-    bound = 2 * np.finfo(float).eps * (rows * step * np.abs(values).max() + 4)
-    assert len(tables) == 1 and tables[0].shape == direct.shape
-    assert np.abs(tables[0] - direct).max() <= bound
+    assert len(tables) == 1
+    phi, spacing, n, coarse, fine = tables[0]
+    group = pst.SCAN_BLOCK // pst.SCAN_CELL
+    cells = -(-count // pst.SCAN_BLOCK) * group
+    assert spacing == pst.SCAN_CELL * step and n == min(max(block // pst.SCAN_BLOCK, 1) * group, cells)
+    j = np.arange(n)
+    rows = coarse[j // len(fine)] * fine[j % len(fine)]
+    direct = np.exp(-1j * np.outer(j * spacing, phi))
+    bound = 2 * np.finfo(float).eps * (n * spacing * np.abs(phi).max() + 4)
+    assert np.abs(rows - direct).max() <= bound
 
 
 class _CountingNumpy:
@@ -624,18 +637,104 @@ class _CountingNumpy:
 
 
 def test_grid_builds_its_phase_table_from_about_two_square_roots_of_exponentials(monkeypatch):
-    # P100's end pair at t_max = 2000 is a grid of about 1.6e5 points: one
-    # exponential per cluster for each block start, and a phase table of
-    # SCAN_BLOCK + 2 = 2050 rows built from 98 rows of them, not 2050
+    # P100's end pair at t_max = 2000 is a grid of about 1.6e5 points in 3
+    # coarse products: one row of exponentials per product, the two tables
+    # of a product's 4096 cell centres (128 rows, not 4096) and one fine
+    # table of SCAN_BLOCK + 2 rows, not one exponential per point and cluster
     args, peaks = _grid_arguments(monkeypatch, standard_laplacian(path(100)), (0, 99), 2000.0)
     values, _, _, count, _ = args
     counting = _CountingNumpy()
     monkeypatch.setattr(pst, "np", counting)
     assert np.array_equal(pst._grid_peaks(*args), peaks)
-    k, block_starts = len(values), math.ceil(count / pst.SCAN_BLOCK)
-    table = counting.exponentials - block_starts * k
-    assert count > 1e5 and k == 100
-    assert table <= (3 / math.sqrt(2) * math.sqrt(pst.SCAN_BLOCK + 2) + 2) * k
+    k, per = len(values), pst.SCAN_POINTS // pst.SCAN_CELL
+    products = math.ceil(count / pst.SCAN_POINTS)
+    assert count > 1e5 and k == 100 and products == 3
+    rows = products + (3 / math.sqrt(2) * math.sqrt(per) + 2) + pst.SCAN_BLOCK + 2
+    assert counting.exponentials <= rows * k < count * k / 50
+    # a whole product's 4096 centres stay within _lattice's bound too
+    phi = values - 0.5 * (values[0] + values[-1])
+    spacing = pst.SCAN_CELL * args[2]
+    coarse, fine = pst._lattice(phi, spacing, per)
+    j = np.arange(per)
+    direct = np.exp(-1j * np.outer(j * spacing, phi))
+    bound = 2 * np.finfo(float).eps * (per * spacing * np.abs(phi).max() + 4)
+    assert np.abs(coarse[j // len(fine)] * fine[j % len(fine)] - direct).max() <= bound
+
+
+def test_search_memory_stays_flat_as_the_horizon_grows():
+    # the coarse pass holds one product of cell centres at a time and the
+    # fine pass only the blocks the envelope cannot rule out, so P100's end
+    # pair peaks below 3 MB at t_max = 2000 (1.6e5 grid points) and at 1e5
+    # (8.1e6 points)
+    h = standard_laplacian(path(100))
+    search_pst(h, (0, 99), 10.0)
+    for t_max in (2000.0, 1e5):
+        tracemalloc.start()
+        try:
+            search_pst(h, (0, 99), t_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20, t_max
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_cell_stays_below_its_envelope(monkeypatch, seed):
+    # the bound _grid_peaks skips cells by, read from the coarse pass itself,
+    # against direct exponentials at every grid point of every cell and at
+    # 9 times between neighbouring points; seed 0 is the flat-topped entry,
+    # whose maximum has a vanishing second derivative
+    rng = np.random.default_rng(seed)
+    if seed == 0:
+        values, weights = _flat_peak(2.0)
+    else:
+        k = int(rng.integers(2, 12))
+        values = np.sort(rng.uniform(-3.0, 3.0, k))
+        weights = rng.normal(size=k) * rng.uniform(0.0, 1.0, k)
+        weights /= np.abs(weights).sum()
+    step = math.pi / float(values[-1] - values[0]) / 64
+    count = 3 * 1024 + 37
+    envelopes = []
+    envelope = pst._envelope
+
+    def spy(b, db, phi, w, h):
+        envelopes.append(envelope(b, db, phi, w, h))
+        return envelopes[-1]
+
+    monkeypatch.setattr(pst, "SCAN_POINTS", 1024)  # several coarse products
+    monkeypatch.setattr(pst, "_envelope", spy)
+    pst._grid_peaks(values, weights, step, count, (count - 1.5) * step)
+    bound = np.concatenate(envelopes)
+    cell, half = pst.SCAN_CELL, pst.SCAN_CELL // 2
+    assert len(bound) == -(-count // pst.SCAN_BLOCK) * (pst.SCAN_BLOCK // cell)  # whole blocks
+    offsets = np.linspace(-half, cell - 1 - half, 9 * (cell - 1) + 1)  # every point and between
+    times = ((np.arange(len(bound)) * cell + half)[:, None] + offsets) * step
+    mags = np.abs(np.exp(-1j * times[..., None] * values) @ weights)
+    assert (mags <= bound[:, None] + 1e-12).all()
+
+
+@pytest.mark.parametrize(
+    "g, kind, pair, t_max, first, later",
+    [
+        # wheel5 0 -> 4: two clusters, 1 +- sqrt 6, whose period is 128 grid
+        # steps, so all 1559 grid maxima sit at the same phase
+        (join(empty(1), cycle(5)), "adjacency", (0, 4), 2000.0, 0.64127, 1.923824745242673),
+        # C6 normalized 0 -> 5: gaps 1/2, 3/2 and 2, period 4 pi = 512 steps
+        (cycle(6), "normalized", (0, 5), 2e4, 1.87186, 7416.030521383234),
+    ],
+)
+def test_more_equal_grid_maxima_than_the_cap_go_to_the_first(g, kind, pair, t_max, first, later):
+    # more than PEAK_CAP grid maxima are equal up to rounding; keeping the
+    # largest PEAK_CAP by magnitude let rounding choose, and the search once
+    # answered ``later``. The oracle walk finds the same magnitude at both.
+    h = operator(g, kind)
+    cert = search_pst(h, pair, t_max)
+    assert abs(cert.time - first) < 1e-4
+    u, v = pair
+    at_first = abs(oracle.walk_oracle(h.matrix, cert.time)[v, u])
+    at_later = abs(oracle.walk_oracle(h.matrix, later)[v, u])
+    assert abs(at_first - cert.magnitude) < 1e-9
+    assert abs(at_later - at_first) < 1e-8
 
 
 def test_long_horizons_are_refused_where_rounding_decides():
