@@ -13,7 +13,8 @@ verify-suite run at the library's fixed horizons and orders.
 
 Times are accepted either as decimals or as symbolic expressions over pi and
 sqrt ("pi/2", "3pi", "pi/sqrt(8)"), parsed exactly and converted to float
-once.
+once. Every number in them is a plain decimal or exponent literal, and every
+integer option is an optional "-" and ASCII decimal digits.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ from .suites import SUITES
 __all__ = ["main", "parse_time"]
 
 
+# a decimal or exponent literal: no sign, base prefix, "_" or non-ASCII digit
+_DECIMAL = re.compile(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
+
+
 def parse_time(text: str) -> float:
     """Parse a finite time given as a decimal or a pi/sqrt expression."""
     # allow "3pi" and "2sqrt(2)" shorthand
@@ -58,7 +63,11 @@ def parse_time(text: str) -> float:
     def ev(node) -> float:
         if isinstance(node, ast.Expression):
             return ev(node.body)
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        if (
+            isinstance(node, ast.Constant)
+            and type(node.value) in (int, float)  # not the bools True and False
+            and _DECIMAL.fullmatch(ast.get_source_segment(src, node))
+        ):
             return float(node.value)
         if isinstance(node, ast.Name) and node.id == "pi":
             return math.pi
@@ -98,10 +107,19 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _integer(text: str) -> int:
+    """An optional "-" and ASCII decimal digits; ``int`` also reads "1_0",
+    "+1", surrounding spaces and the digits of other scripts."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in decimal digits")
+    return int(text)
+
+
 def _generators(text: str | None) -> list[int]:
     if not text:
         raise ValueError("graph type circulant needs --gens")
-    return [int(s) for s in text.split(",")]
+    return [_integer(s) for s in text.split(",")]
 
 
 # graph type -> (its size option, builder from that size and the arguments);
@@ -258,15 +276,15 @@ def _build_parser() -> argparse.ArgumentParser:
         if t_max is not None:
             p.add_argument("--t-max", dest="t_max", default=t_max)
         if samples:
-            p.add_argument("--samples", type=int, default=201)
+            p.add_argument("--samples", type=_integer, default=201)
 
     p_graph = sub.add_parser("graph", help="build or inspect graphs")
     graph_sub = p_graph.add_subparsers(dest="action", required=True)
     p_build = graph_sub.add_parser("build")
     p_build.add_argument("--type", required=True, choices=sorted(_BUILDERS))
-    p_build.add_argument("--n", type=int, default=None)
-    p_build.add_argument("--d", type=int, default=None)
-    p_build.add_argument("--m", type=int, default=None)
+    p_build.add_argument("--n", type=_integer, default=None)
+    p_build.add_argument("--d", type=_integer, default=None)
+    p_build.add_argument("--m", type=_integer, default=None)
     p_build.add_argument("--gens", default=None)
     add_common(p_build)
     p_build.set_defaults(func=_cmd_graph)
@@ -285,8 +303,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_walk.add_argument("--graph", required=True)
     p_walk.add_argument("--kind", required=True)
     p_walk.add_argument("--time", required=True)
-    p_walk.add_argument("--from", dest="src", type=int, required=True)
-    p_walk.add_argument("--to", dest="dst", type=int, required=True)
+    p_walk.add_argument("--from", dest="src", type=_integer, required=True)
+    p_walk.add_argument("--to", dest="dst", type=_integer, required=True)
     p_walk.add_argument("--format", choices=("json", "text"), default="text")
     add_common(p_walk)
     p_walk.set_defaults(func=_cmd_walk)
@@ -294,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_curve = sub.add_parser("fidelity-curve", help="CSV of the walk entry over time")
     p_curve.add_argument("--graph", required=True)
     p_curve.add_argument("--kind", required=True)
-    p_curve.add_argument("--pair", nargs=2, type=int, required=True)
+    p_curve.add_argument("--pair", nargs=2, type=_integer, required=True)
     add_common(p_curve, t_max="10", samples=True)
     p_curve.set_defaults(func=_cmd_fidelity_curve)
 
@@ -303,14 +321,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = pst_sub.add_parser("verify")
     p_verify.add_argument("--graph", required=True)
     p_verify.add_argument("--kind", required=True)
-    p_verify.add_argument("--pair", nargs=2, type=int, required=True)
+    p_verify.add_argument("--pair", nargs=2, type=_integer, required=True)
     p_verify.add_argument("--time", required=True)
     add_common(p_verify)
     p_verify.set_defaults(func=_cmd_pst)
     p_search = pst_sub.add_parser("search")
     p_search.add_argument("--graph", required=True)
     p_search.add_argument("--kind", required=True)
-    p_search.add_argument("--pair", nargs=2, type=int, required=True)
+    p_search.add_argument("--pair", nargs=2, type=_integer, required=True)
     add_common(p_search, t_max="50")
     p_search.set_defaults(func=_cmd_pst)
 
@@ -323,12 +341,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ctrl = sub.add_parser("controllable", help="exact walk-matrix rank of a vertex")
     p_ctrl.add_argument("--graph", required=True)
-    p_ctrl.add_argument("--vertex", type=int, required=True)
+    p_ctrl.add_argument("--vertex", type=_integer, required=True)
     add_common(p_ctrl)
     p_ctrl.set_defaults(func=_cmd_controllable)
 
     p_uni = sub.add_parser("unicyclic", help="odd-unicyclic no-transfer pipeline")
-    p_uni.add_argument("--m", type=int, required=True)
+    p_uni.add_argument("--m", type=_integer, required=True)
     add_common(p_uni)
     p_uni.set_defaults(func=_cmd_unicyclic)
 
@@ -347,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError, MemoryError, OverflowError) as exc:
+    except (ValueError, argparse.ArgumentTypeError, OSError, json.JSONDecodeError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,11 +41,18 @@ exact. Primes come lazily, descending from ``RANK_PRIME``; only finitely
 many fall short of d, so the loop ends. No prime's residues or
 Berlekamp-Massey run is computed twice.
 
-Every matvec, int64 residues, witness stacks (``_stacked``) and Python-int
-Horner alike, reads the edges from the graph's one cached arc array
-(``Graph._arcs``: tails and heads, both directions of every edge). The
-big-integer columns themselves are built only when ``WalkMatrix.rows`` is
-read.
+Every residue is below 2^21, so a product of two is below 2^42, and a sum
+of fewer than 2^21 such products stays inside int64: every dot product is
+one exact int64 ``@`` on graphs with n < 2^21 vertices, and ``exact_rank``
+refuses larger ones (a single prime's 2n - 2 matvecs would take hours
+there anyway).
+
+The engine behind ``exact_rank`` takes the graph's one cached arc array
+(``Graph._arcs``: tails and heads, both directions of every edge) and one
+integer start vector x, built once as e_S: every matvec, int64 residues,
+witness stacks (``_stacked``) and Python-int Horner alike, reads the edges
+from the arcs. The big-integer columns themselves are built only when
+``WalkMatrix.rows`` is read.
 """
 
 from __future__ import annotations
@@ -108,8 +115,11 @@ def walk_matrix(g: Graph, subset: Iterable[int]) -> WalkMatrix:
     return WalkMatrix(g, tuple(np.unique(_vertices(g.n, subset)).tolist()), _BUILT)
 
 
-# below 2^31, so a product of two residues stays inside int64
-RANK_PRIME = 2**31 - 19
+# the largest prime below 2^21: a product of two residues is below 2^42, so
+# a sum of up to 2^21 of them (a dot product over fewer than _ORDER_BOUND
+# vertices) stays inside int64
+RANK_PRIME = 2**21 - 9
+_ORDER_BOUND = 2**21
 
 
 def _is_prime(q: int) -> bool:
@@ -137,29 +147,6 @@ def _primes() -> Iterator[int]:
     return (q for q in range(RANK_PRIME, 1, -1) if _is_prime(q))
 
 
-# A product of a residue below 2^31 and a 16-bit half is below 2^47, so a sum
-# of at most 2^16 of them stays below 2^63: longer dot products are split.
-_SPLIT_TERMS = 2**16
-_HALF_SHIFTS = np.array([[16], [0]])
-
-
-def _halves(x: np.ndarray) -> np.ndarray:
-    """The high and low 16 bits of residues below 2^31, as the two rows of
-    one array."""
-    return x >> _HALF_SHIFTS & 0xFFFF
-
-
-def _dot(x: np.ndarray, halves: np.ndarray, p: int) -> int:
-    """sum_i x[i] y[i] mod p, for residues x and the ``_halves`` of residues y."""
-    total = 0
-    for start in range(0, len(x), _SPLIT_TERMS):
-        part = slice(start, start + _SPLIT_TERMS)
-        # each of the two sums has at most _SPLIT_TERMS products below 2^47
-        high, low = halves[:, part].dot(x[part]).tolist()
-        total += (high % p << 16) + low
-    return total % p
-
-
 def _berlekamp_massey(s: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     """Linear complexity L of the residues s mod p and the connection
     polynomial c (length L + 1, c[0] = 1) of a shortest recurrence:
@@ -172,11 +159,11 @@ def _berlekamp_massey(s: np.ndarray, p: int) -> tuple[int, np.ndarray]:
     c[0] = 1
     b = c[:1].copy()
     # reversed, so that s[k - i] for i = 0 ... L is the forward slice ending at len(s) - k + L
-    halves = _halves(s[::-1])
+    backward = s[::-1]
     length, shift, b_inverse = 0, 1, 1  # b_inverse: 1 / b's discrepancy mod p
     for k in range(len(s)):
-        window = slice(len(s) - 1 - k, len(s) - k + length)
-        discrepancy = _dot(c[: length + 1], halves[:, window], p)
+        # L + 1 products below 2^42; L stays at most n for walk residues
+        discrepancy = int(c[: length + 1] @ backward[len(s) - 1 - k : len(s) - k + length]) % p
         if discrepancy == 0:
             shift += 1
             continue
@@ -185,7 +172,7 @@ def _berlekamp_massey(s: np.ndarray, p: int) -> tuple[int, np.ndarray]:
         if grows:
             previous = c[: length + 1].copy()
         live = c[shift : shift + len(b)]
-        live -= scale * b  # products below 2^62, so differences above -2^62
+        live -= scale * b  # products below 2^42, so differences above -2^42
         live %= p
         if grows:
             length, b, b_inverse, shift = k + 1 - length, previous, pow(discrepancy, -1, p), 1
@@ -215,63 +202,60 @@ def _adjacency_times(arcs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _walk_residues(w: WalkMatrix, p: int) -> np.ndarray:
-    """s_k = e_S^T A^k e_S mod p for k <= 2n - 2, from x_j = A^j e_S mod p:
-    s_2j = x_j.x_j and s_2j+1 = x_j.x_j+1, A being symmetric."""
-    n, arcs = w.n, w._graph._arcs
+def _walk_residues(arcs: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
+    """s_k = x^T A^k x mod p for k <= 2n - 2, from v_j = A^j x mod p:
+    s_2j = v_j.v_j and s_2j+1 = v_j.v_j+1, A being symmetric."""
+    n = len(x)
     s = np.empty(max(2 * n - 1, 0), dtype=np.int64)
-    x = np.zeros(n, dtype=np.int64)
-    x[list(w.subset)] = 1
-    s[:1] = _dot(x, _halves(x), p)  # a slice, so that n = 0 works too
+    v = x % p
+    s[:1] = int(v @ v) % p  # a slice, so that n = 0 works too
     for j in range(1, n):
-        # (A x)[v] sums deg(v) residues below 2^31, and deg(v) <= m < 2^32 for
-        # any edge array that fits in memory: below 2^63
-        previous, x = x, _adjacency_times(arcs, x) % p
-        halves = _halves(x)
-        s[2 * j - 1] = _dot(previous, halves, p)
-        s[2 * j] = _dot(x, halves, p)
+        # (A v)[u] sums deg(u) < 2^21 residues below 2^21: below 2^42
+        previous, v = v, _adjacency_times(arcs, v) % p
+        s[2 * j - 1] = int(previous @ v) % p
+        s[2 * j] = int(v @ v) % p
     return s
 
 
-def _annihilates(w: WalkMatrix, relation: tuple[int, ...]) -> bool:
-    """Whether (A^L - sum_i a_i A^i) e_S = 0 exactly, by Horner in Python
-    ints: v <- A v - a_i e_S from v = e_S, for i = L - 1 down to 0."""
-    arcs, subset = w._graph._arcs, list(w.subset)
-    v = np.zeros(w.n, dtype=object)  # Python ints: no overflow
-    v[subset] = 1
+def _annihilates(arcs: np.ndarray, x: np.ndarray, relation: tuple[int, ...]) -> bool:
+    """Whether (A^L - sum_i a_i A^i) x = 0 exactly, by Horner in Python
+    ints: v <- A v - a_i x from v = x, for i = L - 1 down to 0."""
+    x = x.astype(object)  # Python ints: no overflow
+    v = x
     for a in reversed(relation):
         v = _adjacency_times(arcs, v)
-        v[subset] -= a
+        v -= a * x
     return not v.any()
 
 
-def _prime_runs(w: WalkMatrix) -> Iterator[tuple[int, int, np.ndarray]]:
+def _prime_runs(arcs: np.ndarray, x: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
     """Each prime p, descending, with the Berlekamp-Massey complexity L_p and
     connection polynomial of the walk residues mod p, run lazily."""
     for p in _primes():
-        yield (p, *_berlekamp_massey(_walk_residues(w, p), p))
+        yield (p, *_berlekamp_massey(_walk_residues(arcs, x, p), p))
 
 
 def _krylov_relation(
-    w: WalkMatrix, runs: Iterator[tuple[int, int, np.ndarray]] | None = None
+    arcs: np.ndarray, x: np.ndarray, runs: Iterator[tuple[int, int, np.ndarray]] | None = None
 ) -> tuple[int, ...] | None:
     """The integer coefficients a_0 ... a_{L-1} of the first dependent
-    column of the walk matrix, c_L = sum_i a_i c_i, proven exactly as
-    (A^L - sum_i a_i A^i) e_S = 0; x^L - sum_i a_i x^i is then the minimal
-    polynomial of A relative to e_S. None when the n columns are
-    independent. The columns themselves are never built.
+    column of the Krylov matrix [x, A x, ..., A^{n-1} x],
+    c_L = sum_i a_i c_i, proven exactly as (A^L - sum_i a_i A^i) x = 0;
+    x^L - sum_i a_i x^i is then the minimal polynomial of A relative to x.
+    None when the n columns are independent. The columns themselves are
+    never built.
 
     Each prime's Berlekamp-Massey complexity L_p of the residues
-    e_S^T A^k e_S mod p (``_walk_residues``) is a lower bound on the rank.
+    x^T A^k x mod p (``_walk_residues``) is a lower bound on the rank.
     The primes sharing the largest L_p seen so far are combined by the
     Chinese remainder theorem; once the longest coefficient of the symmetric
     lift is ``_HEADROOM`` bits shorter than the modulus, the relation is
     checked exactly (``_annihilates``), and its truth bounds the rank above
     by L. A false check only sends the loop on to the next prime. ``runs``
     continues the primes a caller has already run (``_prime_runs``)."""
-    n = w.n
+    n = len(x)
     best, modulus, residues = -1, 1, []
-    for p, length, connection in _prime_runs(w) if runs is None else runs:
+    for p, length, connection in _prime_runs(arcs, x) if runs is None else runs:
         if length == n:  # L_p <= rank <= n
             return None
         if length < best:
@@ -285,10 +269,11 @@ def _krylov_relation(
             modulus *= p
         lift = _symmetric(residues, modulus)
         longest = max(map(abs, lift), default=0).bit_length()
-        if longest + _HEADROOM <= modulus.bit_length() and _annihilates(w, lift):
+        if longest + _HEADROOM <= modulus.bit_length() and _annihilates(arcs, x, lift):
             return lift
-    # only finitely many primes fall short of the rank, far fewer than lie below 2^31
-    raise RuntimeError("the primes below 2^31 ran out before the Krylov relation was proven")
+    # only finitely many primes fall short of the rank or leave a wrong lift,
+    # but nothing bounds that number below the 155,611 primes below 2^21
+    raise RuntimeError("the primes below 2^21 ran out before the Krylov relation was proven")
 
 
 def _stacked(arcs: np.ndarray, k: int) -> np.ndarray:
@@ -298,25 +283,26 @@ def _stacked(arcs: np.ndarray, k: int) -> np.ndarray:
     return (arcs[..., None] * k + np.arange(k)).reshape(2, -1)
 
 
-def _eigenvector_candidates(w: WalkMatrix, p: int, connection: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eigenvector_candidates(
+    arcs: np.ndarray, x: np.ndarray, p: int, connection: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The integers lambda with |lambda| <= max degree that are roots of
     mu_p = x^L + c[1] x^(L-1) + ... + c[L] (the connection polynomial
     reversed), and for each one a column y: a vector of the lambda-eigenspace
-    orthogonal to e_S, if mu_p is the minimal polynomial of A and the
-    eigenvector has small integer entries. No column is trusted
+    orthogonal to the start vector x, if mu_p is the minimal polynomial of A
+    and the eigenvector has small integer entries. No column is trusted
     (``_is_witness`` checks them). None are built when fewer roots than
     n - L exist.
 
     With q = mu_p / (x - lambda), q(A) maps every vector into the
     lambda-eigenspace when mu_p(A) = 0, and for a random z
-    y = (e_S^T q(A) e_S) q(A) z - (e_S^T q(A) z) q(A) e_S has e_S^T y = 0.
-    The stack [e_S, z] of every root is evaluated at once by Horner mod p
+    y = (x^T q(A) x) q(A) z - (x^T q(A) z) q(A) x has x^T y = 0.
+    The stack [x, z] of every root is evaluated at once by Horner mod p
     (L - 1 matvecs), q's coefficients coming from synthetic division as it
     goes. Each column is scaled so that its first nonzero entry is 1 and
     lifted to (-p/2, p/2]."""
-    n, length = w.n, len(connection) - 1
-    arcs, subset = w._graph._arcs, list(w.subset)
-    degree = int(w._graph.degrees().max())
+    n, length = len(x), len(connection) - 1
+    degree = int(np.bincount(arcs[0], minlength=n).max())
     candidates = np.arange(-degree, degree + 1)
     residues = candidates % p
     values = np.zeros(len(candidates), dtype=np.int64)
@@ -326,31 +312,33 @@ def _eigenvector_candidates(w: WalkMatrix, p: int, connection: np.ndarray) -> tu
     r = len(roots)
     if r < n - length:
         return roots[:0], np.zeros((n, 0), dtype=np.int64)
-    # z of 16 bits: z q_i < 2^47, so one reduction per step keeps A u + stack q below 2^63
+    # z of 16 bits: A u sums fewer than 2^21 residues, below 2^42, and
+    # z q_i < 2^37, so one reduction per step keeps A u + stack q inside int64
     stack = np.zeros((n, 1, 2), dtype=np.int64)
-    stack[subset, 0, 0] = 1
+    stack[:, 0, 0] = x % p
     stack[:, 0, 1] = np.random.default_rng(0).integers(0, 2**16, n)
     stacked = _stacked(arcs, 2 * r)
     q = np.ones(r, dtype=np.int64)  # q's leading coefficient, c[0] = 1
-    u = np.repeat(stack, r, axis=1)  # column pair i holds [q(A) e_S, q(A) z] for root i
+    u = np.repeat(stack, r, axis=1)  # column pair i holds [q(A) x, q(A) z] for root i
     for c in connection[1:length].tolist():
         q = (c + lam * q) % p
         u = (_adjacency_times(stacked, u.ravel()).reshape(n, r, 2) + stack * q[:, None]) % p
     qe, qz = u[..., 0], u[..., 1]
-    y = (qe[subset].sum(axis=0) % p * qz % p - qz[subset].sum(axis=0) % p * qe % p) % p
+    y = ((x @ qe) % p * qz % p - (x @ qz) % p * qe % p) % p
     first = y[(y != 0).argmax(axis=0), np.arange(r)]  # 0 for a zero column, which stays zero
     y = y * np.array([pow(int(f), -1, p) if f else 0 for f in first], dtype=np.int64) % p
     return roots, y - p * (2 * y > p)
 
 
-def _is_witness(w: WalkMatrix, roots: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _is_witness(arcs: np.ndarray, x: np.ndarray, roots: np.ndarray, y: np.ndarray) -> np.ndarray:
     """For each column y_i, whether it is nonzero, A y_i = lambda_i y_i and
-    e_S^T y_i = 0, exactly in int64 (entries below 2^30 in size). Such a y_i
-    is orthogonal to every column A^k e_S of the walk matrix, as
-    y_i^T A^k e_S = lambda_i^k y_i^T e_S = 0."""
+    x^T y_i = 0, exactly in int64: entries at most 2^20 in size and fewer
+    than 2^21 vertices keep A y_i, lambda_i y_i and x^T y_i below 2^41 for
+    a 0/1 start vector. Such a y_i is orthogonal to every Krylov column
+    A^k x, as y_i^T A^k x = lambda_i^k y_i^T x = 0."""
     n, r = y.shape
-    ay = _adjacency_times(_stacked(w._graph._arcs, r), y.ravel()).reshape(n, r)
-    return y.any(axis=0) & (ay == y * roots).all(axis=0) & (y[list(w.subset)].sum(axis=0) == 0)
+    ay = _adjacency_times(_stacked(arcs, r), y.ravel()).reshape(n, r)
+    return y.any(axis=0) & (ay == y * roots).all(axis=0) & (x @ y == 0)
 
 
 def exact_rank(w: WalkMatrix) -> int:
@@ -382,14 +370,18 @@ def exact_rank(w: WalkMatrix) -> int:
     minimal polynomial, and the CRT relation proves the rank instead."""
     if not isinstance(w, WalkMatrix):
         raise TypeError("exact_rank takes a WalkMatrix from walk_matrix")
-    runs = _prime_runs(w)
+    if w.n >= _ORDER_BOUND:
+        raise ValueError(f"exact rank needs fewer than 2^21 vertices, got {w.n}")
+    arcs, x = w._graph._arcs, np.zeros(w.n, dtype=np.int64)
+    x[list(w.subset)] = 1
+    runs = _prime_runs(arcs, x)
     first = next(runs)
     p, length, connection = first
     if length < w.n:
-        roots, y = _eigenvector_candidates(w, p, connection)
-        if _is_witness(w, roots, y).sum() >= w.n - length:
+        roots, y = _eigenvector_candidates(arcs, x, p, connection)
+        if _is_witness(arcs, x, roots, y).sum() >= w.n - length:
             return length
-    relation = _krylov_relation(w, chain([first], runs))
+    relation = _krylov_relation(arcs, x, chain([first], runs))
     return w.n if relation is None else len(relation)
 
 

@@ -814,3 +814,68 @@ def test_walk_memory_stays_with_the_eigensolve(tmp_path, capsys):
         tracemalloc.stop()
     assert "magnitude=" in capsys.readouterr().out
     assert peak < 32 << 20
+
+
+@pytest.mark.parametrize(
+    "command, options, text",
+    [
+        (["graph", "build"], ["--type", "path", "--n", "1_0"], "1_0"),  # int() reads 10
+        (["graph", "build"], ["--type", "path", "--n", "+3"], "+3"),
+        (["graph", "build"], ["--type", "path", "--n", " 3"], " 3"),
+        (["graph", "build"], ["--type", "hypercube", "--d", "٣"], "٣"),  # Arabic-Indic 3
+        (["graph", "build"], ["--type", "circulant", "--gens", "1_0,6", "--n", "8"], "1_0"),
+        (["graph", "build"], ["--type", "circulant", "--gens", "1,+2", "--n", "8"], "+2"),
+        (["walk"], ["--time", "1", "--from", "+0", "--to", "2"], "+0"),
+        (["walk"], ["--time", "1", "--from=-1_0", "--to", "2"], "-1_0"),
+        (["walk"], ["--time", "1", "--from", "0", "--to", "٢"], "٢"),
+        (["fidelity-curve"], ["--pair", "0", "2", "--samples", "1_0"], "1_0"),
+        (["pst", "verify"], ["--pair", "0", "0x2", "--time", "1"], "0x2"),
+        (["pst", "search"], ["--pair", "0", "2.0"], "2.0"),
+        (["controllable"], ["--vertex", "+1"], "+1"),
+        (["unicyclic"], ["--m", "1_0"], "1_0"),
+    ],
+)
+def test_integer_options_are_ascii_decimal_digits(tmp_path, capsys, command, options, text):
+    gfile = tmp_path / "p3.json"
+    lio.save_graph(path(3), gfile)
+    graph = {"graph": [], "unicyclic": [], "controllable": ["--graph", str(gfile)]}.get(
+        command[0], ["--graph", str(gfile), "--kind", "adjacency"]
+    )
+    assert main([*command, *graph, *options]) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert errors == [errors[0]] and errors[0].endswith(f"{text!r} is not an integer in decimal digits")
+
+
+def test_negative_integers_still_reach_the_library(tmp_path, capsys):
+    gfile = tmp_path / "p3.json"
+    lio.save_graph(path(3), gfile)
+    argv = ["pst", "verify", "--graph", str(gfile), "--kind", "adjacency", "--pair", "-1", "2047", "--time", "1"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: vertex -1 out of range\n")
+    assert main(["graph", "build", "--type", "path", "--n", "-3"]) == 2
+    assert capsys.readouterr() == ("", "error: vertex count must be nonnegative\n")
+    assert main(["graph", "build", "--type", "path", "--n", "3"]) == 0
+    assert lio.graph_from_json(capsys.readouterr().out) == path(3)
+
+
+@pytest.mark.parametrize("text", ["True", "False+pi", "0x10", "0b11", "0o7", "1_0", "1j", "2*True"])
+def test_times_read_decimal_literals_only(tmp_path, capsys, text):
+    # each of these was a number to Python: 1.0, pi, 16, 3, 7 and 10
+    gfile = tmp_path / "p3.json"
+    lio.save_graph(path(3), gfile)
+    graph = ["--graph", str(gfile), "--kind", "adjacency", "--pair", "0", "2"]
+    for argv in (["pst", "verify", *graph, "--time", text], ["fidelity-curve", *graph, "--t-max", text]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: cannot parse time {text!r}\n")
+    with pytest.raises(ValueError):
+        parse_time(text)
+    assert [parse_time(t) for t in ("10", "1e1", "1E+1", "10.", "100e-1", "2.5pi")] == [10.0] * 5 + [2.5 * math.pi]
+
+
+def test_controllable_refuses_two_to_the_21_vertices(tmp_path, capsys):
+    gfile = tmp_path / "empty.json"
+    assert main(["graph", "build", "--type", "empty", "--n", str(2**21), "--out", str(gfile)]) == 0
+    assert main(["controllable", "--graph", str(gfile), "--vertex", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: exact rank needs fewer than 2^21 vertices, got 2097152\n")

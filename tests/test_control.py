@@ -12,7 +12,7 @@ from lapwalk.control import (
     unicyclic_no_pst_pipeline,
     walk_matrix,
 )
-from lapwalk.corpus import random_connected_graphs
+from lapwalk.corpus import named_small_graphs, random_connected_graphs
 from lapwalk.graphs import (
     complete,
     cone_p4_with_pendant,
@@ -170,9 +170,20 @@ def test_unlucky_primes_first_leave_every_walk_rank_unchanged(monkeypatch):
     _loop_reference_sweep()
 
 
+def _start(w: WalkMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The engine's arguments for a walk matrix: the graph's arcs and e_S."""
+    x = np.zeros(w.n, dtype=np.int64)
+    x[list(w.subset)] = 1
+    return w._graph._arcs, x
+
+
+def _key(arcs: np.ndarray, x: np.ndarray) -> tuple[bytes, bytes]:
+    return arcs.tobytes(), x.tobytes()
+
+
 def _counting(monkeypatch) -> dict:
     """Count the primes (Berlekamp-Massey runs) and the Horner checks, in
-    all and per walk matrix."""
+    all and per walk matrix (keyed by ``_key`` of its arcs and e_S)."""
     counts = {}
     bm, annihilates = control._berlekamp_massey, control._annihilates
 
@@ -180,10 +191,10 @@ def _counting(monkeypatch) -> dict:
         counts["primes"] = counts.get("primes", 0) + 1
         return bm(s, p)
 
-    def counted_annihilates(w, relation):
+    def counted_annihilates(arcs, x, relation):
         counts["horner"] = counts.get("horner", 0) + 1
-        counts[w] = counts.get(w, 0) + 1
-        return annihilates(w, relation)
+        counts[_key(arcs, x)] = counts.get(_key(arcs, x), 0) + 1
+        return annihilates(arcs, x, relation)
 
     monkeypatch.setattr(control, "_berlekamp_massey", counted_bm)
     monkeypatch.setattr(control, "_annihilates", counted_annihilates)
@@ -195,26 +206,26 @@ def test_a_failed_horner_check_sends_the_loop_on_to_the_next_prime(monkeypatch):
     monkeypatch.setattr(control, "_HEADROOM", -(2**64))
     counts = _counting(monkeypatch)
     _loop_reference_sweep()
-    checks = [c for w, c in counts.items() if isinstance(w, WalkMatrix)]
+    checks = [c for w, c in counts.items() if isinstance(w, tuple)]
     assert max(checks) > 1  # a false relation was refuted, and the rank still came out exact
 
 
-def test_the_headroom_gate_proves_m81_after_four_primes_and_one_horner_check(monkeypatch):
-    # a rank-deficient walk matrix whose coefficients need four primes:
-    # without the headroom gate a fifth only confirmed that the lift repeats
+def test_the_headroom_gate_proves_m81_after_six_primes_and_one_horner_check(monkeypatch):
+    # a rank-deficient walk matrix whose coefficients need six 21-bit primes:
+    # without the headroom gate a seventh only confirmed that the lift repeats
     u_graph, ends = odd_unicyclic(81)
     w = walk_matrix(line_graph(u_graph), (_pendant_edge_index(u_graph, ends[0]),))
     counts = _counting(monkeypatch)
-    relation = control._krylov_relation(w)
+    relation = control._krylov_relation(*_start(w))
     assert len(relation) == 164 == w.n - 1
     longest = max(map(abs, relation)).bit_length()
-    assert 3 * 31 < longest + control._HEADROOM <= 4 * 31
-    assert (counts["primes"], counts["horner"]) == (4, 1)
+    assert 5 * 21 < longest + control._HEADROOM <= 6 * 21
+    assert (counts["primes"], counts["horner"]) == (6, 1)
 
 
 def test_an_empty_subset_is_proven_after_one_prime(monkeypatch):
     counts = _counting(monkeypatch)
-    assert control._krylov_relation(walk_matrix(empty(3), ())) == ()
+    assert control._krylov_relation(*_start(walk_matrix(empty(3), ()))) == ()
     assert (counts["primes"], counts["horner"]) == (1, 1)
 
 
@@ -243,7 +254,7 @@ def test_the_arc_matvec_matches_an_edge_list_reference():
 def test_primes_descend_from_rank_prime_and_are_prime():
     sympy = pytest.importorskip("sympy")
     first = list(islice(control._primes(), 64))
-    assert all(q < 2**31 for q in first) and all(a > b for a, b in zip(first, first[1:]))
+    assert all(q < 2**21 for q in first) and all(a > b for a, b in zip(first, first[1:]))
     assert all(sympy.isprime(q) for q in first)
     want = [sympy.prevprime(control.RANK_PRIME + 1)]
     while len(want) < 64:
@@ -264,7 +275,7 @@ def test_krylov_relation_divides_the_characteristic_polynomial():
     for g, subset in cases:
         assert g.n <= 25
         w = walk_matrix(g, subset)
-        relation = control._krylov_relation(w)
+        relation = control._krylov_relation(*_start(w))
         rank = g.n if relation is None else len(relation)
         assert rank == sympy.Matrix(w.rows).rank() == exact_rank(w), (g, subset)
         if relation is not None:
@@ -273,6 +284,37 @@ def test_krylov_relation_divides_the_characteristic_polynomial():
             charpoly = sympy.Matrix(g.adjacency().astype(int).tolist()).charpoly(x).as_expr()
             assert sympy.rem(charpoly, mu, x) == 0, (g, subset, mu)
     assert deficient >= 10
+
+
+def _sympy_relative_minimal_polynomial(sympy, a, x) -> tuple[int, ...] | None:
+    """a_0 ... a_{d-1} with A^d x = sum_i a_i A^i x, d the degree of the
+    minimal polynomial of A relative to x, read off the Krylov columns by
+    sympy; None when d = n."""
+    n = len(x)
+    columns = [sympy.Matrix(x)]
+    for _ in range(n):
+        columns.append(a * columns[-1])
+    krylov = sympy.Matrix.hstack(*columns)
+    degree = krylov[:, :n].rank()
+    if degree == n:
+        return None
+    (kernel,) = krylov[:, : degree + 1].nullspace()
+    return tuple(int(-c / kernel[degree]) for c in kernel[:degree])
+
+
+def test_krylov_relation_is_sympys_relative_minimal_polynomial():
+    sympy = pytest.importorskip("sympy")
+    graphs = [g for _, g in named_small_graphs()] + random_connected_graphs(8, n_max=9, seed=3)
+    seen = set()
+    for g in graphs:
+        a = sympy.Matrix(g.adjacency().astype(int).tolist())
+        e = np.eye(g.n, dtype=np.int64)
+        for u, v in {(0, g.n - 1), (0, 1), (g.n // 2, g.n - 1)}:  # on P2, u = v once: 2 e_u and 0
+            for x in (e[u], e[u] + e[v], e[u] - e[v]):
+                want = _sympy_relative_minimal_polynomial(sympy, a, x.tolist())
+                assert control._krylov_relation(g._arcs, x) == want, (g, u, v, x)
+                seen.add(want is None)
+    assert seen == {True, False}  # full and deficient degrees both occur
 
 
 def test_pipeline_and_deficient_walk_ranks_match_the_loop_reference():
@@ -299,6 +341,19 @@ def test_exact_rank_takes_only_walk_matrices():
             exact_rank(rows)
 
 
+def test_exact_rank_refuses_two_to_the_21_vertices_before_any_matvec(monkeypatch):
+    # beyond it an int64 dot product of residues below 2^21 could wrap
+    def no_matvec(arcs, x):
+        raise AssertionError("a matvec ran")
+
+    monkeypatch.setattr(control, "_adjacency_times", no_matvec)
+    with pytest.raises(ValueError, match="fewer than 2\\^21 vertices, got 2097152"):
+        exact_rank(walk_matrix(empty(2**21), (0,)))
+    # one vertex fewer is accepted: a first prime of full length settles it
+    monkeypatch.setattr(control, "_prime_runs", lambda arcs, x: iter([(control.RANK_PRIME, len(x), None)]))
+    assert exact_rank(walk_matrix(empty(2**21 - 1), (0,))) == 2**21 - 1
+
+
 def _recurrent(rng, p: int, length: int) -> list[int]:
     """A sequence mod p obeying a random recurrence of order at most 8."""
     order = int(rng.integers(0, 9))
@@ -309,10 +364,7 @@ def _recurrent(rng, p: int, length: int) -> list[int]:
     return s[:length]
 
 
-@pytest.mark.parametrize("split_terms", [control._SPLIT_TERMS, 3])
-def test_berlekamp_massey_matches_the_plain_int_oracle(monkeypatch, split_terms):
-    # at split size 3 every discrepancy of a recurrence longer than 2 sums in several parts
-    monkeypatch.setattr(control, "_SPLIT_TERMS", split_terms)
+def test_berlekamp_massey_matches_the_plain_int_oracle():
     rng = np.random.default_rng(20261019)
     for p in (2, 3, 5, 7, control.RANK_PRIME):
         for length in range(61):
@@ -330,9 +382,7 @@ def test_berlekamp_massey_matches_the_plain_int_oracle(monkeypatch, split_terms)
                 )
 
 
-@pytest.mark.parametrize("split_terms", [control._SPLIT_TERMS, 3])
-def test_walk_residues_are_the_walk_moments_mod_p(monkeypatch, split_terms):
-    monkeypatch.setattr(control, "_SPLIT_TERMS", split_terms)
+def test_walk_residues_are_the_walk_moments_mod_p():
     rng = np.random.default_rng(8)
     graphs = [empty(0), empty(4), disjoint_union(cycle(5), empty(3)), line_graph(odd_unicyclic(4).graph)]
     graphs += [make_graph(n, edges) for n, edges in oracle.random_edge_lists(rng, 40)]
@@ -346,7 +396,7 @@ def test_walk_residues_are_the_walk_moments_mod_p(monkeypatch, split_terms):
             splits = [(min(k, g.n - 1), k - min(k, g.n - 1)) for k in range(2 * g.n - 1)]
             moments = [sum(map(int.__mul__, columns[i], columns[j])) for i, j in splits]
             for p in (2, 7, control.RANK_PRIME):
-                s = control._walk_residues(walk_matrix(g, subset), p)
+                s = control._walk_residues(*_start(walk_matrix(g, subset)), p)
                 assert s.dtype == np.int64 and s.tolist() == [x % p for x in moments], (g, subset, p)
 
 
@@ -386,15 +436,15 @@ def test_the_horner_check_rejects_every_near_miss_relation():
         rank = columns.rank()
         (kernel,) = columns[:, : rank + 1].nullspace()  # c_L = sum_i a_i c_i, read off by sympy
         relation = tuple(int(-x / kernel[rank]) for x in kernel[:rank])
-        assert control._annihilates(w, relation), (g, subset)
-        assert control._annihilates(w, (0, *relation))  # x mu(x): a true relation one degree up
+        assert control._annihilates(*_start(w), relation), (g, subset)
+        assert control._annihilates(*_start(w), (0, *relation))  # x mu(x): a true relation one degree up
         near_misses = [relation[:-1], relation[1:], (*relation, 0), (*relation, 1)]
         for i in range(len(relation)):
             for delta in (-1, 1):
                 near_misses.append(relation[:i] + (relation[i] + delta,) + relation[i + 1 :])
         for lift in near_misses:
-            assert not control._annihilates(w, lift), (g, subset, lift)
-        assert control._krylov_relation(w) == relation
+            assert not control._annihilates(*_start(w), lift), (g, subset, lift)
+        assert control._krylov_relation(*_start(w)) == relation
 
 
 def _pendant_walk(m: int, side: int = 0) -> WalkMatrix:
@@ -417,9 +467,9 @@ def test_the_odd_unicyclic_deficiency_is_witnessed_after_one_prime_and_no_horner
 def _eigenvector_witnesses(w: WalkMatrix) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """The first prime's length L, the candidate roots and columns, and
     which columns pass the exact check."""
-    p, length, connection = next(control._prime_runs(w))
-    roots, y = control._eigenvector_candidates(w, p, connection)
-    return length, roots, y, control._is_witness(w, roots, y)
+    p, length, connection = next(control._prime_runs(*_start(w)))
+    roots, y = control._eigenvector_candidates(*_start(w), p, connection)
+    return length, roots, y, control._is_witness(*_start(w), roots, y)
 
 
 def test_witnesses_are_exact_eigenvectors_orthogonal_to_e_s():
@@ -457,18 +507,18 @@ def test_a_tampered_witness_fails_its_exact_check_and_the_rank_stands(monkeypatc
     vertex = int(np.flatnonzero(y[:, 0])[-1])
     off_by_one = y.copy()
     off_by_one[vertex] += 1
-    assert not control._is_witness(w, roots, off_by_one).any()
-    assert not control._is_witness(w, roots + 1, y).any()  # the wrong eigenvalue
-    assert not control._is_witness(w, roots, 0 * y).any()  # the zero vector is no witness
+    assert not control._is_witness(*_start(w), roots, off_by_one).any()
+    assert not control._is_witness(*_start(w), roots + 1, y).any()  # the wrong eigenvalue
+    assert not control._is_witness(*_start(w), roots, 0 * y).any()  # the zero vector is no witness
     # an exact eigenvector of -1 that is not orthogonal to e_S
-    k3 = walk_matrix(complete(3), (0,))
-    assert not control._is_witness(k3, np.array([-1]), np.array([[1], [-1], [0]])).any()
-    assert control._is_witness(k3, np.array([-1]), np.array([[0], [1], [-1]])).all()
+    k3 = _start(walk_matrix(complete(3), (0,)))
+    assert not control._is_witness(*k3, np.array([-1]), np.array([[1], [-1], [0]])).any()
+    assert control._is_witness(*k3, np.array([-1]), np.array([[0], [1], [-1]])).all()
 
     candidates = control._eigenvector_candidates
 
-    def tampered(w, p, connection):
-        roots, y = candidates(w, p, connection)
+    def tampered(arcs, x, p, connection):
+        roots, y = candidates(arcs, x, p, connection)
         y = y.copy()
         y[0] += 1
         return roots, y
@@ -478,7 +528,7 @@ def test_a_tampered_witness_fails_its_exact_check_and_the_rank_stands(monkeypatc
     for m in (3, 6, 81):
         w = _pendant_walk(m)
         assert exact_rank(w) == w.n - 1 == oracle.exact_rank(w.rows)
-        assert counts[w] == 1  # proven by the CRT relation's Horner check instead
+        assert counts[_key(*_start(w))] == 1  # proven by the CRT relation's Horner check instead
 
 
 def test_the_fallback_reuses_the_first_prime_and_runs_no_prime_twice(monkeypatch):
@@ -501,7 +551,7 @@ def test_the_fallback_reuses_the_first_prime_and_runs_no_prime_twice(monkeypatch
     for g, subset in cases:
         w = walk_matrix(g, subset)
         primes.clear()
-        relation = control._krylov_relation(w)
+        relation = control._krylov_relation(*_start(w))
         direct = list(primes)
         primes.clear()
         rank = exact_rank(w)
@@ -518,14 +568,14 @@ def test_witnesses_bound_the_rank_only_when_n_minus_l_of_them_pass(monkeypatch):
     assert (length, passed.sum()) == (4, 2)
     runs = control._prime_runs
 
-    def short_first(w):
-        later = runs(w)
+    def short_first(arcs, x):
+        later = runs(arcs, x)
         p, length, connection = next(later)
         yield p, length - 1, connection[:-1]
         yield from later
 
     monkeypatch.setattr(control, "_prime_runs", short_first)
-    monkeypatch.setattr(control, "_eigenvector_candidates", lambda w, p, connection: (roots, y))
+    monkeypatch.setattr(control, "_eigenvector_candidates", lambda arcs, x, p, connection: (roots, y))
     counts = _counting(monkeypatch)
     assert exact_rank(w) == 4 == oracle.exact_rank(w.rows)
     assert counts["horner"] >= 1
