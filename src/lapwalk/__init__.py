@@ -51,9 +51,7 @@ from .partitions import (
     check_almost_equitable,
     check_equitable,
     coarsest_equitable_refinement,
-    lift_check,
     partition_matrix,
-    path_cycle_correspondence,
     quotient,
 )
 from .pst import (
@@ -66,6 +64,7 @@ from .pst import (
     join_necessary_condition,
     join_walk_entry,
     normalized_weak_product_walk_check,
+    path_cycle_correspondence,
     search_pst,
     verify_pst,
     walk_entries,

@@ -219,12 +219,14 @@ def _walk_residues(arcs: np.ndarray, x: np.ndarray, p: int) -> np.ndarray:
 
 def _annihilates(arcs: np.ndarray, x: np.ndarray, relation: tuple[int, ...]) -> bool:
     """Whether (A^L - sum_i a_i A^i) x = 0 exactly, by Horner in Python
-    ints: v <- A v - a_i x from v = x, for i = L - 1 down to 0."""
-    x = x.astype(object)  # Python ints: no overflow
-    v = x
+    ints: v <- A v - a_i x from v = x, for i = L - 1 down to 0. Each step
+    subtracts a_i x on x's support only (one or two entries for e_S)."""
+    support = np.flatnonzero(x)
+    x_support = x[support].astype(object)
+    v = x.astype(object)  # Python ints: no overflow
     for a in reversed(relation):
         v = _adjacency_times(arcs, v)
-        v -= a * x
+        v[support] -= a * x_support
     return not v.any()
 
 

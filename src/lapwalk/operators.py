@@ -2,7 +2,8 @@
 and the normalized incidence matrix.
 
 All constructors build their matrices symmetrically entry by entry, so
-``matrix == matrix.T`` holds exactly (no after-the-fact symmetrization).
+``matrix == matrix.T`` holds exactly (no after-the-fact symmetrization). A
+graph operator keeps its graph and builds its matrix on first read.
 Graphs are simple, so A, L and Q of a graph have integer entries. The four
 operator formulas are written once, in
 ``_operator_matrix``, which a graph's operators and the quotients of
@@ -12,7 +13,7 @@ operator formulas are written once, in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 
 import numpy as np
@@ -49,29 +50,52 @@ class OperatorKind(str, Enum):
             raise ValueError(f"unknown operator kind {name!r}") from None
 
 
-@dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """Real symmetric matrix tagged with the operator kind it came from."""
+    """Real symmetric matrix tagged with the operator kind it came from.
 
-    kind: OperatorKind
-    matrix: np.ndarray
-    graph: Graph | None = None
+    A graph operator (every kind but CUSTOM) is its graph and kind:
+    ``operator`` builds it, and its n x n ``matrix`` is built on first read,
+    read-only and checked as a CUSTOM matrix is, so a reader that needs only
+    the graph (``n``, or ``pst``'s quotient route) never builds it. A CUSTOM
+    Hamiltonian is its matrix, which must be square, finite and exactly
+    symmetric; it is checked and copied read-only at construction."""
 
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix has non-finite entries")
-        if not (m == m.T).all():
-            raise ValueError("matrix must be exactly symmetric")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+    def __init__(self, kind: OperatorKind, matrix=None, graph: Graph | None = None) -> None:
+        kind = OperatorKind(kind)
+        if kind == OperatorKind.CUSTOM:
+            if matrix is None or graph is not None:
+                raise ValueError("a custom Hamiltonian takes a matrix and no graph")
+            object.__setattr__(self, "matrix", _checked(matrix))
+        elif graph is None or matrix is not None:
+            raise ValueError(f"a {kind.value} Hamiltonian takes a graph and no matrix")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "graph", graph)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Hamiltonian is immutable")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        g = self.graph
+        return _checked(_operator_matrix(self.kind, g.adjacency(), g.degrees()))
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[0] if self.graph is None else self.graph.n
+
+
+def _checked(matrix) -> np.ndarray:
+    """A read-only float copy of a square, finite, exactly symmetric matrix."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("matrix must be square")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    if not (m == m.T).all():
+        raise ValueError("matrix must be exactly symmetric")
+    m = m.copy()
+    m.setflags(write=False)
+    return m
 
 
 def _operator_matrix(
@@ -90,19 +114,30 @@ def _operator_matrix(
     if kind == OperatorKind.SIGNLESS:
         return np.diag(degrees) + a
     if kind == OperatorKind.NORMALIZED:
-        if len(degrees) and degrees.min() < 1:
-            v = int(np.argmin(degrees))
-            raise ValueError(f"normalized Laplacian undefined: {row} {v} is isolated")
+        _require_edges(degrees, row)
         scale = 1.0 / np.sqrt(degrees)
         return np.eye(len(a)) - a * np.outer(scale, scale)
     raise ValueError(f"no graph operator for kind {kind.value}")
 
 
+def _require_edges(degrees: np.ndarray, row: str) -> None:
+    """The normalized Laplacian's guard: no row of degree zero."""
+    if len(degrees) and degrees.min() < 1:
+        v = int(np.argmin(degrees))
+        raise ValueError(f"normalized Laplacian undefined: {row} {v} is isolated")
+
+
 def operator(g: Graph, kind: OperatorKind | str) -> Hamiltonian:
-    """The operator of ``kind`` on ``g`` (``_operator_matrix``); the
-    normalized Laplacian is defined for graphs with minimum degree one."""
+    """The operator of ``kind`` on ``g`` (``_operator_matrix``), its matrix
+    built on first read; the normalized Laplacian is defined for graphs with
+    minimum degree one, and a kind without a graph operator (CUSTOM) or an
+    isolated vertex under the normalized kind raises here, at once."""
     k = kind if isinstance(kind, OperatorKind) else OperatorKind.from_name(kind)
-    return Hamiltonian(k, _operator_matrix(k, g.adjacency(), g.degrees()), g)
+    if k == OperatorKind.CUSTOM:
+        raise ValueError(f"no graph operator for kind {k.value}")
+    if k == OperatorKind.NORMALIZED:
+        _require_edges(g.degrees(), "vertex")
+    return Hamiltonian(k, graph=g)
 
 
 def adjacency(g: Graph) -> Hamiltonian:

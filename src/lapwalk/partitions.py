@@ -1,5 +1,5 @@
-"""Equitable and almost-equitable vertex partitions, the normalized partition
-matrix, quotient operators, and walk lifting between a graph and its quotient.
+"""Equitable and almost-equitable vertex partitions, their coarsest
+equitable refinement, the normalized partition matrix and quotient operators.
 
 A partition is equitable when every vertex of cell j has the same number
 d[j,k] of neighbors in cell k, for all j and k; almost equitable only
@@ -14,17 +14,16 @@ Cell entries pass the integer gate of ``graphs`` (``_indices``, then
 
 from __future__ import annotations
 
-import math
+import random
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, _indices, _order, _vertices, cycle, path
-from .operators import Hamiltonian, OperatorKind, _operator_matrix, normalized_laplacian, operator
-from .pst import walk_entries
+from .graphs import Graph, _indices, _vertices
+from .operators import OperatorKind, _operator_matrix
 
 __all__ = [
     "Partition",
@@ -35,9 +34,6 @@ __all__ = [
     "coarsest_equitable_refinement",
     "partition_matrix",
     "quotient",
-    "lift_check",
-    "path_cycle_correspondence",
-    "PathCycleReport",
 ]
 
 
@@ -143,7 +139,14 @@ def _cells_of(owner: np.ndarray, m: int) -> tuple[tuple[int, ...], ...]:
 
 def _check(g: Graph, cells, require_diagonal: bool) -> Partition:
     tup = _validated_cells(g.n, cells)
-    owner, m = _owner(g.n, tup), len(tup)
+    return _proven(g, _owner(g.n, tup), tup, require_diagonal)
+
+
+def _proven(g: Graph, owner: np.ndarray, tup, require_diagonal: bool) -> Partition:
+    """The partition of the valid cells ``tup``, whose owner array is
+    ``owner``, once every vertex's neighbour counts match its cell's first
+    vertex's; else the first mismatch raises."""
+    m = len(tup)
     counts = _neighbor_counts(g, owner, m)
     ref = counts[np.unique(owner, return_index=True)[1]]  # row j: cell j's first vertex
     bad = counts != ref[owner]
@@ -176,23 +179,80 @@ def check_almost_equitable(g: Graph, cells: Sequence[Iterable[int]]) -> Partitio
 
 
 def coarsest_equitable_refinement(g: Graph, initial_cells: Sequence[Iterable[int]]) -> Partition:
-    """Coarsest equitable partition refining the given cells: split cells by
-    their neighbor-count signature until a fixpoint. Each round sorts the
-    rows (parent cell, counts...) and numbers the distinct ones in order, so
-    new cells are ordered by (parent cell, signature) lexicographically,
-    which makes the result deterministic."""
+    """Coarsest equitable partition refining the given cells, by hashed
+    colour refinement (``_refine``). Its cells are in canonical order: by
+    the input cell they lie in, then by least vertex, each cell's vertices
+    ascending."""
     tup = _validated_cells(g.n, initial_cells)
-    owner, m = _owner(g.n, tup), len(tup)
-    while True:
-        rows = np.column_stack([owner, _neighbor_counts(g, owner, m)])
-        order = np.lexsort(rows.T[::-1])
-        starts = np.ones(g.n, dtype=bool)
-        starts[1:] = (rows[order[1:]] != rows[order[:-1]]).any(axis=1)
-        split = int(starts.sum())
-        if split == m:
-            return check_equitable(g, _cells_of(owner, m))
-        owner[order] = np.cumsum(starts) - 1
-        m = split
+    return _refine(g, _owner(g.n, tup), len(tup))
+
+
+def _pair_refinement(g: Graph, source: int, target: int, max_cells: int) -> Partition | None:
+    """The coarsest equitable refinement of {source}, {target}, rest ({source},
+    rest when they are equal; no empty cell), or None once a round passes
+    ``max_cells`` cells. The vertices are in range; source's cell is 0."""
+    owner = np.full(g.n, 2 if source != target else 1)
+    owner[target] = 1
+    owner[source] = 0
+    return _refine(g, owner, int(owner.max()) + 1, max_cells)
+
+
+def _keys(attempt: int, size: int) -> np.ndarray:
+    """The (2, size) uint64 key table of one refinement attempt, seeded by
+    the attempt: row 0 keys a neighbour's cell, row 1 a vertex's own cell."""
+    bits = random.Random(attempt).getrandbits(128 * size)
+    return np.frombuffer(bits.to_bytes(16 * size, "little"), "<u8").reshape(2, size)
+
+
+def _refine(g: Graph, owner: np.ndarray, m: int, max_cells: int | None = None) -> Partition | None:
+    """Colour refinement by hashing from the m cells of ``owner``.
+
+    Each round gives vertex u the signature own[cell u] + sum over the
+    neighbours w of u of key[cell w], mod 2^64, from one key table per
+    attempt (``_keys``), and renumbers the vertices by one sort of the
+    signatures. Equal neighbour counts always give equal signatures, so a
+    hash collision can only merge: two cells of the last round merging is
+    seen at once, and the attempt starts again with new keys. Otherwise
+    every round refines the last, and a round that splits nothing is the
+    fixpoint. A merge inside one cell can leave a partition that is not
+    equitable; the count check of ``check_equitable`` (``_proven``) is the
+    proof of the result, and a partition it refuses also starts a new
+    attempt. A proven result is the coarsest: the true refinement refines
+    every round, so it refines the result, and the result, an equitable
+    refinement of the input, refines it.
+
+    Returns None once a round has more than ``max_cells`` cells (the true
+    refinement then has as many at least), else the proven partition in
+    canonical order: by input cell, then by least vertex."""
+    tails, heads = g._arcs
+    for attempt in count():
+        neighbour_key, own_key = _keys(attempt, g.n)
+        cells, size = owner, m
+        while True:
+            signature = own_key[cells]
+            np.add.at(signature, tails, neighbour_key[cells][heads])
+            order = np.argsort(signature)
+            by_signature = signature[order]
+            starts = np.ones(g.n, dtype=bool)
+            starts[1:] = by_signature[1:] != by_signature[:-1]
+            split = int(np.count_nonzero(starts))
+            if max_cells is not None and split > max_cells:
+                return None
+            parents = cells[order]
+            if (parents[1:] != parents[:-1])[~starts[1:]].any():
+                break  # two cells of the last round merged: new keys
+            if split == size:
+                first = np.unique(cells, return_index=True)[1]  # least vertex of each cell
+                rank = np.empty(size, dtype=np.intp)
+                rank[np.lexsort((first, owner[first]))] = np.arange(size)
+                canonical = rank[cells]
+                try:
+                    return _proven(g, canonical, _cells_of(canonical, size), require_diagonal=True)
+                except NotEquitableError:
+                    break  # a merge inside a cell: new keys
+            cells = np.empty(g.n, dtype=np.intp)
+            cells[order] = np.cumsum(starts) - 1
+            size = split
 
 
 def partition_matrix(p: Partition) -> np.ndarray:
@@ -221,88 +281,3 @@ def quotient(p: Partition, kind: OperatorKind | str) -> np.ndarray:
     d = p.degree_counts
     s = np.nan_to_num(np.sqrt(d * d.T))  # sqrt(d[j,j]^2) is d[j,j] exactly; nan only there
     return _operator_matrix(k, s, np.nansum(d, axis=1), row="cell")
-
-
-def lift_check(
-    g: Graph, p: Partition, kind: OperatorKind | str, u: int, v: int, t: float
-) -> float:
-    """|walk entry in the graph| minus |walk entry in the quotient| for a pair
-    of singleton-cell vertices; zero (to roundoff) whenever the quotient is
-    valid for the kind. Both entries are read through ``pst.walk_entries``,
-    the quotient's as a CUSTOM Hamiltonian, so both pairs are checked and
-    read in one place under one horizon rule: a vertex outside 0..n-1 or a
-    time lost to rounding raises ValueError. So does a partition that was
-    not checked against ``g``: one of another order, or whose neighbour
-    counts g's edges do not reproduce (a different graph of the same
-    order), both caught before any eigensolve."""
-    if p.n != g.n:
-        raise ValueError(f"the partition covers {p.n} vertices, the graph has {g.n}")
-    owner = _owner(g.n, p.cells)
-    expected = p.degree_counts[owner]
-    checked = ~np.isnan(expected)  # an almost-equitable partition has no diagonal counts
-    if (_neighbor_counts(g, owner, p.size)[checked] != expected[checked]).any():
-        raise ValueError("the partition's neighbour counts do not hold in this graph")
-    _vertices(p.n, (u, v))
-    cu, cv = p.cell_of[u], p.cell_of[v]
-    if len(p.cells[cu]) != 1 or len(p.cells[cv]) != 1:
-        raise ValueError("lifting needs singleton cells at both endpoints")
-    b = Hamiltonian(OperatorKind.CUSTOM, quotient(p, kind))
-    big = abs(walk_entries(operator(g, kind), (u, v), [t])[0])
-    small = abs(walk_entries(b, (cu, cv), [t])[0])
-    return float(abs(big - small))
-
-
-@dataclass(frozen=True)
-class PathCycleReport:
-    """Deviations backing the path/even-cycle correspondence for one n."""
-
-    n: int
-    quotient_deviation: float
-    identity_deviation: float
-    walk_deviation: float
-
-
-PATH_CYCLE_TIMES = (0.1, 0.7, 1.0, math.pi, 5.0, 10.0)  # where the walk magnitudes are compared
-
-
-def path_cycle_correspondence(n: int) -> PathCycleReport:
-    """Verify that the normalized Laplacian of the n-vertex path matches
-    I - A(C_{2(n-1)}/pi)/2 for the folding partition of the even cycle, and
-    that the antipodal walk magnitudes agree under the induced time dilation:
-
-        |exp(-it L(P_n))_{0,n-1}| = |exp(+i(t/2) A(C_{2m}))_{0,m}|,  m = n-1.
-
-    n = 2 degenerates (C_2 is not simple); it is handled with the doubled
-    edge matrix [[0,2],[2,0]] standing in for the cycle, for which both
-    identities hold verbatim.
-    """
-    n = _order(n, "n")
-    if n < 2:
-        raise ValueError("needs a path on at least two vertices")
-    m = n - 1
-    if n == 2:
-        a_quot = np.array([[0.0, 2.0], [2.0, 0.0]])
-        a_cycle = a_quot
-        quotient_dev = 0.0
-    else:
-        c = cycle(2 * m)
-        cells = [(0,)] + [(k, 2 * m - k) for k in range(1, m)] + [(m,)]
-        p = check_equitable(c, cells)
-        a_quot = quotient(p, OperatorKind.ADJACENCY)
-        a_path = path(m + 1).adjacency()
-        ends = np.isin(np.arange(m + 1), (0, m))
-        expected = np.where((a_path != 0) & (ends[:, None] | ends), math.sqrt(2.0), a_path)
-        quotient_dev = float(np.abs(a_quot - expected).max())
-        a_cycle = c.adjacency()
-
-    norm_p = normalized_laplacian(path(n))
-    identity_dev = float(np.abs(norm_p.matrix - (np.eye(n) - a_quot / 2.0)).max())
-
-    h_cycle = Hamiltonian(OperatorKind.CUSTOM, a_cycle)
-    path_entries = walk_entries(norm_p, (0, n - 1), PATH_CYCLE_TIMES)
-    # exp(+i(t/2)A) entries have the magnitudes of exp(-i(t/2)A) ones
-    cycle_entries = walk_entries(h_cycle, (0, m), [t / 2.0 for t in PATH_CYCLE_TIMES])
-    walk_dev = 0.0
-    for lhs, rhs in zip(path_entries, cycle_entries):
-        walk_dev = max(walk_dev, abs(abs(lhs) - abs(rhs)))
-    return PathCycleReport(n, quotient_dev, identity_dev, walk_dev)

@@ -13,6 +13,14 @@ pair weights E_k[v, u], per-cluster sums of V[v, j] V[u, j] (``amplitude``).
 The whole matrix U(t) (``matrix_at``) serves the checks that compare whole
 matrices; each of them decomposes its operators once per call and reads
 every one of its times from those decompositions.
+
+``eigendecompose`` reads ``Hamiltonian.matrix``, which a graph operator
+builds on first read. A pair's walk entries need less: ``pst._pair_spectrum``
+decomposes the pair's k x k equitable quotient in place of a graph operator
+of order n >= ``pst.QUOTIENT_MIN`` (64) when the pair's coarsest equitable
+refinement has at most floor(sqrt(n)) cells, and then no n x n matrix is
+built; otherwise, and for a CUSTOM matrix, it decomposes the whole operator
+here.
 """
 
 from __future__ import annotations

@@ -31,8 +31,8 @@ from .operators import (
     operator,
     signless_laplacian,
 )
-from .partitions import check_equitable, path_cycle_correspondence, quotient
-from .pst import SCAN_T_MAX, search_pst, verify_pst
+from .partitions import check_equitable, quotient
+from .pst import SCAN_T_MAX, path_cycle_correspondence, search_pst, verify_pst
 from .spectral import eigendecompose
 
 __all__ = ["SuiteReport", "SUITES"]

@@ -131,9 +131,11 @@ def check_partition(adj: np.ndarray, cells, require_diagonal: bool):
 
 
 def refine_partition(adj: np.ndarray, initial_cells):
-    """Coarsest equitable refinement by repeated signature splitting; new
-    cells are ordered by (parent cell, signature)."""
-    cells = list(validated_cells(len(adj), initial_cells))
+    """Coarsest equitable refinement by repeated signature splitting, until
+    a round splits nothing; the cells are then put in canonical order: by
+    the input cell they lie in, then by least vertex."""
+    initial = validated_cells(len(adj), initial_cells)
+    cells = list(initial)
     while True:
         counts = neighbor_counts(adj, cells)
         new_cells = []
@@ -141,10 +143,11 @@ def refine_partition(adj: np.ndarray, initial_cells):
             groups: dict[tuple[int, ...], list[int]] = {}
             for u in cell:
                 groups.setdefault(tuple(counts[u]), []).append(u)
-            for sig in sorted(groups):
-                new_cells.append(tuple(groups[sig]))
+            new_cells.extend(tuple(group) for group in groups.values())
         if len(new_cells) == len(cells):
-            return check_partition(adj, new_cells, require_diagonal=True)
+            parent = {v: j for j, cell in enumerate(initial) for v in cell}
+            canonical = sorted(new_cells, key=lambda cell: (parent[cell[0]], cell[0]))
+            return check_partition(adj, canonical, require_diagonal=True)
         cells = new_cells
 
 

@@ -33,6 +33,7 @@ from lapwalk.graphs import (
 )
 from lapwalk.linegraph import intertwine_check
 from lapwalk.operators import (
+    Hamiltonian,
     OperatorKind,
     normalized_laplacian,
     operator,
@@ -43,9 +44,7 @@ from lapwalk.partitions import (
     check_almost_equitable,
     check_equitable,
     coarsest_equitable_refinement,
-    lift_check,
     partition_matrix,
-    path_cycle_correspondence,
     quotient,
 )
 from lapwalk.pst import (
@@ -54,8 +53,10 @@ from lapwalk.pst import (
     double_cone_characterization,
     join_walk_entry,
     normalized_weak_product_walk_check,
+    path_cycle_correspondence,
     search_pst,
     verify_pst,
+    walk_entries,
 )
 from lapwalk.spectral import cartesian_walk_check, eigendecompose
 
@@ -226,8 +227,10 @@ def test_criterion_3_identity_suites():
         part = check_almost_equitable(g, [(0,), tuple(range(2, g.n)), (1,)])
         lift_cases.append((g, part, OperatorKind.STANDARD, 0, 1))
     for g, part, kind, u, v in lift_cases:
-        for t in TIMES:
-            dev = max(dev, lift_check(g, part, kind, u, v, t))
+        big = walk_entries(operator(g, kind), (u, v), TIMES)
+        b = Hamiltonian(OperatorKind.CUSTOM, quotient(part, kind))
+        small = walk_entries(b, (part.cell_of[u], part.cell_of[v]), TIMES)
+        dev = max(dev, float(np.abs(np.abs(big) - np.abs(small)).max()))
     assert dev < IDENTITY_TOL
     worst["lifting"] = dev
 

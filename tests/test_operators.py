@@ -164,3 +164,22 @@ def test_incidence_matches_the_loop_reference():
         b = incidence(g)
         want = oracle.incidence(g.n, g.edges)
         assert b.shape == want.shape and b.tobytes() == want.tobytes()
+
+
+def test_a_graph_operator_builds_its_matrix_on_first_read():
+    g = path(5)
+    h = standard_laplacian(g)
+    assert h.graph is g and h.n == 5 and "matrix" not in vars(h)
+    m = h.matrix
+    assert m is h.matrix and not m.flags.writeable
+    assert np.array_equal(m, np.diag(g.degrees()) - g.adjacency())
+    # a CUSTOM Hamiltonian is its matrix, checked at construction; a graph
+    # kind is its graph; neither takes the other's source, and none changes
+    custom = Hamiltonian(OperatorKind.CUSTOM, m)
+    assert custom.graph is None and custom.n == 5 and custom.matrix is not m
+    with pytest.raises(ValueError, match="takes a graph and no matrix"):
+        Hamiltonian(OperatorKind.STANDARD, m)
+    with pytest.raises(ValueError, match="takes a matrix and no graph"):
+        Hamiltonian(OperatorKind.CUSTOM, m, g)
+    with pytest.raises(AttributeError):
+        h.kind = OperatorKind.ADJACENCY

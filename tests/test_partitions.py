@@ -21,8 +21,8 @@ from lapwalk.graphs import (
     path,
     weak_product,
 )
-from lapwalk import partitions, pst
-from lapwalk.operators import Hamiltonian, OperatorKind, adjacency, operator
+from lapwalk import partitions
+from lapwalk.operators import Hamiltonian, OperatorKind, operator
 from lapwalk.partitions import (
     NotAlmostEquitableError,
     NotEquitableError,
@@ -30,12 +30,10 @@ from lapwalk.partitions import (
     check_almost_equitable,
     check_equitable,
     coarsest_equitable_refinement,
-    lift_check,
     partition_matrix,
-    path_cycle_correspondence,
     quotient,
 )
-from lapwalk.spectral import eigendecompose
+from lapwalk.pst import path_cycle_correspondence, walk_entries
 
 
 def test_c6_folding_partition_equitable():
@@ -79,10 +77,10 @@ def test_refinement_u2():
     # hand-run refinement: endpoints vs rest separates by distance to the triangle
     u2, _ = odd_unicyclic(2)
     p = coarsest_equitable_refinement(u2, [(0, 5), tuple(v for v in range(7) if v not in (0, 5))])
-    # split order follows the lexicographic signature rule: the apex (6) has
-    # signature (0,2), the triangle feet (2,3) have (0,3), the mid path
-    # vertices (1,4) have (1,1)
-    assert p.cells == ((0, 5), (6,), (2, 3), (1, 4))
+    # the apex (6), the triangle feet (2, 3) and the mid path vertices (1, 4)
+    # split off the second input cell, in canonical order: by input cell,
+    # then by least vertex
+    assert p.cells == ((0, 5), (1, 4), (2, 3), (6,))
 
 
 def test_refinement_always_equitable():
@@ -179,10 +177,13 @@ def test_normalized_quotient_intertwines():
             worst = max(worst, np.abs(n_mat @ pm - pm @ quotient(p, OperatorKind.NORMALIZED)).max())
     assert worst < 1e-12
     # P3 x Q3 transfers 0 -> 16 at 3 pi under the normalized Laplacian, and
-    # its 5-cell quotient carries the pair's walk
+    # its 7-cell quotient carries the pair's walk
     g = weak_product(path(3), hypercube(3))
     p = coarsest_equitable_refinement(g, [[0], [16], [v for v in range(g.n) if v not in (0, 16)]])
-    assert lift_check(g, p, OperatorKind.NORMALIZED, 0, 16, 3 * math.pi) < 1e-9
+    b = Hamiltonian(OperatorKind.CUSTOM, quotient(p, OperatorKind.NORMALIZED))
+    big = walk_entries(operator(g, OperatorKind.NORMALIZED), (0, 16), [3 * math.pi])[0]
+    small = walk_entries(b, (p.cell_of[0], p.cell_of[16]), [3 * math.pi])[0]
+    assert p.size == 7 and abs(big - small) < 1e-9 and abs(small) > 1 - 1e-9
 
 
 def test_normalized_quotient_rejects_an_isolated_cell():
@@ -246,57 +247,6 @@ def test_quotient_reads_the_counts_without_building_the_operator():
             tracemalloc.stop()
         assert b.shape == (3, 3)
         assert peak < 2**20
-
-
-def test_lift_check_signless_double_cone():
-    g = join(empty(2), disjoint_union(complete(2), complete(2)))
-    p = check_equitable(g, [(0,), tuple(range(2, 6)), (1,)])
-    t = math.pi / math.sqrt(8)
-    assert lift_check(g, p, OperatorKind.SIGNLESS, 0, 1, t) < 1e-9
-    mag = abs(eigendecompose(operator(g, OperatorKind.SIGNLESS)).matrix_at(t)[1, 0])
-    assert abs(mag - 1.0) < 1e-9
-
-
-def test_lift_check_trivial_and_cycle():
-    c6 = cycle(6)
-    p = check_equitable(c6, [(0,), (1, 5), (2, 4), (3,)])
-    assert lift_check(c6, p, OperatorKind.ADJACENCY, 0, 3, 0.0) == 0.0
-    rng = np.random.default_rng(9)
-    for t in rng.uniform(0, 20, 10):
-        assert lift_check(c6, p, OperatorKind.ADJACENCY, 0, 3, float(t)) < 1e-9
-    with pytest.raises(ValueError):
-        lift_check(c6, p, OperatorKind.ADJACENCY, 1, 3, 1.0)
-    # both entries pass walk_entries' horizon rule, and within it keep the
-    # values read straight off the two decompositions
-    with pytest.raises(ValueError, match="too long"):
-        lift_check(c6, p, OperatorKind.ADJACENCY, 0, 3, 1e15)
-    big = abs(eigendecompose(adjacency(c6)).amplitude(0, 3, [1.0])[0])
-    quotient_h = Hamiltonian(OperatorKind.CUSTOM, quotient(p, OperatorKind.ADJACENCY))
-    small = abs(eigendecompose(quotient_h).amplitude(0, 3, [1.0])[0])
-    assert lift_check(c6, p, OperatorKind.ADJACENCY, 0, 3, 1.0) == abs(big - small)
-
-
-def test_lift_check_rejects_a_partition_of_another_graph(monkeypatch):
-    def no_eigensolve(h):
-        raise AssertionError("eigensolve before the partition check")
-
-    monkeypatch.setattr(pst, "eigendecompose", no_eigensolve)
-    folded = check_equitable(cycle(6), [(0,), (1, 5), (2, 4), (3,)])
-    with pytest.raises(ValueError, match="covers 6 vertices, the graph has 8"):
-        lift_check(cycle(8), folded, OperatorKind.ADJACENCY, 0, 3, 1.0)
-    # the same order, another graph: vertex 5 of P6 has no neighbour in {0}
-    with pytest.raises(ValueError, match="neighbour counts"):
-        lift_check(path(6), folded, OperatorKind.ADJACENCY, 0, 3, 1.0)
-    # an almost-equitable partition checks no count inside a cell: C6 with
-    # the chord (1, 5) inside a cell passes as C6, and the standard quotient
-    # holds for both
-    chorded = make_graph(6, cycle(6).edges + ((1, 5),))
-    almost = check_almost_equitable(chorded, [(0,), (1, 5), (2, 4), (3,)])
-    with pytest.raises(ValueError, match="neighbour counts"):
-        lift_check(path(6), almost, OperatorKind.STANDARD, 0, 3, 1.0)
-    monkeypatch.undo()
-    for g in (chorded, cycle(6)):
-        assert lift_check(g, almost, OperatorKind.STANDARD, 0, 3, 1.0) < 1e-9
 
 
 def test_lift_against_series_oracle():

@@ -13,17 +13,16 @@ from oracle import walk_oracle  # noqa: E402
 
 from lapwalk.graphs import complement, empty, join, make_graph  # noqa: E402
 from lapwalk.graphs import Graph  # noqa: E402
-from lapwalk.operators import operator, standard_laplacian  # noqa: E402
+from lapwalk.operators import Hamiltonian, OperatorKind, operator, standard_laplacian  # noqa: E402
 from lapwalk.partitions import (  # noqa: E402
     check_almost_equitable,
     check_equitable,
     coarsest_equitable_refinement,
-    lift_check,
     partition_matrix,
     quotient,
 )
 from lapwalk import pst  # noqa: E402
-from lapwalk.pst import join_walk_entry  # noqa: E402
+from lapwalk.pst import join_walk_entry, walk_entries  # noqa: E402
 from lapwalk.spectral import eigendecompose  # noqa: E402
 
 KINDS = ("adjacency", "standard", "signless", "normalized")
@@ -84,7 +83,9 @@ def test_walk_entry_between_singleton_cells_lifts_from_the_quotient(data, kind, 
     u, v = data.draw(st.permutations(range(g.n)))[:2]
     rest = [w for w in range(g.n) if w not in (u, v)]
     p = coarsest_equitable_refinement(g, [[u], [v], rest] if rest else [[u], [v]])
-    assert lift_check(g, p, kind, u, v, t) < 1e-9
+    big = walk_entries(operator(g, kind), (u, v), [t])[0]
+    b = Hamiltonian(OperatorKind.CUSTOM, quotient(p, kind))
+    assert abs(abs(big) - abs(walk_entries(b, (p.cell_of[u], p.cell_of[v]), [t])[0])) < 1e-9
 
 
 @PROPERTY_SETTINGS

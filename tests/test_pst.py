@@ -29,7 +29,6 @@ from lapwalk.operators import (
     signless_laplacian,
     standard_laplacian,
 )
-from lapwalk.partitions import check_equitable, lift_check
 from lapwalk.pst import (
     PstCertificate,
     complement_closure_check,
@@ -267,15 +266,12 @@ def test_every_pair_reader_rejects_a_vertex_out_of_range_before_the_eigensolve(m
     monkeypatch.setattr(pst, "eigendecompose", no_eigensolve)
     g = cycle(6)
     bad = g.n if bad == "n" else bad
-    folded = check_equitable(g, [(0,), (1, 5), (2, 4), (3,)])
     h = standard_laplacian(g)
     readers = [
         lambda: pst.walk_entries(h, (0, bad), [1.0]),
         lambda: pst.walk_entries(h, (bad, 0), [1.0]),
         lambda: verify_pst(h, (bad, 3), 1.0),
         lambda: search_pst(h, (0, bad), 50.0),
-        lambda: lift_check(g, folded, OperatorKind.ADJACENCY, bad, 3, 1.0),
-        lambda: lift_check(g, folded, OperatorKind.ADJACENCY, 0, bad, 1.0),
         lambda: pst_transfer_to_line(path(5), bad, 4, 1.0),
         lambda: pst_transfer_to_line(path(5), 0, bad, 1.0),
     ]
