@@ -33,7 +33,7 @@ from .graphs import (
     weak_product,
 )
 from .io import graph_from_json, graph_to_json, load_graph, save_graph
-from .linegraph import intertwine_check, pst_transfer_to_line
+from .linegraph import intertwine_check, line_identity, pst_transfer_to_line
 from .operators import (
     Hamiltonian,
     OperatorKind,
@@ -51,13 +51,14 @@ from .partitions import (
     check_almost_equitable,
     check_equitable,
     coarsest_equitable_refinement,
-    partition_matrix,
     quotient,
 )
 from .pst import (
     CycleScreen,
+    IdentityReport,
     PstCertificate,
     complement_closure_check,
+    complement_identity,
     connected_double_cone_refutation,
     cycle_pst_screen,
     double_cone_characterization,
@@ -69,6 +70,7 @@ from .pst import (
     verify_pst,
     walk_entries,
     weak_product_closure_1,
+    weak_product_identity,
 )
 from .spectral import (
     EigenDecomposition,

@@ -7,7 +7,9 @@ products satisfy B B^T = Q/2 and B^T B = A(line)/2 + I, which gives
     B^T exp(-itQ) = exp(-2it) exp(-itA(line)) B^T
 
 and its two companions. Edge i of ``g.edges`` is column i of the incidence
-matrix and vertex i of the line graph.
+matrix and vertex i of the line graph. ``line_identity`` proves the product
+identity exactly on the edge arrays; ``intertwine_check`` compares the walks
+in floating point at given times.
 """
 
 from __future__ import annotations
@@ -20,14 +22,61 @@ import numpy as np
 
 from .graphs import Graph, _vertices, line_graph
 from .operators import adjacency, incidence, signless_laplacian
-from .pst import PstCertificate, verify_pst
+from .pst import IdentityReport, PstCertificate, _identities, verify_pst
 from .spectral import eigendecompose, per_time
 
 __all__ = [
+    "line_identity",
     "intertwine_check",
     "pst_transfer_to_line",
     "LineTransferReport",
 ]
+
+
+def line_identity(g: Graph, line: Graph) -> IdentityReport:
+    """Whether ``line`` is the line graph of g, vertex i standing for edge i
+    of ``g.edges``: N^T N = A(L) + 2I for the 0/1 vertex-edge incidence N,
+    checked on the edge arrays in int64. (N^T N)[i, j] counts the vertices
+    edges i and j share: 2 on the diagonal and at most 1 off it, as two
+    distinct edges of a simple graph share at most one vertex. So N^T N - 2I
+    is the 0/1 matrix of the pairs of edges that meet, and it is A(L) when
+
+    - L has one vertex per edge of G, and every edge ij of L joins edges i
+      and j that share a vertex;
+    - |E(L)| = sum_v C(d_v, 2), the number of pairs of edges of G that
+      meet: each pair meets at one vertex, so it is counted once there.
+
+    L's edges are then distinct meeting pairs, as many as there are. Beside
+    it, N N^T = D + A = Q(G) for every graph: entry (u, v) counts the edges
+    on both u and v.
+
+    The walk consequence, at every t: N^T Q = N^T N N^T = (A(L) + 2I) N^T,
+    so N^T Q^k = (A(L) + 2I)^k N^T for every k, and summing the series,
+
+        N^T e^{-itQ} = e^{-it(A(L) + 2I)} N^T = e^{-2it} e^{-itA(L)} N^T.
+
+    Transposing gives e^{-itQ} N = e^{-2it} N e^{-itA(L)}, and multiplying
+    the first by N on the right gives N^T e^{-itQ} N = e^{-2it} e^{-itA(L)}
+    N^T N. The normalized incidence N / sqrt 2 satisfies all three, the
+    identities ``intertwine_check`` samples."""
+
+    def edges_meet() -> bool:
+        if line.n != g.edge_count:
+            return False
+        (a, b), (c, d) = g.ends[line.ends[:, 0]].T, g.ends[line.ends[:, 1]].T
+        return bool(((a == c) | (a == d) | (b == c) | (b == d)).all())
+
+    def count_pairs() -> bool:
+        # d <= |E(G)|, and the edges are held in an array, so d (d - 1) fits in int64
+        degree = np.bincount(g.ends.ravel(), minlength=g.n)
+        return line.edge_count == int((degree * (degree - 1) // 2).sum())
+
+    return _identities(
+        [
+            ("edges of L(G) meet in G", edges_meet),
+            ("|E(L(G))| = sum_v C(d_v, 2)", count_pairs),
+        ]
+    )
 
 
 def intertwine_check(

@@ -1,5 +1,5 @@
 """Equitable and almost-equitable vertex partitions, their coarsest
-equitable refinement, the normalized partition matrix and quotient operators.
+equitable refinement and quotient operators.
 
 A partition is equitable when every vertex of cell j has the same number
 d[j,k] of neighbors in cell k, for all j and k; almost equitable only
@@ -32,7 +32,6 @@ __all__ = [
     "check_equitable",
     "check_almost_equitable",
     "coarsest_equitable_refinement",
-    "partition_matrix",
     "quotient",
 ]
 
@@ -253,13 +252,6 @@ def _refine(g: Graph, owner: np.ndarray, m: int, max_cells: int | None = None) -
             cells = np.empty(g.n, dtype=np.intp)
             cells[order] = np.cumsum(starts) - 1
             size = split
-
-
-def partition_matrix(p: Partition) -> np.ndarray:
-    """n x m matrix with entry 1/sqrt(|cell|) on (vertex, its cell); columns
-    are orthonormal."""
-    member = (_owner(p.n, p.cells)[:, None] == np.arange(p.size)).astype(float)
-    return member / np.sqrt(member.sum(axis=0))
 
 
 def quotient(p: Partition, kind: OperatorKind | str) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .operators import (
     normalized_laplacian,
     standard_laplacian,
 )
-from .partitions import _pair_refinement, check_equitable, quotient
+from .partitions import NotEquitableError, _pair_refinement, check_equitable, quotient
 from .spectral import eigendecompose, entry_sum, per_time
 
 __all__ = [
@@ -41,6 +41,8 @@ __all__ = [
     "walk_entries",
     "verify_pst",
     "search_pst",
+    "IdentityReport",
+    "complement_identity",
     "complement_closure_check",
     "double_cone_characterization",
     "DoubleConeResult",
@@ -48,12 +50,12 @@ __all__ = [
     "join_walk_entry",
     "connected_double_cone_refutation",
     "weak_product_closure_1",
+    "weak_product_identity",
     "normalized_weak_product_walk_check",
     "WeakProductCheck",
     "cycle_pst_screen",
     "CycleScreen",
     "path_cycle_correspondence",
-    "PathCycleReport",
 ]
 
 PST_TOL = 1e-9
@@ -499,6 +501,66 @@ def _near_integers(x) -> bool:
     return bool((np.abs(x - np.round(x)) < INTEGER_TOL).all())
 
 
+@dataclass(frozen=True)
+class IdentityReport:
+    """The operator identities an exact check proved, in the order it
+    checks them, and the first that failed (None when all hold). A check
+    stops at its first failure, so ``checked`` then ends with ``failed``."""
+
+    checked: tuple[str, ...]
+    failed: str | None = None
+
+    @property
+    def holds(self) -> bool:
+        return self.failed is None
+
+    def __str__(self) -> str:
+        return f"holds: {'; '.join(self.checked)}" if self.holds else f"fails: {self.failed}"
+
+
+def _identities(checks: Iterable[tuple[str, Callable[[], bool]]]) -> IdentityReport:
+    """Each (name, test) in order, up to the first test that returns False."""
+    names = []
+    for name, test in checks:
+        names.append(name)
+        if not test():
+            return IdentityReport(tuple(names), name)
+    return IdentityReport(tuple(names))
+
+
+def complement_identity(g: Graph, h: Graph) -> IdentityReport:
+    """Whether h is the complement of g: A(G) + A(H) = J - I, checked on
+    the edge arrays in int64. Both graphs are simple, so every edge of
+    either is a pair u < v; the identity holds exactly when both have n
+    vertices, their edge sets are disjoint, and they hold n(n - 1)/2 edges
+    together, all the pairs there are.
+
+    The walk consequence, at every t, for the standard Laplacian. Row sums
+    of the identity give d_G + d_H = n - 1 at every vertex, so L(G) + L(H)
+    = nI - J. L(G) 1 = 0 and L(G) is symmetric, so L(G) J = J L(G) = 0,
+    the three terms of L(H) = nI - J - L(G) commute, and
+
+        U_H(t) = e^{-int} e^{itJ} e^{itL(G)},   e^{itJ} = I + (e^{int} - 1) J/n.
+
+    e^{itL(G)} J = J, and e^{itL(G)} = conj U_G(t) since L(G) is real, so
+
+        U_H(t) = e^{-int} conj U_G(t) + (1 - e^{-int}) J/n.
+
+    Where nt lies in 2 pi Z this is U_H(t) = conj U_G(t): the complement
+    closure that ``complement_closure_check`` samples at given times."""
+    n = g.n
+
+    def partition_the_pairs() -> bool:
+        if h.n != n or g.edge_count + h.edge_count != n * (n - 1) // 2:
+            return False
+        # u n + v < n^2, and n(n - 1)/2 edges are held in arrays, so int64 holds it
+        keys = np.concatenate([g.ends[:, 0] * n + g.ends[:, 1], h.ends[:, 0] * n + h.ends[:, 1]])
+        keys.sort(kind="stable")  # two sorted runs: one merge
+        return not (keys[1:] == keys[:-1]).any()
+
+    return _identities([("A(G) + A(H) = J - I", partition_the_pairs)])
+
+
 def complement_closure_check(
     g: Graph, times: float | Sequence[float]
 ) -> tuple[bool, float] | list[tuple[bool, float]]:
@@ -611,6 +673,42 @@ def weak_product_closure_1(spec_g: Sequence[float], spec_h: Sequence[float], t: 
     return _near_integers(angles / (2.0 * math.pi))
 
 
+def weak_product_identity(g: Graph, h: Graph, product: Graph) -> IdentityReport:
+    """Whether ``product`` is the weak product G x H under (a, b) ->
+    a |V(H)| + b: A(G x H) = A(G) (x) A(H), checked on the arc arrays in
+    int64. Entry ((a, b), (a', b')) of A(G) (x) A(H) is A(G)[a, a']
+    A(H)[b, b'], so the arcs of the Kronecker product are exactly the
+    pairs of an arc a -> a' of G and an arc b -> b' of H, as (a, b) ->
+    (a', b'); those whose tail is below their head, sorted, must be the
+    product's edge rows. Every index is below |V(G)| |V(H)| = |V(G x H)|,
+    which the integer gate keeps below 2^62.
+
+    The walk consequence, for the normalized Laplacian N where neither
+    factor has an isolated vertex. Row sums of a Kronecker product
+    multiply, so d_(a,b) = d_a d_b, D(G x H) = D(G) (x) D(H), and the
+    normalized adjacency D^{-1/2} A D^{-1/2} = I - N factors:
+
+        N(G x H) = I - (I - N_G) (x) (I - N_H) = N_G (x) I + I (x) N_H - N_G (x) N_H.
+
+    With N_G = sum_l l E_l and N_H = sum_m m F_m over their spectral
+    projectors, N(G x H) = sum (l + m - l m) E_l (x) F_m, so
+
+        U_{G x H}(t) = sum_{l, m} e^{-it(l + m - l m)} E_l (x) F_m,
+
+    the walk formula ``normalized_weak_product_walk_check`` samples."""
+
+    def kronecker_arcs() -> bool:
+        if product.n != g.n * h.n or product.edge_count != 2 * g.edge_count * h.edge_count:
+            return False
+        (g_tails, g_heads), (h_tails, h_heads) = g._arcs, h._arcs
+        tails = (g_tails[:, None] * h.n + h_tails).ravel()
+        heads = (g_heads[:, None] * h.n + h_heads).ravel()
+        rows = np.stack([tails, heads], axis=1)[tails < heads]
+        return np.array_equal(rows[np.lexsort((rows[:, 1], rows[:, 0]))], product.ends)
+
+    return _identities([("A(G x H) = A(G) (x) A(H)", kronecker_arcs)])
+
+
 @dataclass(frozen=True)
 class WeakProductCheck:
     operator_deviation: float
@@ -705,57 +803,57 @@ def cycle_pst_screen(n: int) -> CycleScreen:
 # -- path / even-cycle correspondence ----------------------------------------
 
 
-@dataclass(frozen=True)
-class PathCycleReport:
-    """Deviations backing the path/even-cycle correspondence for one n."""
+def path_cycle_correspondence(n: int) -> IdentityReport:
+    """The identities behind the path/even-cycle correspondence for P_n,
+    m = n - 1 (Bachman et al., QIC 12, 2012), checked in int64:
 
-    n: int
-    quotient_deviation: float
-    identity_deviation: float
-    walk_deviation: float
+    - the folding partition {0}, {k, 2m - k} (0 < k < m), {m} of C_2m is
+      equitable (``check_equitable``), with count matrix B, cell j standing
+      for vertex j of P_n;
+    - diag(deg P_n) B = 2 A(P_n), read over the arcs of P_n: B has one
+      nonzero entry per arc i -> j, and deg(i) B[i, j] = 2 on each.
 
+    n = 2 degenerates (C_2 is not simple), and the count matrix [[0, 2],
+    [2, 0]] of its doubled edge stands in for B, with only the second
+    identity to check.
 
-PATH_CYCLE_TIMES = (0.1, 0.7, 1.0, math.pi, 5.0, 10.0)  # where the walk magnitudes are compared
+    The walk consequence, at every t. The partition is equitable, so
+    A(C_2m) S = S B for its 0/1 cell matrix S, hence e^{isA(C)} S =
+    S e^{isB}; column 0 of S is e_0 and row m is e_m^T, so e^{isA(C)}[m, 0]
+    = e^{isB}[m, 0]. With D = diag(deg P_n), D B = 2A gives
+    D^{-1/2} A D^{-1/2} = D^{1/2} (B/2) D^{-1/2}, so N(P_n) = D^{1/2}
+    (I - B/2) D^{-1/2} and e^{-itN} = e^{-it} D^{1/2} e^{i(t/2)B} D^{-1/2}.
+    The ends have degree 1, and A(C) is real, so
 
+        e^{-itN(P_n)}[n - 1, 0] = e^{-it} conj(e^{-i(t/2)A(C_2m)}[m, 0]),
 
-def path_cycle_correspondence(n: int) -> PathCycleReport:
-    """Verify that the normalized Laplacian of the n-vertex path matches
-    I - A(C_{2(n-1)}/pi)/2 for the folding partition of the even cycle, and
-    that the antipodal walk magnitudes agree under the induced time dilation:
-
-        |exp(-it L(P_n))_{0,n-1}| = |exp(+i(t/2) A(C_{2m}))_{0,m}|,  m = n-1.
-
-    n = 2 degenerates (C_2 is not simple); it is handled with the doubled
-    edge matrix [[0,2],[2,0]] standing in for the cycle, for which both
-    identities hold verbatim.
-    """
+    and |e^{-itN(P_n)}[n - 1, 0]| = |e^{-i(t/2)A(C_2m)}[m, 0]|: time
+    dilates by a factor of two between the two walks."""
     n = _order(n, "n")
     if n < 2:
         raise ValueError("needs a path on at least two vertices")
     m = n - 1
-    if n == 2:
-        a_quot = np.array([[0.0, 2.0], [2.0, 0.0]])
-        a_cycle = a_quot
-        quotient_dev = 0.0
-    else:
-        c = cycle(2 * m)
-        cells = [(0,)] + [(k, 2 * m - k) for k in range(1, m)] + [(m,)]
-        p = check_equitable(c, cells)
-        a_quot = quotient(p, OperatorKind.ADJACENCY)
-        a_path = path(m + 1).adjacency()
-        ends = np.isin(np.arange(m + 1), (0, m))
-        expected = np.where((a_path != 0) & (ends[:, None] | ends), math.sqrt(2.0), a_path)
-        quotient_dev = float(np.abs(a_quot - expected).max())
-        a_cycle = c.adjacency()
+    return _path_cycle_identities(n, [(0,)] + [(k, 2 * m - k) for k in range(1, m)] + [(m,)])
 
-    norm_p = normalized_laplacian(path(n))
-    identity_dev = float(np.abs(norm_p.matrix - (np.eye(n) - a_quot / 2.0)).max())
 
-    h_cycle = Hamiltonian(OperatorKind.CUSTOM, a_cycle)
-    path_entries = walk_entries(norm_p, (0, n - 1), PATH_CYCLE_TIMES)
-    # exp(+i(t/2)A) entries have the magnitudes of exp(-i(t/2)A) ones
-    cycle_entries = walk_entries(h_cycle, (0, m), [t / 2.0 for t in PATH_CYCLE_TIMES])
-    walk_dev = 0.0
-    for lhs, rhs in zip(path_entries, cycle_entries):
-        walk_dev = max(walk_dev, abs(abs(lhs) - abs(rhs)))
-    return PathCycleReport(n, quotient_dev, identity_dev, walk_dev)
+def _path_cycle_identities(n: int, cells) -> IdentityReport:
+    """``path_cycle_correspondence`` on the given cells of C_2(n-1), n >= 2;
+    they are not read at n = 2."""
+    m = n - 1
+    checked = ()
+    counts = np.array([[0, 2], [2, 0]])  # C_2's doubled edge, counted from each end
+    if m > 1:
+        checked = (f"folding partition of C_{2 * m} is equitable",)
+        try:
+            counts = check_equitable(cycle(2 * m), cells).degree_counts.astype(np.int64)
+        except NotEquitableError:
+            return IdentityReport(checked, checked[0])
+    tails, heads = path(n)._arcs
+    degree = np.bincount(tails, minlength=n)
+    doubled = (
+        counts.shape == (n, n)
+        and np.count_nonzero(counts) == len(tails)
+        and bool((degree[tails] * counts[tails, heads] == 2).all())
+    )
+    name = "diag(deg P_n) B = 2 A(P_n)"
+    return IdentityReport(checked + (name,), None if doubled else name)

@@ -18,10 +18,12 @@ from .control import unicyclic_no_pst_pipeline
 from .corpus import named_small_graphs, random_connected_graphs
 from .graphs import (
     circulant_family,
+    complement,
     complete,
     empty,
     hypercube,
     join,
+    line_graph,
     path,
     weak_product,
 )
@@ -37,8 +39,6 @@ from .spectral import eigendecompose
 
 __all__ = ["SuiteReport", "SUITES"]
 
-IDENTITY_TOL = 1e-9
-TIMES = (0.1, 1.0, math.pi, 10.0)
 DOUBLE_CONE_ORDERS = range(1, 11)  # orders of the base graphs of the standard double cones
 PATH_CYCLE_ORDERS = range(2, 9)  # orders n of the path-cycle correspondences
 SIGNLESS_CONE_MS = (2, 3, 4)  # signless double cones over circulant_family(m)
@@ -64,20 +64,15 @@ def _report(name: str, rows: Iterable[tuple[bool, str]]) -> SuiteReport:
 
 
 def suite_complement_closure() -> SuiteReport:
-    """exp(-itL(complement)) equals exp(+itL(g)) whenever |V| t is a multiple
-    of 2 pi, across the named gallery."""
+    """A(G) + A(complement) = J - I across the named gallery, from which
+    exp(-itL(complement)) = exp(+itL(g)) whenever |V| t is a multiple of
+    2 pi (``pst.complement_identity``)."""
 
     def check(label, g):
-        ks = (1, 2)
-        results = pst.complement_closure_check(g, [2.0 * math.pi * k / g.n for k in ks])
-        rows = []
-        for k, (condition, deviation) in zip(ks, results):
-            ok = condition and deviation < IDENTITY_TOL
-            rows.append((ok, f"complement-closure {label} t=2pi*{k}/{g.n} dev={deviation:.2e}"))
-        return rows
+        rep = pst.complement_identity(g, complement(g))
+        return (rep.holds, f"complement-closure {label} {rep}")
 
-    rows = [row for label, g in named_small_graphs() for row in check(label, g)]
-    return _report("complement-closure", rows)
+    return _report("complement-closure", [check(label, g) for label, g in named_small_graphs()])
 
 
 def suite_double_cone() -> SuiteReport:
@@ -142,15 +137,8 @@ def suite_weak_product() -> SuiteReport:
         rows.append((cond, f"weak-product {label} closure condition holds"))
     pairs = [("P3", path(3), "K4", complete(4)), ("P4", path(4), "K3", complete(3))]
     for gl, g, hl, h in pairs:
-        for t, chk in zip(TIMES, pst.normalized_weak_product_walk_check(g, h, TIMES)):
-            ok = chk.max_deviation < IDENTITY_TOL
-            rows.append(
-                (
-                    ok,
-                    f"weak-product identity {gl}x{hl} t={t:g} op-dev={chk.operator_deviation:.2e} "
-                    f"walk-dev={chk.walk_deviation:.2e}",
-                )
-            )
+        rep = pst.weak_product_identity(g, h, weak_product(g, h))
+        rows.append((rep.holds, f"weak-product identity {gl}x{hl} {rep}"))
     return _report("weak-product", rows)
 
 
@@ -159,29 +147,18 @@ def suite_line_intertwine() -> SuiteReport:
     graphs += [(f"rand{i}", g) for i, g in enumerate(random_connected_graphs(6, seed=7))]
 
     def check(label, g):
-        worst = max(max(devs) for devs in linegraph.intertwine_check(g, TIMES))
-        return (worst < IDENTITY_TOL, f"line-intertwine {label} max-dev={worst:.2e}")
+        rep = linegraph.line_identity(g, line_graph(g))
+        return (rep.holds, f"line-intertwine {label} {rep}")
 
     return _report("line-intertwine", [check(label, g) for label, g in graphs])
 
 
 def suite_path_cycle() -> SuiteReport:
-    rows = []
-    for n in PATH_CYCLE_ORDERS:
+    def check(n):
         rep = path_cycle_correspondence(n)
-        ok = (
-            rep.quotient_deviation < 1e-12
-            and rep.identity_deviation < 1e-12
-            and rep.walk_deviation < IDENTITY_TOL
-        )
-        rows.append(
-            (
-                ok,
-                f"path-cycle n={n} quotient-dev={rep.quotient_deviation:.2e} "
-                f"identity-dev={rep.identity_deviation:.2e} walk-dev={rep.walk_deviation:.2e}",
-            )
-        )
-    return _report("path-cycle", rows)
+        return (rep.holds, f"path-cycle n={n} {rep}")
+
+    return _report("path-cycle", [check(n) for n in PATH_CYCLE_ORDERS])
 
 
 def suite_unicyclic() -> SuiteReport:

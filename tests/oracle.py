@@ -130,6 +130,15 @@ def check_partition(adj: np.ndarray, cells, require_diagonal: bool):
     return tup, d
 
 
+def partition_matrix(p) -> np.ndarray:
+    """n x m matrix of a lapwalk Partition with entry 1/sqrt(|cell|) on
+    (vertex, its cell); its columns are orthonormal."""
+    pm = np.zeros((p.n, p.size))
+    for k, cell in enumerate(p.cells):
+        pm[list(cell), k] = 1.0 / math.sqrt(len(cell))
+    return pm
+
+
 def refine_partition(adj: np.ndarray, initial_cells):
     """Coarsest equitable refinement by repeated signature splitting, until
     a round splits nothing; the cells are then put in canonical order: by

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from oracle import walk_oracle
+from oracle import partition_matrix, walk_oracle
 
 from lapwalk.control import (
     exact_rank,
@@ -44,7 +44,6 @@ from lapwalk.partitions import (
     check_almost_equitable,
     check_equitable,
     coarsest_equitable_refinement,
-    partition_matrix,
     quotient,
 )
 from lapwalk.pst import (
@@ -234,13 +233,19 @@ def test_criterion_3_identity_suites():
     assert dev < IDENTITY_TOL
     worst["lifting"] = dev
 
-    # path <-> cycle: matrix identity to 1e-12, walk magnitudes to 1e-9
+    # path <-> cycle: the folding partition and its counts, exactly; the
+    # walk magnitudes under the time dilation, by the series oracle
+    dev = 0.0
     for n in range(2, 9):
-        rep = path_cycle_correspondence(n)
-        assert rep.quotient_deviation < 1e-12
-        assert rep.identity_deviation < 1e-12
-        assert rep.walk_deviation < IDENTITY_TOL
-    worst["path-cycle"] = rep.walk_deviation
+        assert path_cycle_correspondence(n).holds
+        m = n - 1
+        a_cycle = cycle(2 * m).adjacency() if m > 1 else np.array([[0.0, 2.0], [2.0, 0.0]])
+        for t in TIMES:
+            lhs = walk_oracle(normalized_laplacian(path(n)).matrix, t)[n - 1, 0]
+            rhs = walk_oracle(a_cycle, t / 2)[m, 0]
+            dev = max(dev, abs(abs(lhs) - abs(rhs)))
+    assert dev < IDENTITY_TOL
+    worst["path-cycle"] = dev
 
     detail = ", ".join(f"{k}={v:.1e}" for k, v in worst.items())
     _announce("3 (identity suites)", True, detail)

@@ -9,7 +9,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import oracle  # noqa: E402
-from oracle import walk_oracle  # noqa: E402
+from oracle import partition_matrix, walk_oracle  # noqa: E402
 
 from lapwalk.graphs import complement, empty, join, make_graph  # noqa: E402
 from lapwalk.graphs import Graph  # noqa: E402
@@ -18,7 +18,6 @@ from lapwalk.partitions import (  # noqa: E402
     check_almost_equitable,
     check_equitable,
     coarsest_equitable_refinement,
-    partition_matrix,
     quotient,
 )
 from lapwalk import pst  # noqa: E402
