@@ -46,8 +46,7 @@ def main():
     # transfers iff n = 2 (mod 4), independent of which base is used.
     print(f"\ndouble-cone characterization (search up to t={DOUBLE_CONE_T_MAX:g}):")
     for res in double_cone_characterization(range(1, 11)):
-        best = max(cert.magnitude for _, cert in res.witnesses)
-        note = "transfer at pi/2" if res.has_pst else f"best magnitude {best:.6f}"
+        note = "transfer at pi/2" if res.has_pst else f"best magnitude {res.certificate.magnitude:.6f}"
         print(f"  n = {res.n:2d}  (n mod 4 = {res.n % 4}): {note}")
 
     # Making the two apexes adjacent kills the effect entirely.

@@ -26,7 +26,7 @@ from .operators import (
     normalized_laplacian,
     standard_laplacian,
 )
-from .partitions import NotEquitableError, _pair_refinement, check_equitable, quotient
+from .partitions import NotEquitableError, _pair_refinement, check_almost_equitable, check_equitable, quotient
 from .spectral import eigendecompose, entry_sum, per_time
 
 __all__ = [
@@ -608,15 +608,17 @@ def join_walk_entry(h_g: Hamiltonian, n: int, pair: tuple[int, int], t: float) -
 
 @dataclass(frozen=True)
 class DoubleConeResult:
-    """The apex-to-apex search over each base graph of order n, by label."""
+    """The apex-to-apex search over the double cones of base order n: the
+    labels of the bases whose cones were proven to share one apex quotient,
+    and the certificate of that quotient's search."""
 
     n: int
-    witnesses: tuple[tuple[str, PstCertificate], ...]
+    bases: tuple[str, ...]
+    certificate: PstCertificate
 
     @property
     def has_pst(self) -> bool:
-        """The verdict every witness agrees on."""
-        return self.witnesses[0][1].certifies()
+        return self.certificate.certifies()
 
 
 def _cone_bases(n: int) -> list[tuple[str, Graph]]:
@@ -629,38 +631,74 @@ def _cone_bases(n: int) -> list[tuple[str, Graph]]:
     return out
 
 
+def _apex_quotient(g: Graph) -> Hamiltonian:
+    """The standard-Laplacian walk between apexes 0 and 1 of a cone g, as a
+    CUSTOM Hamiltonian: the quotient of the partition {0}, {1} and the rest
+    ({0}, {1} when there is no rest), once ``check_almost_equitable`` has
+    proven it; a vertex that breaks the counts raises
+    NotAlmostEquitableError naming it.
+
+    The lift. Let S be the 0/1 cell matrix and d[j, k] the checked count
+    of neighbours a vertex of cell j has in cell k (j != k). For u in cell j,
+    (L S)[u, k] = -d[j, k] when k != j, and (L S)[u, j] = deg(u) - (the
+    neighbours of u in cell j) = sum_{k != j} d[j, k]: the count inside a
+    cell cancels, so L S = S B_d, with B_d[j, k] = -d[j, k] off the diagonal
+    and B_d[j, j] = sum_{k != j} d[j, k]. With P = S diag(|C|)^{-1/2}, L P =
+    P B for B = diag(|C|)^{1/2} B_d diag(|C|)^{-1/2}, which is the symmetric
+    ``quotient`` since |C_j| d[j, k] = |C_k| d[k, j]; so e^{-itL} P = P
+    e^{-itB}. Cells 0 and 1 are the singletons {0} and {1}, so column 0 of
+    P is e_0 and row 1 of P is e_1^T, and
+
+        e^{-itL}[1, 0] = e_1^T e^{-itL} P e_0 = e_1^T P e^{-itB} e_0 = e^{-itB}[1, 0].
+
+    Both apexes see every base vertex. In the double cone K2-bar + G over m
+    base vertices B = [[m, 0, -sqrt m], [0, m, -sqrt m], [-sqrt m, -sqrt m,
+    2]], in the connected cone K2 + G B = [[m + 1, -1, -sqrt m], [-1, m +
+    1, -sqrt m], [-sqrt m, -sqrt m, 2]]: whatever the base's own edges."""
+    cells = [(0,), (1,), range(2, g.n)] if g.n > 2 else [(0,), (1,)]
+    p = check_almost_equitable(g, cells)
+    return Hamiltonian(OperatorKind.CUSTOM, quotient(p, OperatorKind.STANDARD))
+
+
+def _apex_search(h: Hamiltonian, t_max: float) -> PstCertificate:
+    """``search_pst`` between the apexes of a cone's ``_apex_quotient``, as
+    the certificate of the cone's own standard Laplacian, whose apex entry
+    it is."""
+    return replace(search_pst(h, (0, 1), t_max), kind=OperatorKind.STANDARD)
+
+
 def double_cone_characterization(ns: Iterable[int]) -> list[DoubleConeResult]:
     """Search for transfer between the two apexes of the double cone over
-    several base graphs of each order, under the standard Laplacian, up to
-    DOUBLE_CONE_T_MAX. The verdict must agree across base graphs of the same
-    order (it only depends on the order); a disagreement raises. Every order
-    is checked before the first search."""
+    base graphs of each order, under the standard Laplacian, up to
+    DOUBLE_CONE_T_MAX. Every base's cone is proven to have the apex quotient
+    of its order (``_apex_quotient``), so one search of that 3 x 3 quotient
+    answers for all of them; a base whose quotient differs raises
+    RuntimeError. Every order is checked before the first search."""
     ns = list(ns)
     if min(ns, default=1) < 1:
         raise ValueError("base order must be at least 1")
     results = []
     for n in ns:
-        witnesses = []
-        for label, base in _cone_bases(n):
-            g = join(empty(2), base)
-            cert = search_pst(standard_laplacian(g), (0, 1), DOUBLE_CONE_T_MAX)
-            if not cert.certifies() and not cert.refutes():
-                raise RuntimeError(
-                    f"ambiguous double-cone magnitude {cert.magnitude!r} for n={n} ({label})"
-                )
-            witnesses.append((label, cert))
-        if len({cert.certifies() for _, cert in witnesses}) != 1:
-            raise RuntimeError(f"double-cone verdict depends on the base graph at n={n}")
-        results.append(DoubleConeResult(n, tuple(witnesses)))
+        labels, bases = zip(*_cone_bases(n))
+        quotients = [_apex_quotient(join(empty(2), base)) for base in bases]
+        for label, h in zip(labels, quotients):
+            if not np.array_equal(h.matrix, quotients[0].matrix):
+                raise RuntimeError(f"double-cone apex quotient over the {label} base differs at n={n}")
+        cert = _apex_search(quotients[0], DOUBLE_CONE_T_MAX)
+        if not cert.certifies() and not cert.refutes():
+            raise RuntimeError(f"ambiguous double-cone magnitude {cert.magnitude!r} for n={n}")
+        results.append(DoubleConeResult(n, labels, cert))
     return results
 
 
 def connected_double_cone_refutation(base: Graph) -> PstCertificate:
     """The best walk entry found between the two adjacent apexes of K2 + G
-    under the standard Laplacian, up to SCAN_T_MAX. No such cone ever
-    reaches magnitude one; the scan documents the bounded-horizon evidence."""
-    g = join(complete(2), base)
-    return search_pst(standard_laplacian(g), (0, 1), SCAN_T_MAX)
+    under the standard Laplacian, up to SCAN_T_MAX, read from the cone's
+    apex quotient (``_apex_quotient``). Over a base of m >= 1 vertices the
+    entry is (1 - e^{-it(m+2)})/(m + 2), so it never passes 2/(m + 2); at
+    m = 0 the cone is K2, which transfers at pi/2. The scan documents the
+    bounded-horizon evidence."""
+    return _apex_search(_apex_quotient(join(complete(2), base)), SCAN_T_MAX)
 
 
 # -- normalized Laplacian weak products --------------------------------------

@@ -127,7 +127,7 @@ def test_criterion_2_double_cone_characterization():
     for res in results:
         expected = res.n % 4 == 2
         assert res.has_pst == expected, f"n={res.n}"
-        assert len(res.witnesses) >= 3 or res.n < 3  # all graphs of that order exist
+        assert len(res.bases) >= 3 or res.n < 3  # all graphs of that order exist
         ok = ok and (res.has_pst == expected)
     _announce("2 (double-cone iff n = 2 mod 4)", ok, "n = 1..10, >= 3 bases each for n >= 3")
 

@@ -29,6 +29,7 @@ from lapwalk.operators import (
     signless_laplacian,
     standard_laplacian,
 )
+from lapwalk.partitions import NotAlmostEquitableError, check_almost_equitable, quotient
 from lapwalk.pst import (
     PstCertificate,
     complement_closure_check,
@@ -173,7 +174,7 @@ def test_double_cone_characterization_small():
     for res in results:
         assert res.has_pst == (res.n % 4 == 2)
     r6 = next(r for r in results if r.n == 6)
-    t_found = r6.witnesses[0][1].time
+    t_found = r6.certificate.time
     # the apexes walk like the ends of the weighted path at time sqrt(6) t
     alpha = (6 - 2) / math.sqrt(6)
     assert abs(oracle.p3_alpha_fidelity(alpha, math.sqrt(6) * t_found) + 1.0) < 1e-6
@@ -186,6 +187,56 @@ def test_double_cone_characterization_checks_every_order_before_searching(monkey
     monkeypatch.setattr(pst, "search_pst", no_search)
     with pytest.raises(ValueError, match="base order"):
         double_cone_characterization([1, 2, 0])
+
+
+def test_double_cone_quotient_certificates_match_the_dense_searches():
+    # the dense oracle: the search on each suite cone's whole standard
+    # Laplacian finds what the one search of its order's 3 x 3 quotient does
+    for res in double_cone_characterization(range(1, 11)):
+        assert len(res.bases) == len(pst._cone_bases(res.n))
+        for label, base in pst._cone_bases(res.n):
+            dense = search_pst(standard_laplacian(join(empty(2), base)), (0, 1), pst.DOUBLE_CONE_T_MAX)
+            cert = res.certificate
+            assert dense.certifies() == cert.certifies() and dense.refutes() == cert.refutes(), (res.n, label)
+            assert abs(dense.magnitude - cert.magnitude) <= 1e-14, (res.n, label)
+            assert abs(dense.time - cert.time) <= 1e-12, (res.n, label)
+            assert (cert.pair, cert.kind) == (dense.pair, dense.kind)
+
+
+def test_every_double_cone_over_seven_or_fewer_vertices_shares_its_order_quotient():
+    # every base graph on 1..7 vertices (the atlas less its empty graph):
+    # each cone's apex partition is almost equitable with the quotient of its
+    # order, whatever the base's edges, so the mod-4 law of that one quotient
+    # is the law of every cone
+    nx = pytest.importorskip("networkx")
+    bases = [g for g in nx.graph_atlas_g() if g.number_of_nodes() >= 1]
+    assert len(bases) == 1252
+    for base in bases:
+        m = base.number_of_nodes()
+        g = join(empty(2), make_graph(m, base.edges()))
+        p = check_almost_equitable(g, [(0,), (1,), range(2, g.n)])
+        r = math.sqrt(m)
+        expected = np.array([[m, 0.0, -r], [0.0, m, -r], [-r, -r, 2.0]])
+        assert np.array_equal(quotient(p, OperatorKind.STANDARD), expected), list(base.edges())
+    results = double_cone_characterization(range(1, 8))
+    assert [res.n for res in results if res.has_pst] == [2, 6]
+    assert all(res.certificate.refutes() for res in results if not res.has_pst)
+
+
+def test_a_cone_missing_an_apex_edge_has_no_apex_quotient():
+    g = join(empty(2), path(4))
+    broken = make_graph(g.n, [e for e in g.ends.tolist() if e != [0, 3]])
+    with pytest.raises(NotAlmostEquitableError, match="vertex 3 ") as err:
+        pst._apex_quotient(broken)
+    assert err.value.vertex == 3
+
+
+def test_double_cone_bases_must_share_their_quotient(monkeypatch):
+    # two bases of different orders cannot share one apex quotient: no search
+    monkeypatch.setattr(pst, "_cone_bases", lambda n: [("empty", empty(n)), ("larger", empty(n + 1))])
+    monkeypatch.setattr(pst, "search_pst", lambda *args: pytest.fail("search_pst was called"))
+    with pytest.raises(RuntimeError, match="larger base differs at n=3"):
+        double_cone_characterization([3])
 
 
 def test_join_necessary_condition():
@@ -204,8 +255,17 @@ def test_join_counts_pass_the_integer_gate(m, n):
 
 
 def test_connected_double_cone_refutation():
-    for base in (complete(2), empty(2)):
-        assert connected_double_cone_refutation(base).refutes()
+    for base in (complete(2), empty(2), path(5)):
+        cert = connected_double_cone_refutation(base)
+        assert cert.refutes()
+        # the apex quotient of K2 + G, and the dense search it stands for
+        m, r = base.n, math.sqrt(base.n)
+        expected = [[m + 1, -1.0, -r], [-1.0, m + 1, -r], [-r, -r, 2.0]]
+        g = join(complete(2), base)
+        assert np.array_equal(pst._apex_quotient(g).matrix, expected)
+        dense = search_pst(standard_laplacian(g), (0, 1), pst.SCAN_T_MAX)
+        assert abs(dense.magnitude - cert.magnitude) <= 1e-14 and abs(dense.time - cert.time) <= 1e-12
+        assert cert.kind == OperatorKind.STANDARD
     # off-diagonal of the identity at t=0
     g = join(complete(2), complete(2))
     assert abs(eigendecompose(standard_laplacian(g)).matrix_at(0.0)[1, 0]) == 0.0

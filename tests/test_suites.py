@@ -86,3 +86,17 @@ def test_weak_product_suite_decomposes_p3_once(eigh_calls):
     # P3 once, then each positive case's product and its factor H; the two
     # identity rows decompose nothing
     assert len(eigh_calls) == 1 + 3 * 2
+
+
+@pytest.mark.parametrize("name", ["double-cone", "signless-double-cone"])
+def test_cone_suites_decompose_only_their_3x3_quotients(name, eigh_calls, monkeypatch, capsys):
+    # one apex-quotient search per base order, and one verify per signless
+    # cone, each on the 3 x 3 quotient: no cone operator is decomposed, and
+    # the double cones build no dense adjacency either
+    built = []
+    adjacency = Graph.adjacency
+    monkeypatch.setattr(Graph, "adjacency", lambda g: built.append(g.n) or adjacency(g))
+    assert main(["verify-suite", name]) == 0
+    assert eigh_calls == [(3, 3)] * {"double-cone": 10, "signless-double-cone": 3}[name]
+    if name == "double-cone":
+        assert built == []
