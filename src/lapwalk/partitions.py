@@ -10,6 +10,11 @@ and never inferred from data. A partition exists only once its counts are
 verified, so a quotient is read from the partition alone, with no graph.
 Cell entries pass the integer gate of ``graphs`` (``_indices``, then
 ``_vertices``), so a non-integer vertex is named, never truncated.
+
+A pair swapped by an involutive automorphism, which the pair's distances
+give and the edge array proves (``_mirror``), splits an operator into the
+automorphism's even and odd halves (``_mirror_halves``), also built from
+the arcs.
 """
 
 from __future__ import annotations
@@ -273,3 +278,140 @@ def quotient(p: Partition, kind: OperatorKind | str) -> np.ndarray:
     d = p.degree_counts
     s = np.nan_to_num(np.sqrt(d * d.T))  # sqrt(d[j,j]^2) is d[j,j] exactly; nan only there
     return _operator_matrix(k, s, np.nansum(d, axis=1), row="cell")
+
+
+def _distances(neighbours: list[int], starts: list[int], source: int) -> np.ndarray | None:
+    """BFS distances from ``source`` over the neighbour lists
+    neighbours[starts[w] : starts[w + 1]], n where a vertex is not reached;
+    None as soon as a level l holds more than 2 l + 1 vertices, which no
+    mirror pair's levels do (``_mirror``). A plain queue: a path has as
+    many levels as vertices, and a level of one or two vertices is cheaper
+    in Python than in numpy."""
+    n = len(starts) - 1
+    dist = [n] * n
+    dist[source] = 0
+    frontier, level = [source], 0
+    while frontier:
+        level += 1
+        reached = []
+        for w in frontier:
+            for x in neighbours[starts[w] : starts[w + 1]]:
+                if dist[x] == n:
+                    dist[x] = level
+                    reached.append(x)
+        if len(reached) > 2 * level + 1:
+            return None
+        frontier = reached
+    return np.array(dist)
+
+
+def _mirror(g: Graph, source: int, target: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """An automorphism sigma of g with sigma(source) = target and sigma^2 =
+    1, and the side of every vertex: +1 where it is nearer source, -1 where
+    nearer target, 0 where sigma fixes it. None when the pair's distances
+    give no candidate, or the proof refuses the one they give. source !=
+    target.
+
+    Vertex w has the pair (d(source, w), d(target, w)) of its BFS distances
+    (``_distances``, unreached counting as n). An automorphism that swaps
+    source and target sends w to a vertex with the swapped pair, so where
+    all n pairs are distinct, the map sending each vertex to the vertex
+    with its swapped pair is the only candidate, and it exists when every
+    swapped pair occurs. Then sigma(source) = target, since (0, d) swaps to
+    (d, 0), and sigma^2 = 1, since swapping twice is the identity. The
+    candidate is an automorphism once it maps the canonical edge array onto
+    itself (``_is_automorphism``), the proof in the role
+    ``check_equitable`` plays for a quotient.
+
+    A vertex at distance l from source lies within l of d(source, target)
+    from target, so where the pairs are distinct, level l of either search
+    holds at most 2 l + 1 vertices, and each search stops at the first
+    wider level. Level 1 is a vertex's neighbours, so a source or target of
+    degree above 3 is refused before any search. Summed over the levels,
+    the bound is the pre-filter (ecc(source) + 1)^2 >= n of a connected
+    graph.
+
+    Distinct pairs refine both distance partitions, which the coarsest
+    equitable refinement of {source}, {target} and the rest refines in
+    turn: that refinement is then all n singletons, so a pair this finds
+    never has a quotient smaller than the graph."""
+    n = g.n
+    if g.degrees()[[source, target]].max() > 3:
+        return None
+    tails, heads = g._arcs
+    neighbours = heads[np.argsort(tails)].tolist()
+    starts = np.concatenate([[0], np.cumsum(np.bincount(tails, minlength=n))]).tolist()
+    near = _distances(neighbours, starts, source)
+    far = None if near is None else _distances(neighbours, starts, target)
+    if far is None:
+        return None
+    keys, swapped = near * (n + 1) + far, far * (n + 1) + near
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+        return None
+    at = np.minimum(np.searchsorted(sorted_keys, swapped), n - 1)
+    if not np.array_equal(sorted_keys[at], swapped):
+        return None
+    sigma = by_key[at]
+    return (sigma, np.sign(far - near)) if _is_automorphism(g, sigma) else None
+
+
+def _is_automorphism(g: Graph, sigma: np.ndarray) -> bool:
+    """Whether the vertex permutation ``sigma`` maps g's canonical edge array
+    onto itself, compared as int64 keys u n + v (u < v), below n^2."""
+    n = np.int64(g.n)
+    ends = g.ends.astype(np.int64)
+    image = np.sort(sigma[ends].astype(np.int64), axis=1)
+    return np.array_equal(np.sort(image[:, 0] * n + image[:, 1]), ends[:, 0] * n + ends[:, 1])
+
+
+def _mirror_halves(
+    g: Graph, source: int, target: int, kind: OperatorKind
+) -> tuple[tuple[np.ndarray, int], tuple[np.ndarray, int]] | None:
+    """The operator of ``kind`` on g split over an involutive automorphism
+    sigma that swaps source and target (``_mirror``): its even half B+ and
+    odd half B-, each with source's row, or None when ``_mirror`` finds no
+    sigma. Both are built from the arcs; no n x n matrix is.
+
+    Every orbit of sigma is a fixed point or a 2-cycle {w, sigma w}, and
+    each is represented by its vertex on source's side, or by itself. The
+    even space E+ is spanned by the normalized orbit indicators, the
+    columns of P+, and the odd space E- by (e_w - e_sigma(w)) / sqrt 2, the
+    columns of P-, one per 2-cycle with w on source's side; the two are
+    orthogonal and together span R^n.
+
+    The orbits of an automorphism are an equitable partition, so with
+    d[j, k] the neighbours a vertex of orbit j has in orbit k (the arcs
+    between them over the size of orbit j), A P+ = P+ S+ for the
+    symmetrized counts S+ = sqrt(d[j, k] d[k, j]), as in ``quotient``.
+    Column w of sqrt 2 A P- has the entries A[x, w] - A[x, sigma w]: 0 at a
+    fixed x, since A[x, w] = A[sigma x, sigma w] = A[x, sigma w]; S-[i, w]
+    = A[i, w] - A[i, sigma w] at x = i on source's side; and, by the same
+    swap, -S-[i, w] at x = sigma i. So A P- = P- S-, where S-[i, j] sums,
+    over the arcs between the 2-cycles of i and j, +1/2 where both ends
+    lie on one side and -1/2 otherwise (a vertex joined to its own mirror
+    gives -1 on the diagonal). sigma keeps degrees, so D P+- = P+- diag(d), with d the
+    orbits' degrees, and every kind is ``_operator_matrix`` of S+- and d:
+    M P+ = P+ B+ and M P- = P- B-."""
+    mirror = _mirror(g, source, target)
+    if mirror is None:
+        return None
+    sigma, side = mirror
+    tails, heads = g._arcs
+    degrees = g.degrees()
+    even, odd = np.flatnonzero(side >= 0), np.flatnonzero(side > 0)
+    k, m = len(even), len(odd)
+    orbit, pair = np.empty(g.n, dtype=np.intp), np.zeros(g.n, dtype=np.intp)
+    orbit[even] = orbit[sigma[even]] = np.arange(k)
+    pair[odd] = pair[sigma[odd]] = np.arange(m)
+    arcs = np.bincount(orbit[tails] * k + orbit[heads], minlength=k * k).reshape(k, k)
+    d = arcs / np.where(side[even] > 0, 2.0, 1.0)[:, None]  # over the size of the row's orbit
+    plus = _operator_matrix(kind, np.sqrt(d * d.T), degrees[even], row="cell")
+    sign = side[tails] * side[heads]  # 0 on an arc at a fixed point
+    moving = sign != 0
+    s_minus = np.bincount(
+        pair[tails[moving]] * m + pair[heads[moving]], weights=0.5 * sign[moving], minlength=m * m
+    ).reshape(m, m)
+    minus = _operator_matrix(kind, s_minus, degrees[odd], row="cell")
+    return (plus, int(orbit[source])), (minus, int(pair[source]))

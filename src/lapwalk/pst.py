@@ -26,8 +26,15 @@ from .operators import (
     normalized_laplacian,
     standard_laplacian,
 )
-from .partitions import NotEquitableError, _pair_refinement, check_almost_equitable, check_equitable, quotient
-from .spectral import eigendecompose, entry_sum, per_time
+from .partitions import (
+    NotEquitableError,
+    _mirror_halves,
+    _pair_refinement,
+    check_almost_equitable,
+    check_equitable,
+    quotient,
+)
+from .spectral import _clusters, eigendecompose, entry_sum, per_time
 
 __all__ = [
     "PST_TOL",
@@ -97,9 +104,10 @@ class PstCertificate:
         }
 
 
-# graph order from which a pair's spectrum is tried on its quotient: the
-# measured break-even, where a refinement and its proof cost about what a
-# dense eigh of that order does (about 0.3 ms at n = 64 on 2 vCPUs)
+# graph order from which a pair's spectrum is tried on its quotient, and
+# then on its mirror halves: the measured break-even, where a refinement and
+# its proof cost about what a dense eigh of that order does (about 0.3 ms at
+# n = 64 on 2 vCPUs)
 QUOTIENT_MIN = 64
 
 
@@ -107,7 +115,7 @@ def _pair_spectrum(h: Hamiltonian, pair: tuple[int, int]) -> tuple[np.ndarray, n
     """The one place a pair is read from a Hamiltonian: a vertex that is not
     an integer in 0..n-1 (``graphs._vertices``) raises ValueError before any
     eigensolve, then the cluster values and the pair's weights, from one
-    decomposition.
+    decomposition, or from the two halves of a mirror pair.
 
     A graph operator of order n >= ``QUOTIENT_MIN`` is first tried on the
     pair's equitable quotient: the coarsest equitable refinement of {u},
@@ -117,22 +125,60 @@ def _pair_spectrum(h: Hamiltonian, pair: tuple[int, int]) -> tuple[np.ndarray, n
     entry between their cells in the k x k quotient (Bachman et al., QIC 12,
     2012), for each of the four kinds, so the quotient, as a CUSTOM
     Hamiltonian, is decomposed in place of the n x n operator, whose matrix
-    is then never built. Every other Hamiltonian, and a graph whose
-    refinement passes the cap, is decomposed whole."""
+    is then never built.
+
+    Where the refinement passes the cap and u != v, the pair is tried on
+    an involutive automorphism sigma that swaps u and v, read off the
+    pair's distances and proven on the edge array
+    (``partitions._mirror_halves``): the operator's even and odd halves
+    over sigma, of orders about n / 2 each, are decomposed in its place,
+    and their spectra merged (``_merged_halves``); this is how a path's
+    antipodes are read. Every other Hamiltonian is decomposed whole."""
     source, target = _vertices(h.n, pair).tolist()
     if h.kind != OperatorKind.CUSTOM and h.n >= QUOTIENT_MIN:
         p = _pair_refinement(h.graph, source, target, math.isqrt(h.n))
         if p is not None:
             dec = eigendecompose(Hamiltonian(OperatorKind.CUSTOM, quotient(p, h.kind)))
             return dec.values, dec.pair_weights(p.cell_of[source], p.cell_of[target])
+        halves = _mirror_halves(h.graph, source, target, h.kind) if source != target else None
+        if halves is not None:
+            return _merged_halves(*halves)
     dec = eigendecompose(h)
     return dec.values, dec.pair_weights(source, target)
+
+
+def _merged_halves(even, odd) -> tuple[np.ndarray, np.ndarray]:
+    """The cluster values and the pair's weights from an operator's even and
+    odd halves over an involution sigma that swaps the pair (see
+    ``partitions._mirror_halves``), each given as (matrix, source's row).
+
+    With s = (e_u + e_v) / sqrt 2 in the even space and a = (e_u - e_v)
+    / sqrt 2 in the odd one, e_u = (s + a) / sqrt 2 and e_v = (s - a) /
+    sqrt 2. U(t) keeps both spaces, which are orthogonal, so
+
+        U(t)[v, u] = (s^T U(t) s - a^T U(t) a) / 2.
+
+    s and a are the basis vectors at source's rows, so over the halves'
+    eigenpairs (lambda, y) and (mu, z) the entry is sum (y_u^2 / 2)
+    exp(-i t lambda) - sum (z_u^2 / 2) exp(-i t mu). Both spectra together
+    are the operator's, and they are clustered once, by the rule of
+    ``eigendecompose`` (``spectral._clusters``), the weights summed per
+    cluster."""
+    (plus, plus_row), (minus, minus_row) = even, odd
+    d_plus = eigendecompose(Hamiltonian(OperatorKind.CUSTOM, plus))
+    d_minus = eigendecompose(Hamiltonian(OperatorKind.CUSTOM, minus))
+    evals = np.concatenate([d_plus.eigenvalues, d_minus.eigenvalues])
+    weights = np.concatenate([0.5 * d_plus.vectors[plus_row] ** 2, -0.5 * d_minus.vectors[minus_row] ** 2])
+    order = np.argsort(evals, kind="stable")
+    sizes, values = _clusters(evals[order])
+    return values, np.add.reduceat(weights[order], np.cumsum(sizes) - sizes)
 
 
 def walk_entries(h: Hamiltonian, pair: tuple[int, int], times) -> np.ndarray:
     """U(t)[pair[1], pair[0]] at every time, exactly the identity's entry
     at t = 0, from the pair's cluster weights as ``_pair_spectrum`` checks
-    and reads them. Raises ValueError where rounding could move the
+    and reads them: from the whole operator, the pair's equitable quotient
+    or its mirror halves. Raises ValueError where rounding could move the
     magnitude across the gap between the two thresholds at the largest |t|
     (``_rounding_bound`` over the pair's support). Each entry has the bits
     its time gets alone (``entry_sum``)."""
@@ -408,10 +454,11 @@ def search_pst(
     as ``walk_entries`` reads them: a vertex outside 0..n-1 raises
     ValueError before any eigensolve, and a graph operator of order n >=
     ``QUOTIENT_MIN`` whose pair refines to at most floor(sqrt(n)) equitable
-    cells is read from that k x k quotient, with no n x n matrix. The scan
-    reads only the pair's support, the clusters with |w_k| >
-    ``SUPPORT_TOL`` (1e-13) * sum|w|; the others move any magnitude by at
-    most their dropped mass sum|w_k|.
+    cells is read from that k x k quotient, and one whose pair an
+    involutive automorphism swaps from the operator's two halves over it;
+    neither builds the n x n matrix. The scan reads only the pair's
+    support, the clusters with |w_k| > ``SUPPORT_TOL`` (1e-13) * sum|w|;
+    the others move any magnitude by at most their dropped mass sum|w_k|.
     The magnitude is sampled on a uniform grid with ``grid_density`` points
     per pi/(range of the support), in two levels (see ``_grid_peaks``). A
     coarse pass evaluates the entry and its derivative at the centre of

@@ -18,9 +18,12 @@ every one of its times from those decompositions.
 builds on first read. A pair's walk entries need less: ``pst._pair_spectrum``
 decomposes the pair's k x k equitable quotient in place of a graph operator
 of order n >= ``pst.QUOTIENT_MIN`` (64) when the pair's coarsest equitable
-refinement has at most floor(sqrt(n)) cells, and then no n x n matrix is
-built; otherwise, and for a CUSTOM matrix, it decomposes the whole operator
-here.
+refinement has at most floor(sqrt(n)) cells. Failing that, for u != v, it
+decomposes the two halves of the operator over an involutive automorphism
+that swaps the pair, each of order about n / 2, and clusters their merged
+spectra by this module's one rule (``_clusters``). Either way no n x n
+matrix is built; otherwise, and for a CUSTOM matrix, it decomposes the
+whole operator here.
 """
 
 from __future__ import annotations
@@ -122,28 +125,37 @@ def eigendecompose(h: Hamiltonian) -> EigenDecomposition:
     """Symmetric eigensolve with eigenvalue clustering.
 
     Consecutive eigenvalues closer than 1e-8 times the spectral range fall
-    into one cluster, whose eigenvectors then share the cluster mean; this
-    keeps the cluster projectors well defined on degenerate spectra.
+    into one cluster (``_clusters``), whose eigenvectors then share the
+    cluster mean; this keeps the cluster projectors well defined on
+    degenerate spectra.
     """
     try:
         evals, evecs = np.linalg.eigh(h.matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
         raise RuntimeError(f"eigensolver failed: {exc}") from exc
-
-    if len(evals) == 0:
-        return EigenDecomposition(evals, evals, evecs, ())
-    cluster_tol = 1e-8 * float(evals[-1] - evals[0])
-    bounds = np.concatenate(([0], np.flatnonzero(np.diff(evals) > cluster_tol) + 1, [len(evals)]))
-    sizes = np.diff(bounds)
-    values = evals[bounds[:-1]]  # the mean of a single eigenvalue is that eigenvalue
-    for k in np.flatnonzero(sizes > 1).tolist():
-        values[k] = evals[bounds[k] : bounds[k + 1]].sum() / sizes[k]  # as ndarray.mean computes it
+    sizes, values = _clusters(evals)
     return EigenDecomposition(
         eigenvalues=evals,
         values=values,
         vectors=evecs,
         multiplicities=tuple(sizes.tolist()),
     )
+
+
+def _clusters(evals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sizes and mean values of the clusters of the ascending
+    eigenvalues ``evals``: consecutive eigenvalues closer than 1e-8 times
+    the spectral range fall into one cluster. ``eigendecompose`` and
+    ``pst``'s merge of two halves share this one rule."""
+    if len(evals) == 0:
+        return np.zeros(0, dtype=np.intp), evals
+    cluster_tol = 1e-8 * float(evals[-1] - evals[0])
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(evals) > cluster_tol) + 1, [len(evals)]))
+    sizes = np.diff(bounds)
+    values = evals[bounds[:-1]]  # the mean of a single eigenvalue is that eigenvalue
+    for k in np.flatnonzero(sizes > 1).tolist():
+        values[k] = evals[bounds[k] : bounds[k + 1]].sum() / sizes[k]  # as ndarray.mean computes it
+    return sizes, values
 
 
 def cartesian_walk_check(

@@ -1,11 +1,14 @@
-"""The pair-quotient route of ``pst._pair_spectrum`` and the hashed
-refinement behind it.
+"""The pair-quotient and mirror routes of ``pst._pair_spectrum`` and the
+hashed refinement behind the first.
 
 A graph operator of order n >= ``QUOTIENT_MIN`` reads a pair's spectrum from
 the pair's coarsest equitable quotient when that has at most floor(sqrt(n))
-cells, and from the whole operator otherwise. Both routes must give the same
-walk entries; the dense reference here is ``eigendecompose`` of the whole
-operator, read straight off the decomposition."""
+cells; failing that, for u != v, from the two halves of the operator over an
+involutive automorphism that swaps the pair, when the pair's distances give
+one and the edge array proves it; and from the whole operator otherwise.
+Every route must give the same walk entries; the dense reference here
+(``_dense``) is ``eigendecompose`` of the whole operator, read straight off
+the decomposition."""
 
 import math
 
@@ -16,7 +19,7 @@ import oracle
 
 from lapwalk import partitions, pst
 from lapwalk.corpus import named_small_graphs, random_connected_graphs
-from lapwalk.graphs import cycle, empty, hypercube, join, make_graph, path, weak_product
+from lapwalk.graphs import cycle, empty, hypercube, join, make_graph, odd_unicyclic, path, weak_product
 from lapwalk.operators import OperatorKind, operator
 from lapwalk.partitions import NotEquitableError, coarsest_equitable_refinement
 from lapwalk.pst import search_pst, verify_pst, walk_entries
@@ -26,6 +29,11 @@ KINDS = (OperatorKind.ADJACENCY, OperatorKind.STANDARD, OperatorKind.SIGNLESS, O
 # short times: eigenvalue rounding alone moves an entry by a few eps *
 # t * max|theta|, which nears 1e-12 at t = 20 on these graphs
 TIMES = (0.0, 0.5, 1.7, 6.0)
+
+
+def _dense(h, pair, times=TIMES):
+    """The walk entries from the whole operator's decomposition."""
+    return eigendecompose(h).amplitude(*pair, times)
 
 
 def _blown_up(rng):
@@ -86,8 +94,7 @@ def test_quotient_and_dense_routes_give_the_same_walk_entries():
             h = operator(g, kind)
             routed = walk_entries(h, (u, v), TIMES)
             assert ("matrix" in vars(h)) != quotient_taken  # the route never builds the n x n matrix
-            dense = eigendecompose(h).amplitude(u, v, TIMES)
-            assert np.abs(routed - dense).max() < 1e-12, (g.n, (u, v), kind, quotient_taken)
+            assert np.abs(routed - _dense(h, (u, v))).max() < 1e-12, (g.n, (u, v), kind, quotient_taken)
     # both outcomes, for distinct and for equal endpoints
     assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
 
@@ -122,6 +129,122 @@ def test_large_pairs_run_through_their_quotients_without_the_matrix(eigh_calls):
         assert not found.refutes() and verify_pst(h, pair, t).certifies()
         assert "matrix" not in vars(h)
     assert [shape[0] for shape in eigh_calls] == [17, 17, 3, 3, 19, 19]  # quotients only
+
+
+# -- the mirror route -------------------------------------------------------
+
+
+def _relabelled_path(rng, n):
+    """P_n under a random relabelling, and the images of its two ends."""
+    perm = rng.permutation(n).tolist()
+    return make_graph(n, [(perm[v], perm[v + 1]) for v in range(n - 1)]), (perm[0], perm[-1])
+
+
+def _symmetric_decorated_path():
+    """P71 with a pendant at 5 and at its mirror 65, chords 10-12 and
+    58-60, and a path of two fixed vertices hanging from the middle vertex
+    35: arcs between fixed points, and between them and the 2-cycles."""
+    edges = [(v, v + 1) for v in range(70)] + [(5, 71), (65, 72), (10, 12), (58, 60), (35, 73), (73, 74)]
+    return make_graph(75, edges), (0, 70)
+
+
+def _mirror_cases():
+    rng = np.random.default_rng(20261022)
+    # odd n fixes the middle vertex; even n joins a vertex to its own mirror
+    cases = [_relabelled_path(rng, n) for n in (64, 65, 100, 151, 300, 301)]
+    # the apex of the odd unicyclic graph is fixed, and the triangle's base
+    # joins the two middle spine vertices, each other's mirror
+    return cases + [tuple(odd_unicyclic(m)) for m in (31, 40)] + [_symmetric_decorated_path()]
+
+
+def test_mirror_and_dense_routes_give_the_same_spectrum_and_walk_entries():
+    # the halves' spectra together are the whole operator's: the same
+    # clusters and pair weights. The entries run to t = n, past the time the
+    # front needs to cross a path; before it they are too small to tell a
+    # wrong weight apart
+    for g, (u, v) in _mirror_cases():
+        assert g.n >= pst.QUOTIENT_MIN and partitions._pair_refinement(g, u, v, math.isqrt(g.n)) is None
+        assert partitions._mirror(g, u, v) is not None
+        times = np.linspace(0.0, g.n, 13)
+        for kind in KINDS:
+            h = operator(g, kind)
+            values, weights = pst._pair_spectrum(h, (u, v))
+            routed = walk_entries(h, (u, v), times)
+            assert "matrix" not in vars(h)
+            dec = eigendecompose(h)
+            assert len(values) == len(dec.values) and np.abs(values - dec.values).max() < 1e-12, (g.n, kind)
+            assert np.abs(weights - dec.pair_weights(u, v)).max() < 1e-12, (g.n, kind)
+            assert np.abs(routed - dec.amplitude(u, v, times)).max() < 1e-12, (g.n, kind)
+
+
+def test_a_path_of_301_vertices_is_read_from_two_halves(eigh_calls):
+    h = operator(path(301), "standard")
+    times = np.linspace(0.0, 301.0, 13)
+    routed = walk_entries(h, (0, 300), times)
+    # the even half has the 150 two-cycles and the middle vertex, the odd
+    # half the 150 two-cycles
+    assert [shape[0] for shape in eigh_calls] == [151, 150]
+    assert "matrix" not in h.__dict__
+    assert np.abs(routed - _dense(h, (0, 300), times)).max() < 1e-12
+
+
+def _recording_mirror_proof(monkeypatch):
+    proofs = []
+    proof = partitions._is_automorphism
+
+    def recording(g, sigma):
+        proofs.append(proof(g, sigma))
+        return proofs[-1]
+
+    monkeypatch.setattr(partitions, "_is_automorphism", recording)
+    return proofs
+
+
+def _decorated_path(rng):
+    """A path with pendants at three random spots and at their mirrors, and
+    one edge between two pendants on the first end's side, which no mirror
+    edge matches: where that edge moves no distance, the distances give a
+    candidate that the edge array refuses."""
+    length = int(rng.integers(64, 81))
+    edges = [(v, v + 1) for v in range(length - 1)]
+    near = []
+    for j, spot in enumerate(rng.choice(np.arange(1, length // 2 - 1), 3, replace=False).tolist()):
+        edges += [(spot, length + 2 * j), (length - 1 - spot, length + 2 * j + 1)]
+        near.append(length + 2 * j)
+    edges.append(tuple(rng.choice(near, 2, replace=False).tolist()))
+    return make_graph(length + 6, edges), (0, length - 1)
+
+
+def _refused_candidate(monkeypatch):
+    """The first decorated path of a seeded search whose candidate the
+    proof refuses."""
+    proofs = _recording_mirror_proof(monkeypatch)
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        g, pair = _decorated_path(rng)
+        assert partitions._mirror(g, *pair) is None
+        if proofs:
+            assert proofs == [False]
+            return g, pair
+    raise AssertionError("no decorated path gave a candidate")
+
+
+@pytest.mark.parametrize("case", ["cycle antipodes", "equal ends", "refused candidate"])
+def test_pairs_without_a_proven_mirror_are_read_whole(monkeypatch, eigh_calls, case):
+    if case == "cycle antipodes":
+        g, pair = cycle(130), (0, 65)  # a vertex and its mirror share their distance pair
+        assert partitions._mirror(g, *pair) is None
+    elif case == "equal ends":
+        g, pair = path(301), (0, 0)
+    else:
+        g, pair = _refused_candidate(monkeypatch)
+    assert partitions._pair_refinement(g, *pair, math.isqrt(g.n)) is None
+    for kind in KINDS:
+        eigh_calls.clear()
+        h = operator(g, kind)
+        routed = walk_entries(h, pair, TIMES)
+        assert [shape[0] for shape in eigh_calls] == [g.n] and "matrix" in vars(h)
+        assert np.abs(routed - _dense(h, pair)).max() < 1e-12, kind
 
 
 # -- the hashed refinement --------------------------------------------------
